@@ -18,6 +18,7 @@ from .distance import (
     distance_matrix,
     genetic_distance,
     language_distance,
+    matrix_for,
 )
 from .evalkit import (
     CaseStudyResult,

@@ -10,9 +10,9 @@ always reflect the current store.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .kb import FeatureDescriptor, FeatureTensor
 class AggregationMode(Enum):
     UNION = "union"
     AVERAGE = "average"
+
+
+#: A source scope: one name, a subset of names, or None for all sources.
+SourceSelector = Union[str, Sequence[str], None]
 
 
 @dataclass
@@ -62,12 +66,11 @@ class AggregatedMatrix:
         return ~np.isnan(self.values)
 
     def copy(self) -> "AggregatedMatrix":
-        return AggregatedMatrix(
-            mode=self.mode,
+        return replace(
+            self,
             languages=list(self.languages),
             features=list(self.features),
             values=self.values.copy(),
-            provenance=self.provenance,
         )
 
 
@@ -77,9 +80,9 @@ _cache: "weakref.WeakKeyDictionary[FeatureTensor, dict]" = weakref.WeakKeyDictio
 def aggregate(
     tensor: FeatureTensor,
     mode: AggregationMode,
-    sources: Optional[Sequence[str]] = None,
+    sources: SourceSelector = None,
 ) -> AggregatedMatrix:
-    """Aggregate a tensor over all sources or a non-empty subset of them.
+    """Aggregate a tensor over all sources, one source, or a non-empty subset.
 
     The returned matrix is shared via a cache and marked read-only; copy
     before mutating.
@@ -87,6 +90,8 @@ def aggregate(
     if sources is None:
         provenance = tuple(tensor.sources)
     else:
+        if isinstance(sources, str):
+            sources = (sources,)
         provenance = tuple(dict.fromkeys(sources))  # dedupe, keep order
         if not provenance:
             raise EmptySourceSubset("source subset must be non-empty")
@@ -125,8 +130,9 @@ def aggregate(
         values=values,
         provenance=provenance,
     )
-    # entries for older tensor versions can never be requested again
-    for stale in [k for k in per_tensor if k[2] != tensor.version]:
-        del per_tensor[stale]
+    # entries for older tensor versions can never be requested again;
+    # concurrent callers may evict the same key, so neither step may raise
+    for stale in [k for k in list(per_tensor) if k[2] != tensor.version]:
+        per_tensor.pop(stale, None)
     per_tensor[key] = result
     return result

@@ -12,14 +12,20 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from . import storage
 from .aggregate import AggregationMode, aggregate
 from .confidence import QualityCache, confidence_report
-from .distance import DistanceRequest, Metric, distance_matrix, language_distance
+from .distance import (
+    DistanceRequest,
+    Metric,
+    distance_matrix,
+    language_distance,
+    matrix_for,
+)
 from .errors import FormatError, QueryError, TypodistError
 from .evalkit import (
     case_study,
@@ -28,9 +34,10 @@ from .evalkit import (
     load_case_study,
     quality_test,
 )
-from .impute import ImputerSpec, run_imputer
+from .impute import IMPUTER_METHODS, ImputerSpec, run_imputer
 from .ingest import (
     CanonicalNamer,
+    IdResolutionTable,
     apply_inference,
     build_batch,
     load_ingest_schema,
@@ -47,6 +54,8 @@ EXIT_FORMAT = 2
 
 DATA_DIR_ENV = "TYPODIST_DATA_DIR"
 
+AGGREGATION_MODES = tuple(m.value for m in AggregationMode)
+
 
 @dataclass
 class CliConfig:
@@ -60,8 +69,7 @@ class CliConfig:
 
 
 def load_config(path) -> CliConfig:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = storage._read_json(path)
     config = CliConfig(
         data_dir=data.get("data_dir"),
         aggregation=data.get("aggregation", "union"),
@@ -157,7 +165,9 @@ def _imputer_spec(args, config: CliConfig, method: Optional[str] = None) -> Impu
 
 def cmd_ingest(args, config: CliConfig) -> int:
     schema = load_ingest_schema(args.schema)
-    table = load_resolution_table(args.resolution_table or config.resolution_table)
+    table_path = args.resolution_table or config.resolution_table
+    # without a table, glottocodes pass through and ISO codes cannot resolve
+    table = load_resolution_table(table_path) if table_path else IdResolutionTable()
     rules_path = args.rules or config.rules_file
     rules = load_rules(rules_path) if rules_path else []
 
@@ -267,14 +277,10 @@ def cmd_distance(args, config: CliConfig) -> int:
         use_imputed=imputer is not None,
         imputer=imputer,
     )
-    matrix = aggregate(tensor, mode, _normalized_sources(template.sources))
-    if imputer is not None:
-        matrix = run_imputer(matrix, imputer, registry=tensor, dialect_fill=args.dialect_fill)
+    matrix = matrix_for(tensor, template, dialect_fill=args.dialect_fill)
 
     langs = args.languages
     if len(langs) == 2:
-        from dataclasses import replace
-
         result = language_distance(replace(template, lang_a=langs[0], lang_b=langs[1]), matrix)
         _emit(result.to_json(), args.format)
     else:
@@ -289,14 +295,6 @@ def cmd_distance(args, config: CliConfig) -> int:
             args.format,
         )
     return EXIT_OK
-
-
-def _normalized_sources(selector):
-    if selector is None:
-        return None
-    if isinstance(selector, str):
-        return [selector]
-    return list(selector)
 
 
 def cmd_confidence(args, config: CliConfig) -> int:
@@ -368,24 +366,13 @@ def cmd_eval_coverage(args, config: CliConfig) -> int:
     tensor = _load_tensor(args, config)
     tiers = {}
     if args.tiers:
-        import csv as _csv
-
-        with open(args.tiers, encoding="utf-8", newline="") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header] != ["glottocode", "tier"]:
-                raise FormatError(f"{args.tiers}: expected header 'glottocode,tier'")
-            for row_num, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) != 2:
-                    raise FormatError(f"{args.tiers}: row {row_num}: expected 2 columns")
-                try:
-                    tiers[row[0].strip()] = ResourceTier(row[1].strip())
-                except ValueError:
-                    raise FormatError(
-                        f"{args.tiers}: row {row_num}: unknown tier {row[1].strip()!r}"
-                    ) from None
+        for row_num, row in storage._read_csv_rows(args.tiers, ("glottocode", "tier")):
+            try:
+                tiers[row[0].strip()] = ResourceTier(row[1].strip())
+            except ValueError:
+                raise FormatError(
+                    f"{args.tiers}: row {row_num}: unknown tier {row[1].strip()!r}"
+                ) from None
     report = coverage_report(tensor, tiers=tiers)
     _emit(report.to_json(), args.format)
     return EXIT_OK
@@ -417,14 +404,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_agg = sub.add_parser("aggregate", help="export an aggregated matrix")
     _add_data_arg(p_agg)
-    p_agg.add_argument("--mode", choices=("union", "average"))
+    p_agg.add_argument("--mode", choices=AGGREGATION_MODES)
     _add_source_args(p_agg)
     p_agg.add_argument("--out", required=True)
     p_agg.set_defaults(func=cmd_aggregate)
 
     p_imp = sub.add_parser("impute", help="impute an aggregated matrix")
     _add_data_arg(p_imp)
-    p_imp.add_argument("--mode", choices=("union", "average"))
+    p_imp.add_argument("--mode", choices=AGGREGATION_MODES)
     _add_source_args(p_imp)
     _add_imputer_args(p_imp, with_method=True)
     p_imp.add_argument("--dialect-fill", action="store_true")
@@ -436,12 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_arg(p_dist)
     p_dist.add_argument("languages", nargs="+", metavar="GLOTTOCODE")
     p_dist.add_argument("--metric", choices=("angular", "cosine"))
-    p_dist.add_argument("--aggregation", choices=("union", "average"))
+    p_dist.add_argument("--aggregation", choices=AGGREGATION_MODES)
     p_dist.add_argument("--category")
     p_dist.add_argument("--features", help="comma-separated feature names")
     _add_source_args(p_dist)
-    p_dist.add_argument("--impute", metavar="METHOD",
-                        choices=("mean", "knn", "softimpute", "external"))
+    p_dist.add_argument("--impute", metavar="METHOD", choices=IMPUTER_METHODS)
     _add_imputer_args(p_dist, with_method=False)
     p_dist.add_argument("--dialect-fill", action="store_true")
     p_dist.add_argument("--seed", type=int, default=0)
@@ -453,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("lang_b")
     p_conf.add_argument("--category")
     p_conf.add_argument("--features")
-    p_conf.add_argument("--aggregation", choices=("union", "average"))
-    p_conf.add_argument("--method", choices=("mean", "knn", "softimpute", "external"))
+    p_conf.add_argument("--aggregation", choices=AGGREGATION_MODES)
+    p_conf.add_argument("--method", choices=IMPUTER_METHODS)
     _add_imputer_args(p_conf, with_method=False)
     p_conf.add_argument("--quality-cache", help="JSON cache from 'eval quality'")
     p_conf.add_argument("--seed", type=int, default=0)
@@ -465,9 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_q = eval_sub.add_parser("quality", help="held-out imputation quality test")
     _add_data_arg(p_q)
-    p_q.add_argument("--imputer", required=True,
-                     choices=("mean", "knn", "softimpute", "external"))
-    p_q.add_argument("--mode", choices=("union", "average"))
+    p_q.add_argument("--imputer", required=True, choices=IMPUTER_METHODS)
+    p_q.add_argument("--mode", choices=AGGREGATION_MODES)
     _add_source_args(p_q)
     _add_imputer_args(p_q, with_method=False)
     p_q.add_argument("--seed", type=int, default=0)
@@ -504,8 +489,7 @@ def _add_source_args(p):
 
 def _add_imputer_args(p, with_method: bool):
     if with_method:
-        p.add_argument("--method", default=None,
-                       choices=("mean", "knn", "softimpute", "external"))
+        p.add_argument("--method", default=None, choices=IMPUTER_METHODS)
     p.add_argument("--k", type=int, default=9)
     p.add_argument("--lam", type=float, default=None)
     p.add_argument("--rank-cap", type=int, default=None, dest="rank_cap")

@@ -18,6 +18,7 @@ from .aggregate import AggregationMode
 from .errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
 from .impute import ImputerSpec
 from .kb import Category, FeatureTensor
+from .storage import _read_json
 
 
 def _resolve_scope(tensor: FeatureTensor, scope) -> list[str]:
@@ -115,8 +116,7 @@ class QualityCache:
 
     @classmethod
     def load(cls, path) -> "QualityCache":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(_read_json(path))
 
 
 def imputation_quality(

@@ -15,9 +15,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .aggregate import AggregatedMatrix, AggregationMode, aggregate
-from .errors import UnknownFeature, UnknownLanguage
-from .impute import ImputedMatrix, ImputerSpec, run_imputer
+from .aggregate import AggregatedMatrix, AggregationMode, SourceSelector, aggregate
+from .errors import UnknownFeature
+from .impute import ImputerSpec, run_imputer
 from .kb import Category, FeatureTensor
 
 NO_SHARED_DATA = "no shared data"
@@ -31,9 +31,6 @@ class Metric(Enum):
 
 #: A feature scope: a whole category, an explicit name list, or None for all.
 FeatureSelector = Union[Category, Sequence[str], None]
-
-#: A source scope: one name, a subset of names, or None for all sources.
-SourceSelector = Union[str, Sequence[str], None]
 
 
 @dataclass(frozen=True)
@@ -119,9 +116,7 @@ def _metric_distance(u: np.ndarray, v: np.ndarray, metric: Metric) -> Optional[f
     return min(1.0, max(0.0, d))
 
 
-def language_distance(
-    req: DistanceRequest, matrix: Union[AggregatedMatrix, ImputedMatrix]
-) -> DistanceResult:
+def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> DistanceResult:
     """Distance between req's pair over the matrix, or why it is undefined."""
     if matrix.mode is not req.aggregation:
         raise ValueError(
@@ -130,8 +125,8 @@ def language_distance(
         )
     pair = (req.lang_a, req.lang_b)
     cols = select_feature_indices(matrix.features, req.features)
-    ia = _row_index(matrix, req.lang_a)
-    ib = _row_index(matrix, req.lang_b)
+    ia = matrix.language_index(req.lang_a)
+    ib = matrix.language_index(req.lang_b)
 
     row_a = np.asarray(matrix.values[ia, cols], dtype=float)
     row_b = np.asarray(matrix.values[ib, cols], dtype=float)
@@ -152,19 +147,10 @@ def language_distance(
     return DistanceResult.of(pair, req.metric, req.aggregation, d, n_shared)
 
 
-def _row_index(matrix, glottocode: str) -> int:
-    if isinstance(matrix, AggregatedMatrix):
-        return matrix.language_index(glottocode)
-    try:
-        return matrix.languages.index(glottocode)
-    except ValueError:
-        raise UnknownLanguage(glottocode) from None
-
-
 def distance_matrix(
     languages: Sequence[str],
     template: DistanceRequest,
-    matrix: Union[AggregatedMatrix, ImputedMatrix],
+    matrix: AggregatedMatrix,
 ) -> list[list[DistanceResult]]:
     """Symmetric all-pairs distances; per-pair failures land in cells."""
     langs = list(languages)
@@ -192,7 +178,7 @@ def distance_matrix(
 def genetic_distance(
     lang_a: str,
     lang_b: str,
-    matrix: Union[AggregatedMatrix, ImputedMatrix],
+    matrix: AggregatedMatrix,
     metric: Metric = Metric.ANGULAR,
 ) -> DistanceResult:
     """Distance over family-membership (genetic) features only."""
@@ -206,27 +192,29 @@ def genetic_distance(
     return language_distance(req, matrix)
 
 
+def matrix_for(
+    tensor: FeatureTensor,
+    req: DistanceRequest,
+    dialect_fill: bool = False,
+) -> AggregatedMatrix:
+    """The matrix req is measured on: aggregated over req's sources, then
+    imputed (SoftImpute unless req names an imputer) if req asks for it.
+
+    Aggregation is recomputed whenever the tensor version changed, so
+    results always reflect the current store. The pair and features of
+    req are not used.
+    """
+    matrix = aggregate(tensor, req.aggregation, req.sources)
+    if req.use_imputed:
+        spec = req.imputer or ImputerSpec("softimpute")
+        matrix = run_imputer(matrix, spec, registry=tensor, dialect_fill=dialect_fill)
+    return matrix
+
+
 def distance_from_tensor(
     tensor: FeatureTensor,
     req: DistanceRequest,
     dialect_fill: bool = False,
 ) -> DistanceResult:
-    """Aggregate (and optionally impute) fresh from the tensor, then measure.
-
-    Aggregation is recomputed whenever the tensor version changed, so
-    results always reflect the current store.
-    """
-    sources = _normalize_sources(req.sources)
-    matrix = aggregate(tensor, req.aggregation, sources)
-    if req.use_imputed:
-        spec = req.imputer or ImputerSpec("softimpute")
-        matrix = run_imputer(matrix, spec, registry=tensor, dialect_fill=dialect_fill)
-    return language_distance(req, matrix)
-
-
-def _normalize_sources(selector: SourceSelector) -> Optional[list[str]]:
-    if selector is None:
-        return None
-    if isinstance(selector, str):
-        return [selector]
-    return list(selector)
+    """Build req's matrix fresh from the tensor, then measure."""
+    return language_distance(req, matrix_for(tensor, req, dialect_fill))

@@ -9,9 +9,8 @@ reports are bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +19,7 @@ from .aggregate import AggregatedMatrix, AggregationMode
 from .errors import DegenerateInput, FormatError, TooFewObserved
 from .impute import ImputerSpec, run_imputer
 from .kb import TYPOLOGICAL_CATEGORIES, FeatureTensor, ResourceTier
+from .storage import _read_csv_rows
 
 
 # --- held-out quality test ---------------------------------------------------
@@ -115,13 +115,7 @@ def draw_mask(matrix: AggregatedMatrix, seed: int) -> np.ndarray:
 def _mask_cells(matrix: AggregatedMatrix, cells: np.ndarray) -> AggregatedMatrix:
     values = matrix.values.copy()
     values[cells[:, 0], cells[:, 1]] = np.nan
-    return AggregatedMatrix(
-        mode=matrix.mode,
-        languages=list(matrix.languages),
-        features=list(matrix.features),
-        values=values,
-        provenance=matrix.provenance,
-    )
+    return replace(matrix, values=values)
 
 
 def quality_test(
@@ -374,25 +368,14 @@ class CaseStudyResult:
 def load_case_study(path) -> tuple[list[str], list[float], list[float], list[float]]:
     """Case-study CSV: pair,dist_a,dist_b,g_d."""
     labels, a, b, ref = [], [], [], []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != [
-            "pair", "dist_a", "dist_b", "g_d",
-        ]:
-            raise FormatError(f"{path}: expected header 'pair,dist_a,dist_b,g_d'")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise FormatError(f"{path}: row {row_num}: expected 4 columns")
-            labels.append(row[0].strip())
-            try:
-                a.append(float(row[1]))
-                b.append(float(row[2]))
-                ref.append(float(row[3]))
-            except ValueError:
-                raise FormatError(f"{path}: row {row_num}: bad number") from None
+    for row_num, row in _read_csv_rows(path, ("pair", "dist_a", "dist_b", "g_d")):
+        labels.append(row[0].strip())
+        try:
+            a.append(float(row[1]))
+            b.append(float(row[2]))
+            ref.append(float(row[3]))
+        except ValueError:
+            raise FormatError(f"{path}: row {row_num}: bad number") from None
     return labels, a, b, ref
 
 

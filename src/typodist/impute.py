@@ -9,7 +9,7 @@ matrices (threshold 0.5, ties round up).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -21,6 +21,8 @@ from . import storage
 
 LAMBDA_GRID_SCALES = (0.1, 0.5, 1.0, 2.0, 5.0)
 
+IMPUTER_METHODS = ("mean", "knn", "softimpute", "external")
+
 
 @dataclass(frozen=True)
 class ImputerSpec:
@@ -30,7 +32,7 @@ class ImputerSpec:
     held-out validation mask for lam, min(dims, 100) for rank_cap.
     """
 
-    method: str  # mean | knn | softimpute | external
+    method: str  # one of IMPUTER_METHODS
     k: int = 9
     lam: Optional[float] = None
     rank_cap: Optional[int] = None
@@ -40,7 +42,7 @@ class ImputerSpec:
     external_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.method not in {"mean", "knn", "softimpute", "external"}:
+        if self.method not in IMPUTER_METHODS:
             raise ValueError(f"unknown imputation method {self.method!r}")
         if self.method == "knn" and self.k < 1:
             raise ValueError("k must be >= 1")
@@ -56,21 +58,15 @@ class ImputerSpec:
 
 
 @dataclass
-class ImputedMatrix:
-    """A fully known matrix plus the mask of cells that were filled."""
+class ImputedMatrix(AggregatedMatrix):
+    """A fully known aggregated matrix, the mask of cells that were filled,
+    and the imputer's diagnostics."""
 
-    mode: AggregationMode
-    languages: list[str]
-    features: list
-    values: np.ndarray
     imputed_mask: np.ndarray
     method: ImputerSpec
     converged: bool = True
     objective_history: list[float] = field(default_factory=list)
     all_missing_columns: list[str] = field(default_factory=list)
-
-    def language_index(self, glottocode: str) -> int:
-        return self.languages.index(glottocode)
 
 
 def _language_records(registry) -> Mapping[str, LanguageRecord]:
@@ -109,13 +105,7 @@ def fill_dialects(matrix: AggregatedMatrix, registry) -> AggregatedMatrix:
                 values[i, fillable] = original[a, fillable]
             if not np.isnan(values[i]).any():
                 break
-    return AggregatedMatrix(
-        mode=matrix.mode,
-        languages=list(matrix.languages),
-        features=list(matrix.features),
-        values=values,
-        provenance=matrix.provenance,
-    )
+    return replace(matrix, values=values)
 
 
 def _column_fill_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,6 +144,7 @@ def _finalize(
         languages=list(original.languages),
         features=list(original.features),
         values=values,
+        provenance=original.provenance,
         imputed_mask=mask,
         method=spec,
         converged=converged,
@@ -321,13 +312,8 @@ def select_softimpute_lambda(
     masked = values.copy()
     truth = values[picked[:, 0], picked[:, 1]]
     masked[picked[:, 0], picked[:, 1]] = np.nan
-    work = AggregatedMatrix(
-        mode=AggregationMode.AVERAGE,  # keep predictions continuous for RMSE
-        languages=list(matrix.languages),
-        features=list(matrix.features),
-        values=masked,
-        provenance=matrix.provenance,
-    )
+    # average mode keeps the predictions continuous for RMSE
+    work = replace(matrix, mode=AggregationMode.AVERAGE, values=masked)
     col_fill, _ = _column_fill_values(masked)
     probe = masked.copy()
     probe[np.isnan(masked)] = np.broadcast_to(col_fill, masked.shape)[np.isnan(masked)]
@@ -395,16 +381,5 @@ def run_imputer(
         result = impute_external(matrix, spec.external_path, spec=spec)
 
     if dialect_fill:
-        mask = np.isnan(source.values)
-        result = ImputedMatrix(
-            mode=result.mode,
-            languages=result.languages,
-            features=result.features,
-            values=result.values,
-            imputed_mask=mask,
-            method=spec,
-            converged=result.converged,
-            objective_history=result.objective_history,
-            all_missing_columns=result.all_missing_columns,
-        )
+        result = replace(result, imputed_mask=np.isnan(source.values))
     return result

@@ -8,9 +8,7 @@ to glottocodes.
 
 from __future__ import annotations
 
-import csv
 import graphlib
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,6 +31,7 @@ from .kb import (
     LanguageRecord,
     TensorBatch,
 )
+from .storage import _read_csv_rows, _read_json
 
 MISSING_MARKERS = {"", "--", "?", "NA", "N/A"}
 
@@ -178,34 +177,24 @@ def load_rules(path) -> list[InferenceRule]:
     """
     grouped: dict[tuple[str, str, RuleDirection], list[tuple[float, float]]] = {}
     order: list[tuple[str, str, RuleDirection]] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != [
-            "from_feature", "to_feature", "direction", "from_value", "to_value",
-        ]:
-            raise FormatError(f"{path}: bad rules header")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise FormatError(f"{path}: row {row_num}: expected 5 columns")
-            frm, to, direction_s, fv, tv = (c.strip() for c in row)
-            try:
-                direction = RuleDirection(direction_s.lower())
-            except ValueError:
-                raise FormatError(
-                    f"{path}: row {row_num}: direction must be implies or equivalent"
-                ) from None
-            try:
-                pair = (float(fv), float(tv))
-            except ValueError:
-                raise FormatError(f"{path}: row {row_num}: bad value mapping") from None
-            key = (frm, to, direction)
-            if key not in grouped:
-                grouped[key] = []
-                order.append(key)
-            grouped[key].append(pair)
+    header = ("from_feature", "to_feature", "direction", "from_value", "to_value")
+    for row_num, row in _read_csv_rows(path, header):
+        frm, to, direction_s, fv, tv = (c.strip() for c in row)
+        try:
+            direction = RuleDirection(direction_s.lower())
+        except ValueError:
+            raise FormatError(
+                f"{path}: row {row_num}: direction must be implies or equivalent"
+            ) from None
+        try:
+            pair = (float(fv), float(tv))
+        except ValueError:
+            raise FormatError(f"{path}: row {row_num}: bad value mapping") from None
+        key = (frm, to, direction)
+        if key not in grouped:
+            grouped[key] = []
+            order.append(key)
+        grouped[key].append(pair)
     return [
         InferenceRule(frm, to, direction, tuple(grouped[(frm, to, direction)]))
         for frm, to, direction in order
@@ -299,26 +288,15 @@ class IdResolutionTable:
 def load_resolution_table(path) -> IdResolutionTable:
     """Resolution CSV: external_id,glottocode,retired_flag."""
     table = IdResolutionTable()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != [
-            "external_id", "glottocode", "retired_flag",
-        ]:
-            raise FormatError(f"{path}: bad resolution-table header")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}: row {row_num}: expected 3 columns")
-            ext, glotto, flag = (c.strip() for c in row)
-            if not _GLOTTOCODE_RE.match(glotto):
-                raise FormatError(f"{path}: row {row_num}: {glotto!r} is not a glottocode")
-            retired = flag.lower() in {"1", "true", "yes", "retired"}
-            if retired:
-                table.retired_iso[ext] = glotto
-            else:
-                table.iso_to_glotto[ext] = glotto
+    for row_num, row in _read_csv_rows(path, ("external_id", "glottocode", "retired_flag")):
+        ext, glotto, flag = (c.strip() for c in row)
+        if not _GLOTTOCODE_RE.match(glotto):
+            raise FormatError(f"{path}: row {row_num}: {glotto!r} is not a glottocode")
+        retired = flag.lower() in {"1", "true", "yes", "retired"}
+        if retired:
+            table.retired_iso[ext] = glotto
+        else:
+            table.iso_to_glotto[ext] = glotto
     return table
 
 
@@ -367,8 +345,7 @@ class IngestSchema:
 
 
 def load_ingest_schema(path) -> IngestSchema:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     raw_features = data.get("features")
     if not isinstance(raw_features, dict) or not raw_features:
         raise FormatError(f"{path}: schema must define a non-empty 'features' object")
@@ -417,19 +394,10 @@ class IngestReport:
 
 def read_source_csv(path, source_name: str) -> list[RawRecord]:
     """Raw export CSV with header language,feature,value."""
-    records = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["language", "feature", "value"]:
-            raise FormatError(f"{path}: row 1: expected header 'language,feature,value'")
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{path}: row {row_num}: expected 3 columns, got {len(row)}")
-            records.append(RawRecord(row[0].strip(), row[1].strip(), row[2].strip(), source_name))
-    return records
+    return [
+        RawRecord(row[0].strip(), row[1].strip(), row[2].strip(), source_name)
+        for _, row in _read_csv_rows(path, ("language", "feature", "value"))
+    ]
 
 
 def build_batch(

@@ -76,27 +76,39 @@ def _feature_to_json(desc: FeatureDescriptor) -> dict:
     }
 
 
+def _bad_registry_entry(kind: str, exc: Exception) -> FormatError:
+    if isinstance(exc, KeyError):
+        return FormatError(f"{REGISTRY_FILE}: {kind} entry has no {exc} key")
+    return FormatError(f"{REGISTRY_FILE}: {kind} entry: {exc}")
+
+
 def _language_from_json(obj: dict) -> LanguageRecord:
-    return LanguageRecord(
-        glottocode=obj["glottocode"],
-        iso639_3=obj.get("iso639_3"),
-        name=obj.get("name", ""),
-        parent=obj.get("parent"),
-        tier=ResourceTier(obj.get("tier", "Unknown")),
-    )
+    try:
+        return LanguageRecord(
+            glottocode=obj["glottocode"],
+            iso639_3=obj.get("iso639_3"),
+            name=obj.get("name", ""),
+            parent=obj.get("parent"),
+            tier=ResourceTier(obj.get("tier", "Unknown")),
+        )
+    except (KeyError, ValueError) as exc:
+        raise _bad_registry_entry("language", exc) from None
 
 
 def _feature_from_json(obj: dict) -> FeatureDescriptor:
-    origin = obj.get("origin") or {}
-    return FeatureDescriptor(
-        name=obj["name"],
-        category=Category(obj["category"]),
-        origin=FeatureOrigin(
-            kind=OriginKind(origin.get("kind", "native")),
-            parent_feature=origin.get("parent_feature"),
-            level=origin.get("level"),
-        ),
-    )
+    try:
+        origin = obj.get("origin") or {}
+        return FeatureDescriptor(
+            name=obj["name"],
+            category=Category(obj["category"]),
+            origin=FeatureOrigin(
+                kind=OriginKind(origin.get("kind", "native")),
+                parent_feature=origin.get("parent_feature"),
+                level=origin.get("level"),
+            ),
+        )
+    except (KeyError, ValueError) as exc:
+        raise _bad_registry_entry("feature", exc) from None
 
 
 def save_tensor(tensor: FeatureTensor, directory) -> None:
@@ -131,8 +143,7 @@ def load_tensor(directory) -> FeatureTensor:
     reg_path = directory / REGISTRY_FILE
     if not reg_path.exists():
         raise FormatError(f"no {REGISTRY_FILE} in {directory}")
-    with open(reg_path, encoding="utf-8") as fh:
-        registries = json.load(fh)
+    registries = _read_json(reg_path)
 
     tensor = FeatureTensor()
     # saved order preserves registration order, so parents precede dialects
@@ -148,9 +159,7 @@ def load_tensor(directory) -> FeatureTensor:
         path = directory / f"{src}.csv"
         if not path.exists():
             continue  # a source with no stored cells
-        for row_num, row in _read_csv_rows(path, expected_header=["language", "feature", "value"]):
-            if len(row) != 3:
-                raise FormatError(f"{path}: row {row_num}: expected 3 columns, got {len(row)}")
+        for row_num, row in _read_csv_rows(path, ("language", "feature", "value")):
             value = parse_value(row[2], path, row_num)
             if value is None:
                 continue  # explicit-missing row
@@ -159,23 +168,53 @@ def load_tensor(directory) -> FeatureTensor:
     return tensor
 
 
+def _unreadable(path, exc: Exception) -> FormatError:
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return FormatError(f"{path}: cannot read: {reason}")
+
+
+def _read_json(path) -> dict:
+    """Parse a UTF-8 file holding one JSON object; anything else raises FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _unreadable(path, exc) from None
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    return data
+
+
 def _read_csv_rows(path, expected_header: Sequence[str]):
-    """Yield (1-based row number, row) after validating the header row."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != list(expected_header):
-            raise FormatError(
-                f"{path}: row 1: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            yield row_num, row
+    """Yield (1-based row number, row) for each non-blank data row.
+
+    The header must match expected_header (case-insensitively) and every
+    row must have as many columns; unreadable files, bad headers and
+    ragged rows raise FormatError.
+    """
+    expected = list(expected_header)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise FormatError(f"{path}: empty file") from None
+            if [h.strip().lower() for h in header] != expected:
+                raise FormatError(
+                    f"{path}: row 1: expected header {','.join(expected)!r}, "
+                    f"got {','.join(header)!r}"
+                )
+            for row_num, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(expected):
+                    raise FormatError(
+                        f"{path}: row {row_num}: expected {len(expected)} columns, got {len(row)}"
+                    )
+                yield row_num, row
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
 
 
 def export_matrix_csv(languages: Sequence[str], features, values: np.ndarray, path) -> None:

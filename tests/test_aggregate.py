@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -106,3 +110,55 @@ def test_provenance_records_source_subset():
     tensor = _three_source_tensor()
     m = aggregate(tensor, AggregationMode.UNION, sources=["SRC_B", "SRC_A", "SRC_B"])
     assert m.provenance == ("SRC_B", "SRC_A")
+
+
+def test_single_source_name_equals_one_element_list():
+    tensor = _three_source_tensor()
+    by_name = aggregate(tensor, AggregationMode.UNION, "SRC_C")
+    assert by_name is aggregate(tensor, AggregationMode.UNION, ["SRC_C"])
+    assert by_name.provenance == ("SRC_C",)
+
+
+def test_concurrent_eviction_after_extend_never_raises():
+    """8 threads alternate a write and a burst of concurrent aggregates.
+
+    Each round one thread extends the tensor (the barrier action, so no
+    write overlaps a read), then all 8 threads aggregate at the new
+    version and evict the same stale cache keys at the same time.
+    """
+    tensor = _three_source_tensor()
+    n_threads, rounds = 8, 200
+    subsets = [None, ["SRC_A"], ["SRC_B", "SRC_C"]]
+    step = itertools.count()
+
+    def extend():
+        i = next(step)
+        tensor.extend_with(
+            TensorBatch(cells=[("abcd1234", "S_F3", "SRC_A", float(i % 2))]), overwrite=True)
+
+    barrier = threading.Barrier(n_threads, action=extend, timeout=30)
+    errors = []
+
+    def worker(k):
+        try:
+            for r in range(rounds):
+                barrier.wait()
+                for mode in AggregationMode:
+                    aggregate(tensor, mode, subsets[(k + r) % len(subsets)])
+        except Exception as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert tensor.version > rounds

@@ -371,3 +371,101 @@ def test_registry_file_bytes_deterministic(workspace, capsys, tmp_path):
     a_csv = (workspace / "kb" / "WALS.csv").read_bytes()
     b_csv = (tmp_path / "again" / "WALS.csv").read_bytes()
     assert a_csv == b_csv
+
+
+@pytest.mark.parametrize("command", [
+    ["aggregate", "--mode", "union"],
+    ["impute", "--mode", "union", "--method", "mean"],
+    ["eval", "quality", "--imputer", "mean", "--mode", "union", "--seed", "3"],
+])
+def test_single_source_flag_matches_sources_flag(workspace, capsys, tmp_path, command):
+    data = ingest(capsys, workspace)
+    out_file = tmp_path / "out"
+    results = []
+    for flag in ("--source", "--sources"):
+        code, out, err = run(capsys, *command, "--data", data, flag, "WALS", "--out", out_file)
+        assert code == 0, err
+        results.append((out, out_file.read_bytes()))
+    assert results[0] == results[1]
+
+
+def _missing_schema(ws):
+    return ["ingest", "--schema", ws / "nope.json", "--resolution-table", ws / "res.csv",
+            "--source", f"WALS={ws / 'wals.csv'}", "--out", ws / "kbm"]
+
+
+def _missing_source_csv(ws):
+    return ["ingest", "--schema", ws / "schema.json", "--resolution-table", ws / "res.csv",
+            "--source", f"WALS={ws / 'nope.csv'}", "--out", ws / "kbm"]
+
+
+def _missing_quality_cache(ws):
+    return ["confidence", "--data", ws / "kb", "stan1293", "stan1295", "--method", "mean",
+            "--quality-cache", ws / "nope.json"]
+
+
+def _corrupt_registries(ws):
+    (ws / "kb" / "registries.json").write_text('{"languages": [')
+    return ["distance", "--data", ws / "kb", "stan1293", "stan1295"]
+
+
+def _registries_not_an_object(ws):
+    (ws / "kb" / "registries.json").write_text("[]")
+    return ["distance", "--data", ws / "kb", "stan1293", "stan1295"]
+
+
+def _registry_entry_without_glottocode(ws):
+    path = ws / "kb" / "registries.json"
+    registries = json.loads(path.read_text())
+    del registries["languages"][0]["glottocode"]
+    path.write_text(json.dumps(registries))
+    return ["distance", "--data", ws / "kb", "stan1293", "stan1295"]
+
+
+def _missing_casestudy_input(ws):
+    return ["eval", "casestudy", "--input", ws / "nope.csv", "--iterations", "100"]
+
+
+def _missing_tiers(ws):
+    return ["eval", "coverage", "--data", ws / "kb", "--tiers", ws / "nope.csv"]
+
+
+@pytest.mark.parametrize("make_argv", [
+    _missing_schema,
+    _missing_source_csv,
+    _missing_quality_cache,
+    _corrupt_registries,
+    _registries_not_an_object,
+    _registry_entry_without_glottocode,
+    _missing_casestudy_input,
+    _missing_tiers,
+])
+def test_unreadable_input_exits_2_with_one_line_error(workspace, capsys, make_argv):
+    ingest(capsys, workspace)
+    code, out, err = run(capsys, *make_argv(workspace))
+    assert code == 2
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["error"] == "FormatError"
+
+
+def test_ingest_without_resolution_table_passes_glottocodes(workspace, capsys):
+    (workspace / "glotto.csv").write_text(
+        "language,feature,value\nstan1293,tone,0\nstan1295,tone,1\n"
+    )
+    code, out, err = run(
+        capsys, "ingest", "--schema", workspace / "schema.json",
+        "--source", f"WALS={workspace / 'glotto.csv'}", "--out", workspace / "kbg",
+    )
+    assert code == 0, err
+    assert json.loads(out)["languages"] == 2
+
+
+def test_ingest_without_resolution_table_rejects_iso_codes(workspace, capsys):
+    code, out, err = run(
+        capsys, "ingest", "--schema", workspace / "schema.json",
+        "--source", f"WALS={workspace / 'wals.csv'}", "--out", workspace / "kbi",
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "UnresolvableId"

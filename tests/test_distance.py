@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from typodist.aggregate import AggregationMode
+from typodist.aggregate import AggregationMode, aggregate
 from typodist.distance import (
     NO_SHARED_DATA,
     ZERO_VECTOR,
@@ -14,6 +14,7 @@ from typodist.distance import (
     distance_matrix,
     genetic_distance,
     language_distance,
+    matrix_for,
 )
 from typodist.errors import UnknownFeature, UnknownLanguage
 from typodist.kb import Category, TensorBatch
@@ -262,3 +263,16 @@ def test_result_json_shapes():
         "status": "not_computable",
         "reason": "no shared data",
     }
+
+
+def test_matrix_for_aggregates_then_imputes_on_request(tiny_tensor):
+    plain = _req("dial1234", "othe1234", sources="SRC_A")
+    assert matrix_for(tiny_tensor, plain) is aggregate(
+        tiny_tensor, AggregationMode.UNION, ["SRC_A"])
+    imputed = matrix_for(tiny_tensor, _req("dial1234", "othe1234", use_imputed=True),
+                         dialect_fill=True)
+    assert imputed.method.method == "softimpute"
+    assert not np.isnan(imputed.values).any()
+    # dialect-filled cells count as imputed
+    observed = aggregate(tiny_tensor, AggregationMode.UNION)
+    assert np.array_equal(imputed.imputed_mask, np.isnan(observed.values))

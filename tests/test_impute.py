@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from typodist import storage
-from typodist.aggregate import AggregationMode
-from typodist.errors import FormatError
+from typodist.aggregate import AggregatedMatrix, AggregationMode
+from typodist.errors import FormatError, UnknownLanguage
 from typodist.impute import (
+    ImputedMatrix,
     ImputerSpec,
     fill_dialects,
     impute_external,
@@ -315,3 +316,21 @@ def test_run_imputer_counts_dialect_fill_as_imputed():
     assert np.array_equal(out.imputed_mask, np.array([[False, False], [True, True]]))
     # the filled values came from the parent, not the column mean
     assert np.array_equal(out.values[1], [1.0, 1.0])
+
+
+def test_imputed_matrix_is_an_aggregated_matrix():
+    m = random_matrix(np.random.default_rng(5), 6, 4, AggregationMode.UNION)
+    out = run_imputer(m, ImputerSpec("mean"))
+    assert isinstance(out, ImputedMatrix) and isinstance(out, AggregatedMatrix)
+    assert out.provenance == m.provenance
+    assert out.language_index(m.languages[3]) == 3
+    with pytest.raises(UnknownLanguage):
+        out.language_index("zzzz9999")
+    assert np.array_equal(out.known_mask, np.ones_like(out.imputed_mask))
+
+    twin = out.copy()
+    assert type(twin) is ImputedMatrix
+    assert twin.method == out.method
+    assert np.array_equal(twin.imputed_mask, out.imputed_mask)
+    twin.values[0, 0] = 0.5
+    assert out.values[0, 0] != 0.5

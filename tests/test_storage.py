@@ -110,3 +110,34 @@ def test_format_value_round_trips():
     rng = np.random.default_rng(5)
     for v in [0.0, 1.0, 0.5, 2 / 3, *rng.random(50)]:
         assert float(storage.format_value(v)) == v
+
+
+def test_shared_readers_turn_bad_files_into_format_errors(tmp_path):
+    from typodist.ingest import load_ingest_schema, load_resolution_table, load_rules
+
+    with pytest.raises(FormatError, match="cannot read"):
+        load_rules(tmp_path / "nope.csv")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("external_id,glottocode,retired_flag\nfr\xe9,stan1290,0\n".encode("latin-1"))
+    with pytest.raises(FormatError, match="cannot read"):
+        load_resolution_table(latin1)
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("external_id,glottocode,retired_flag\neng,stan1293\n")
+    with pytest.raises(FormatError, match="row 2: expected 3 columns, got 2"):
+        load_resolution_table(ragged)
+    broken = tmp_path / "schema.json"
+    broken.write_text('{"features": ')
+    with pytest.raises(FormatError, match="cannot read"):
+        load_ingest_schema(broken)
+
+
+def test_bad_registry_entries_name_the_registry_file(tmp_path, tiny_tensor):
+    storage.save_tensor(tiny_tensor, tmp_path)
+    path = tmp_path / storage.REGISTRY_FILE
+    good = path.read_text()
+    path.write_text(good.replace('"tier": "Unknown"', '"tier": "Bogus"', 1))
+    with pytest.raises(FormatError, match="registries.json: language entry"):
+        storage.load_tensor(tmp_path)
+    path.write_text(good.replace('"category": "syntactic"', '"kategory": "syntactic"', 1))
+    with pytest.raises(FormatError, match="registries.json: feature entry has no 'category'"):
+        storage.load_tensor(tmp_path)
