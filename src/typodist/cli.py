@@ -70,17 +70,18 @@ class CliConfig:
 
 def load_config(path) -> CliConfig:
     data = storage._read_json(path)
+    seed = data.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise FormatError(f"config seed must be an unsigned 64-bit integer, got {seed!r}")
     config = CliConfig(
         data_dir=data.get("data_dir"),
         aggregation=data.get("aggregation", "union"),
         metric=data.get("metric", "angular"),
         imputer=data.get("imputer", "softimpute"),
-        seed=int(data.get("seed", 0)),
+        seed=seed,
         resolution_table=data.get("resolution_table"),
         rules_file=data.get("rules_file"),
     )
-    if not 0 <= config.seed < 2**64:
-        raise FormatError("seed must be an unsigned 64-bit integer")
     for key in ("data_dir", "resolution_table", "rules_file"):
         value = getattr(config, key)
         if value is not None and not Path(value).exists():

@@ -23,6 +23,12 @@ from .kb import Category, FeatureTensor
 NO_SHARED_DATA = "no shared data"
 ZERO_VECTOR = "zero vector"
 
+# distance_matrix cell verdicts; _REASONS maps the not-computable ones
+_COMPUTED, _NO_SHARED, _ZERO, _REMEASURE = range(4)
+_REASONS = (None, NO_SHARED_DATA, ZERO_VECTOR)
+#: distance_matrix measures angular cells with 1 - cos below this per pair
+_ILL_CONDITIONED_ACOS = 1e-5
+
 
 class Metric(Enum):
     ANGULAR = "angular"
@@ -116,13 +122,17 @@ def _metric_distance(u: np.ndarray, v: np.ndarray, metric: Metric) -> Optional[f
     return min(1.0, max(0.0, d))
 
 
-def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> DistanceResult:
-    """Distance between req's pair over the matrix, or why it is undefined."""
+def _check_mode(req: DistanceRequest, matrix: AggregatedMatrix) -> None:
     if matrix.mode is not req.aggregation:
         raise ValueError(
             f"matrix aggregation {matrix.mode.value} does not match "
             f"request {req.aggregation.value}"
         )
+
+
+def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> DistanceResult:
+    """Distance between req's pair over the matrix, or why it is undefined."""
+    _check_mode(req, matrix)
     pair = (req.lang_a, req.lang_b)
     cols = select_feature_indices(matrix.features, req.features)
     ia = matrix.language_index(req.lang_a)
@@ -147,30 +157,77 @@ def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> Distanc
     return DistanceResult.of(pair, req.metric, req.aggregation, d, n_shared)
 
 
+def _gram_cells(
+    x: np.ndarray, rows: np.ndarray, metric: Metric
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(verdict, shared count, distance) of every pair of rows of x.
+
+    x holds NaN for missing values; rows[i] is the matrix row of x[i].
+    """
+    known = ~np.isnan(x)
+    k = known.astype(float)
+    x0 = np.where(known, x, 0.0)
+    shared = (k @ k.T).astype(np.int64)
+    # nu[i, j] is the norm of x[i] over the features it shares with x[j]
+    nu = np.sqrt((x0 * x0) @ k.T)
+    zero = (nu == 0.0) | (nu.T == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sim = np.clip((x0 @ x0.T) / (nu * nu.T), -1.0, 1.0)
+    same = rows[:, None] == rows[None, :]
+    if metric is Metric.COSINE:
+        d = 1.0 - sim
+        ill = np.zeros_like(same)
+    else:
+        # math.acos per cell, as in language_distance: numpy's arccos may
+        # differ from it in the last ulp
+        acos = [np.fromiter(map(math.acos, row.tolist()), float, len(row)) for row in sim]
+        d = (2.0 / math.pi) * np.array(acos)
+        # arccos near 1 turns last-ulp differences of the Gram sums into ~1e-8
+        ill = ~same & (1.0 - sim < _ILL_CONDITIONED_ACOS)
+    d = np.where(same, 0.0, np.clip(d, 0.0, 1.0))
+    verdict = np.select([shared == 0, zero, ill], [_NO_SHARED, _ZERO, _REMEASURE], _COMPUTED)
+    return verdict, shared, d
+
+
 def distance_matrix(
     languages: Sequence[str],
     template: DistanceRequest,
     matrix: AggregatedMatrix,
 ) -> list[list[DistanceResult]]:
-    """Symmetric all-pairs distances; per-pair failures land in cells."""
+    """Symmetric all-pairs distances; per-pair failures land in cells.
+
+    Shared counts, norms and dot products of all pairs come from masked
+    Gram products over the selected columns. Each cell equals
+    language_distance for its pair: reasons and shared counts exactly,
+    distances within 1e-12, and bit for bit where every sum is an exact
+    integer (binary data).
+    """
     langs = list(languages)
     if len(langs) < 2:
         raise ValueError("distance matrix needs at least 2 languages")
+    _check_mode(template, matrix)
+    cols = select_feature_indices(matrix.features, template.features)
+    rows = np.array([matrix.language_index(lang) for lang in langs])
+    x = np.asarray(matrix.values[rows][:, cols], dtype=float)
+    metric, mode = template.metric, template.aggregation
+    verdict, shared, d = _gram_cells(x, rows, metric)
+
     n = len(langs)
     out: list[list[Optional[DistanceResult]]] = [[None] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i, n):
-            req = replace(template, lang_a=langs[i], lang_b=langs[j])
-            res = language_distance(req, matrix)
+        row = zip(verdict[i, i:].tolist(), shared[i, i:].tolist(), d[i, i:].tolist())
+        for j, (v, count, dist) in enumerate(row, start=i):
+            pair = (langs[i], langs[j])
+            if v == _COMPUTED:
+                res = DistanceResult.of(pair, metric, mode, dist, count)
+            elif v == _REMEASURE:
+                res = language_distance(replace(template, lang_a=pair[0], lang_b=pair[1]), matrix)
+            else:
+                res = DistanceResult.not_computable(pair, metric, mode, _REASONS[v])
             out[i][j] = res
             if i != j:
                 out[j][i] = DistanceResult(
-                    pair=(langs[j], langs[i]),
-                    metric=res.metric,
-                    aggregation=res.aggregation,
-                    distance=res.distance,
-                    shared_features=res.shared_features,
-                    reason=res.reason,
+                    (pair[1], pair[0]), metric, mode, res.distance, res.shared_features, res.reason
                 )
     return out  # type: ignore[return-value]
 

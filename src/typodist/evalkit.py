@@ -237,18 +237,29 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     return CorrelationResult(tau=tau, n_pairs=n)
 
 
+#: pair-sign cells per row block of _tau_b, so its memory stays O(n)
+_TAU_BLOCK_CELLS = 2**18
+
+
 def _tau_b(x: np.ndarray, y: np.ndarray) -> Optional[float]:
-    """tau-b via pair counting: (C - D) / sqrt((n0 - Tx) (n0 - Ty))."""
+    """tau-b via pair counting: (C - D) / sqrt((n0 - Tx) (n0 - Ty)).
+
+    The pairs i < j are counted in blocks of rows, never as an n x n array.
+    """
     n = x.size
-    dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(y[:, None] - y[None, :])
-    iu = np.triu_indices(n, k=1)
-    prod = dx[iu] * dy[iu]
-    concordant = int(np.sum(prod > 0))
-    discordant = int(np.sum(prod < 0))
+    concordant = discordant = ties_x = ties_y = 0
+    step = max(1, _TAU_BLOCK_CELLS // n)
+    for lo in range(0, n - 1, step):
+        hi = min(lo + step, n)
+        upper = np.arange(lo, hi)[:, None] < np.arange(lo, n)
+        dx = np.sign(x[lo:hi, None] - x[lo:])[upper]
+        dy = np.sign(y[lo:hi, None] - y[lo:])[upper]
+        prod = dx * dy
+        concordant += int(np.count_nonzero(prod > 0))
+        discordant += int(np.count_nonzero(prod < 0))
+        ties_x += int(np.count_nonzero(dx == 0))
+        ties_y += int(np.count_nonzero(dy == 0))
     n0 = n * (n - 1) // 2
-    ties_x = int(np.sum(dx[iu] == 0))
-    ties_y = int(np.sum(dy[iu] == 0))
     denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
     if denom == 0.0:
         return None

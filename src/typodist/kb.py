@@ -3,8 +3,10 @@
 Cells hold real values in [0, 1]; a cell that was never written is
 missing. Registries are append-only: once a language, feature, or source
 has an index, that index never changes, and known cells are never
-silently overwritten. All query methods are read-only, so a built tensor
-can be shared freely across threads.
+silently overwritten. All query methods are read-only, so concurrent
+reads from many threads are safe. Writes are exclusive: `extend_with` and
+`add_*` must not run while any other thread reads or writes the same
+tensor.
 """
 
 from __future__ import annotations

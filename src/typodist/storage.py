@@ -82,7 +82,21 @@ def _bad_registry_entry(kind: str, exc: Exception) -> FormatError:
     return FormatError(f"{REGISTRY_FILE}: {kind} entry: {exc}")
 
 
+def _registry_object(kind: str, obj) -> dict:
+    if not isinstance(obj, dict):
+        raise FormatError(f"{REGISTRY_FILE}: {kind} is not a JSON object ({type(obj).__name__})")
+    return obj
+
+
+def _registry_list(registries: dict, key: str) -> list:
+    entries = registries.get(key, [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{REGISTRY_FILE}: {key} is not a JSON list ({type(entries).__name__})")
+    return entries
+
+
 def _language_from_json(obj: dict) -> LanguageRecord:
+    _registry_object("language entry", obj)
     try:
         return LanguageRecord(
             glottocode=obj["glottocode"],
@@ -96,8 +110,10 @@ def _language_from_json(obj: dict) -> LanguageRecord:
 
 
 def _feature_from_json(obj: dict) -> FeatureDescriptor:
+    _registry_object("feature entry", obj)
+    origin = obj.get("origin")
+    origin = _registry_object("feature entry origin", {} if origin is None else origin)
     try:
-        origin = obj.get("origin") or {}
         return FeatureDescriptor(
             name=obj["name"],
             category=Category(obj["category"]),
@@ -147,15 +163,20 @@ def load_tensor(directory) -> FeatureTensor:
 
     tensor = FeatureTensor()
     # saved order preserves registration order, so parents precede dialects
-    for obj in registries.get("languages", []):
+    for obj in _registry_list(registries, "languages"):
         tensor.add_language(_language_from_json(obj))
-    for obj in registries.get("features", []):
+    for obj in _registry_list(registries, "features"):
         tensor.add_feature(_feature_from_json(obj))
-    for src in registries.get("sources", []):
+    sources = _registry_list(registries, "sources")
+    for src in sources:
+        if not isinstance(src, str):
+            raise FormatError(
+                f"{REGISTRY_FILE}: source name is not a JSON string ({type(src).__name__})"
+            )
         tensor.add_source(src)
 
     cells = []
-    for src in registries.get("sources", []):
+    for src in sources:
         path = directory / f"{src}.csv"
         if not path.exists():
             continue  # a source with no stored cells

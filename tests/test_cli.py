@@ -287,6 +287,21 @@ def test_config_file_defaults(workspace, capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("seed", ["x", None, 1.7, True, -1, 2**64])
+def test_config_seed_must_be_an_unsigned_64_bit_integer(workspace, capsys, tmp_path, seed):
+    data = ingest(capsys, workspace)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data_dir": str(data), "seed": seed}))
+    code, out, err = run(capsys, "--config", config, "distance", "stan1293", "stan1295")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "FormatError"
+    config.write_text(json.dumps({"data_dir": str(data), "seed": 2**64 - 1}))
+    code, _, err = run(capsys, "--config", config, "distance", "stan1293", "stan1295")
+    assert code == 0, err
+
+
 def test_distance_with_external_imputer_file(workspace, capsys, tmp_path):
     data = ingest(capsys, workspace)
     imputed_csv = tmp_path / "imp.csv"
@@ -422,6 +437,30 @@ def _registry_entry_without_glottocode(ws):
     return ["distance", "--data", ws / "kb", "stan1293", "stan1295"]
 
 
+def _edit_registries(ws, edit):
+    path = ws / "kb" / "registries.json"
+    registries = json.loads(path.read_text())
+    edit(registries)
+    path.write_text(json.dumps(registries))
+    return ["distance", "--data", ws / "kb", "stan1293", "stan1295"]
+
+
+def _registry_entry_not_an_object(ws):
+    return _edit_registries(ws, lambda r: r["languages"].append(1))
+
+
+def _registry_section_not_a_list(ws):
+    return _edit_registries(ws, lambda r: r.update(languages=5))
+
+
+def _registry_source_not_a_string(ws):
+    return _edit_registries(ws, lambda r: r["sources"].append([1]))
+
+
+def _registry_origin_not_an_object(ws):
+    return _edit_registries(ws, lambda r: r["features"][0].update(origin=[]))
+
+
 def _missing_casestudy_input(ws):
     return ["eval", "casestudy", "--input", ws / "nope.csv", "--iterations", "100"]
 
@@ -437,6 +476,10 @@ def _missing_tiers(ws):
     _corrupt_registries,
     _registries_not_an_object,
     _registry_entry_without_glottocode,
+    _registry_entry_not_an_object,
+    _registry_origin_not_an_object,
+    _registry_section_not_a_list,
+    _registry_source_not_a_string,
     _missing_casestudy_input,
     _missing_tiers,
 ])

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from typodist import distance as distance_module
 from typodist.aggregate import AggregationMode, aggregate
 from typodist.distance import (
     NO_SHARED_DATA,
@@ -276,3 +278,127 @@ def test_matrix_for_aggregates_then_imputes_on_request(tiny_tensor):
     # dialect-filled cells count as imputed
     observed = aggregate(tiny_tensor, AggregationMode.UNION)
     assert np.array_equal(imputed.imputed_mask, np.isnan(observed.values))
+
+
+# distance_matrix against its per-pair oracle -----------------------------------
+
+def _assert_matches_language_distance(grid, langs, template, m, exact=False):
+    for i, a in enumerate(langs):
+        for j, b in enumerate(langs):
+            cell = grid[i][j]
+            solo = language_distance(replace(template, lang_a=a, lang_b=b), m)
+            assert cell.pair == (a, b)
+            assert cell.reason == solo.reason
+            assert cell.shared_features == solo.shared_features
+            assert (cell.distance is None) == (solo.distance is None)
+            if solo.distance is not None:
+                if exact:
+                    assert cell.distance == solo.distance
+                else:
+                    assert abs(cell.distance - solo.distance) <= 1e-12
+
+
+EDGE_LANGS = ["aaaa1234", "bbbb1234", "cccc1234"]
+EDGE_FEATS = ["S_F1", "S_F2", "P_F1"]
+
+
+@pytest.mark.parametrize("values, langs, features", [
+    ([[1, 0, 1], [0, 1, 1], [1, 1, np.nan]], ["aaaa1234", "bbbb1234", "aaaa1234"], None),
+    ([[1, 0, 1], [0, 1, 1], [1, 1, np.nan]], EDGE_LANGS, ["P_F1", "S_F1"]),
+    ([[1, 0, 1], [0, 1, 1], [1, 1, np.nan]], EDGE_LANGS, Category.MORPHOLOGICAL),
+    ([[0, 0, 0], [0, 1, 1], [1, np.nan, 0]], EDGE_LANGS, None),
+    ([[1e-200, 1e-200, 1e-200], [0.5, 1, 0.2], [1e-160, 1, np.nan]], EDGE_LANGS, None),
+    ([[0.3, 0.9, np.nan], [0.6, 1.8, 1.0], [0.1, 0.2, 0.3]], ["cccc1234", "bbbb1234"], None),
+], ids=["listed-twice", "explicit-features", "empty-category", "zero-row",
+        "underflowing-squares", "two-languages"])
+@pytest.mark.parametrize("metric", list(Metric))
+def test_distance_matrix_edge_cases_match_language_distance(values, langs, features, metric):
+    m = make_matrix(AggregationMode.AVERAGE, EDGE_LANGS, EDGE_FEATS, values)
+    template = _req("", "", metric=metric, aggregation=AggregationMode.AVERAGE, features=features)
+    grid = distance_matrix(langs, template, m)
+    assert len(grid) == len(langs) and all(len(row) == len(langs) for row in grid)
+    _assert_matches_language_distance(grid, langs, template, m)
+    if features is Category.MORPHOLOGICAL:
+        assert all(cell.reason == NO_SHARED_DATA for row in grid for cell in row)
+
+
+def test_distance_matrix_edge_verdicts():
+    m = make_matrix(AggregationMode.AVERAGE, EDGE_LANGS, EDGE_FEATS,
+                    [[0, 0, 0], [1e-200, 1e-200, 1], [1, 0, 1]])
+    grid = distance_matrix(["aaaa1234", "bbbb1234", "aaaa1234"],
+                           _req("", "", aggregation=AggregationMode.AVERAGE), m)
+    assert grid[0][1].reason == ZERO_VECTOR and grid[0][2].reason == ZERO_VECTOR
+    # the squares of 1e-200 underflow to 0, but P_F1 keeps the norm nonzero
+    assert grid[1][1].distance == 0.0 and grid[1][1].shared_features == 3
+
+
+def test_distance_matrix_rejects_what_language_distance_rejects():
+    m = make_matrix(AggregationMode.UNION, ["aaaa1234", "bbbb1234"], ["S_F1"], [[1.0], [1.0]])
+    with pytest.raises(UnknownLanguage):
+        distance_matrix(["aaaa1234", "zzzz9999"], _req("", ""), m)
+    with pytest.raises(ValueError, match="does not match"):
+        distance_matrix(list(m.languages), _req("", "", aggregation=AggregationMode.AVERAGE), m)
+    with pytest.raises(UnknownFeature):
+        distance_matrix(list(m.languages), _req("", "", features=["S_NOPE"]), m)
+
+
+def _random_fixture(rng):
+    n_lang = int(rng.integers(2, 9))
+    n_feat = int(rng.integers(1, 13))
+    binary = rng.random() < 0.5
+    if binary:
+        values = rng.integers(0, 2, (n_lang, n_feat)).astype(float)
+    else:
+        values = rng.random((n_lang, n_feat))
+    if n_lang > 2 and rng.random() < 0.3:
+        values[1] = values[0]  # duplicated row
+    if not binary and n_lang > 3 and rng.random() < 0.3:
+        values[3] = values[2] * rng.uniform(0.01, 1.0)  # parallel row
+    values[rng.random(values.shape) < rng.random()] = np.nan
+    langs = [f"l{i:03d}1234" for i in range(n_lang)]
+    names = [f"S_F{j:03d}" for j in range(n_feat)]
+    mode = AggregationMode.UNION if rng.random() < 0.5 else AggregationMode.AVERAGE
+    m = make_matrix(mode, langs, names, values)
+    listed = langs + [langs[0]] if rng.random() < 0.2 else langs
+    return m, listed, binary
+
+
+def test_distance_matrix_matches_language_distance_on_random_fixtures():
+    rng = np.random.default_rng(2025)
+    reasons = set()
+    for _ in range(1000):
+        m, langs, binary = _random_fixture(rng)
+        metric = Metric.ANGULAR if rng.random() < 0.5 else Metric.COSINE
+        template = _req("", "", metric=metric, aggregation=m.mode)
+        grid = distance_matrix(langs, template, m)
+        _assert_matches_language_distance(grid, langs, template, m, exact=binary)
+        reasons.update(cell.reason for row in grid for cell in row)
+    assert reasons == {None, NO_SHARED_DATA, ZERO_VECTOR}
+
+
+def test_distance_matrix_measures_only_ill_conditioned_angular_cells_per_pair(monkeypatch):
+    rng = np.random.default_rng(47)
+    values = rng.random((30, 20))
+    values[5] = 0.5 * values[4]  # parallel: cos = 1 up to rounding
+    values[7] = values[6] + 1e-7  # nearly parallel
+    values[rng.random(values.shape) < 0.3] = np.nan
+    m = make_matrix(AggregationMode.AVERAGE, [f"l{i:03d}1234" for i in range(30)],
+                    [f"S_F{j:03d}" for j in range(20)], values)
+    calls = []
+
+    def counting(req, matrix):
+        calls.append((req.lang_a, req.lang_b))
+        return language_distance(req, matrix)
+
+    monkeypatch.setattr(distance_module, "language_distance", counting)
+    for metric in Metric:
+        calls.clear()
+        template = _req("", "", metric=metric, aggregation=AggregationMode.AVERAGE)
+        grid = distance_matrix(list(m.languages), template, m)
+        if metric is Metric.COSINE:
+            assert calls == []
+            continue
+        assert {("l0041234", "l0051234"), ("l0061234", "l0071234")} <= set(calls)
+        for a, b in calls:
+            d = grid[m.language_index(a)][m.language_index(b)].distance
+            assert a != b and 1.0 - math.cos(d * math.pi / 2) < 1e-5

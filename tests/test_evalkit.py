@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from scipy.stats import kendalltau as scipy_kendalltau
 
-from typodist import storage
+from typodist import evalkit, storage
 from typodist.aggregate import AggregationMode
 from typodist.errors import DegenerateInput, FormatError, TooFewObserved
 from typodist.evalkit import (
@@ -208,6 +209,59 @@ def test_kendall_matches_scipy_with_ties():
         mine = kendall_tau(x, y).tau
         ref = scipy_kendalltau(x, y, variant="b").statistic
         assert mine == pytest.approx(ref, abs=1e-12)
+
+
+def _tau_b_all_pairs(x, y):
+    """The n x n sign-matrix tau-b that row-blocked counting replaced."""
+    n = x.size
+    dx = np.sign(x[:, None] - x[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
+    iu = np.triu_indices(n, k=1)
+    prod = dx[iu] * dy[iu]
+    concordant = int(np.sum(prod > 0))
+    discordant = int(np.sum(prod < 0))
+    n0 = n * (n - 1) // 2
+    ties_x = int(np.sum(dx[iu] == 0))
+    ties_y = int(np.sum(dy[iu] == 0))
+    denom = math.sqrt((n0 - ties_x) * (n0 - ties_y))
+    if denom == 0.0:
+        return None
+    return (concordant - discordant) / denom
+
+
+def _tau_inputs(rng, n, tied):
+    if tied:
+        return (rng.integers(0, 5, n).astype(float), rng.integers(0, 3, n).astype(float))
+    return rng.random(n), rng.random(n)
+
+
+@pytest.mark.parametrize("sizes", [range(2, 81), [600, 2016, 3001]], ids=["2-80", "blocks"])
+def test_blocked_tau_b_equals_all_pairs_oracle(sizes):
+    rng = np.random.default_rng(71)
+    for n in sizes:
+        for tied in (False, True):
+            x, y = _tau_inputs(rng, n, tied)
+            mine = evalkit._tau_b(x, y)
+            assert mine == _tau_b_all_pairs(x, y)
+            if mine is not None:
+                ref = scipy_kendalltau(x, y, variant="b").statistic
+                assert abs(mine - ref) <= 1e-12
+    constant = np.ones(5)
+    assert evalkit._tau_b(constant, np.arange(5.0)) is None
+
+
+def test_perm_both_p_values_unchanged_by_blocked_tau_b(table5, monkeypatch):
+    _labels, dist_a, dist_b, gd = table5
+    rng = np.random.default_rng(73)
+    a, b, ref = (rng.integers(0, 8, 190).astype(float) for _ in range(3))
+    cases = [((dist_a, dist_b, gd), 2000), ((a, b, ref), 100)]
+
+    def results():
+        return [perm_both_test(*scores, iterations=n, seed=5) for scores, n in cases]
+
+    blocked = results()
+    monkeypatch.setattr(evalkit, "_tau_b", _tau_b_all_pairs)
+    assert blocked == results()
 
 
 def test_kendall_antisymmetric_under_negation():
