@@ -2,9 +2,12 @@
 
 Union aggregation takes the max over known source values, average
 aggregation the unweighted mean; a cell is missing only when every
-contributing source is missing. Results are cached per (mode, source
-subset) and invalidated whenever the tensor version changes, so queries
-always reflect the current store.
+contributing source is missing.
+
+Derived matrices are cached per tensor and key, and invalidated whenever
+the tensor version changes, so queries always reflect the current store.
+`aggregate` caches per (mode, source subset); `distance.matrix_for` uses
+the same cache for imputed matrices.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence, Union
+from typing import Callable, Hashable, Sequence, Union
 
 import numpy as np
 
@@ -77,6 +80,24 @@ class AggregatedMatrix:
 _cache: "weakref.WeakKeyDictionary[FeatureTensor, dict]" = weakref.WeakKeyDictionary()
 
 
+def _per_version(
+    tensor: FeatureTensor, key: Hashable, build: Callable[[], AggregatedMatrix]
+) -> AggregatedMatrix:
+    """build()'s matrix, built once per (tensor version, key) and then shared."""
+    version = tensor.version
+    per_tensor = _cache.setdefault(tensor, {})
+    hit = per_tensor.get((version, key))
+    if hit is not None:
+        return hit
+    result = build()
+    # entries for older tensor versions can never be requested again;
+    # concurrent callers may evict the same key, so neither step may raise
+    for stale in [k for k in list(per_tensor) if k[0] != version]:
+        per_tensor.pop(stale, None)
+    per_tensor[(version, key)] = result
+    return result
+
+
 def aggregate(
     tensor: FeatureTensor,
     mode: AggregationMode,
@@ -95,12 +116,12 @@ def aggregate(
         provenance = tuple(dict.fromkeys(sources))  # dedupe, keep order
         if not provenance:
             raise EmptySourceSubset("source subset must be non-empty")
-    key = (mode, provenance, tensor.version)
-    per_tensor = _cache.setdefault(tensor, {})
-    hit = per_tensor.get(key)
-    if hit is not None:
-        return hit
+    return _per_version(tensor, (mode, provenance), lambda: _aggregate(tensor, mode, provenance))
 
+
+def _aggregate(
+    tensor: FeatureTensor, mode: AggregationMode, provenance: tuple[str, ...]
+) -> AggregatedMatrix:
     src_indices = {tensor.source_index(s) for s in provenance}
     n_lang = len(tensor.languages)
     n_feat = len(tensor.features)
@@ -123,16 +144,10 @@ def aggregate(
         values[known] = total[known] / count[known]
     values.flags.writeable = False
 
-    result = AggregatedMatrix(
+    return AggregatedMatrix(
         mode=mode,
         languages=[rec.glottocode for rec in tensor.languages],
         features=tensor.features,
         values=values,
         provenance=provenance,
     )
-    # entries for older tensor versions can never be requested again;
-    # concurrent callers may evict the same key, so neither step may raise
-    for stale in [k for k in list(per_tensor) if k[2] != tensor.version]:
-        per_tensor.pop(stale, None)
-    per_tensor[key] = result
-    return result

@@ -15,9 +15,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .aggregate import AggregatedMatrix, AggregationMode, SourceSelector, aggregate
+from .aggregate import AggregatedMatrix, AggregationMode, SourceSelector, _per_version, aggregate
 from .errors import UnknownFeature
-from .impute import ImputerSpec, run_imputer
+from .impute import ImputedMatrix, ImputerSpec, run_imputer
 from .kb import Category, FeatureTensor
 
 NO_SHARED_DATA = "no shared data"
@@ -257,15 +257,27 @@ def matrix_for(
     """The matrix req is measured on: aggregated over req's sources, then
     imputed (SoftImpute unless req names an imputer) if req asks for it.
 
-    Aggregation is recomputed whenever the tensor version changed, so
-    results always reflect the current store. The pair and features of
-    req are not used.
+    Aggregated and imputed matrices are built once per tensor version and
+    request (mode, sources, imputer spec, dialect_fill), then shared
+    read-only; copy before mutating. An external imputation is read from
+    its file on every call, since the file can change while the tensor
+    does not. The pair and features of req are not used.
     """
     matrix = aggregate(tensor, req.aggregation, req.sources)
-    if req.use_imputed:
-        spec = req.imputer or ImputerSpec("softimpute")
-        matrix = run_imputer(matrix, spec, registry=tensor, dialect_fill=dialect_fill)
-    return matrix
+    if not req.use_imputed:
+        return matrix
+    spec = req.imputer or ImputerSpec("softimpute")
+    if spec.method == "external":
+        return run_imputer(matrix, spec, registry=tensor, dialect_fill=dialect_fill)
+
+    def impute() -> ImputedMatrix:
+        result = run_imputer(matrix, spec, registry=tensor, dialect_fill=dialect_fill)
+        result.values.flags.writeable = False
+        result.imputed_mask.flags.writeable = False
+        return result
+
+    # never equal to aggregate's (mode, sources) key for the same scope
+    return _per_version(tensor, (req.aggregation, matrix.provenance, spec, dialect_fill), impute)
 
 
 def distance_from_tensor(
@@ -273,5 +285,6 @@ def distance_from_tensor(
     req: DistanceRequest,
     dialect_fill: bool = False,
 ) -> DistanceResult:
-    """Build req's matrix fresh from the tensor, then measure."""
+    """Measure req on its matrix from matrix_for, which reflects the
+    current tensor version."""
     return language_distance(req, matrix_for(tensor, req, dialect_fill))

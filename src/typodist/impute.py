@@ -68,6 +68,14 @@ class ImputedMatrix(AggregatedMatrix):
     objective_history: list[float] = field(default_factory=list)
     all_missing_columns: list[str] = field(default_factory=list)
 
+    def copy(self) -> "ImputedMatrix":
+        return replace(
+            super().copy(),
+            imputed_mask=self.imputed_mask.copy(),
+            objective_history=list(self.objective_history),
+            all_missing_columns=list(self.all_missing_columns),
+        )
+
 
 def _language_records(registry) -> Mapping[str, LanguageRecord]:
     if isinstance(registry, FeatureTensor):
@@ -177,7 +185,7 @@ def _masked_l1_distances(values: np.ndarray, known: np.ndarray) -> np.ndarray:
         shared = known & known[i]
         counts = shared.sum(axis=1)
         diffs = np.abs(filled - filled[i])
-        diffs[~shared] = 0.0
+        diffs *= shared  # exact: the diffs are finite
         with np.errstate(invalid="ignore"):
             row = diffs.sum(axis=1) / counts
         row[counts == 0] = np.nan
@@ -190,29 +198,41 @@ def impute_knn(matrix: AggregatedMatrix, k: int = 9, spec: Optional[ImputerSpec]
     """k nearest neighbors under the masked mean-absolute-difference metric.
 
     Neighbors for cell (l, f) are languages with f known and at least one
-    feature shared with l; fewer than k candidates means all of them are
-    used, and no candidate at all falls back to the column mean.
+    feature shared with l, nearest first, ties in row order; fewer than k
+    candidates means all of them are used, and no candidate at all falls
+    back to the column mean. Each language's neighbors are sorted once,
+    and every cell's chosen values are averaged in that order, so the
+    result equals a per-cell argsort and mean bit for bit.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     spec = spec or ImputerSpec("knn", k=k)
-    values = matrix.values.copy()
+    values = matrix.values
     known = ~np.isnan(values)
     col_fill, all_missing = _column_fill_values(values)
     dist = _masked_l1_distances(values, known)
+    # a stable sort puts NaN (no shared feature, or self) last
+    order = np.argsort(dist, axis=1, kind="stable")
+    n_near = (~np.isnan(dist)).sum(axis=1)
 
     out = values.copy()
-    for f in range(values.shape[1]):
-        holders = np.flatnonzero(known[:, f])
-        targets = np.flatnonzero(~known[:, f])
-        for l in targets:
-            cand = holders[~np.isnan(dist[l, holders])]
-            if cand.size == 0:
-                out[l, f] = col_fill[f]
-                continue
-            order = np.argsort(dist[l, cand], kind="stable")
-            chosen = cand[order[: min(k, cand.size)]]
-            out[l, f] = values[chosen, f].mean()
+    known_by_feature = np.ascontiguousarray(known.T)
+    for l in np.flatnonzero(~known.all(axis=1)):
+        near = order[l, : n_near[l]]
+        miss = np.flatnonzero(~known[l])
+        # take[j, i]: near[i] is among the first k holders of column miss[j]
+        held = known_by_feature[miss][:, near]
+        take = held & (np.cumsum(held, axis=1, dtype=np.int32) <= k)
+        cell, pos = np.nonzero(take)  # grouped by cell, nearest first
+        picked = values[near[pos], miss[cell]]
+        counts = take.sum(axis=1)
+        starts = np.cumsum(counts) - counts
+        fill = col_fill[miss]
+        for c in np.unique(counts[counts > 0]):
+            sel = counts == c
+            # one C-contiguous row per cell, so each mean sums like a 1-D mean
+            fill[sel] = picked[starts[sel][:, None] + np.arange(c)].mean(axis=1)
+        out[l, miss] = fill
     names = [matrix.features[j].name for j in np.flatnonzero(all_missing)]
     return _finalize(matrix, out, spec, all_missing_columns=names)
 

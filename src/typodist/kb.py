@@ -171,7 +171,8 @@ class FeatureTensor:
         self._feat_index: dict[str, int] = {}
         self._src_index: dict[str, int] = {}
         self._cells: dict[tuple[int, int, int], float] = {}
-        # bumped on every write batch; aggregation caches key on it
+        # bumped once per write that changes anything (a new registry entry
+        # or cell value); the matrix caches key on it
         self.version = 0
 
     # registries -----------------------------------------------------------
@@ -236,6 +237,7 @@ class FeatureTensor:
         # parents must pre-exist, so parent chains cannot form cycles
         self._lang_index[record.glottocode] = len(self._languages)
         self._languages.append(record)
+        self.version += 1
         return self._lang_index[record.glottocode]
 
     def add_feature(self, descriptor: FeatureDescriptor) -> int:
@@ -249,6 +251,7 @@ class FeatureTensor:
             return existing
         self._feat_index[descriptor.name] = len(self._features)
         self._features.append(descriptor)
+        self.version += 1
         return self._feat_index[descriptor.name]
 
     def add_source(self, name: str) -> int:
@@ -259,6 +262,7 @@ class FeatureTensor:
             return existing
         self._src_index[name] = len(self._sources)
         self._sources.append(name)
+        self.version += 1
         return self._src_index[name]
 
     # cells ----------------------------------------------------------------
@@ -273,9 +277,10 @@ class FeatureTensor:
 
         Writing the value a cell already holds is a no-op; writing a
         different value raises ConflictingWrite unless overwrite is set
-        (the replace-missing-only update path keeps it off).
+        (the replace-missing-only update path keeps it off). A batch that
+        changes anything bumps the version once.
         """
-        before = (len(self._languages), len(self._features), len(self._sources))
+        version = self.version
         for rec in batch.languages:
             self.add_language(rec)
         for desc in batch.features:
@@ -297,8 +302,8 @@ class FeatureTensor:
             if self._cells.get(key) != value:
                 self._cells[key] = value
                 changed = True
-        if changed or (len(self._languages), len(self._features), len(self._sources)) != before:
-            self.version += 1
+        if changed or self.version != version:
+            self.version = version + 1
         return self
 
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:

@@ -7,11 +7,13 @@ CSV with language rows and feature columns; ``--`` marks a missing cell.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import re
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -127,7 +129,28 @@ def _feature_from_json(obj: dict) -> FeatureDescriptor:
         raise _bad_registry_entry("feature", exc) from None
 
 
+@contextlib.contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """Open a temp file next to path and rename it over path on success,
+    so that path always holds either its old or its new content in full."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_tensor(tensor: FeatureTensor, directory) -> None:
+    """Write the tensor directory, replacing one whole file at a time.
+
+    Registries go first: they only ever grow, so a save interrupted
+    between files leaves new registries over old CSV files, which still
+    load with every old cell.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for src in tensor.sources:
@@ -139,7 +162,7 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
         "features": [_feature_to_json(f) for f in tensor.features],
         "sources": tensor.sources,
     }
-    with open(directory / REGISTRY_FILE, "w", encoding="utf-8") as fh:
+    with _replacing(directory / REGISTRY_FILE) as fh:
         json.dump(registries, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -148,7 +171,7 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
         rows_by_source[src].append((lang, feat, format_value(value)))
     for src, rows in rows_by_source.items():
         rows.sort()
-        with open(directory / f"{src}.csv", "w", encoding="utf-8", newline="") as fh:
+        with _replacing(directory / f"{src}.csv") as fh:
             writer = csv.writer(fh)
             writer.writerow(["language", "feature", "value"])
             writer.writerows(rows)

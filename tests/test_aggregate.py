@@ -7,7 +7,7 @@ import pytest
 
 from typodist.aggregate import AggregationMode, aggregate
 from typodist.errors import EmptySourceSubset
-from typodist.kb import TensorBatch
+from typodist.kb import LanguageRecord, TensorBatch
 
 from conftest import make_tensor
 
@@ -104,6 +104,17 @@ def test_cache_reused_then_invalidated_on_extend():
     fresh = aggregate(tensor, AggregationMode.UNION)
     assert fresh is not first
     assert fresh.values[0, 2] == 1.0
+
+
+def test_cache_invalidated_by_add_language():
+    tensor = _three_source_tensor()
+    tensor.extend_with(TensorBatch(languages=[LanguageRecord("abcd5678")],
+                                   cells=[("abcd5678", "S_F1", "SRC_A", 0.0)]))
+    first = aggregate(tensor, AggregationMode.UNION)
+    tensor.add_language(LanguageRecord("efgh5678"))
+    fresh = aggregate(tensor, AggregationMode.UNION)
+    assert fresh is not first
+    assert np.isnan(fresh.values[fresh.language_index("efgh5678")]).all()
 
 
 def test_provenance_records_source_subset():

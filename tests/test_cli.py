@@ -320,6 +320,25 @@ def test_distance_with_external_imputer_file(workspace, capsys, tmp_path):
     assert payload["distance"] is not None
 
 
+@pytest.mark.parametrize("method", ["mean", "knn", "softimpute"])
+def test_imputed_distance_matches_the_impute_command(workspace, capsys, tmp_path, method):
+    data = ingest(capsys, workspace)
+    imputed_csv = tmp_path / "imp.csv"
+    code, _, err = run(
+        capsys, "impute", "--data", data, "--mode", "union", "--dialect-fill",
+        "--method", method, "--k", "2", "--out", imputed_csv,
+    )
+    assert code == 0, err
+    langs = ["stan1293", "stan1295", "stan1290", "mode1248"]
+    outputs = []
+    for impute in ([method, "--k", "2"], ["external", "--external-file", imputed_csv]):
+        code, out, err = run(capsys, "distance", "--data", data, *langs,
+                             "--aggregation", "union", "--dialect-fill", "--impute", *impute)
+        assert code == 0, err
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_bad_schema_exits_2(workspace, capsys):
     (workspace / "bad_schema.json").write_text('{"features": {}}')
     code, _, err = run(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from typodist import distance as distance_module
+from typodist import storage
 from typodist.aggregate import AggregationMode, aggregate
 from typodist.distance import (
     NO_SHARED_DATA,
@@ -19,7 +20,8 @@ from typodist.distance import (
     matrix_for,
 )
 from typodist.errors import UnknownFeature, UnknownLanguage
-from typodist.kb import Category, TensorBatch
+from typodist.impute import ImputerSpec
+from typodist.kb import Category, LanguageRecord, TensorBatch
 
 from conftest import make_matrix, random_matrix
 
@@ -278,6 +280,94 @@ def test_matrix_for_aggregates_then_imputes_on_request(tiny_tensor):
     # dialect-filled cells count as imputed
     observed = aggregate(tiny_tensor, AggregationMode.UNION)
     assert np.array_equal(imputed.imputed_mask, np.isnan(observed.values))
+
+
+def _counting_imputer(monkeypatch):
+    calls = []
+    inner = distance_module.run_imputer
+
+    def counting(matrix, spec, **kwargs):
+        calls.append(spec)
+        return inner(matrix, spec, **kwargs)
+
+    monkeypatch.setattr(distance_module, "run_imputer", counting)
+    return calls
+
+
+def test_matrix_for_imputes_once_per_tensor_version(tiny_tensor, monkeypatch):
+    calls = _counting_imputer(monkeypatch)
+    mean = ImputerSpec("mean")
+    req = _req("dial1234", "othe1234", use_imputed=True, imputer=mean)
+    first = matrix_for(tiny_tensor, req, dialect_fill=True)
+    # pair, metric and features do not change the matrix
+    again = replace(req, lang_a="pare1234", metric=Metric.COSINE, features=Category.SYNTACTIC)
+    assert matrix_for(tiny_tensor, again, dialect_fill=True) is first
+    equal_spec = replace(req, imputer=ImputerSpec("mean"))
+    assert matrix_for(tiny_tensor, equal_spec, dialect_fill=True) is first
+    assert distance_from_tensor(tiny_tensor, req, dialect_fill=True) == language_distance(req, first)
+    assert len(calls) == 1
+
+    others = [
+        matrix_for(tiny_tensor, req),  # no dialect fill
+        matrix_for(tiny_tensor, replace(req, imputer=ImputerSpec("knn", k=1)), dialect_fill=True),
+        matrix_for(tiny_tensor, replace(req, imputer=ImputerSpec("mean", seed=1)), dialect_fill=True),
+        matrix_for(tiny_tensor, replace(req, sources="SRC_A"), dialect_fill=True),
+        matrix_for(tiny_tensor, replace(req, aggregation=AggregationMode.AVERAGE), dialect_fill=True),
+        matrix_for(tiny_tensor, replace(req, imputer=None), dialect_fill=True),
+    ]
+    assert len({id(m) for m in [first] + others}) == 7
+    assert others[3].provenance == ("SRC_A",)
+    # all sources named explicitly is the same scope as none named
+    both = replace(req, sources=["SRC_A", "SRC_B"])
+    assert matrix_for(tiny_tensor, both, dialect_fill=True) is first
+
+
+def test_imputed_cache_follows_tensor_writes(tiny_tensor):
+    req = _req("dial1234", "othe1234", use_imputed=True, imputer=ImputerSpec("mean"))
+    first = matrix_for(tiny_tensor, req)
+    tiny_tensor.extend_with(TensorBatch(cells=[("dial1234", "P_F1", "SRC_B", 1.0)]))
+    second = matrix_for(tiny_tensor, req)
+    assert second is not first
+    assert second.values[second.language_index("dial1234"), 2] == 1.0
+    assert not second.imputed_mask[second.language_index("dial1234"), 2]
+
+    tiny_tensor.add_language(LanguageRecord("newl1234"))
+    third = matrix_for(tiny_tensor, req)
+    assert third is not second
+    assert third.language_index("newl1234") == 3
+    assert third.imputed_mask[3].all()
+
+
+def test_cached_imputed_matrix_is_read_only(tiny_tensor):
+    req = _req("dial1234", "othe1234", use_imputed=True, imputer=ImputerSpec("mean"))
+    shared = matrix_for(tiny_tensor, req)
+    with pytest.raises(ValueError):
+        shared.values[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        shared.imputed_mask[0, 0] = True
+    own = shared.copy()
+    own.values[0, 0] = 0.5
+    own.imputed_mask[0, 0] = True
+    own.objective_history.append(1.0)
+    own.all_missing_columns.append("S_F9")
+    assert shared.values[0, 0] != 0.5 and not shared.imputed_mask[0, 0]
+    assert shared.objective_history == [] and shared.all_missing_columns == []
+
+
+def test_external_imputation_is_read_on_every_call(tiny_tensor, tmp_path, monkeypatch):
+    calls = _counting_imputer(monkeypatch)
+    path = tmp_path / "external.csv"
+    spec = ImputerSpec("external", external_path=str(path))
+    req = _req("dial1234", "othe1234", use_imputed=True, imputer=spec)
+    observed = aggregate(tiny_tensor, AggregationMode.UNION)
+    version = tiny_tensor.version
+    for fill in (0.0, 1.0):
+        dense = np.where(np.isnan(observed.values), fill, observed.values)
+        storage.export_matrix_csv(observed.languages, observed.features, dense, path)
+        m = matrix_for(tiny_tensor, req)
+        assert np.array_equal(m.values, dense)
+    assert tiny_tensor.version == version
+    assert len(calls) == 2
 
 
 # distance_matrix against its per-pair oracle -----------------------------------

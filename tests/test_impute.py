@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from typodist.errors import FormatError, UnknownLanguage
 from typodist.impute import (
     ImputedMatrix,
     ImputerSpec,
+    _column_fill_values,
+    _finalize,
     fill_dialects,
     impute_external,
     impute_knn,
@@ -161,6 +165,72 @@ def test_knn_falls_back_to_column_mean_without_shared_features():
     out = impute_knn(m, k=1)
     assert out.values[2, 0] == pytest.approx(1.0)
     assert out.values[2, 1] == pytest.approx(0.5)
+
+
+def _knn_oracle(matrix, k):
+    """impute_knn's values from a per-row masked L1 loop and one stable
+    argsort per missing cell."""
+    values = matrix.values.copy()
+    known = ~np.isnan(values)
+    col_fill, _ = _column_fill_values(values)
+    n = values.shape[0]
+    filled = np.where(known, values, 0.0)
+    dist = np.full((n, n), np.nan)
+    for i in range(n):
+        shared = known & known[i]
+        counts = shared.sum(axis=1)
+        diffs = np.abs(filled - filled[i])
+        diffs[~shared] = 0.0
+        with np.errstate(invalid="ignore"):
+            row = diffs.sum(axis=1) / counts
+        row[counts == 0] = np.nan
+        dist[i] = row
+    np.fill_diagonal(dist, np.nan)
+
+    out = values.copy()
+    for f in range(values.shape[1]):
+        holders = np.flatnonzero(known[:, f])
+        targets = np.flatnonzero(~known[:, f])
+        for l in targets:
+            cand = holders[~np.isnan(dist[l, holders])]
+            if cand.size == 0:
+                out[l, f] = col_fill[f]
+                continue
+            order = np.argsort(dist[l, cand], kind="stable")
+            chosen = cand[order[: min(k, cand.size)]]
+            out[l, f] = values[chosen, f].mean()
+    return _finalize(matrix, out, ImputerSpec("knn", k=k)).values
+
+
+def _knn_fixtures(n_fixtures=240):
+    """Seeded matrices for the oracle: both modes, binary and fractional
+    values, k 1-15, missing fractions 0-1, duplicated rows (distance ties)
+    and blank rows (no shared feature, so the column-mean fallback)."""
+    rng = np.random.default_rng(2024)
+    for i in range(n_fixtures):
+        mode = (AggregationMode.UNION, AggregationMode.AVERAGE)[i % 2]
+        binary = bool((i // 2) % 2)
+        n_lang, n_feat = int(rng.integers(2, 30)), int(rng.integers(1, 16))
+        missing = float(rng.choice([0.0, 1.0, rng.random()], p=[0.05, 0.05, 0.9]))
+        m = random_matrix(rng, n_lang, n_feat, mode, missing_frac=missing, binary=binary)
+        values = m.values.copy()
+        if rng.random() < 0.5:
+            values[rng.integers(0, n_lang, n_lang // 2)] = values[rng.integers(0, n_lang, n_lang // 2)]
+        if rng.random() < 0.3:
+            values[rng.integers(0, n_lang)] = np.nan
+        yield replace(m, values=values), 1 + i % 15
+
+
+def test_knn_equals_per_cell_oracle_on_random_fixtures():
+    checked = 0
+    for m, k in _knn_fixtures():
+        if np.isnan(m.values).all():
+            with pytest.raises(FormatError):
+                impute_knn(m, k=k)
+            continue
+        assert np.array_equal(impute_knn(m, k=k).values, _knn_oracle(m, k))
+        checked += 1
+    assert checked >= 200
 
 
 # softimpute -----------------------------------------------------------------------

@@ -135,6 +135,28 @@ def test_registry_invariants():
         LanguageRecord("")
 
 
+def test_new_registry_entries_bump_the_version_once_each(tiny_tensor):
+    version = tiny_tensor.version
+    tiny_tensor.add_language(LanguageRecord("newl1234"))
+    tiny_tensor.add_feature(FeatureDescriptor("S_NEW", Category.SYNTACTIC))
+    tiny_tensor.add_source("SRC_NEW")
+    assert tiny_tensor.version == version + 3
+    # re-registering what is already there changes nothing
+    tiny_tensor.add_language(LanguageRecord("newl1234"))
+    tiny_tensor.add_feature(FeatureDescriptor("S_NEW", Category.SYNTACTIC))
+    tiny_tensor.add_source("SRC_NEW")
+    assert tiny_tensor.version == version + 3
+    # one batch is one write, however many entries it registers
+    tiny_tensor.extend_with(TensorBatch(
+        languages=[LanguageRecord("newm1234"), LanguageRecord("newn1234")],
+        sources=["SRC_NEW", "SRC_NEWER"],
+        cells=[("newm1234", "S_NEW", "SRC_NEWER", 1.0)],
+    ))
+    assert tiny_tensor.version == version + 4
+    tiny_tensor.extend_with(TensorBatch(languages=[LanguageRecord("newo1234")]))
+    assert tiny_tensor.version == version + 5
+
+
 def test_feature_name_validation():
     with pytest.raises(FormatError):
         FeatureDescriptor("S_lower", Category.SYNTACTIC)

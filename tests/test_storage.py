@@ -1,9 +1,13 @@
+import errno
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from typodist import storage
 from typodist.errors import FormatError
-from typodist.kb import LanguageRecord
+from typodist.kb import LanguageRecord, TensorBatch
 
 from conftest import make_matrix, make_tensor
 from typodist.aggregate import AggregationMode
@@ -33,6 +37,62 @@ def test_round_trip_random_values(tmp_path):
     storage.save_tensor(tensor, tmp_path)
     loaded = storage.load_tensor(tmp_path)
     assert sorted(loaded.iter_cells()) == sorted(tensor.iter_cells())
+
+
+class _DiskFullAfter:
+    """A text file that takes `budget` characters, then fails like a full disk."""
+
+    def __init__(self, fh, budget):
+        self._fh, self._budget = fh, budget
+
+    def write(self, text):
+        if len(text) > self._budget:
+            self._fh.write(text[: self._budget])
+            self._fh.flush()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self._budget -= len(text)
+        return self._fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("failing", ["registries.json", "SRC_A.csv", "SRC_B.csv"])
+def test_interrupted_save_keeps_the_old_cells(tmp_path, monkeypatch, failing):
+    tensor = make_tensor(["abcd1234"], ["S_F1", "S_F2"], [
+        ("abcd1234", "S_F1", "SRC_A", 1.0),
+        ("abcd1234", "S_F2", "SRC_B", 0.0),
+    ])
+    storage.save_tensor(tensor, tmp_path)
+    old_cells = sorted(tensor.iter_cells())
+    old_bytes = (tmp_path / failing).read_bytes()
+    tensor.extend_with(TensorBatch(languages=[LanguageRecord("newl1234")], cells=[
+        ("abcd1234", "S_F2", "SRC_A", 1.0),
+        ("newl1234", "S_F1", "SRC_A", 1.0),
+        ("newl1234", "S_F2", "SRC_B", 1.0),
+    ]))
+
+    def open_failing_part_way(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return _DiskFullAfter(fh, 30) if Path(path).name == f".{failing}.tmp" else fh
+
+    monkeypatch.setattr(storage, "open", open_failing_part_way, raising=False)
+    with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+        storage.save_tensor(tensor, tmp_path)
+    monkeypatch.undo()
+
+    assert (tmp_path / failing).read_bytes() == old_bytes
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["SRC_A.csv", "SRC_B.csv", "registries.json"]
+    loaded = sorted(storage.load_tensor(tmp_path).iter_cells())
+    assert set(old_cells) <= set(loaded)
+    if failing != "SRC_B.csv":  # files after the failing one keep their old content
+        assert loaded == old_cells
 
 
 def test_dialect_parent_survives_round_trip(tmp_path):
