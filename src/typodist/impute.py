@@ -9,6 +9,7 @@ matrices (threshold 0.5, ties round up).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
@@ -48,6 +49,7 @@ class ImputerSpec:
             raise ValueError("k must be >= 1")
         if self.method == "external" and not self.external_path:
             raise ValueError("external imputer needs external_path")
+        _check_softimpute_params(self.lam, self.tol)
 
     @property
     def key(self) -> str:
@@ -238,12 +240,28 @@ def impute_knn(matrix: AggregatedMatrix, k: int = 9, spec: Optional[ImputerSpec]
 
 
 def _soft_svd(filled: np.ndarray, lam: float, rank_cap: int) -> tuple[np.ndarray, float]:
-    """Rank-capped SVD with singular values soft-thresholded by lam."""
-    u, s, vt = np.linalg.svd(filled, full_matrices=False)
-    s = s[:rank_cap]
-    s_thr = np.maximum(s - lam, 0.0)
-    recon = (u[:, :rank_cap] * s_thr) @ vt[:rank_cap]
-    return recon, float(s_thr.sum())
+    """Rank-capped reconstruction with singular values soft-thresholded by lam.
+
+    Works from the eigenpairs of the Gram matrix of the short side (AᵀA for
+    a tall A): with s = sqrt(w), the reconstruction is (A V) diag(thr/s) Vᵀ
+    over the components whose thresholded value thr = s - lam is positive.
+    """
+    a = filled if filled.shape[0] >= filled.shape[1] else filled.T
+    w, v = np.linalg.eigh(a.T @ a)
+    w, v = w[::-1][:rank_cap], v[:, ::-1][:, :rank_cap]
+    s = np.sqrt(np.maximum(w, 0.0))
+    thr = np.maximum(s - lam, 0.0)
+    keep = thr > 0
+    v = v[:, keep]
+    recon = ((a @ v) * (thr[keep] / s[keep])) @ v.T
+    return (recon if a is filled else recon.T), float(thr.sum())
+
+
+def _check_softimpute_params(lam: Optional[float], tol: float) -> None:
+    if lam is not None and not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be a finite non-negative number")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be a finite positive number")
 
 
 def impute_softimpute(
@@ -254,19 +272,25 @@ def impute_softimpute(
     max_iter: int = 200,
     seed: int = 0,
     spec: Optional[ImputerSpec] = None,
+    *,
+    start: Optional[np.ndarray] = None,
 ) -> ImputedMatrix:
     """Iterative soft-thresholded SVD completion.
 
-    Starting from column-mean fill, alternate between a rank-capped SVD of
-    the current matrix (observed entries always restored), shrinking the
-    singular values by lam, and writing the reconstruction back into the
-    missing positions only. Stops when the relative change of the filled
-    matrix drops below tol; hitting max_iter flags non-convergence but
-    still returns the result. The tracked objective is the squared error
-    on observed entries plus lam times the nuclear norm.
+    Starting from start's values in the missing cells (column means when
+    start is None), alternate between a rank-capped SVD of the current
+    matrix (observed entries always restored), shrinking the singular
+    values by lam, and writing the reconstruction back into the missing
+    positions only. Stops when the relative change of the filled matrix
+    drops below tol; hitting max_iter flags non-convergence but still
+    returns the result. The tracked objective is the squared error on
+    observed entries plus lam times the nuclear norm.
+
+    With lam=None, select_softimpute_lambda picks lam on a regularisation
+    path, and the winning grid point's completed matrix is the start of
+    this full-data fit (in place of any start given).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_softimpute_params(lam, tol)
     if rank_cap is not None and rank_cap < 1:
         raise ValueError("rank_cap must be >= 1")
     values = matrix.values
@@ -280,25 +304,28 @@ def impute_softimpute(
     if rank_cap is None:
         rank_cap = min(min(values.shape), 100)
     if lam is None:
-        lam = select_softimpute_lambda(matrix, rank_cap=rank_cap, tol=tol,
-                                       max_iter=max_iter, seed=seed)
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
+        lam, start = select_softimpute_lambda(matrix, rank_cap=rank_cap, tol=tol,
+                                              max_iter=max_iter, seed=seed,
+                                              return_solution=True)
 
-    col_fill, _ = _column_fill_values(values)
     fill = values.copy()
-    fill[missing] = np.broadcast_to(col_fill, values.shape)[missing]
+    if start is None:
+        col_fill, _ = _column_fill_values(values)
+        fill[missing] = np.broadcast_to(col_fill, values.shape)[missing]
+    else:
+        start = np.asarray(start, dtype=float)
+        if start.shape != values.shape or not np.isfinite(start[missing]).all():
+            raise ValueError("start must be a finite matrix of the same shape")
+        fill[missing] = start[missing]
 
     observed = ~missing
     history: list[float] = []
     converged = False
     for _ in range(max_iter):
         recon, nuclear = _soft_svd(fill, lam, rank_cap)
-        history.append(
-            0.5 * float(((values[observed] - recon[observed]) ** 2).sum()) + lam * nuclear
-        )
-        new_fill = fill.copy()
-        new_fill[missing] = recon[missing]
+        resid = np.where(observed, values - recon, 0.0)
+        history.append(0.5 * float(np.vdot(resid, resid)) + lam * nuclear)
+        new_fill = np.where(missing, recon, values)
         denom = max(float(np.linalg.norm(fill)), 1e-12)
         delta = float(np.linalg.norm(new_fill - fill)) / denom
         fill = new_fill
@@ -314,12 +341,18 @@ def select_softimpute_lambda(
     tol: float = 1e-4,
     max_iter: int = 200,
     seed: int = 0,
-) -> float:
+    *,
+    return_solution: bool = False,
+) -> float | tuple[float, np.ndarray]:
     """Pick lam from a small grid scaled by the top singular value.
 
-    A tenth of the observed cells are held out as a validation mask; the
+    A tenth of the observed cells are held out as a validation mask, and
+    the grid is solved as one regularisation path (Mazumder, Hastie and
+    Tibshirani 2010, section 5): from the largest lam to the smallest,
+    each solve starting from the previous solve's completed matrix. The
     grid value with the lowest validation RMSE (before any binarization)
-    wins, ties going to the smaller lam.
+    wins, ties going to the smaller lam. With return_solution, returns
+    (lam, the winning solve's completed values) instead of lam.
     """
     values = matrix.values
     observed = np.argwhere(~np.isnan(values))
@@ -339,17 +372,19 @@ def select_softimpute_lambda(
     probe[np.isnan(masked)] = np.broadcast_to(col_fill, masked.shape)[np.isnan(masked)]
     sigma1 = float(np.linalg.svd(probe, compute_uv=False)[0])
 
-    best_lam, best_rmse = None, np.inf
-    for scale in LAMBDA_GRID_SCALES:
+    best_lam, best_rmse, best_values, start = None, np.inf, None, None
+    for scale in reversed(LAMBDA_GRID_SCALES):
         lam = scale * sigma1 / 100.0
         result = impute_softimpute(
-            work, lam=lam, rank_cap=rank_cap, tol=tol, max_iter=max_iter, seed=seed
+            work, lam=lam, rank_cap=rank_cap, tol=tol, max_iter=max_iter, seed=seed,
+            start=start,
         )
+        start = result.values
         pred = result.values[picked[:, 0], picked[:, 1]]
         rmse = float(np.sqrt(np.mean((pred - truth) ** 2)))
-        if rmse < best_rmse:
-            best_lam, best_rmse = lam, rmse
-    return best_lam
+        if rmse <= best_rmse:  # walking down, so ties go to the smaller lam
+            best_lam, best_rmse, best_values = lam, rmse, result.values
+    return (best_lam, best_values) if return_solution else best_lam
 
 
 def impute_external(matrix: AggregatedMatrix, path, spec: Optional[ImputerSpec] = None) -> ImputedMatrix:

@@ -4,15 +4,17 @@ Cells hold real values in [0, 1]; a cell that was never written is
 missing. Registries are append-only: once a language, feature, or source
 has an index, that index never changes, and known cells are never
 silently overwritten. All query methods are read-only, so concurrent
-reads from many threads are safe. Writes are exclusive: `extend_with` and
-`add_*` must not run while any other thread reads or writes the same
-tensor.
+reads from many threads are safe. Writes are serialised: `extend_with` and
+`add_*` hold the tensor's lock, so concurrent writers never share an
+index. Do not read while writing: a query that overlaps a write may see
+it half done.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
@@ -171,6 +173,8 @@ class FeatureTensor:
         self._feat_index: dict[str, int] = {}
         self._src_index: dict[str, int] = {}
         self._cells: dict[tuple[int, int, int], float] = {}
+        # held by every write; reentrant, as extend_with calls add_*
+        self._write_lock = threading.RLock()
         # bumped once per write that changes anything (a new registry entry
         # or cell value); the matrix caches key on it
         self.version = 0
@@ -224,46 +228,49 @@ class FeatureTensor:
         return [f for f in self._features if f.category is category]
 
     def add_language(self, record: LanguageRecord) -> int:
-        existing = self._lang_index.get(record.glottocode)
-        if existing is not None:
-            if self._languages[existing] != record:
-                raise FormatError(
-                    f"language {record.glottocode!r} already registered with "
-                    "different metadata"
-                )
-            return existing
-        if record.parent is not None and record.parent not in self._lang_index:
-            raise UnknownLanguage(record.parent)
-        # parents must pre-exist, so parent chains cannot form cycles
-        self._lang_index[record.glottocode] = len(self._languages)
-        self._languages.append(record)
-        self.version += 1
-        return self._lang_index[record.glottocode]
+        with self._write_lock:
+            existing = self._lang_index.get(record.glottocode)
+            if existing is not None:
+                if self._languages[existing] != record:
+                    raise FormatError(
+                        f"language {record.glottocode!r} already registered with "
+                        "different metadata"
+                    )
+                return existing
+            if record.parent is not None and record.parent not in self._lang_index:
+                raise UnknownLanguage(record.parent)
+            # parents must pre-exist, so parent chains cannot form cycles
+            self._lang_index[record.glottocode] = len(self._languages)
+            self._languages.append(record)
+            self.version += 1
+            return self._lang_index[record.glottocode]
 
     def add_feature(self, descriptor: FeatureDescriptor) -> int:
-        existing = self._feat_index.get(descriptor.name)
-        if existing is not None:
-            if self._features[existing] != descriptor:
-                raise FormatError(
-                    f"feature {descriptor.name!r} already registered with "
-                    "different metadata"
-                )
-            return existing
-        self._feat_index[descriptor.name] = len(self._features)
-        self._features.append(descriptor)
-        self.version += 1
-        return self._feat_index[descriptor.name]
+        with self._write_lock:
+            existing = self._feat_index.get(descriptor.name)
+            if existing is not None:
+                if self._features[existing] != descriptor:
+                    raise FormatError(
+                        f"feature {descriptor.name!r} already registered with "
+                        "different metadata"
+                    )
+                return existing
+            self._feat_index[descriptor.name] = len(self._features)
+            self._features.append(descriptor)
+            self.version += 1
+            return self._feat_index[descriptor.name]
 
     def add_source(self, name: str) -> int:
         if not name:
             raise FormatError("source name must be non-empty")
-        existing = self._src_index.get(name)
-        if existing is not None:
-            return existing
-        self._src_index[name] = len(self._sources)
-        self._sources.append(name)
-        self.version += 1
-        return self._src_index[name]
+        with self._write_lock:
+            existing = self._src_index.get(name)
+            if existing is not None:
+                return existing
+            self._src_index[name] = len(self._sources)
+            self._sources.append(name)
+            self.version += 1
+            return self._src_index[name]
 
     # cells ----------------------------------------------------------------
 
@@ -280,31 +287,32 @@ class FeatureTensor:
         (the replace-missing-only update path keeps it off). A batch that
         changes anything bumps the version once.
         """
-        version = self.version
-        for rec in batch.languages:
-            self.add_language(rec)
-        for desc in batch.features:
-            self.add_feature(desc)
-        for src in batch.sources:
-            self.add_source(src)
-        # resolve and validate every cell before writing any, so a
-        # conflicting batch never half-applies
-        resolved = []
-        for lang, feat, src, value in batch.cells:
-            key = (self.language_index(lang), self.feature_index(feat), self.source_index(src))
-            value = _check_value(value)
-            old = self._cells.get(key)
-            if old is not None and old != value and not overwrite:
-                raise ConflictingWrite(lang, feat, src, old, value)
-            resolved.append((key, value))
-        changed = False
-        for key, value in resolved:
-            if self._cells.get(key) != value:
-                self._cells[key] = value
-                changed = True
-        if changed or self.version != version:
-            self.version = version + 1
-        return self
+        with self._write_lock:
+            version = self.version
+            for rec in batch.languages:
+                self.add_language(rec)
+            for desc in batch.features:
+                self.add_feature(desc)
+            for src in batch.sources:
+                self.add_source(src)
+            # resolve and validate every cell before writing any, so a
+            # conflicting batch never half-applies
+            resolved = []
+            for lang, feat, src, value in batch.cells:
+                key = (self.language_index(lang), self.feature_index(feat), self.source_index(src))
+                value = _check_value(value)
+                old = self._cells.get(key)
+                if old is not None and old != value and not overwrite:
+                    raise ConflictingWrite(lang, feat, src, old, value)
+                resolved.append((key, value))
+            changed = False
+            for key, value in resolved:
+                if self._cells.get(key) != value:
+                    self._cells[key] = value
+                    changed = True
+            if changed or self.version != version:
+                self.version = version + 1
+            return self
 
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:
         """(number of sources with a known value, those values in source order)."""

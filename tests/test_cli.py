@@ -158,6 +158,22 @@ def test_impute_writes_matrix_and_mask(workspace, capsys, tmp_path):
     assert "--" not in out_csv.read_text()
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-1"])
+def test_impute_rejects_a_non_finite_or_negative_lam(workspace, capsys, tmp_path, lam):
+    data = ingest(capsys, workspace)
+    out_csv = tmp_path / "imputed.csv"
+    code, out, err = run(
+        capsys, "impute", "--data", data, "--mode", "union",
+        "--method", "softimpute", f"--lam={lam}", "--out", out_csv,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err) == {
+        "error": "ValueError", "message": "lam must be a finite non-negative number"}
+    assert not out_csv.exists()
+
+
 def test_distance_pair_json(workspace, capsys):
     data = ingest(capsys, workspace)
     code, out, _ = run(

@@ -283,6 +283,38 @@ def test_softimpute_objective_monotone_on_random_fixtures():
         assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:]))
 
 
+@pytest.mark.parametrize("params,message", [
+    ({"lam": float("nan")}, "lam must be a finite non-negative number"),
+    ({"lam": float("inf")}, "lam must be a finite non-negative number"),
+    ({"lam": -0.5}, "lam must be a finite non-negative number"),
+    ({"tol": float("nan")}, "tol must be a finite positive number"),
+    ({"tol": float("inf")}, "tol must be a finite positive number"),
+    ({"tol": 0.0}, "tol must be a finite positive number"),
+])
+def test_softimpute_rejects_non_finite_parameters(params, message):
+    m = random_matrix(np.random.default_rng(23), 8, 5, AggregationMode.AVERAGE)
+    with pytest.raises(ValueError, match=message):
+        ImputerSpec("softimpute", **params)
+    with pytest.raises(ValueError, match=message):
+        impute_softimpute(m, **{"lam": 0.05, **params})
+
+
+def test_softimpute_warm_start_from_a_solution_stops_at_once():
+    rng = np.random.default_rng(29)
+    full = rng.random((20, 2)) @ rng.random((2, 12)) / 2
+    full[rng.random(full.shape) < 0.3] = np.nan
+    m = make_matrix(AggregationMode.AVERAGE, [f"l{i:03d}1234" for i in range(20)],
+                    [f"S_F{j:03d}" for j in range(12)], full)
+    cold = impute_softimpute(m, lam=0.05, tol=1e-6, max_iter=2000)
+    warm = impute_softimpute(m, lam=0.05, tol=1e-6, max_iter=2000, start=cold.values)
+    assert cold.converged and len(cold.objective_history) > 100
+    assert warm.converged and len(warm.objective_history) == 1
+    assert np.abs(warm.values - cold.values).max() < 1e-5
+    for bad in (cold.values[:, 1:], np.full_like(cold.values, np.nan)):
+        with pytest.raises(ValueError, match="start must be"):
+            impute_softimpute(m, lam=0.05, start=bad)
+
+
 def test_softimpute_nonconvergence_flagged():
     rng = np.random.default_rng(19)
     m = random_matrix(rng, 10, 6, AggregationMode.AVERAGE, missing_frac=0.4)

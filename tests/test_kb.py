@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -155,6 +158,54 @@ def test_new_registry_entries_bump_the_version_once_each(tiny_tensor):
     assert tiny_tensor.version == version + 4
     tiny_tensor.extend_with(TensorBatch(languages=[LanguageRecord("newo1234")]))
     assert tiny_tensor.version == version + 5
+
+
+def test_concurrent_writers_get_unique_dense_indices():
+    """8 threads register distinct languages in bursts that start together,
+    half through add_language and half through one-language batches."""
+    tensor = make_tensor(["root1234"], ["S_F1"], [("root1234", "S_F1", "SRC_A", 1.0)])
+    n_threads, rounds, per_round = 8, 100, 4
+    version = tensor.version
+    written = [[] for _ in range(n_threads)]
+    errors = []
+    barrier = threading.Barrier(n_threads, timeout=30)
+
+    def writer(k):
+        try:
+            for r in range(rounds):
+                barrier.wait()
+                for i in range(per_round):
+                    code = f"w{k:02d}{r:03d}{i}"
+                    if i % 2:
+                        written[k].append((code, tensor.add_language(LanguageRecord(code))))
+                    else:
+                        tensor.extend_with(TensorBatch(
+                            languages=[LanguageRecord(code)],
+                            cells=[(code, "S_F1", "SRC_A", 0.0)]))
+                        written[k].append((code, tensor.language_index(code)))
+        except Exception as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    total = n_threads * rounds * per_round
+    pairs = [pair for per_thread in written for pair in per_thread]
+    assert sorted(i for _, i in pairs) == list(range(1, 1 + total))
+    assert all(tensor.languages[i].glottocode == code for code, i in pairs)
+    # one bump per add_language and one per batch, none lost
+    assert tensor.version == version + total
+    assert tensor.cell_count() == 1 + total // 2
 
 
 def test_feature_name_validation():
