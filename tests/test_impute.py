@@ -351,7 +351,6 @@ def test_lambda_grid_selection_is_deterministic():
     assert lam1 == lam2
 
 
-
 def _soft_svd_oracle(filled, lam, rank_cap):
     """_soft_svd from a full SVD."""
     u, s, vt = np.linalg.svd(filled, full_matrices=False)
@@ -481,8 +480,9 @@ def test_softimpute_path_matches_cold_grid_oracle(monkeypatch):
         rank_cap = min(min(m.values.shape), 100)
         lam = select_softimpute_lambda(m, rank_cap=rank_cap)
         if lam != want_lam:
-            # a cold solve that stops early can move the cold grid's pick;
-            # the path must then pick what the converged grid picks
+            # a cold solve that stops short of its solution can move the
+            # cold grid's pick; the path must then pick what a converged
+            # grid picks
             assert lam == _softimpute_oracle(m, tol=1e-9, max_iter=5000)[0], name
         solves.clear()
         out = impute.impute_softimpute(m)
