@@ -288,9 +288,11 @@ def impute_softimpute(
 
     With lam=None, select_softimpute_lambda picks lam on a regularisation
     path, and the winning grid point's completed matrix is the start of
-    this full-data fit (in place of any start given).
+    this full-data fit, so a start needs an explicit lam.
     """
     _check_softimpute_params(lam, tol)
+    if lam is None and start is not None:
+        raise ValueError("start needs an explicit lam")
     if rank_cap is not None and rank_cap < 1:
         raise ValueError("rank_cap must be >= 1")
     values = matrix.values
@@ -305,8 +307,7 @@ def impute_softimpute(
         rank_cap = min(min(values.shape), 100)
     if lam is None:
         lam, start = select_softimpute_lambda(matrix, rank_cap=rank_cap, tol=tol,
-                                              max_iter=max_iter, seed=seed,
-                                              return_solution=True)
+                                              max_iter=max_iter, seed=seed)
 
     fill = values.copy()
     if start is None:
@@ -341,9 +342,7 @@ def select_softimpute_lambda(
     tol: float = 1e-4,
     max_iter: int = 200,
     seed: int = 0,
-    *,
-    return_solution: bool = False,
-) -> float | tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Pick lam from a small grid scaled by the top singular value.
 
     A tenth of the observed cells are held out as a validation mask, and
@@ -351,8 +350,8 @@ def select_softimpute_lambda(
     Tibshirani 2010, section 5): from the largest lam to the smallest,
     each solve starting from the previous solve's completed matrix. The
     grid value with the lowest validation RMSE (before any binarization)
-    wins, ties going to the smaller lam. With return_solution, returns
-    (lam, the winning solve's completed values) instead of lam.
+    wins, ties going to the smaller lam. Returns (lam, the winning solve's
+    completed values).
     """
     values = matrix.values
     observed = np.argwhere(~np.isnan(values))
@@ -384,7 +383,7 @@ def select_softimpute_lambda(
         rmse = float(np.sqrt(np.mean((pred - truth) ** 2)))
         if rmse <= best_rmse:  # walking down, so ties go to the smaller lam
             best_lam, best_rmse, best_values = lam, rmse, result.values
-    return (best_lam, best_values) if return_solution else best_lam
+    return best_lam, best_values
 
 
 def impute_external(matrix: AggregatedMatrix, path, spec: Optional[ImputerSpec] = None) -> ImputedMatrix:

@@ -313,6 +313,9 @@ def test_softimpute_warm_start_from_a_solution_stops_at_once():
     for bad in (cold.values[:, 1:], np.full_like(cold.values, np.nan)):
         with pytest.raises(ValueError, match="start must be"):
             impute_softimpute(m, lam=0.05, start=bad)
+    # with lam=None the lambda path supplies the start
+    with pytest.raises(ValueError, match="start needs an explicit lam"):
+        impute_softimpute(m, start=cold.values)
 
 
 def test_softimpute_nonconvergence_flagged():
@@ -346,8 +349,8 @@ def test_softimpute_beats_mean_on_low_rank():
 def test_lambda_grid_selection_is_deterministic():
     rng = np.random.default_rng(31)
     m = random_matrix(rng, 15, 10, AggregationMode.AVERAGE, missing_frac=0.2)
-    lam1 = select_softimpute_lambda(m, rank_cap=10, seed=4)
-    lam2 = select_softimpute_lambda(m, rank_cap=10, seed=4)
+    lam1 = select_softimpute_lambda(m, rank_cap=10, seed=4)[0]
+    lam2 = select_softimpute_lambda(m, rank_cap=10, seed=4)[0]
     assert lam1 == lam2
 
 
@@ -408,9 +411,9 @@ def _cold_softimpute_fill(values, lam, rank_cap, tol, max_iter):
 
 
 def _softimpute_oracle(matrix, tol=1e-4, max_iter=200, seed=0):
-    """(lam, values) of impute_softimpute with lam chosen automatically, from
-    a cold solve per grid value (ascending, ties to the smaller lam) and a
-    cold final fit."""
+    """(lam, unclipped fill) of impute_softimpute with lam chosen
+    automatically, from a cold solve per grid value (ascending, ties to the
+    smaller lam) and a cold final fit."""
     values = matrix.values
     rank_cap = min(min(values.shape), 100)
     observed = np.argwhere(~np.isnan(values))
@@ -430,15 +433,25 @@ def _softimpute_oracle(matrix, tol=1e-4, max_iter=200, seed=0):
         rmse = float(np.sqrt(np.mean((pred - values[rows, cols]) ** 2)))
         if rmse < best_rmse:
             best_lam, best_rmse = lam, rmse
-    fill = _cold_softimpute_fill(values, best_lam, rank_cap, tol, max_iter)
-    return best_lam, _finalize(matrix, fill, ImputerSpec("softimpute")).values
+    return best_lam, _cold_softimpute_fill(values, best_lam, rank_cap, tol, max_iter)
 
 
-#: How far an automatic-lambda fill may sit from the cold-solve oracle. Both
-#: stop at a relative change below tol = 1e-4, and on these fixtures the cold
-#: solver itself lies up to about 9e-3 from a tol = 1e-9 solution; a solve
-#: started elsewhere on the path may stop on the other side of that band.
-PATH_FILL_TOL = 1e-2
+#: How far an automatic-lambda fill may sit from the cold-solve oracle: the
+#: cold final fit stops at a relative change below tol = 1e-4, and on the
+#: path fixtures whose fits converge it lies up to 9.06e-3 (planted-5) from
+#: the tol = 1e-9 solution at the same lambda.
+PATH_FILL_TOL = 9.1e-3
+
+#: Fixtures where the cold grid picks lambda with a solve that max_iter stops
+#: unconverged (planted-0: 0.0163); there the path must pick, and fill like,
+#: a tol = 1e-9 grid (0.815).
+LAMBDA_FROM_CONVERGED_GRID = {"planted-0"}
+
+#: Fixtures whose final fit at the chosen lambda max_iter stops unconverged in
+#: both solvers (planted-6: the cold fit lies 0.56 from the tol = 1e-9
+#: solution); there the path's binarised fills must be no farther from that
+#: solution than the cold fit's.
+UNCONVERGED_FINAL_FIT = {"planted-6"}
 
 
 def _path_fixtures():
@@ -476,14 +489,12 @@ def test_softimpute_path_matches_cold_grid_oracle(monkeypatch):
 
     monkeypatch.setattr(impute, "impute_softimpute", recording)
     for name, m in _path_fixtures():
-        want_lam, want = _softimpute_oracle(m)
+        if name in LAMBDA_FROM_CONVERGED_GRID:
+            want_lam, want = _softimpute_oracle(m, tol=1e-9, max_iter=5000)
+        else:
+            want_lam, want = _softimpute_oracle(m)
         rank_cap = min(min(m.values.shape), 100)
-        lam = select_softimpute_lambda(m, rank_cap=rank_cap)
-        if lam != want_lam:
-            # a cold solve that stops short of its solution can move the
-            # cold grid's pick; the path must then pick what a converged
-            # grid picks
-            assert lam == _softimpute_oracle(m, tol=1e-9, max_iter=5000)[0], name
+        assert select_softimpute_lambda(m, rank_cap=rank_cap)[0] == want_lam, name
         solves.clear()
         out = impute.impute_softimpute(m)
         # every grid solve and the final fit go through the module attribute
@@ -491,8 +502,19 @@ def test_softimpute_path_matches_cold_grid_oracle(monkeypatch):
         for result in solves:
             hist = result.objective_history
             assert all(a >= b - 1e-9 for a, b in zip(hist, hist[1:])), name
-        if m.mode is AggregationMode.AVERAGE:
-            assert np.abs(out.values - want).max() <= PATH_FILL_TOL, name
+        missing = np.isnan(m.values)
+        got, want = out.values[missing], np.clip(want[missing], 0.0, 1.0)
+        if name in UNCONVERGED_FINAL_FIT:
+            best = _cold_softimpute_fill(m.values, want_lam, rank_cap, 1e-9, 5000)[missing]
+            flips = lambda fill: int(((fill >= 0.5) != (best >= 0.5)).sum())
+            assert flips(got) <= flips(want), name
+        elif m.mode is AggregationMode.AVERAGE:
+            assert np.abs(got - want).max() <= PATH_FILL_TOL, name
+        else:
+            # a binarised fill may only change where the oracle's fill lies
+            # within the cold solver's own error of the threshold
+            changed = (got >= 0.5) != (want >= 0.5)
+            assert not (changed & (np.abs(want - 0.5) > PATH_FILL_TOL)).any(), name
         again = impute.impute_softimpute(m)
         assert out.values.tobytes() == again.values.tobytes(), name
 
