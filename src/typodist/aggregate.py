@@ -15,7 +15,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Hashable, Sequence, Union
+from typing import Callable, Hashable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -77,13 +77,13 @@ class AggregatedMatrix:
         )
 
 
+T = TypeVar("T")
+
 _cache: "weakref.WeakKeyDictionary[FeatureTensor, dict]" = weakref.WeakKeyDictionary()
 
 
-def _per_version(
-    tensor: FeatureTensor, key: Hashable, build: Callable[[], AggregatedMatrix]
-) -> AggregatedMatrix:
-    """build()'s matrix, built once per (tensor version, key) and then shared."""
+def _per_version(tensor: FeatureTensor, key: Hashable, build: Callable[[], T]) -> T:
+    """build()'s result, built once per (tensor version, key) and then shared."""
     version = tensor.version
     per_tensor = _cache.setdefault(tensor, {})
     hit = per_tensor.get((version, key))
@@ -122,32 +122,32 @@ def aggregate(
 def _aggregate(
     tensor: FeatureTensor, mode: AggregationMode, provenance: tuple[str, ...]
 ) -> AggregatedMatrix:
-    src_indices = {tensor.source_index(s) for s in provenance}
-    n_lang = len(tensor.languages)
-    n_feat = len(tensor.features)
-    total = np.zeros((n_lang, n_feat))
-    count = np.zeros((n_lang, n_feat))
-    peak = np.full((n_lang, n_feat), -np.inf)
-    for (li, fi, si), v in tensor.iter_indexed_cells():
-        if si not in src_indices:
-            continue
-        total[li, fi] += v
-        count[li, fi] += 1
-        if v > peak[li, fi]:
-            peak[li, fi] = v
-
-    values = np.full((n_lang, n_feat), np.nan)
-    known = count > 0
+    snap = tensor.snapshot()
+    # source order fixes the order in which average mode sums a cell's values
+    src_indices = sorted({tensor.source_index(s) for s in provenance})
+    columns = [snap.columns[si] for si in src_indices if si < len(snap.columns)]
+    shape = (len(snap.languages), len(snap.features))
+    values = np.full(shape, np.nan)
     if mode is AggregationMode.UNION:
-        values[known] = peak[known]
+        for col in columns:
+            at = (col.language, col.feature)
+            values[at] = np.fmax(values[at], col.value)
     else:
-        values[known] = total[known] / count[known]
+        total = np.zeros(shape)
+        count = np.zeros(shape)
+        # within one source each cell occurs once, so plain fancy-index
+        # updates do not lose writes
+        for col in columns:
+            at = (col.language, col.feature)
+            total[at] += col.value
+            count[at] += 1
+        np.divide(total, count, out=values, where=count > 0)
     values.flags.writeable = False
 
     return AggregatedMatrix(
         mode=mode,
-        languages=[rec.glottocode for rec in tensor.languages],
-        features=tensor.features,
+        languages=[rec.glottocode for rec in snap.languages],
+        features=snap.features,
         values=values,
         provenance=provenance,
     )

@@ -195,15 +195,12 @@ def cmd_ingest(args, config: CliConfig) -> int:
     merged.languages = [r for r in merged.languages if not tensor.has_language(r.glottocode)]
     conflicts = []
     kept = []
-    for lang, feat, src, value in merged.cells:
-        try:
-            existing = tensor.get_cell(lang, feat, src)
-        except TypodistError:
-            existing = None
+    for cell, existing in zip(merged.cells, tensor.stored_values(merged.cells)):
+        lang, feat, src, value = cell
         if existing is not None and existing != value:
             conflicts.append({"cell": [lang, feat, src], "existing": existing, "incoming": value})
         else:
-            kept.append((lang, feat, src, value))
+            kept.append(cell)
     merged.cells = kept
     tensor.extend_with(merged)
     storage.save_tensor(tensor, args.out)

@@ -10,11 +10,12 @@ produced; the components stand on their own.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .aggregate import AggregationMode
+import numpy as np
+
+from .aggregate import AggregationMode, _per_version
 from .errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
 from .impute import ImputerSpec
 from .kb import Category, FeatureTensor
@@ -35,6 +36,38 @@ def _resolve_scope(tensor: FeatureTensor, scope) -> list[str]:
     return names
 
 
+def _source_agreement(tensor: FeatureTensor) -> tuple[np.ndarray, np.ndarray]:
+    """Per (language, feature): how many sources know the cell, and their
+    mode agreement, the largest number of equal values over that count.
+
+    Built from language x feature arrays one source at a time.
+    """
+    snap = tensor.snapshot()
+    shape = (len(snap.languages), len(snap.features))
+    sourced = np.zeros(shape, dtype=np.int64)
+    top = np.zeros(shape, dtype=np.int64)
+    value_of = np.empty(shape)
+    for col in snap.columns:
+        # how many sources hold col's value at each of col's cells
+        value_of.fill(np.nan)
+        value_of[col.language, col.feature] = col.value
+        sourced[col.language, col.feature] += 1
+        agreeing = np.zeros(shape, dtype=np.int64)
+        for other in snap.columns:
+            at = (other.language, other.feature)
+            agreeing[at] += value_of[at] == other.value
+        np.maximum(top, agreeing, out=top)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sourced, top / sourced
+
+
+def _scope_stats(tensor: FeatureTensor, names: Sequence[str]):
+    """The tensor version's source statistics, and the scope's feature indices."""
+    sourced, agreement = _per_version(tensor, "source agreement", lambda: _source_agreement(tensor))
+    cols = np.array([tensor.feature_index(name) for name in names], dtype=np.intp)
+    return sourced, agreement, cols
+
+
 def completeness(lang_a: str, lang_b: str, tensor: FeatureTensor, scope=None) -> float:
     """1 minus the mean fraction of scope features missing for the pair.
 
@@ -42,43 +75,37 @@ def completeness(lang_a: str, lang_b: str, tensor: FeatureTensor, scope=None) ->
     provides a value.
     """
     names = _resolve_scope(tensor, scope)
+    sourced, _agreement, cols = _scope_stats(tensor, names)
 
     def missing_fraction(lang: str) -> float:
-        missing = sum(1 for name in names if tensor.source_stats(lang, name)[0] == 0)
+        missing = int(np.count_nonzero(sourced[tensor.language_index(lang), cols] == 0))
         return missing / len(names)
 
     return 1.0 - (missing_fraction(lang_a) + missing_fraction(lang_b)) / 2.0
 
 
-def _mode_agreement(values: Sequence[float]) -> float:
-    """Fraction of sources agreeing with the mode; ties break to the lowest value."""
-    counts = Counter(values)
-    top = max(counts.values())
-    mode = min(v for v, c in counts.items() if c == top)
-    return counts[mode] / len(values)
-
-
 def consistency(lang_a: str, lang_b: str, tensor: FeatureTensor, scope=None) -> float:
     """Mean cross-source mode agreement, averaged over the two languages.
 
-    Per language, only features with at least one sourced value enter the
-    average; a language with none in scope has no defined consistency.
+    A feature's mode agreement is the fraction of its sources that agree
+    with the most common value. Per language, only features with at least
+    one sourced value enter the average; a language with none in scope has
+    no defined consistency.
     """
     names = _resolve_scope(tensor, scope)
+    sourced, agreement, cols = _scope_stats(tensor, names)
 
-    def agreement(lang: str) -> float:
-        ratios = []
-        for name in names:
-            n, values = tensor.source_stats(lang, name)
-            if n >= 1:
-                ratios.append(_mode_agreement(values))
+    def agreement_of(lang: str) -> float:
+        li = tensor.language_index(lang)
+        # summed in scope order, as a per-feature loop would
+        ratios = agreement[li, cols][sourced[li, cols] > 0].tolist()
         if not ratios:
             raise NoSourcedFeatures(
                 f"language {lang!r} has no sourced value for any scope feature"
             )
         return sum(ratios) / len(ratios)
 
-    return (agreement(lang_a) + agreement(lang_b)) / 2.0
+    return (agreement_of(lang_a) + agreement_of(lang_b)) / 2.0
 
 
 class QualityCache:

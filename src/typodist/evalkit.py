@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .aggregate import AggregatedMatrix, AggregationMode
+from .aggregate import AggregatedMatrix, AggregationMode, aggregate
 from .errors import DegenerateInput, FormatError, TooFewObserved
 from .impute import ImputerSpec, run_imputer
 from .kb import TYPOLOGICAL_CATEGORIES, FeatureTensor, ResourceTier
@@ -436,10 +436,9 @@ def coverage_report(tensor: FeatureTensor, tiers=None) -> CoverageReport:
     """
     tiers = tiers or {}
     records = tensor.languages
-    features = tensor.features
-    lang_cats: dict[int, set] = {}
-    for (li, fi, _si), _v in tensor.iter_indexed_cells():
-        lang_cats.setdefault(li, set()).add(features[fi].category)
+    matrix = aggregate(tensor, AggregationMode.UNION)
+    known = matrix.known_mask
+    feature_categories = [f.category for f in matrix.features]
 
     def tier_of(idx: int) -> str:
         rec = records[idx]
@@ -447,26 +446,24 @@ def coverage_report(tensor: FeatureTensor, tiers=None) -> CoverageReport:
         return tier.value if isinstance(tier, ResourceTier) else str(tier)
 
     all_tiers = [t.value for t in ResourceTier]
-    categories: dict[str, dict] = {}
-    seen_categories = {f.category for f in features}
-    for cat in sorted(seen_categories, key=lambda c: c.value):
-        by_tier = {t: 0 for t in all_tiers}
-        total = 0
-        for li, cats in lang_cats.items():
-            if cat in cats:
-                total += 1
-                by_tier[tier_of(li)] += 1
-        categories[cat.value] = {"total": total, "by_tier": by_tier}
 
-    typo_by_tier = {t: 0 for t in all_tiers}
-    typo_total = 0
-    for li, cats in lang_cats.items():
-        if cats & TYPOLOGICAL_CATEGORIES:
-            typo_total += 1
-            typo_by_tier[tier_of(li)] += 1
+    def languages_with_data(in_scope) -> dict:
+        """Languages with a known cell in a feature whose category is in_scope, by tier."""
+        cols = np.array([in_scope(c) for c in feature_categories], dtype=bool)
+        rows = np.flatnonzero(known[:, cols].any(axis=1)).tolist()
+        by_tier = {t: 0 for t in all_tiers}
+        for li in rows:
+            by_tier[tier_of(li)] += 1
+        return {"total": len(rows), "by_tier": by_tier}
+
+    categories = {
+        cat.value: languages_with_data(lambda c: c is cat)
+        for cat in sorted(set(feature_categories), key=lambda c: c.value)
+    }
+    typological_total = languages_with_data(lambda c: c in TYPOLOGICAL_CATEGORIES)
 
     return CoverageReport(
         categories=categories,
-        typological_total={"total": typo_total, "by_tier": typo_by_tier},
+        typological_total=typological_total,
         language_count=len(records),
     )

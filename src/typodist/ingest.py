@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
+from .aggregate import AggregationMode, aggregate
 from .errors import (
     CyclicRules,
     FormatError,
@@ -238,10 +241,15 @@ def apply_inference(
     cell_map: dict[tuple[str, str], tuple[str, float]] = {}
     for lang, feat, src, value in batch.cells:
         cell_map.setdefault((lang, feat), (src, value))
-    known_in_tensor: set[tuple[str, str]] = set()
+    # rule target feature -> languages with a known value for it in the tensor
+    known_in_tensor: dict[str, set[str]] = {}
     if tensor is not None:
-        for lang, feat, _src, _value in tensor.iter_cells():
-            known_in_tensor.add((lang, feat))
+        matrix = aggregate(tensor, AggregationMode.UNION)
+        known = matrix.known_mask
+        column = {f.name: j for j, f in enumerate(matrix.features)}
+        for name in {rule.to_feature for rule in rules} & column.keys():
+            rows = np.flatnonzero(known[:, column[name]]).tolist()
+            known_in_tensor[name] = {matrix.languages[i] for i in rows}
 
     languages = {lang for lang, _feat in cell_map} | {
         rec.glottocode for rec in batch.languages
@@ -255,7 +263,9 @@ def apply_inference(
                 src_cell = cell_map.get((lang, rule.from_feature))
                 if src_cell is None:
                     continue
-                if (lang, rule.to_feature) in cell_map or (lang, rule.to_feature) in known_in_tensor:
+                if (lang, rule.to_feature) in cell_map or lang in known_in_tensor.get(
+                    rule.to_feature, ()
+                ):
                     continue
                 mapped = rule.mapped(src_cell[1])
                 if mapped is None:

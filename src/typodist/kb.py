@@ -3,25 +3,34 @@
 Cells hold real values in [0, 1]; a cell that was never written is
 missing. Registries are append-only: once a language, feature, or source
 has an index, that index never changes, and known cells are never
-silently overwritten. All query methods are read-only, so concurrent
-reads from many threads are safe. Writes are serialised: `extend_with` and
-`add_*` hold the tensor's lock, so concurrent writers never share an
-index. Do not read while writing: a query that overlaps a write may see
-it half done.
+silently overwritten.
+
+Each source's cells are three numpy arrays, kept sorted by (language,
+feature): an int32 language index, an int32 feature index and a float64
+value, 16 bytes per cell. A write never changes published arrays: it
+checks the whole batch first, builds new arrays, and publishes them, with
+the registry sizes they were written against, in one reference swap
+before it bumps `version`. Writes are serialised under the tensor's lock,
+so concurrent writers never share an index. Readers take one snapshot
+(`snapshot`), so a read that overlaps a write sees the tensor as it was
+before the write or after it, never half done.
 """
 
 from __future__ import annotations
 
-import math
 import re
 import threading
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import (
     ConflictingWrite,
     FormatError,
+    TypodistError,
     UnknownFeature,
     UnknownLanguage,
     UnknownSource,
@@ -155,11 +164,147 @@ class TensorBatch:
         return len(self.cells)
 
 
-def _check_value(v: float) -> float:
-    v = float(v)
-    if not math.isfinite(v):
-        raise FormatError(f"cell values must be finite, got {v!r}")
-    return min(1.0, max(0.0, v))
+class SourceColumn(NamedTuple):
+    """One source's known cells, sorted by (language, feature), each pair once."""
+
+    language: np.ndarray  # int32 language indices
+    feature: np.ndarray  # int32 feature indices
+    value: np.ndarray  # float64 values in [0, 1]
+
+
+_NO_CELLS = SourceColumn(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
+
+
+class TensorSnapshot(NamedTuple):
+    """The registries and cells as one completed write left them."""
+
+    languages: list[LanguageRecord]
+    features: list[FeatureDescriptor]
+    sources: list[str]
+    columns: tuple[SourceColumn, ...]  # one per source, in source order
+
+
+def _keys(language: np.ndarray, feature: np.ndarray) -> np.ndarray:
+    """One int64 per cell that sorts as (language, feature) does."""
+    return (language.astype(np.int64) << 32) | feature
+
+
+def _find(column: SourceColumn, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each key sits or would go in column, and whether it is stored there."""
+    stored = _keys(column.language, column.feature)
+    pos = np.searchsorted(stored, keys)
+    hit = pos < len(stored)
+    hit[hit] = stored[pos[hit]] == keys[hit]
+    return pos, hit
+
+
+def _stored_values(columns, source, language, feature) -> np.ndarray:
+    """The stored value of each (source, language, feature) cell; NaN where missing."""
+    out = np.full(len(source), np.nan)
+    keys = _keys(language, feature)
+    for si in np.unique(source).tolist():
+        if si < len(columns):  # a source registered after the snapshot has no cells
+            rows = np.flatnonzero(source == si)
+            pos, hit = _find(columns[si], keys[rows])
+            out[rows[hit]] = columns[si].value[pos[hit]]
+    return out
+
+
+def _merged(column: SourceColumn, language, feature, value) -> SourceColumn:
+    """A new column: column with the cells, given in write order, written over it.
+
+    A pair written more than once keeps its last value.
+    """
+    keys = _keys(language, feature)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.append(keys[1:] != keys[:-1], True)
+    order, keys = order[last], keys[last]
+    language, feature, value = language[order], feature[order], value[order]
+    pos, hit = _find(column, keys)
+    kept = column.value.copy()
+    kept[pos[hit]] = value[hit]
+    new = ~hit
+    at = pos[new]
+    return SourceColumn(
+        np.insert(column.language, at, language[new]),
+        np.insert(column.feature, at, feature[new]),
+        np.insert(kept, at, value[new]),
+    )
+
+
+def _unregistered(kind: str, entries, registered: list, index: dict) -> list:
+    """The entries not registered yet, once each, checked in order as
+    registering them one at a time would check them."""
+    new = {}
+    for entry in entries:
+        name = _key(entry)
+        if not name:
+            raise FormatError(f"{kind} name must be non-empty")
+        i = index.get(name)
+        known = registered[i] if i is not None else new.get(name)
+        if known is None:
+            # only languages have parents; they must pre-exist, so parent
+            # chains cannot form cycles
+            parent = getattr(entry, "parent", None)
+            if parent is not None and parent not in index and parent not in new:
+                raise UnknownLanguage(parent)
+            new[name] = entry
+        elif known != entry:
+            raise FormatError(f"{kind} {name!r} already registered with different metadata")
+    return list(new.values())
+
+
+def _resolve(cells, languages: dict, features: dict, sources: dict):
+    """Index arrays and values of the cells up to the first one that does
+    not resolve or whose value is not a number, and that cell's error."""
+    lang, feat, src, values = array("i"), array("i"), array("i"), array("d")
+    error = None
+    try:
+        for glottocode, name, source, value in cells:
+            li = languages.get(glottocode)
+            if li is None:
+                raise UnknownLanguage(glottocode)
+            fi = features.get(name)
+            if fi is None:
+                raise UnknownFeature(name)
+            si = sources.get(source)
+            if si is None:
+                raise UnknownSource(source)
+            values.append(float(value))
+            lang.append(li)
+            feat.append(fi)
+            src.append(si)
+    except (TypodistError, TypeError, ValueError) as exc:
+        error = exc
+    arrays = (np.frombuffer(a, dtype=np.int32) for a in (src, lang, feat))
+    return (*arrays, np.frombuffer(values), error)
+
+
+def _checked(cells, indices, columns, overwrite: bool):
+    """Index arrays and clamped values of a batch's cells, and whether any
+    differs from what columns hold.
+
+    Raises for the first bad cell in batch order, as checking one cell at
+    a time would: a conflict, a non-finite value, or the error that
+    stopped _resolve.
+    """
+    src, lang, feat, raw, error = _resolve(cells, *indices)
+    finite = np.isfinite(raw)
+    n_ok = len(raw) if finite.all() else int(np.argmin(finite))
+    values = np.clip(raw, 0.0, 1.0) + 0.0  # + 0.0 stores -0.0 as 0.0
+    old = _stored_values(columns, src[:n_ok], lang[:n_ok], feat[:n_ok])
+    if not overwrite:
+        conflict = ~np.isnan(old) & (old != values[:n_ok])
+        if conflict.any():
+            i = int(np.argmax(conflict))
+            glottocode, name, source, _value = cells[i]
+            raise ConflictingWrite(glottocode, name, source, float(old[i]), float(values[i]))
+    if n_ok < len(raw):
+        raise FormatError(f"cell values must be finite, got {float(raw[n_ok])!r}")
+    if error is not None:
+        raise error
+    return src, lang, feat, values, bool(np.any(old != values))  # NaN differs from any value
 
 
 class FeatureTensor:
@@ -172,8 +317,11 @@ class FeatureTensor:
         self._lang_index: dict[str, int] = {}
         self._feat_index: dict[str, int] = {}
         self._src_index: dict[str, int] = {}
-        self._cells: dict[tuple[int, int, int], float] = {}
-        # held by every write; reentrant, as extend_with calls add_*
+        # the published cells: one column per source, and the language and
+        # feature counts they were written against; replaced whole by each
+        # write, so one read of it is a consistent snapshot
+        self._state: tuple[tuple[SourceColumn, ...], int, int] = ((), 0, 0)
+        # held by every write; reentrant, as add_* call _write
         self._write_lock = threading.RLock()
         # bumped once per write that changes anything (a new registry entry
         # or cell value); the matrix caches key on it
@@ -229,118 +377,134 @@ class FeatureTensor:
 
     def add_language(self, record: LanguageRecord) -> int:
         with self._write_lock:
-            existing = self._lang_index.get(record.glottocode)
-            if existing is not None:
-                if self._languages[existing] != record:
-                    raise FormatError(
-                        f"language {record.glottocode!r} already registered with "
-                        "different metadata"
-                    )
-                return existing
-            if record.parent is not None and record.parent not in self._lang_index:
-                raise UnknownLanguage(record.parent)
-            # parents must pre-exist, so parent chains cannot form cycles
-            self._lang_index[record.glottocode] = len(self._languages)
-            self._languages.append(record)
-            self.version += 1
+            self._write(languages=[record])
             return self._lang_index[record.glottocode]
 
     def add_feature(self, descriptor: FeatureDescriptor) -> int:
         with self._write_lock:
-            existing = self._feat_index.get(descriptor.name)
-            if existing is not None:
-                if self._features[existing] != descriptor:
-                    raise FormatError(
-                        f"feature {descriptor.name!r} already registered with "
-                        "different metadata"
-                    )
-                return existing
-            self._feat_index[descriptor.name] = len(self._features)
-            self._features.append(descriptor)
-            self.version += 1
+            self._write(features=[descriptor])
             return self._feat_index[descriptor.name]
 
     def add_source(self, name: str) -> int:
-        if not name:
-            raise FormatError("source name must be non-empty")
         with self._write_lock:
-            existing = self._src_index.get(name)
-            if existing is not None:
-                return existing
-            self._src_index[name] = len(self._sources)
-            self._sources.append(name)
-            self.version += 1
+            self._write(sources=[name])
             return self._src_index[name]
 
     # cells ----------------------------------------------------------------
 
+    def snapshot(self) -> TensorSnapshot:
+        """The registries and cells as of the last completed write."""
+        columns, n_languages, n_features = self._state
+        return TensorSnapshot(
+            self._languages[:n_languages],
+            self._features[:n_features],
+            self._sources[: len(columns)],
+            columns,
+        )
+
     def get_cell(self, lang: str, feat: str, src: str) -> CellValue:
         """Stored value for the triple, or None if the cell is missing."""
-        key = (self.language_index(lang), self.feature_index(feat), self.source_index(src))
-        return self._cells.get(key)
+        li, fi, si = self.language_index(lang), self.feature_index(feat), self.source_index(src)
+        columns = self._state[0]
+        return _cell(columns[si], li, fi) if si < len(columns) else None
+
+    def stored_values(self, cells) -> list[CellValue]:
+        """get_cell for many (language, feature, source, ...) tuples at once.
+
+        None where the cell is missing or one of its names is not registered.
+        """
+        columns = self._state[0]
+        keys = [
+            (self._lang_index.get(c[0]), self._feat_index.get(c[1]), self._src_index.get(c[2]))
+            for c in cells
+        ]
+        found = [i for i, key in enumerate(keys) if None not in key]
+        lang, feat, src = (np.array([keys[i][k] for i in found], dtype=np.int32) for k in range(3))
+        out: list[CellValue] = [None] * len(keys)
+        for i, v in zip(found, _stored_values(columns, src, lang, feat).tolist()):
+            if v == v:  # NaN marks a missing cell
+                out[i] = v
+        return out
 
     def extend_with(self, batch: TensorBatch, overwrite: bool = False) -> "FeatureTensor":
         """Apply a write batch; registries grow, known cells never regress.
 
         Writing the value a cell already holds is a no-op; writing a
         different value raises ConflictingWrite unless overwrite is set
-        (the replace-missing-only update path keeps it off). A batch that
-        changes anything bumps the version once.
+        (the replace-missing-only update path keeps it off). A cell written
+        twice in one batch keeps its last value. The whole batch is checked
+        before anything is written, so a rejected batch changes nothing. A
+        batch that changes anything bumps the version once.
         """
+        self._write(batch.languages, batch.features, batch.sources, batch.cells, overwrite)
+        return self
+
+    def _write(self, languages=(), features=(), sources=(), cells=(), overwrite=False) -> None:
+        """Check a whole write, then register its entries and publish its cells."""
         with self._write_lock:
-            version = self.version
-            for rec in batch.languages:
-                self.add_language(rec)
-            for desc in batch.features:
-                self.add_feature(desc)
-            for src in batch.sources:
-                self.add_source(src)
-            # resolve and validate every cell before writing any, so a
-            # conflicting batch never half-applies
-            resolved = []
-            for lang, feat, src, value in batch.cells:
-                key = (self.language_index(lang), self.feature_index(feat), self.source_index(src))
-                value = _check_value(value)
-                old = self._cells.get(key)
-                if old is not None and old != value and not overwrite:
-                    raise ConflictingWrite(lang, feat, src, old, value)
-                resolved.append((key, value))
+            registries = [
+                (registry, index, _unregistered(kind, entries, registry, index))
+                for kind, entries, registry, index in (
+                    ("language", languages, self._languages, self._lang_index),
+                    ("feature", features, self._features, self._feat_index),
+                    ("source", sources, self._sources, self._src_index),
+                )
+            ]
+            columns = self._state[0]
             changed = False
-            for key, value in resolved:
-                if self._cells.get(key) != value:
-                    self._cells[key] = value
-                    changed = True
-            if changed or self.version != version:
-                self.version = version + 1
-            return self
+            if cells:
+                # the indices the batch's new entries will get
+                indices = [
+                    {**index, **{_key(e): len(index) + k for k, e in enumerate(new)}}
+                    if new else index
+                    for _registry, index, new in registries
+                ]
+                src, lang, feat, values, changed = _checked(cells, indices, columns, overwrite)
+            for registry, index, new in registries:
+                for entry in new:
+                    registry.append(entry)
+                    index[_key(entry)] = len(registry) - 1
+            columns = columns + (_NO_CELLS,) * len(registries[2][2])
+            if changed:
+                columns = list(columns)
+                for si in np.unique(src).tolist():
+                    rows = src == si
+                    columns[si] = _merged(columns[si], lang[rows], feat[rows], values[rows])
+            self._state = (tuple(columns), len(self._languages), len(self._features))
+            if changed or any(new for _registry, _index, new in registries):
+                self.version += 1
+
+    def _put_column(self, source: int, language, feature, value) -> None:
+        """Write index arrays of already checked cells of one source, in
+        write order, over what it holds (the path of storage.load_tensor)."""
+        if not len(value):
+            return
+        with self._write_lock:
+            columns, n_languages, n_features = self._state
+            columns = list(columns)
+            columns[source] = _merged(columns[source], language, feature, value)
+            self._state = (tuple(columns), n_languages, n_features)
+            self.version += 1
 
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:
         """(number of sources with a known value, those values in source order)."""
         li = self.language_index(lang)
         fi = self.feature_index(feat)
-        values = []
-        for si in range(len(self._sources)):
-            v = self._cells.get((li, fi, si))
-            if v is not None:
-                values.append(v)
+        values = [v for v in (_cell(col, li, fi) for col in self._state[0]) if v is not None]
         return len(values), values
 
     def iter_cells(self) -> Iterator[tuple[str, str, str, float]]:
-        """All known cells as (glottocode, feature name, source name, value)."""
-        for (li, fi, si), v in self._cells.items():
-            yield (
-                self._languages[li].glottocode,
-                self._features[fi].name,
-                self._sources[si],
-                v,
-            )
+        """All known cells as (glottocode, feature name, source name, value).
 
-    def iter_indexed_cells(self) -> Iterator[tuple[tuple[int, int, int], float]]:
-        """All known cells as ((language_idx, feature_idx, source_idx), value)."""
-        return iter(self._cells.items())
+        Source by source, each sorted by (language, feature) index.
+        """
+        snap = self.snapshot()
+        for src, col in zip(snap.sources, snap.columns):
+            for li, fi, v in zip(col.language.tolist(), col.feature.tolist(), col.value.tolist()):
+                yield snap.languages[li].glottocode, snap.features[fi].name, src, v
 
     def cell_count(self) -> int:
-        return len(self._cells)
+        return sum(len(col.value) for col in self._state[0])
 
     def ancestor_chain(self, glottocode: str) -> list[str]:
         """Parent, grandparent, ... for a language; empty if it has no parent."""
@@ -354,3 +518,18 @@ class FeatureTensor:
             chain.append(rec.parent)
             rec = self.language(rec.parent)
         return chain
+
+
+def _key(entry) -> str:
+    """The registry key of a language record, feature descriptor or source name."""
+    if isinstance(entry, LanguageRecord):
+        return entry.glottocode
+    if isinstance(entry, FeatureDescriptor):
+        return entry.name
+    return entry
+
+
+def _cell(column: SourceColumn, li: int, fi: int) -> CellValue:
+    lo, hi = np.searchsorted(column.language, (li, li + 1))
+    j = lo + int(np.searchsorted(column.feature[lo:hi], fi))
+    return float(column.value[j]) if j < hi and column.feature[j] == fi else None

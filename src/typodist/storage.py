@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+from array import array
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, UnknownFeature, UnknownLanguage
 from .kb import (
     Category,
     FeatureDescriptor,
@@ -26,11 +27,11 @@ from .kb import (
     LanguageRecord,
     OriginKind,
     ResourceTier,
-    TensorBatch,
 )
 
 MISSING_TOKEN = "--"
 REGISTRY_FILE = "registries.json"
+CELL_HEADER = ("language", "feature", "value")
 
 _SAFE_SOURCE_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 
@@ -153,28 +154,42 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for src in tensor.sources:
+    snap = tensor.snapshot()
+    for src in snap.sources:
         if not _SAFE_SOURCE_RE.match(src):
             raise FormatError(f"source name {src!r} is not filesystem-safe")
 
     registries = {
-        "languages": [_language_to_json(r) for r in tensor.languages],
-        "features": [_feature_to_json(f) for f in tensor.features],
-        "sources": tensor.sources,
+        "languages": [_language_to_json(r) for r in snap.languages],
+        "features": [_feature_to_json(f) for f in snap.features],
+        "sources": snap.sources,
     }
     with _replacing(directory / REGISTRY_FILE) as fh:
         json.dump(registries, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    rows_by_source: dict[str, list[tuple[str, str, str]]] = {s: [] for s in tensor.sources}
-    for lang, feat, src, value in tensor.iter_cells():
-        rows_by_source[src].append((lang, feat, format_value(value)))
-    for src, rows in rows_by_source.items():
-        rows.sort()
+    # rows sort by glottocode, then feature name
+    glottocodes = np.array([r.glottocode for r in snap.languages], dtype=object)
+    names = np.array([f.name for f in snap.features], dtype=object)
+    lang_rank, feat_rank = _ranks(glottocodes), _ranks(names)
+    for src, col in zip(snap.sources, snap.columns):
+        order = np.lexsort((feat_rank[col.feature], lang_rank[col.language]))
+        rows = zip(
+            glottocodes[col.language[order]].tolist(),
+            names[col.feature[order]].tolist(),
+            map(format_value, col.value[order].tolist()),
+        )
         with _replacing(directory / f"{src}.csv") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["language", "feature", "value"])
+            writer.writerow(CELL_HEADER)
             writer.writerows(rows)
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each key's position in the sorted keys."""
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
+    return ranks
 
 
 def load_tensor(directory) -> FeatureTensor:
@@ -198,17 +213,40 @@ def load_tensor(directory) -> FeatureTensor:
             )
         tensor.add_source(src)
 
-    cells = []
+    lang_index = {rec.glottocode: i for i, rec in enumerate(tensor.languages)}
+    feat_index = {f.name: i for i, f in enumerate(tensor.features)}
+    # every file is parsed before a cell's unknown language or feature is
+    # reported, so a malformed row anywhere is what gets reported
+    unknown = None
     for src in sources:
         path = directory / f"{src}.csv"
         if not path.exists():
             continue  # a source with no stored cells
-        for row_num, row in _read_csv_rows(path, ("language", "feature", "value")):
+        lang, feat, values = array("i"), array("i"), array("d")
+        for row_num, row in _read_csv_rows(path, CELL_HEADER):
             value = parse_value(row[2], path, row_num)
             if value is None:
                 continue  # explicit-missing row
-            cells.append((row[0].strip(), row[1].strip(), src, value))
-    tensor.extend_with(TensorBatch(cells=cells))
+            li = lang_index.get(row[0].strip())
+            fi = feat_index.get(row[1].strip())
+            if li is None or fi is None:
+                if unknown is None:
+                    unknown = (
+                        UnknownLanguage(row[0].strip()) if li is None
+                        else UnknownFeature(row[1].strip())
+                    )
+                continue
+            lang.append(li)
+            feat.append(fi)
+            values.append(value)
+        tensor._put_column(
+            tensor.source_index(src),
+            np.frombuffer(lang, dtype=np.int32),
+            np.frombuffer(feat, dtype=np.int32),
+            np.frombuffer(values),
+        )
+    if unknown is not None:
+        raise unknown
     return tensor
 
 
@@ -250,7 +288,7 @@ def _read_csv_rows(path, expected_header: Sequence[str]):
                     f"got {','.join(header)!r}"
                 )
             for row_num, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
+                if not "".join(row).strip():  # blank row
                     continue
                 if len(row) != len(expected):
                     raise FormatError(

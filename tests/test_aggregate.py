@@ -5,9 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from typodist.aggregate import AggregationMode, aggregate
+from typodist.aggregate import AggregationMode, _aggregate, aggregate
 from typodist.errors import EmptySourceSubset
-from typodist.kb import LanguageRecord, TensorBatch
+from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch
 
 from conftest import make_tensor
 
@@ -173,3 +173,83 @@ def test_concurrent_eviction_after_extend_never_raises():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert tensor.version > rounds
+
+
+def test_aggregate_while_writing_sees_only_whole_writes():
+    """One writer extends the tensor while three threads aggregate it.
+
+    Every matrix a reader gets must equal the cold aggregate of a state
+    the writer passed through: before or after one of its batches, never
+    part of one.
+    """
+    rng = np.random.default_rng(41)
+    langs = [f"l{i:03d}1234" for i in range(6)]
+    feats = [f"S_F{j}" for j in range(5)]
+    sources = ["SRC_A", "SRC_B", "SRC_C"]
+    start = [(l, f, s, 1.0) for l in langs for f in feats for s in sources if rng.random() < 0.3]
+    batches = []
+    for k in range(300):
+        new_lang = [LanguageRecord(f"n{k:03d}1234")] if k % 3 == 0 else []
+        new_feat = [FeatureDescriptor(f"P_N{k}", Category.PHONOLOGICAL)] if k % 7 == 0 else []
+        names = langs + [r.glottocode for b in batches for r in b.languages] \
+            + [r.glottocode for r in new_lang]
+        fnames = feats + [f.name for b in batches for f in b.features] + [f.name for f in new_feat]
+        cells = [(names[int(rng.integers(len(names)))], fnames[int(rng.integers(len(fnames)))],
+                  sources[int(rng.integers(3))], float(rng.choice([0.0, 0.5, 1.0])))
+                 for _ in range(8)]
+        batches.append(TensorBatch(languages=new_lang, features=new_feat, cells=cells))
+
+    def fresh():
+        return make_tensor(langs, feats, start, sources=sources)
+
+    tensor = fresh()
+    subsets = [None, ["SRC_A"], ["SRC_C", "SRC_B"]]
+    seen, errors, done = [], [], threading.Event()
+
+    def writer():
+        try:
+            for batch in batches:
+                tensor.extend_with(batch, overwrite=True)
+        except Exception as exc:
+            errors.append(exc)
+        finally:
+            done.set()
+
+    def reader(k):
+        try:
+            while not done.is_set():
+                for mode in AggregationMode:
+                    sel = subsets[(k + len(seen)) % len(subsets)]
+                    m = aggregate(tensor, mode, sel)
+                    seen.append((mode, m.provenance, tuple(m.languages),
+                                 tuple(f.name for f in m.features), m.values.tobytes()))
+        except Exception as exc:
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(k,)) for k in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+
+    # replay the writes one batch at a time, aggregating each state cold
+    replay = fresh()
+    states = set()
+    for step in range(len(batches) + 1):
+        for mode in AggregationMode:
+            for sel in subsets:
+                m = _aggregate(replay, mode, tuple(replay.sources) if sel is None else tuple(sel))
+                states.add((mode, m.provenance, tuple(m.languages),
+                            tuple(f.name for f in m.features), m.values.tobytes()))
+        if step < len(batches):
+            replay.extend_with(batches[step], overwrite=True)
+    assert len(set(seen)) > 10  # the readers overlapped many writes
+    assert all(matrix in states for matrix in seen)

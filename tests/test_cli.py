@@ -403,6 +403,36 @@ def test_ingest_twice_into_same_tensor_is_stable(workspace, capsys, tmp_path):
     assert first == second
 
 
+def test_reingest_reports_conflicts_in_order_and_keeps_stored_values(workspace, capsys, tmp_path):
+    from typodist.storage import load_tensor
+
+    data = ingest(capsys, workspace)
+    (workspace / "wals2.csv").write_text(
+        "language,feature,value\n"
+        "eng,tone,1\n"
+        "deu,tone,0\n"
+        "fra,tone,1\n"
+        "deu,nasal vowels,0\n"
+    )
+    code, out, _ = run(
+        capsys, "ingest",
+        "--schema", workspace / "schema.json",
+        "--resolution-table", workspace / "res.csv",
+        "--source", f"WALS={workspace / 'wals2.csv'}",
+        "--data", data,
+        "--out", tmp_path / "kb2",
+    )
+    assert code == 0
+    assert json.loads(out)["conflicts"] == [
+        {"cell": ["stan1293", "P_TONE", "WALS"], "existing": 0.0, "incoming": 1.0},
+        {"cell": ["stan1295", "P_NASAL_VOWELS", "WALS"], "existing": 1.0, "incoming": 0.0},
+    ]
+    tensor = load_tensor(tmp_path / "kb2")
+    assert tensor.get_cell("stan1293", "P_TONE", "WALS") == 0.0
+    assert tensor.get_cell("stan1295", "P_NASAL_VOWELS", "WALS") == 1.0
+    assert tensor.get_cell("stan1290", "P_TONE", "WALS") == 1.0  # a new cell is written
+
+
 def test_registry_file_bytes_deterministic(workspace, capsys, tmp_path):
     ingest(capsys, workspace)
     code, _, _ = run(

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -233,3 +234,100 @@ def test_agreeing_source_never_decreases_consistency(fixture_tensor):
     fixture_tensor.extend_with(TensorBatch(sources=["D"], cells=[("l0011234", "S_F1", "D", 1.0)]))
     after = consistency("l0011234", "l0021234", fixture_tensor)
     assert after >= before - 1e-15
+
+
+# --- the per-version statistics against the per-call code they replaced -----
+
+def _scope_names(tensor, scope):
+    if scope is None:
+        names = [f.name for f in tensor.features]
+    elif isinstance(scope, Category):
+        names = [f.name for f in tensor.features_in_category(scope)]
+    else:
+        names = list(dict.fromkeys(scope))
+    if not names:
+        raise EmptyScope("feature scope is empty")
+    return names
+
+
+def _completeness_oracle(lang_a, lang_b, tensor, scope=None):
+    names = _scope_names(tensor, scope)
+
+    def missing_fraction(lang):
+        missing = sum(1 for name in names if tensor.source_stats(lang, name)[0] == 0)
+        return missing / len(names)
+
+    return 1.0 - (missing_fraction(lang_a) + missing_fraction(lang_b)) / 2.0
+
+
+def _mode_agreement(values):
+    counts = Counter(values)
+    top = max(counts.values())
+    mode = min(v for v, c in counts.items() if c == top)
+    return counts[mode] / len(values)
+
+
+def _consistency_oracle(lang_a, lang_b, tensor, scope=None):
+    names = _scope_names(tensor, scope)
+
+    def agreement(lang):
+        ratios = []
+        for name in names:
+            n, values = tensor.source_stats(lang, name)
+            if n >= 1:
+                ratios.append(_mode_agreement(values))
+        if not ratios:
+            raise NoSourcedFeatures(
+                f"language {lang!r} has no sourced value for any scope feature"
+            )
+        return sum(ratios) / len(ratios)
+
+    return (agreement(lang_a) + agreement(lang_b)) / 2.0
+
+
+def _same_outcome(fn, oracle, *args):
+    try:
+        want = oracle(*args)
+    except Exception as exc:  # compared by type and message
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fn(*args)
+        return
+    assert fn(*args) == want  # bit for bit
+
+
+def test_components_match_the_per_call_oracle():
+    rng = np.random.default_rng(53)
+    for trial in range(40):
+        langs = [f"l{i:03d}1234" for i in range(int(rng.integers(2, 8)))]
+        feats = [f"{p}F{j}" for p in ("S_", "P_", "INV_") for j in range(int(rng.integers(1, 5)))]
+        sources = ["A", "B", "C", "D", "E"][: int(rng.integers(1, 6))]
+        levels = [0.0, 1.0] if trial % 2 else [0.0, 0.25, 0.5, 1.0]
+        cells = [(l, f, s, float(rng.choice(levels)))
+                 for l in langs for f in feats for s in sources if rng.random() < 0.35]
+        if not cells:
+            continue
+        tensor = make_tensor(langs, feats, [cells[i] for i in rng.permutation(len(cells))])
+        scopes = [None, Category.SYNTACTIC, Category.MORPHOLOGICAL,
+                  list(rng.choice(feats, size=3)), []]
+        for _ in range(15):
+            a, b = (langs[int(i)] for i in rng.integers(len(langs), size=2))
+            scope = scopes[int(rng.integers(len(scopes)))]
+            _same_outcome(completeness, _completeness_oracle, a, b, tensor, scope)
+            _same_outcome(consistency, _consistency_oracle, a, b, tensor, scope)
+        # a write makes a new version, and the statistics follow it
+        l, f, s, v = cells[0]
+        tensor.extend_with(TensorBatch(cells=[(l, f, s, 1.0 - v)]), overwrite=True)
+        _same_outcome(consistency, _consistency_oracle, l, langs[-1], tensor, None)
+        _same_outcome(completeness, _completeness_oracle, l, langs[-1], tensor, None)
+
+
+def test_confidence_report_reads_no_per_cell_statistics(fixture_tensor, monkeypatch):
+    pair = ("l0011234", "l0041234")
+    want = (_completeness_oracle(*pair, fixture_tensor), _consistency_oracle(*pair, fixture_tensor))
+
+    def fail(*args):
+        raise AssertionError("source_stats called")
+
+    monkeypatch.setattr(type(fixture_tensor), "source_stats", fail)
+    report = confidence_report(*pair, fixture_tensor)
+    assert (report.completeness, report.consistency) == want

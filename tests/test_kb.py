@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from typodist.aggregate import AggregationMode, aggregate
 from typodist.errors import (
     ConflictingWrite,
     FormatError,
@@ -19,7 +20,7 @@ from typodist.kb import (
     TensorBatch,
 )
 
-from conftest import make_tensor
+from conftest import DictTensor, make_tensor
 
 
 def test_get_cell_known(tiny_tensor):
@@ -231,3 +232,171 @@ def test_ancestor_chain(tiny_tensor):
     tiny_tensor.add_language(LanguageRecord("gran1234", parent="dial1234"))
     assert tiny_tensor.ancestor_chain("gran1234") == ["dial1234", "pare1234"]
     assert tiny_tensor.ancestor_chain("pare1234") == []
+
+
+# --- the columnar store against the dict-of-cells oracle -------------------
+
+ORACLE_VALUES = [0.0, 0.25, 0.5, 1.0]
+
+
+def _random_value(rng):
+    r = rng.random()
+    if r < 0.01:
+        return [float("nan"), float("inf"), -float("inf")][int(rng.integers(3))]
+    if r < 0.07:
+        return [1.5, -0.25, -0.0, 2][int(rng.integers(4))]  # clamped on write
+    if r < 0.25:
+        return float(rng.random())
+    return ORACLE_VALUES[int(rng.integers(len(ORACLE_VALUES)))]
+
+
+def _random_write(rng, oracle, fresh):
+    """One seeded random write as (method name, args, kwargs).
+
+    fresh() hands out a new suffix for names never used before.
+    """
+    langs = [r.glottocode for r in oracle.languages]
+    feats = [f.name for f in oracle.features]
+    srcs = list(oracle.sources)
+
+    def pick(names, unknown):
+        if names and rng.random() > 0.01:
+            return names[int(rng.integers(len(names)))]
+        return unknown
+
+    r = rng.random()
+    if r < 0.08:
+        parent = pick(langs, f"miss{fresh()}") if rng.random() < 0.3 else None
+        if langs and rng.random() < 0.2:
+            name = pick(langs, langs[0])
+            label = "changed" if rng.random() < 0.5 else ""  # "" re-registers the same record
+            return "add_language", (LanguageRecord(name, name=label),), {}
+        return "add_language", (LanguageRecord(f"lang{fresh()}", parent=parent),), {}
+    if r < 0.12:
+        return "add_feature", (FeatureDescriptor(f"S_NEW{fresh()}", Category.SYNTACTIC),), {}
+    if r < 0.16:
+        return "add_source", (["", f"SRC{fresh()}", *srcs][int(rng.integers(len(srcs) + 2))],), {}
+    batch = TensorBatch()
+    for _ in range(int(rng.integers(0, 3))):
+        parent = pick(langs + [r.glottocode for r in batch.languages], "miss0000") \
+            if rng.random() < 0.3 else None
+        batch.languages.append(LanguageRecord(f"lang{fresh()}", parent=parent))
+    if rng.random() < 0.1 and langs:  # re-registering an entry as it is changes nothing
+        batch.languages.append(oracle.languages[int(rng.integers(len(langs)))])
+    if rng.random() < 0.3:
+        batch.features.append(FeatureDescriptor(f"P_NEW{fresh()}", Category.PHONOLOGICAL))
+    if rng.random() < 0.2 or not srcs:
+        batch.sources.append(f"SRC{fresh()}")
+    all_langs = langs + [r.glottocode for r in batch.languages]
+    all_feats = feats + [f.name for f in batch.features]
+    all_srcs = srcs + batch.sources
+    for _ in range(int(rng.integers(0, 14))):
+        if batch.cells and rng.random() < 0.15:  # the same cell again, often with a new value
+            lang, feat, src, _v = batch.cells[int(rng.integers(len(batch.cells)))]
+            batch.cells.append((lang, feat, src, _random_value(rng)))
+            continue
+        cell = (pick(all_langs, "zzzz9999"), pick(all_feats, "S_NOPE"), pick(all_srcs, "NOPE"))
+        stored = oracle._cells.get(tuple(
+            index.get(name) for index, name in zip(
+                (oracle._lang_index, oracle._feat_index, oracle._src_index), cell)))
+        # a stored cell mostly gets its own value back; otherwise a conflict
+        value = stored if stored is not None and rng.random() < 0.8 else _random_value(rng)
+        batch.cells.append((*cell, value))
+    return "extend_with", (batch,), {"overwrite": bool(rng.random() < 0.2)}
+
+
+def _state(tensor):
+    return (tensor.version, tensor.languages, tensor.features, tensor.sources,
+            sorted(tensor.iter_cells()))
+
+
+def _assert_same_store(tensor, oracle, rng):
+    assert _state(tensor) == _state(oracle)
+    assert tensor.cell_count() == oracle.cell_count()
+    langs, feats = tensor.languages, tensor.features
+    for _ in range(40 if langs and feats else 0):
+        lang = langs[int(rng.integers(len(langs)))].glottocode
+        feat = feats[int(rng.integers(len(feats)))].name
+        assert tensor.source_stats(lang, feat) == oracle.source_stats(lang, feat)
+    subset = [s for s in tensor.sources if rng.random() < 0.5]
+    for mode in AggregationMode:
+        for sources in [None] + ([subset] if subset else []):
+            want = oracle.aggregate(mode, tensor.sources if sources is None else subset)
+            got = aggregate(tensor, mode, sources).values
+            assert np.array_equal(got, want, equal_nan=True)
+    probes = [(c[0], c[1], c[2]) for c in oracle.iter_cells()][:20] + [
+        (lang.glottocode, feat.name, src) for lang in tensor.languages[:3]
+        for feat in tensor.features[:3] for src in tensor.sources] + [
+        ("zzzz9999", "S_F1", "SRC_A"), ("", "", "")]
+    want = [oracle._cells.get(tuple(
+        index.get(name) for index, name in zip(
+            (oracle._lang_index, oracle._feat_index, oracle._src_index), p))) for p in probes]
+    assert tensor.stored_values(probes) == want
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:  # compared by type and message below
+        return exc
+    return None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_writes_match_the_dict_store(seed):
+    rng = np.random.default_rng([seed, 7])
+    tensor, oracle = FeatureTensor(), DictTensor()
+    counter = iter(range(10**6))
+
+    def fresh():
+        return f"{next(counter):04d}"
+
+    rejected = 0
+    for _step in range(100):
+        method, args, kwargs = _random_write(rng, oracle, fresh)
+        before = _state(tensor)
+        want = _outcome(lambda: getattr(oracle, method)(*args, **kwargs))
+        got = _outcome(lambda: getattr(tensor, method)(*args, **kwargs))
+        assert type(got) is type(want) and str(got) == str(want), (method, args, kwargs)
+        if got is not None:
+            rejected += 1
+            assert _state(tensor) == before
+        _assert_same_store(tensor, oracle, rng)
+    # the sequence exercises both outcomes
+    assert 10 < rejected < 120
+    assert tensor.cell_count() > 30
+
+
+def test_rejected_batch_registers_nothing(tiny_tensor):
+    before = _state(tiny_tensor)
+    batch = TensorBatch(
+        languages=[LanguageRecord("newl1234")],
+        features=[FeatureDescriptor("S_NEW", Category.SYNTACTIC)],
+        sources=["SRC_NEW"],
+        cells=[("newl1234", "S_NEW", "SRC_NEW", 1.0), ("pare1234", "S_F1", "SRC_A", 0.0)],
+    )
+    with pytest.raises(ConflictingWrite):
+        tiny_tensor.extend_with(batch)
+    assert _state(tiny_tensor) == before
+    assert not tiny_tensor.has_language("newl1234")
+
+
+def test_first_bad_cell_in_batch_order_is_reported(tiny_tensor):
+    cells = [
+        ("pare1234", "S_F1", "SRC_A", 0.0),  # conflicts
+        ("pare1234", "S_F2", "SRC_B", float("nan")),
+        ("zzzz9999", "S_F1", "SRC_A", 1.0),
+    ]
+    for start, error in [(0, ConflictingWrite), (1, FormatError), (2, UnknownLanguage)]:
+        with pytest.raises(error) as caught:
+            tiny_tensor.extend_with(TensorBatch(cells=cells[start:]))
+        assert type(caught.value) is error
+
+
+def test_iter_cells_yields_each_source_sorted(tiny_tensor):
+    tiny_tensor.extend_with(TensorBatch(cells=[("othe1234", "S_F1", "SRC_B", 1.0),
+                                               ("dial1234", "S_F2", "SRC_B", 0.0)]))
+    cells = list(tiny_tensor.iter_cells())
+    t = tiny_tensor
+    rank = [(t.source_index(s), t.language_index(l), t.feature_index(f)) for l, f, s, _v in cells]
+    assert rank == sorted(rank) and len(set(rank)) == len(rank)

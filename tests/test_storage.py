@@ -1,3 +1,4 @@
+import csv
 import errno
 import os
 from pathlib import Path
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 from typodist import storage
-from typodist.errors import FormatError
+from typodist.aggregate import AggregationMode, aggregate
+from typodist.errors import FormatError, UnknownFeature
 from typodist.kb import LanguageRecord, TensorBatch
 
 from conftest import make_matrix, make_tensor
-from typodist.aggregate import AggregationMode
 
 
 def test_tensor_round_trip(tmp_path, tiny_tensor):
@@ -201,3 +202,71 @@ def test_bad_registry_entries_name_the_registry_file(tmp_path, tiny_tensor):
     path.write_text(good.replace('"category": "syntactic"', '"kategory": "syntactic"', 1))
     with pytest.raises(FormatError, match="registries.json: feature entry has no 'category'"):
         storage.load_tensor(tmp_path)
+
+
+def _write_cells_as_before(tensor, directory):
+    """The per-cell writer save_tensor replaced: rows from iter_cells, sorted."""
+    rows_by_source = {s: [] for s in tensor.sources}
+    for lang, feat, src, value in tensor.iter_cells():
+        rows_by_source[src].append((lang, feat, storage.format_value(value)))
+    for src, rows in rows_by_source.items():
+        rows.sort()
+        with open(Path(directory) / f"{src}.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["language", "feature", "value"])
+            writer.writerows(rows)
+
+
+def _random_tensor(rng):
+    """Cells written in shuffled order, then partly overwritten."""
+    langs = [f"l{i:03d}1234" for i in rng.permutation(int(rng.integers(1, 15)))]
+    feats = [f"{p}F{j}" for j in range(int(rng.integers(1, 9))) for p in ("S_", "P_")]
+    srcs = ["SRC_B", "SRC_A", "SRC.c", "src-d"][: int(rng.integers(1, 5))]
+    cells = [(l, f, s, float(rng.choice([0.0, 1.0, 0.5, rng.random()])))
+             for l in langs for f in feats for s in srcs if rng.random() < 0.4]
+    cells = [cells[i] for i in rng.permutation(len(cells))]
+    tensor = make_tensor(langs, feats, cells or [(langs[0], feats[0], srcs[0], 1.0)])
+    tensor.extend_with(TensorBatch(cells=[(l, f, s, 1.0 - v) for l, f, s, v in cells[::3]]),
+                       overwrite=True)
+    return tensor
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
+
+
+def test_save_load_save_is_byte_identical_and_keeps_the_old_rows(tmp_path, tiny_tensor):
+    rng = np.random.default_rng(17)
+    for k, tensor in enumerate([tiny_tensor] + [_random_tensor(rng) for _ in range(25)]):
+        first, second, before = tmp_path / f"a{k}", tmp_path / f"b{k}", tmp_path / f"c{k}"
+        storage.save_tensor(tensor, first)
+        loaded = storage.load_tensor(first)
+        storage.save_tensor(loaded, second)
+        assert _files(second) == _files(first)
+        before.mkdir()
+        _write_cells_as_before(tensor, before)
+        saved = _files(first)
+        assert {name: saved[name] for name in _files(before)} == _files(before)
+        for mode in AggregationMode:
+            assert np.array_equal(aggregate(loaded, mode).values, aggregate(tensor, mode).values,
+                                  equal_nan=True)
+
+
+def test_load_reports_the_first_unknown_cell_after_every_row_parsed(tmp_path, tiny_tensor):
+    storage.save_tensor(tiny_tensor, tmp_path)
+    (tmp_path / "SRC_A.csv").write_text(
+        "language,feature,value\npare1234,S_NOPE,1\nzzzz9999,S_F1,1\n")
+    with pytest.raises(UnknownFeature, match="S_NOPE"):
+        storage.load_tensor(tmp_path)
+    (tmp_path / "SRC_B.csv").write_text("language,feature,value\npare1234,S_F1,7\n")
+    with pytest.raises(FormatError, match="outside"):
+        storage.load_tensor(tmp_path)
+
+
+def test_load_keeps_the_last_of_repeated_rows(tmp_path, tiny_tensor):
+    storage.save_tensor(tiny_tensor, tmp_path)
+    (tmp_path / "SRC_A.csv").write_text(
+        "language,feature,value\npare1234,S_F1,1\nothe1234,S_F1,0\npare1234,S_F1,0.5\n")
+    loaded = storage.load_tensor(tmp_path)
+    assert loaded.get_cell("pare1234", "S_F1", "SRC_A") == 0.5
+    assert loaded.cell_count() == 2 + 3  # SRC_B keeps its three cells
