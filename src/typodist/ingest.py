@@ -263,9 +263,8 @@ def apply_inference(
                 src_cell = cell_map.get((lang, rule.from_feature))
                 if src_cell is None:
                     continue
-                if (lang, rule.to_feature) in cell_map or lang in known_in_tensor.get(
-                    rule.to_feature, ()
-                ):
+                in_tensor = known_in_tensor.get(rule.to_feature, ())
+                if (lang, rule.to_feature) in cell_map or lang in in_tensor:
                     continue
                 mapped = rule.mapped(src_cell[1])
                 if mapped is None:

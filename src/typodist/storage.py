@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
-from array import array
 import json
 import os
 import re
+from array import array
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
