@@ -69,18 +69,18 @@ class CliConfig:
 
 
 def load_config(path) -> CliConfig:
-    data = storage._read_json(path)
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise FormatError(f"config seed must be an unsigned 64-bit integer, got {seed!r}")
+    data, where = storage._read_json(path), str(path)
+    seed = storage._json_field(data, "seed", int, where, 0)
+    if not 0 <= seed < 2**64:
+        raise FormatError(f"{where}: 'seed' must be an unsigned 64-bit integer, got {seed!r}")
     config = CliConfig(
-        data_dir=data.get("data_dir"),
-        aggregation=data.get("aggregation", "union"),
-        metric=data.get("metric", "angular"),
-        imputer=data.get("imputer", "softimpute"),
+        data_dir=storage._json_field(data, "data_dir", (str, None), where, None),
+        aggregation=storage._json_field(data, "aggregation", AggregationMode, where, "union").value,
+        metric=storage._json_field(data, "metric", Metric, where, "angular").value,
+        imputer=storage._json_field(data, "imputer", IMPUTER_METHODS, where, "softimpute"),
         seed=seed,
-        resolution_table=data.get("resolution_table"),
-        rules_file=data.get("rules_file"),
+        resolution_table=storage._json_field(data, "resolution_table", (str, None), where, None),
+        rules_file=storage._json_field(data, "rules_file", (str, None), where, None),
     )
     for key in ("data_dir", "resolution_table", "rules_file"):
         value = getattr(config, key)
@@ -244,7 +244,8 @@ def cmd_impute(args, config: CliConfig) -> int:
     result = run_imputer(matrix, spec, registry=tensor, dialect_fill=args.dialect_fill)
     storage.export_matrix_csv(result.languages, result.features, result.values, args.out)
     mask_path = str(args.out) + ".mask.csv"
-    storage.export_mask_csv(result.languages, result.features, result.imputed_mask, mask_path)
+    mask = result.imputed_mask.astype(float)
+    storage.export_matrix_csv(result.languages, result.features, mask, mask_path)
     _emit(
         {
             "out": str(args.out),
@@ -334,9 +335,7 @@ def cmd_eval_quality(args, config: CliConfig) -> int:
             dialect_fill=not args.no_dialect_fill,
         )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        storage.write_json(payload, args.out)
     if args.quality_cache:
         path = Path(args.quality_cache)
         cache = QualityCache.load(path) if path.exists() else QualityCache()
@@ -353,9 +352,7 @@ def cmd_eval_casestudy(args, config: CliConfig) -> int:
     )
     payload = result.to_json()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        storage.write_json(payload, args.out)
     _emit(payload, args.format)
     return EXIT_OK
 
@@ -365,12 +362,8 @@ def cmd_eval_coverage(args, config: CliConfig) -> int:
     tiers = {}
     if args.tiers:
         for row_num, row in storage._read_csv_rows(args.tiers, ("glottocode", "tier")):
-            try:
-                tiers[row[0].strip()] = ResourceTier(row[1].strip())
-            except ValueError:
-                raise FormatError(
-                    f"{args.tiers}: row {row_num}: unknown tier {row[1].strip()!r}"
-                ) from None
+            where = f"{args.tiers}: row {row_num}"
+            tiers[row[0].strip()] = storage._checked(row[1].strip(), ResourceTier, where, "tier")
     report = coverage_report(tensor, tiers=tiers)
     _emit(report.to_json(), args.format)
     return EXIT_OK
@@ -501,16 +494,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else CliConfig()
         return args.func(args, config)
-    except FormatError as exc:
+    except (FormatError, OSError) as exc:  # an OSError is a write that failed part-way
         _print_error(exc)
         return EXIT_FORMAT
-    except QueryError as exc:
-        _print_error(exc)
-        return EXIT_QUERY
-    except TypodistError as exc:
-        _print_error(exc)
-        return EXIT_QUERY
-    except ValueError as exc:
+    except (TypodistError, ValueError) as exc:
         _print_error(exc)
         return EXIT_QUERY
 

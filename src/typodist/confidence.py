@@ -9,7 +9,6 @@ produced; the components stand on their own.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -19,7 +18,10 @@ from .aggregate import AggregationMode, _per_version
 from .errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
 from .impute import ImputerSpec
 from .kb import Category, FeatureTensor
-from .storage import _read_json
+from .storage import _checked, _json_field, _read_json, write_json
+
+#: The metric each aggregation mode's imputation quality is read from.
+_QUALITY_METRIC = {AggregationMode.UNION: "f1", AggregationMode.AVERAGE: "rmse"}
 
 
 def _resolve_scope(tensor: FeatureTensor, scope) -> list[str]:
@@ -128,22 +130,23 @@ class QualityCache:
     def to_json(self) -> dict:
         return {f"{k[0]}|{k[1]}": dict(v) for k, v in self._metrics.items()}
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "QualityCache":
-        cache = cls()
-        for key, metrics in data.items():
-            method_key, _, mode = key.rpartition("|")
-            cache._metrics[(method_key, mode)] = dict(metrics)
-        return cache
-
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_json(), path)
 
     @classmethod
     def load(cls, path) -> "QualityCache":
-        return cls.from_json(_read_json(path))
+        """Read a saved cache; each key names a method and a mode, and each
+        entry holds that mode's quality metric as a finite number."""
+        data = _read_json(path)
+        cache = cls()
+        for key in data:
+            where = f"{path}: {key!r}"
+            method_key, _, mode = key.rpartition("|")
+            mode = _checked(mode, AggregationMode, where, "mode")
+            metrics = _json_field(data, key, dict, str(path))
+            _json_field(metrics, _QUALITY_METRIC[mode], float, where)
+            cache.store(method_key, mode, metrics)
+        return cache
 
 
 def imputation_quality(
@@ -159,10 +162,8 @@ def imputation_quality(
         return 1.0
     if cache is None:
         raise MissingQualityRun("no quality cache supplied")
-    metrics = cache.get(method.key, mode)
-    if mode is AggregationMode.UNION:
-        return float(metrics["f1"])
-    return 1.0 - float(metrics["rmse"])
+    value = float(cache.get(method.key, mode)[_QUALITY_METRIC[mode]])
+    return value if mode is AggregationMode.UNION else 1.0 - value
 
 
 @dataclass(frozen=True)

@@ -377,16 +377,18 @@ class CaseStudyResult:
 
 
 def load_case_study(path) -> tuple[list[str], list[float], list[float], list[float]]:
-    """Case-study CSV: pair,dist_a,dist_b,g_d."""
+    """Case-study CSV: pair,dist_a,dist_b,g_d, with finite distances."""
     labels, a, b, ref = [], [], [], []
     for row_num, row in _read_csv_rows(path, ("pair", "dist_a", "dist_b", "g_d")):
-        labels.append(row[0].strip())
         try:
-            a.append(float(row[1]))
-            b.append(float(row[2]))
-            ref.append(float(row[3]))
+            numbers = [float(cell) for cell in row[1:]]
         except ValueError:
-            raise FormatError(f"{path}: row {row_num}: bad number") from None
+            numbers = [math.nan]
+        if not all(map(math.isfinite, numbers)):
+            raise FormatError(f"{path}: row {row_num}: distances must be finite numbers")
+        labels.append(row[0].strip())
+        for column, number in zip((a, b, ref), numbers):
+            column.append(number)
     return labels, a, b, ref
 
 

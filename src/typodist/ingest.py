@@ -34,7 +34,7 @@ from .kb import (
     LanguageRecord,
     TensorBatch,
 )
-from .storage import _read_csv_rows, _read_json
+from .storage import _checked, _json_field, _read_csv_rows, _read_json
 
 MISSING_MARKERS = {"", "--", "?", "NA", "N/A"}
 
@@ -182,13 +182,8 @@ def load_rules(path) -> list[InferenceRule]:
     order: list[tuple[str, str, RuleDirection]] = []
     header = ("from_feature", "to_feature", "direction", "from_value", "to_value")
     for row_num, row in _read_csv_rows(path, header):
-        frm, to, direction_s, fv, tv = (c.strip() for c in row)
-        try:
-            direction = RuleDirection(direction_s.lower())
-        except ValueError:
-            raise FormatError(
-                f"{path}: row {row_num}: direction must be implies or equivalent"
-            ) from None
+        frm, to, direction, fv, tv = (c.strip() for c in row)
+        direction = _checked(direction.lower(), RuleDirection, f"{path}: row {row_num}", "direction")
         try:
             pair = (float(fv), float(tv))
         except ValueError:
@@ -354,19 +349,17 @@ class IngestSchema:
 
 
 def load_ingest_schema(path) -> IngestSchema:
-    data = _read_json(path)
-    raw_features = data.get("features")
-    if not isinstance(raw_features, dict) or not raw_features:
+    raw_features = _json_field(_read_json(path), "features", dict, str(path))
+    if not raw_features:
         raise FormatError(f"{path}: schema must define a non-empty 'features' object")
     features: dict[str, FeatureSpec] = {}
-    for label, spec in raw_features.items():
-        try:
-            kind = VariableKind(spec["kind"])
-            category = Category(spec["category"])
-        except (KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: feature {label!r}: {exc}") from None
-        categories = tuple(spec.get("categories", ()))
-        max_level = int(spec.get("max_level", 0))
+    for label in raw_features:
+        spec = _json_field(raw_features, label, dict, f"{path}: features")
+        where = f"{path}: feature {label!r}"
+        kind = _json_field(spec, "kind", VariableKind, where)
+        category = _json_field(spec, "category", Category, where)
+        categories = tuple(_json_field(spec, "categories", [str], where, []))
+        max_level = _json_field(spec, "max_level", int, where, 0)
         if kind is VariableKind.NOMINAL and len(categories) < 2:
             raise FormatError(f"{path}: nominal feature {label!r} needs >= 2 categories")
         if kind is VariableKind.ORDINAL and max_level < 1:

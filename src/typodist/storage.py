@@ -12,7 +12,9 @@ import csv
 import json
 import os
 import re
+import sys
 from array import array
+from enum import EnumMeta
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -27,6 +29,7 @@ from .kb import (
     LanguageRecord,
     OriginKind,
     ResourceTier,
+    TensorBatch,
 )
 
 MISSING_TOKEN = "--"
@@ -79,70 +82,62 @@ def _feature_to_json(desc: FeatureDescriptor) -> dict:
     }
 
 
-def _bad_registry_entry(kind: str, exc: Exception) -> FormatError:
-    if isinstance(exc, KeyError):
-        return FormatError(f"{REGISTRY_FILE}: {kind} entry has no {exc} key")
-    return FormatError(f"{REGISTRY_FILE}: {kind} entry: {exc}")
+def _language_from_json(obj: dict, where: str) -> LanguageRecord:
+    return LanguageRecord(
+        glottocode=_json_field(obj, "glottocode", str, where),
+        iso639_3=_json_field(obj, "iso639_3", (str, None), where, None),
+        name=_json_field(obj, "name", str, where, ""),
+        parent=_json_field(obj, "parent", (str, None), where, None),
+        tier=_json_field(obj, "tier", ResourceTier, where, "Unknown"),
+    )
 
 
-def _registry_object(kind: str, obj) -> dict:
-    if not isinstance(obj, dict):
-        raise FormatError(f"{REGISTRY_FILE}: {kind} is not a JSON object ({type(obj).__name__})")
-    return obj
-
-
-def _registry_list(registries: dict, key: str) -> list:
-    entries = registries.get(key, [])
-    if not isinstance(entries, list):
-        raise FormatError(f"{REGISTRY_FILE}: {key} is not a JSON list ({type(entries).__name__})")
-    return entries
-
-
-def _language_from_json(obj: dict) -> LanguageRecord:
-    _registry_object("language entry", obj)
-    try:
-        return LanguageRecord(
-            glottocode=obj["glottocode"],
-            iso639_3=obj.get("iso639_3"),
-            name=obj.get("name", ""),
-            parent=obj.get("parent"),
-            tier=ResourceTier(obj.get("tier", "Unknown")),
-        )
-    except (KeyError, ValueError) as exc:
-        raise _bad_registry_entry("language", exc) from None
-
-
-def _feature_from_json(obj: dict) -> FeatureDescriptor:
-    _registry_object("feature entry", obj)
-    origin = obj.get("origin")
-    origin = _registry_object("feature entry origin", {} if origin is None else origin)
-    try:
-        return FeatureDescriptor(
-            name=obj["name"],
-            category=Category(obj["category"]),
-            origin=FeatureOrigin(
-                kind=OriginKind(origin.get("kind", "native")),
-                parent_feature=origin.get("parent_feature"),
-                level=origin.get("level"),
-            ),
-        )
-    except (KeyError, ValueError) as exc:
-        raise _bad_registry_entry("feature", exc) from None
+def _feature_from_json(obj: dict, where: str) -> FeatureDescriptor:
+    origin = _json_field(obj, "origin", (dict, None), where, None) or {}
+    in_origin = f"{where} origin"
+    return FeatureDescriptor(
+        name=_json_field(obj, "name", str, where),
+        category=_json_field(obj, "category", Category, where),
+        origin=FeatureOrigin(
+            kind=_json_field(origin, "kind", OriginKind, in_origin, "native"),
+            parent_feature=_json_field(origin, "parent_feature", (str, None), in_origin, None),
+            level=_json_field(origin, "level", (str, None), in_origin, None),
+        ),
+    )
 
 
 @contextlib.contextmanager
 def _replacing(path: Path) -> Iterator[TextIO]:
     """Open a temp file next to path and rename it over path on success,
-    so that path always holds either its old or its new content in full."""
+    so that path always holds either its old or its new content in full.
+    Failing to create, sync or rename the temp file raises FormatError; an
+    OSError raised by a write in the block reaches the caller unchanged."""
+    if path.exists() and not path.is_file():  # never rename over a device or a directory
+        raise FormatError(f"{path}: cannot write: not a regular file")
     tmp = path.with_name(f".{path.name}.tmp")
+    in_block = False
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            in_block = True
             yield fh
+            in_block = False
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
+    except OSError as exc:
+        if in_block:
+            raise
+        raise _cannot("write", path, exc) from None
     finally:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # no temp file, or no directory for one
+            tmp.unlink()
+
+
+def write_json(data, path) -> None:
+    """Write data as indented JSON with sorted keys, replacing path whole."""
+    with _replacing(Path(path)) as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def save_tensor(tensor: FeatureTensor, directory) -> None:
@@ -164,9 +159,7 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
         "features": [_feature_to_json(f) for f in snap.features],
         "sources": snap.sources,
     }
-    with _replacing(directory / REGISTRY_FILE) as fh:
-        json.dump(registries, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(registries, directory / REGISTRY_FILE)
 
     # rows sort by glottocode, then feature name
     glottocodes = np.array([r.glottocode for r in snap.languages], dtype=object)
@@ -194,24 +187,21 @@ def _ranks(keys: np.ndarray) -> np.ndarray:
 
 def load_tensor(directory) -> FeatureTensor:
     directory = Path(directory)
-    reg_path = directory / REGISTRY_FILE
-    if not reg_path.exists():
-        raise FormatError(f"no {REGISTRY_FILE} in {directory}")
-    registries = _read_json(reg_path)
+    where = str(directory / REGISTRY_FILE)
+    registries = _read_json(where)
+    languages = [
+        _language_from_json(obj, f"{where}: language entry")
+        for obj in _json_field(registries, "languages", [dict], where, [])
+    ]
+    features = [
+        _feature_from_json(obj, f"{where}: feature entry")
+        for obj in _json_field(registries, "features", [dict], where, [])
+    ]
+    sources = _json_field(registries, "sources", [str], where, [])
 
     tensor = FeatureTensor()
     # saved order preserves registration order, so parents precede dialects
-    for obj in _registry_list(registries, "languages"):
-        tensor.add_language(_language_from_json(obj))
-    for obj in _registry_list(registries, "features"):
-        tensor.add_feature(_feature_from_json(obj))
-    sources = _registry_list(registries, "sources")
-    for src in sources:
-        if not isinstance(src, str):
-            raise FormatError(
-                f"{REGISTRY_FILE}: source name is not a JSON string ({type(src).__name__})"
-            )
-        tensor.add_source(src)
+    tensor.extend_with(TensorBatch(languages, features, sources))
 
     lang_index = {rec.glottocode: i for i, rec in enumerate(tensor.languages)}
     feat_index = {f.name: i for i, f in enumerate(tensor.features)}
@@ -250,9 +240,9 @@ def load_tensor(directory) -> FeatureTensor:
     return tensor
 
 
-def _unreadable(path, exc: Exception) -> FormatError:
+def _cannot(verb: str, path, exc: Exception) -> FormatError:
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
-    return FormatError(f"{path}: cannot read: {reason}")
+    return FormatError(f"{path}: cannot {verb}: {reason}")
 
 
 def _read_json(path) -> dict:
@@ -260,32 +250,83 @@ def _read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _unreadable(path, exc) from None
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON, or too long an integer
+        raise _cannot("read", path, exc) from None
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object")
     return data
 
 
+_REQUIRED = object()
+
+_JSON_TYPE_NAMES = {None: "null", type(None): "null", bool: "a boolean", int: "an integer",
+                    float: "a finite number", str: "a string", list: "a list", dict: "an object"}
+
+
+def _json_field(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+    """obj[key], or default for an absent key, checked against kind;
+    anything else raises FormatError naming where and key.
+
+    kind is an alternative or a tuple of them: a JSON type (str, int, float
+    for a finite number, list, dict, None for null) or a literal value. A
+    list [kind] asks for a list of such items; an Enum class for a value of
+    one of its members, which is returned.
+    """
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise FormatError(f"{where} has no {key!r} key")
+    return _checked(value, kind, where, key)
+
+
+def _checked(value, kind, where: str, name: str):
+    """value checked as _json_field checks a field; name names it in the error."""
+    if type(value) is kind and kind is not float:  # the common case, one plain type
+        return value
+    if isinstance(kind, list):
+        items = _checked(value, list, where, name)
+        return [_checked(item, kind[0], where, f"{name}[{i}]") for i, item in enumerate(items)]
+    if isinstance(kind, EnumMeta):
+        try:
+            return kind(value)  # member values are strings, so only a string passes
+        except ValueError:
+            alternatives = tuple(m.value for m in kind)
+    else:
+        alternatives = kind if isinstance(kind, tuple) else (kind,)
+        if any(_matches(value, a) for a in alternatives):
+            return value
+    wanted = " or ".join(_JSON_TYPE_NAMES.get(a, repr(a)) for a in alternatives)
+    shown = repr(value) if isinstance(value, (str, int, float)) else _JSON_TYPE_NAMES[type(value)]
+    raise FormatError(f"{where}: {name!r} must be {wanted}, got {shown}")
+
+
+def _matches(value, alternative) -> bool:
+    if alternative is None:
+        return value is None
+    if alternative is float:
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max  # false for NaN
+    if isinstance(alternative, type):
+        return type(value) is alternative
+    return type(value) is type(alternative) and value == alternative
+
+
 def _read_csv_rows(path, expected_header: Sequence[str]):
     """Yield (1-based row number, row) for each non-blank data row.
 
-    The header must match expected_header (case-insensitively) and every
-    row must have as many columns; unreadable files, bad headers and
-    ragged rows raise FormatError.
+    The header must be expected_header, where a lower-case name matches in
+    any case, and every row must have as many columns; unreadable or
+    malformed files, bad headers and ragged rows raise FormatError.
     """
     expected = list(expected_header)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError(f"{path}: empty file") from None
-            if [h.strip().lower() for h in header] != expected:
+            header = [h.strip() for h in next(reader, [])]  # an empty file has no columns
+            if len(header) != len(expected) or any(
+                h != e and h.lower() != e for h, e in zip(header, expected)
+            ):
                 raise FormatError(
-                    f"{path}: row 1: expected header {','.join(expected)!r}, "
-                    f"got {','.join(header)!r}"
+                    f"{path}: row 1: header columns do not match: expected "
+                    f"{','.join(expected)!r}, got {','.join(header)!r}"
                 )
             for row_num, row in enumerate(reader, start=2):
                 if not "".join(row).strip():  # blank row
@@ -296,13 +337,15 @@ def _read_csv_rows(path, expected_header: Sequence[str]):
                     )
                 yield row_num, row
     except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(path, exc) from None
+        raise _cannot("read", path, exc) from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def export_matrix_csv(languages: Sequence[str], features, values: np.ndarray, path) -> None:
     """Write a language x feature matrix; NaN cells become the missing token."""
     names = [f.name if isinstance(f, FeatureDescriptor) else str(f) for f in features]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(Path(path)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["language"] + names)
         for i, lang in enumerate(languages):
@@ -319,49 +362,21 @@ def load_matrix_values(path, languages: Sequence[str], feature_names: Sequence[s
     Used for the external-imputer exchange file, which must be fully
     dense, and for reloading exported matrices (missing tokens allowed).
     """
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if not header or header[0].strip().lower() != "language":
-            raise FormatError(f"{path}: row 1: first column must be 'language'")
-        cols = [h.strip() for h in header[1:]]
-        if cols != list(feature_names):
-            raise FormatError(f"{path}: feature columns do not match the expected registry")
-        values = np.full((len(languages), len(cols)), np.nan)
-        lang_index = {g: i for i, g in enumerate(languages)}
-        seen = set()
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            lang = row[0].strip()
-            if lang not in lang_index:
-                raise FormatError(f"{path}: row {row_num}: unexpected language {lang!r}")
-            if lang in seen:
-                raise FormatError(f"{path}: row {row_num}: duplicate language {lang!r}")
-            seen.add(lang)
-            if len(row) != len(cols) + 1:
-                raise FormatError(
-                    f"{path}: row {row_num}: expected {len(cols) + 1} columns, got {len(row)}"
-                )
-            for j, cell in enumerate(row[1:]):
-                v = parse_value(cell, path, row_num)
-                if v is not None:
-                    values[lang_index[lang], j] = v
-        if seen != set(languages):
-            missing = sorted(set(languages) - seen)
-            raise FormatError(f"{path}: missing rows for languages {missing}")
+    values = np.full((len(languages), len(feature_names)), np.nan)
+    lang_index = {g: i for i, g in enumerate(languages)}
+    seen = set()
+    for row_num, row in _read_csv_rows(path, ["language", *feature_names]):
+        lang = row[0].strip()
+        if lang not in lang_index:
+            raise FormatError(f"{path}: row {row_num}: unexpected language {lang!r}")
+        if lang in seen:
+            raise FormatError(f"{path}: row {row_num}: duplicate language {lang!r}")
+        seen.add(lang)
+        for j, cell in enumerate(row[1:]):
+            v = parse_value(cell, path, row_num)
+            if v is not None:
+                values[lang_index[lang], j] = v
+    if seen != set(languages):
+        missing = sorted(set(languages) - seen)
+        raise FormatError(f"{path}: missing rows for languages {missing}")
     return values
-
-
-def export_mask_csv(languages: Sequence[str], features, mask: np.ndarray, path) -> None:
-    """Sibling 0/1 mask export for an imputed matrix (1 = value was filled)."""
-    names = [f.name if isinstance(f, FeatureDescriptor) else str(f) for f in features]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["language"] + names)
-        for i, lang in enumerate(languages):
-            writer.writerow([lang] + ["1" if mask[i, j] else "0" for j in range(len(names))])

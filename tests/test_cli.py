@@ -1,8 +1,14 @@
+import copy
+import errno
 import json
+import math
+import os
+import random
 from pathlib import Path
 
 import pytest
 
+from typodist import storage
 from typodist.cli import main
 
 from conftest import DATA_DIR
@@ -534,6 +540,111 @@ def _missing_tiers(ws):
     return ["eval", "coverage", "--data", ws / "kb", "--tiers", ws / "nope.csv"]
 
 
+def _impute_external(ws, external_file):
+    return ["impute", "--data", ws / "kb", "--method", "external",
+            "--external-file", external_file, "--out", ws / "imputed.csv"]
+
+
+def _missing_external_file(ws):
+    return _impute_external(ws, ws / "nope.csv")
+
+
+def _external_file_is_a_directory(ws):
+    return _impute_external(ws, ws)
+
+
+def _external_file_not_utf8(ws):
+    (ws / "latin1.csv").write_bytes("language,P_TONE\nstan1293\xe9,1\n".encode("latin-1"))
+    return _impute_external(ws, ws / "latin1.csv")
+
+
+def _csv_field_over_the_csv_module_limit(ws):
+    (ws / "huge.csv").write_text("language,feature,value\neng,tone," + "1" * 131073 + "\n")
+    return ["ingest", "--schema", ws / "schema.json", "--resolution-table", ws / "res.csv",
+            "--source", f"WALS={ws / 'huge.csv'}", "--out", ws / "kbh"]
+
+
+def _out_is_a_directory(ws):
+    (ws / "outdir").mkdir()
+    return ["aggregate", "--data", ws / "kb", "--mode", "union", "--out", ws / "outdir"]
+
+
+def _edit_schema(ws, label, edit):
+    schema = json.loads(json.dumps(SCHEMA))
+    edit(schema["features"], label)
+    (ws / "schema.json").write_text(json.dumps(schema))
+    return ["ingest", "--schema", ws / "schema.json", "--resolution-table", ws / "res.csv",
+            "--source", f"WALS={ws / 'wals.csv'}", "--out", ws / "kbs"]
+
+
+def _schema_entry_is_a_list(ws):
+    return _edit_schema(ws, "tone", lambda f, label: f.update({label: ["binary"]}))
+
+
+def _schema_max_level_null(ws):
+    return _edit_schema(ws, "cases", lambda f, label: f[label].update(max_level=None))
+
+
+def _schema_categories_not_a_list(ws):
+    return _edit_schema(ws, "word order", lambda f, label: f[label].update(categories=5))
+
+
+def _confidence_with_cache(ws, cache):
+    (ws / "cache.json").write_text(json.dumps(cache))
+    return ["confidence", "--data", ws / "kb", "stan1293", "stan1295", "--method", "mean",
+            "--aggregation", "union", "--quality-cache", ws / "cache.json"]
+
+
+def _quality_cache_entry_not_an_object(ws):
+    return _confidence_with_cache(ws, {"mean|union": 5})
+
+
+def _quality_cache_entry_without_f1(ws):
+    return _confidence_with_cache(ws, {"mean|union": {"accuracy": 0.5}})
+
+
+def _distance_with_config(ws, config):
+    (ws / "config.json").write_text(json.dumps(config))
+    return ["--config", ws / "config.json", "distance", "--data", ws / "kb",
+            "stan1293", "stan1295"]
+
+
+def _config_data_dir_not_a_string(ws):
+    return _distance_with_config(ws, {"data_dir": 5})
+
+
+def _config_aggregation_out_of_set(ws):
+    return _distance_with_config(ws, {"aggregation": "median"})
+
+
+def _registry_feature_name_not_a_string(ws):
+    return _edit_registries(ws, lambda r: r["features"][0].update(name=5))
+
+
+def _registry_language_name_not_a_string(ws):
+    return _edit_registries(ws, lambda r: r["languages"][0].update(name=5))
+
+
+def _registry_iso_code_not_a_string(ws):
+    return _edit_registries(ws, lambda r: r["languages"][0].update(iso639_3=[1]))
+
+
+def _registry_glottocode_not_a_string(ws):
+    return _edit_registries(ws, lambda r: r["languages"][0].update(glottocode=5))
+
+
+def _registry_integer_longer_than_int_conversion_allows(ws):
+    (ws / "kb" / "registries.json").write_text('{"sources": [' + "1" * 5000 + "]}")
+    return ["distance", "--data", ws / "kb", "stan1293", "stan1295"]
+
+
+def _casestudy_row_not_finite(ws):
+    rows = (DATA_DIR / "table5.csv").read_text().splitlines()
+    rows[2] = rows[2].rsplit(",", 1)[0] + ",nan"
+    (ws / "case.csv").write_text("\n".join(rows) + "\n")
+    return ["eval", "casestudy", "--input", ws / "case.csv", "--iterations", "100"]
+
+
 @pytest.mark.parametrize("make_argv", [
     _missing_schema,
     _missing_source_csv,
@@ -547,6 +658,24 @@ def _missing_tiers(ws):
     _registry_source_not_a_string,
     _missing_casestudy_input,
     _missing_tiers,
+    _missing_external_file,
+    _external_file_is_a_directory,
+    _external_file_not_utf8,
+    _csv_field_over_the_csv_module_limit,
+    _out_is_a_directory,
+    _schema_entry_is_a_list,
+    _schema_max_level_null,
+    _schema_categories_not_a_list,
+    _quality_cache_entry_not_an_object,
+    _quality_cache_entry_without_f1,
+    _config_data_dir_not_a_string,
+    _config_aggregation_out_of_set,
+    _registry_feature_name_not_a_string,
+    _registry_language_name_not_a_string,
+    _registry_iso_code_not_a_string,
+    _registry_glottocode_not_a_string,
+    _registry_integer_longer_than_int_conversion_allows,
+    _casestudy_row_not_finite,
 ])
 def test_unreadable_input_exits_2_with_one_line_error(workspace, capsys, make_argv):
     ingest(capsys, workspace)
@@ -555,6 +684,34 @@ def test_unreadable_input_exits_2_with_one_line_error(workspace, capsys, make_ar
     assert out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert json.loads(err)["error"] == "FormatError"
+
+
+@pytest.mark.parametrize("failure", ["write", "fsync"])
+def test_failing_out_write_leaves_the_existing_file_unchanged(workspace, capsys, monkeypatch,
+                                                             failure):
+    out_file = workspace / "case.json"
+    out_file.write_bytes(b"old bytes\n")
+
+    def fail(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    def open_failing_writes(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        fh.write = fail
+        return fh
+
+    if failure == "write":
+        monkeypatch.setattr(storage, "open", open_failing_writes, raising=False)
+    else:
+        monkeypatch.setattr(storage.os, "fsync", fail)
+    code, out, err = run(capsys, "eval", "casestudy", "--input", DATA_DIR / "table5.csv",
+                         "--iterations", "100", "--out", out_file)
+    monkeypatch.undo()
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and os.strerror(errno.EIO) in json.loads(err)["message"]
+    assert out_file.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in workspace.iterdir() if p.name.startswith(".")) == []
 
 
 def test_ingest_without_resolution_table_passes_glottocodes(workspace, capsys):
@@ -577,3 +734,88 @@ def test_ingest_without_resolution_table_rejects_iso_codes(workspace, capsys):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "UnresolvableId"
+
+
+#: One value of each JSON type, drawn from a seeded random.Random.
+_JSON_VALUES = {
+    "null": lambda rng: None,
+    "bool": lambda rng: rng.random() < 0.5,
+    "int": lambda rng: rng.randint(-2, 2**70),
+    "huge int": lambda rng: 10**rng.randint(309, 400),  # beyond float range
+    "float": lambda rng: rng.uniform(-2.0, 2.0),
+    "nan": lambda rng: math.nan,
+    "string": lambda rng: "".join(rng.choices("ab9_|", k=rng.randint(0, 6))),
+    "list": lambda rng: [rng.randint(0, 9)] * rng.randint(0, 2),
+    "object": lambda rng: {"f1": rng.random()} if rng.random() < 0.5 else {},
+}
+
+
+def _json_type(value) -> str:
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return {type(None): "null", bool: "bool", int: "int", float: "float", str: "string",
+            list: "list", dict: "object"}[type(value)]
+
+
+def _paths(node, prefix=()):
+    """The key or index path of every value under node."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield prefix + (key,)
+            yield from _paths(child, prefix + (key,))
+
+
+def test_json_fields_of_every_type_exit_0_1_or_2_without_a_traceback(workspace, capsys):
+    """Replace each field and each whole entry of every JSON input with a
+    value of each other JSON type, and run the command that reads it."""
+    rng = random.Random(6)
+    data = ingest(capsys, workspace)
+    cache = workspace / "cache.json"
+    for mode in ("union", "average"):
+        code, _, err = run(capsys, "eval", "quality", "--data", data, "--imputer", "mean",
+                           "--mode", mode, "--quality-cache", cache)
+        assert code == 0, err
+    config = workspace / "config.json"
+    config.write_text(json.dumps({
+        "data_dir": str(data), "aggregation": "union", "metric": "cosine", "imputer": "mean",
+        "seed": 3, "resolution_table": str(workspace / "res.csv"),
+        "rules_file": str(workspace / "rules.csv"),
+    }))
+    inputs = {
+        data / "registries.json": ["distance", "--data", data, "stan1293", "stan1295"],
+        workspace / "schema.json": [
+            "ingest", "--schema", workspace / "schema.json",
+            "--resolution-table", workspace / "res.csv",
+            "--source", f"WALS={workspace / 'wals.csv'}", "--out", workspace / "kbf"],
+        config: ["--config", config, "distance", "stan1293", "stan1295"],
+        cache: ["confidence", "--data", data, "stan1293", "stan1295", "--method", "mean",
+                "--quality-cache", cache],
+    }
+    runs = 0
+    for path, argv in inputs.items():
+        original = json.loads(path.read_text())
+        for key_path in list(_paths(original)):
+            doc = copy.deepcopy(original)
+            node = doc
+            for key in key_path[:-1]:
+                node = node[key]
+            for kind, make in _JSON_VALUES.items():
+                if kind == _json_type(node[key_path[-1]]):
+                    continue
+                node[key_path[-1]] = make(rng)
+                path.write_text(json.dumps(doc))
+                mutation = f"{path.name} {list(key_path)} = {node[key_path[-1]]!r}"
+                try:
+                    code, out, err = run(capsys, *argv)
+                except Exception as exc:  # a traceback is the defect this test looks for
+                    pytest.fail(f"{mutation}: {type(exc).__name__}: {exc}")
+                assert code in (0, 1, 2), mutation
+                assert "Traceback" not in err, mutation
+                if code == 0:
+                    assert err == "", mutation
+                else:
+                    assert out == "" and err.count("\n") == 1, mutation
+                    assert set(json.loads(err)) == {"error", "message"}, mutation
+                runs += 1
+        path.write_text(json.dumps(original))
+    assert runs > 1000  # the mutation set is not meant to shrink
