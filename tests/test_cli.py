@@ -222,6 +222,21 @@ def test_distance_matrix_for_language_list(workspace, capsys):
     assert payload["results"][0][0]["distance"] == 0.0
 
 
+# stan1293 listed twice; fra and gre share only a zero-valued tone with the
+# others, and no morphological data with anyone
+GOLDEN_LANGUAGES = ["stan1293", "stan1295", "stan1290", "mode1248", "stan1293"]
+
+
+@pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("table", "txt")])
+@pytest.mark.parametrize("scope,extra", [("all", []), ("morphological", ["--category", "morphological"])])
+def test_distance_matrix_stdout_matches_golden(workspace, capsys, scope, extra, fmt, suffix):
+    data = ingest(capsys, workspace)
+    code, out, err = run(capsys, "--format", fmt, "distance", "--data", data,
+                         *GOLDEN_LANGUAGES, *extra)
+    assert code == 0, err
+    assert out == (DATA_DIR / f"distance_{scope}.{suffix}").read_text(encoding="utf-8")
+
+
 def test_confidence_command(workspace, capsys):
     data = ingest(capsys, workspace)
     code, out, _ = run(capsys, "confidence", "--data", data, "stan1293", "stan1295")
