@@ -11,6 +11,7 @@ from .confidence import (
     imputation_quality,
 )
 from .distance import (
+    DistanceGrid,
     DistanceRequest,
     DistanceResult,
     Metric,

@@ -9,9 +9,10 @@ than a fabricated value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -189,18 +190,66 @@ def _gram_cells(
     return verdict, shared, d
 
 
+@dataclass(frozen=True, eq=False)
+class DistanceGrid:
+    """All-pairs distances as read-only n x n arrays over a language list.
+
+    ``distances`` is float64, NaN where not computable; ``reasons`` is
+    int8: 0 computed, 1 no shared data, 2 zero vector; ``shared`` is the
+    int32 shared-feature count, 0 where not computable. Every array is
+    symmetric. ``grid[i][j]`` is the DistanceResult of the pair
+    (languages[i], languages[j]); row i is built as a list on first
+    access and kept, so assigning into it sticks.
+    """
+
+    languages: tuple[str, ...]
+    metric: Metric
+    aggregation: AggregationMode
+    distances: np.ndarray
+    reasons: np.ndarray
+    shared: np.ndarray
+    _rows: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for values in (self.distances, self.reasons, self.shared):
+            values.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.languages)
+
+    def __iter__(self) -> Iterator[list[DistanceResult]]:
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i: int) -> list[DistanceResult]:
+        i = range(len(self))[operator.index(i)]
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows.setdefault(i, self._build_row(i))
+        return row
+
+    def _build_row(self, i: int) -> list[DistanceResult]:
+        a, metric, mode = self.languages[i], self.metric, self.aggregation
+        cells = zip(self.languages, self.reasons[i].tolist(),
+                    self.distances[i].tolist(), self.shared[i].tolist())
+        return [
+            DistanceResult((a, b), metric, mode, None, 0, _REASONS[r]) if r
+            else DistanceResult((a, b), metric, mode, d, count)
+            for b, r, d, count in cells
+        ]
+
+
 def distance_matrix(
     languages: Sequence[str],
     template: DistanceRequest,
     matrix: AggregatedMatrix,
-) -> list[list[DistanceResult]]:
+) -> DistanceGrid:
     """Symmetric all-pairs distances; per-pair failures land in cells.
 
     Shared counts, norms and dot products of all pairs come from masked
-    Gram products over the selected columns. Each cell equals
-    language_distance for its pair: reasons and shared counts exactly,
-    distances within 1e-12, and bit for bit where every sum is an exact
-    integer (binary data).
+    Gram products over the selected columns, and each cell (i, j) with
+    i > j mirrors (j, i). Each cell equals language_distance for its
+    pair: reasons and shared counts exactly, distances within 1e-12, and
+    bit for bit where every sum is an exact integer (binary data).
     """
     langs = list(languages)
     if len(langs) < 2:
@@ -209,27 +258,21 @@ def distance_matrix(
     cols = select_feature_indices(matrix.features, template.features)
     rows = np.array([matrix.language_index(lang) for lang in langs])
     x = np.asarray(matrix.values[rows][:, cols], dtype=float)
-    metric, mode = template.metric, template.aggregation
-    verdict, shared, d = _gram_cells(x, rows, metric)
+    upper = np.triu(np.ones((len(langs), len(langs)), dtype=bool))
+    verdict, shared, d = (np.where(upper, a, a.T) for a in _gram_cells(x, rows, template.metric))
 
-    n = len(langs)
-    out: list[list[Optional[DistanceResult]]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        row = zip(verdict[i, i:].tolist(), shared[i, i:].tolist(), d[i, i:].tolist())
-        for j, (v, count, dist) in enumerate(row, start=i):
-            pair = (langs[i], langs[j])
-            if v == _COMPUTED:
-                res = DistanceResult.of(pair, metric, mode, dist, count)
-            elif v == _REMEASURE:
-                res = language_distance(replace(template, lang_a=pair[0], lang_b=pair[1]), matrix)
-            else:
-                res = DistanceResult.not_computable(pair, metric, mode, _REASONS[v])
-            out[i][j] = res
-            if i != j:
-                out[j][i] = DistanceResult(
-                    (pair[1], pair[0]), metric, mode, res.distance, res.shared_features, res.reason
-                )
-    return out  # type: ignore[return-value]
+    computed = verdict == _COMPUTED
+    distances = np.where(computed, d, np.nan)
+    reasons = np.where(computed, _COMPUTED, verdict).astype(np.int8)
+    counts = np.where(computed, shared, 0).astype(np.int32)
+    for i, j in zip(*np.nonzero(upper & (verdict == _REMEASURE))):
+        res = language_distance(replace(template, lang_a=langs[i], lang_b=langs[j]), matrix)
+        cell = (np.nan if res.distance is None else res.distance,
+                _REASONS.index(res.reason), res.shared_features)
+        distances[i, j], reasons[i, j], counts[i, j] = cell
+        distances[j, i], reasons[j, i], counts[j, i] = cell
+    return DistanceGrid(tuple(langs), template.metric, template.aggregation,
+                        distances, reasons, counts)
 
 
 def genetic_distance(

@@ -151,8 +151,7 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     snap = tensor.snapshot()
     for src in snap.sources:
-        if not _SAFE_SOURCE_RE.match(src):
-            raise FormatError(f"source name {src!r} is not filesystem-safe")
+        _check_source_name(src, directory)
 
     registries = {
         "languages": [_language_to_json(r) for r in snap.languages],
@@ -178,6 +177,12 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
             writer.writerows(rows)
 
 
+def _check_source_name(src: str, where) -> None:
+    """Reject a source name whose CSV would not be a plain file in the directory."""
+    if not _SAFE_SOURCE_RE.fullmatch(src):
+        raise FormatError(f"{where}: source name {src!r} is not filesystem-safe")
+
+
 def _ranks(keys: np.ndarray) -> np.ndarray:
     """Each key's position in the sorted keys."""
     ranks = np.empty(len(keys), dtype=np.int64)
@@ -198,9 +203,19 @@ def load_tensor(directory) -> FeatureTensor:
         for obj in _json_field(registries, "features", [dict], where, [])
     ]
     sources = _json_field(registries, "sources", [str], where, [])
+    for src in sources:
+        _check_source_name(src, where)
+    # saved order preserves registration order, so parents precede dialects
+    earlier = set()
+    for rec in languages:
+        if rec.parent is not None and rec.parent not in earlier:
+            raise FormatError(
+                f"{where}: language entry {rec.glottocode!r}: parent {rec.parent!r} "
+                "is not an earlier language entry"
+            )
+        earlier.add(rec.glottocode)
 
     tensor = FeatureTensor()
-    # saved order preserves registration order, so parents precede dialects
     tensor.extend_with(TensorBatch(languages, features, sources))
 
     lang_index = {rec.glottocode: i for i, rec in enumerate(tensor.languages)}

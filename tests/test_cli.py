@@ -701,6 +701,30 @@ def test_unreadable_input_exits_2_with_one_line_error(workspace, capsys, make_ar
     assert json.loads(err)["error"] == "FormatError"
 
 
+def test_registry_parent_that_names_no_earlier_language_exits_2(workspace, capsys):
+    ingest(capsys, workspace)
+    argv = _edit_registries(workspace, lambda r: r["languages"][1].update(parent="zzzz9999"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "FormatError"
+    assert "registries.json: language entry 'stan1295'" in error["message"]
+    assert "zzzz9999" in error["message"]
+
+
+def test_registry_source_outside_the_tensor_directory_exits_2(workspace, capsys):
+    ingest(capsys, workspace)
+    (workspace / "outside.csv").write_text("language,feature,value\nstan1293,P_TONE,1\n")
+    _edit_registries(workspace, lambda r: r["sources"].append("../outside"))
+    code, out, err = run(capsys, "eval", "coverage", "--data", workspace / "kb")
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "FormatError"
+    assert "registries.json: source name '../outside'" in error["message"]
+
+
 @pytest.mark.parametrize("failure", ["write", "fsync"])
 def test_failing_out_write_leaves_the_existing_file_unchanged(workspace, capsys, monkeypatch,
                                                              failure):

@@ -10,6 +10,7 @@ from typodist.aggregate import AggregationMode, aggregate
 from typodist.distance import (
     NO_SHARED_DATA,
     ZERO_VECTOR,
+    DistanceGrid,
     DistanceRequest,
     DistanceResult,
     Metric,
@@ -492,3 +493,90 @@ def test_distance_matrix_measures_only_ill_conditioned_angular_cells_per_pair(mo
         for a, b in calls:
             d = grid[m.language_index(a)][m.language_index(b)].distance
             assert a != b and 1.0 - math.cos(d * math.pi / 2) < 1e-5
+
+
+# DistanceGrid: the arrays and the cells they yield ------------------------------
+
+def _assert_grid_arrays_agree_with_cells(grid, langs):
+    n = len(langs)
+    assert isinstance(grid, DistanceGrid)
+    assert grid.languages == tuple(langs)
+    arrays = ((grid.distances, np.float64, np.uint64), (grid.reasons, np.int8, np.int8),
+              (grid.shared, np.int32, np.int32))
+    for values, dtype, bits in arrays:
+        assert values.dtype == dtype and values.shape == (n, n)
+        assert not values.flags.writeable
+        assert np.array_equal(values.view(bits), values.view(bits).T)  # bit-exact symmetry
+    assert np.array_equal(np.isnan(grid.distances), grid.reasons != 0)
+    assert set(np.unique(grid.reasons).tolist()) <= {0, 1, 2}
+    assert len(grid) == n
+    rows = list(grid)
+    assert len(rows) == n
+    for i, row in enumerate(rows):
+        assert type(row) is list and len(row) == n and row is grid[i]
+        for j, cell in enumerate(row):
+            assert cell.pair == (langs[i], langs[j])
+            assert cell.reason == distance_module._REASONS[grid.reasons[i, j]]
+            assert type(cell.shared_features) is int
+            assert cell.shared_features == grid.shared[i, j]
+            if cell.distance is not None:
+                assert type(cell.distance) is float
+                assert cell.distance == grid.distances[i, j]
+
+
+@pytest.mark.parametrize("values, langs, features", [
+    ([[1, 0, 1], [0, 1, 1], [1, 1, np.nan]], ["aaaa1234", "bbbb1234", "aaaa1234"], None),
+    ([[1, 0, 1], [0, 1, 1], [1, 1, np.nan]], EDGE_LANGS, Category.MORPHOLOGICAL),
+    ([[0, 0, 0], [0, 1, 1], [1, np.nan, 0]], EDGE_LANGS, None),
+    ([[1e-200, 1e-200, 1e-200], [0.5, 1, 0.2], [1e-160, 1, np.nan]], EDGE_LANGS, None),
+    ([[0.3, 0.9, np.nan], [0.6, 1.8, 1.0], [0.1, 0.2, 0.3]], ["cccc1234", "bbbb1234"], None),
+], ids=["listed-twice", "empty-category", "zero-row", "underflowing-squares", "two-languages"])
+@pytest.mark.parametrize("metric", list(Metric))
+def test_distance_grid_arrays_agree_with_cells_on_edge_cases(values, langs, features, metric):
+    m = make_matrix(AggregationMode.AVERAGE, EDGE_LANGS, EDGE_FEATS, values)
+    template = _req("", "", metric=metric, aggregation=AggregationMode.AVERAGE, features=features)
+    _assert_grid_arrays_agree_with_cells(distance_matrix(langs, template, m), langs)
+
+
+def test_distance_grid_arrays_agree_with_cells_on_random_fixtures():
+    rng = np.random.default_rng(2025)
+    codes = set()
+    for _ in range(1000):
+        m, langs, _ = _random_fixture(rng)
+        metric = Metric.ANGULAR if rng.random() < 0.5 else Metric.COSINE
+        grid = distance_matrix(langs, _req("", "", metric=metric, aggregation=m.mode), m)
+        _assert_grid_arrays_agree_with_cells(grid, langs)
+        codes.update(np.unique(grid.reasons).tolist())
+    assert codes == {0, 1, 2}
+
+
+def test_distance_grid_ill_conditioned_cells_land_in_both_triangles():
+    values = np.array([[0.3, 0.9, 0.2], [0.6, 1.8, 0.4], [0.1, 0.2, 0.3]])
+    m = make_matrix(AggregationMode.AVERAGE, EDGE_LANGS, EDGE_FEATS, values)
+    template = _req("", "", aggregation=AggregationMode.AVERAGE)
+    grid = distance_matrix(EDGE_LANGS, template, m)
+    # rows 0 and 1 are parallel, so their cell is measured per pair
+    solo = language_distance(replace(template, lang_a="aaaa1234", lang_b="bbbb1234"), m)
+    assert grid.distances[0, 1] == grid.distances[1, 0] == solo.distance
+    assert grid.shared[0, 1] == grid.shared[1, 0] == solo.shared_features == 3
+    _assert_grid_arrays_agree_with_cells(grid, EDGE_LANGS)
+
+
+def test_distance_grid_keeps_each_row_so_assignments_stick():
+    m = make_matrix(AggregationMode.UNION, EDGE_LANGS, EDGE_FEATS,
+                    [[1, 0, 1], [0, 1, 1], [1, 1, np.nan]])
+    grid = distance_matrix(EDGE_LANGS, _req("", ""), m)
+    fabricated = DistanceResult.of(("aaaa1234", "bbbb1234"), Metric.ANGULAR,
+                                   AggregationMode.UNION, 0.5, 1)
+    grid[0][1] = fabricated
+    assert grid[0][1] is fabricated
+    assert next(iter(grid))[1] is fabricated
+    assert grid[1][0] is not fabricated
+    assert grid.distances[0, 1] != 0.5  # the arrays keep the measured values
+    assert grid[-1] is grid[2]
+    with pytest.raises(IndexError):
+        grid[3]
+    with pytest.raises(TypeError):
+        grid[0:2]
+    with pytest.raises(ValueError):
+        grid.distances[0, 1] = 0.5

@@ -1,5 +1,6 @@
 import csv
 import errno
+import json
 import os
 from pathlib import Path
 
@@ -141,6 +142,50 @@ def test_unsafe_source_name_rejected(tmp_path):
     tensor = make_tensor(["abcd1234"], ["S_F1"], [("abcd1234", "S_F1", "../evil", 1.0)])
     with pytest.raises(FormatError):
         storage.save_tensor(tensor, tmp_path)
+
+
+def test_load_rejects_a_source_name_outside_the_directory_before_reading_any_csv(
+        tmp_path, tiny_tensor, monkeypatch):
+    kb = tmp_path / "kb"
+    storage.save_tensor(tiny_tensor, kb)
+    path = kb / storage.REGISTRY_FILE
+    registries = json.loads(path.read_text())
+    registries["sources"].append("../outside")
+    path.write_text(json.dumps(registries))
+    (tmp_path / "outside.csv").write_text("language,feature,value\npare1234,S_F1,1\n")
+    read = []
+    real = storage._read_csv_rows
+
+    def recording(csv_path, header):
+        read.append(Path(csv_path))
+        return real(csv_path, header)
+
+    monkeypatch.setattr(storage, "_read_csv_rows", recording)
+    with pytest.raises(FormatError, match=r"registries\.json: source name '\.\./outside'"):
+        storage.load_tensor(kb)
+    assert read == []
+    # a name that passes the check is read as before
+    registries["sources"][-1] = "inside"
+    path.write_text(json.dumps(registries))
+    (kb / "inside.csv").write_text("language,feature,value\npare1234,S_F1,1\n")
+    assert storage.load_tensor(kb).get_cell("pare1234", "S_F1", "inside") == 1.0
+    assert tmp_path / "outside.csv" not in read
+
+
+def test_load_rejects_a_parent_that_is_not_an_earlier_language(tmp_path):
+    tensor = make_tensor(
+        [LanguageRecord("pare1234"), LanguageRecord("dial1234", parent="pare1234")],
+        ["S_F1"],
+        [("pare1234", "S_F1", "SRC_A", 1.0)],
+    )
+    storage.save_tensor(tensor, tmp_path)
+    path = tmp_path / storage.REGISTRY_FILE
+    registries = json.loads(path.read_text())
+    # the parent exists, but after its dialect
+    registries["languages"].reverse()
+    path.write_text(json.dumps(registries))
+    with pytest.raises(FormatError, match="language entry 'dial1234': parent 'pare1234'"):
+        storage.load_tensor(tmp_path)
 
 
 def test_matrix_export_round_trip(tmp_path):
