@@ -263,7 +263,7 @@ def distance_matrix(
 
     computed = verdict == _COMPUTED
     distances = np.where(computed, d, np.nan)
-    reasons = np.where(computed, _COMPUTED, verdict).astype(np.int8)
+    reasons = verdict.astype(np.int8)  # the loop below rewrites every _REMEASURE
     counts = np.where(computed, shared, 0).astype(np.int32)
     for i, j in zip(*np.nonzero(upper & (verdict == _REMEASURE))):
         res = language_distance(replace(template, lang_a=langs[i], lang_b=langs[j]), matrix)

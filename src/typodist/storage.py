@@ -36,7 +36,7 @@ MISSING_TOKEN = "--"
 REGISTRY_FILE = "registries.json"
 CELL_HEADER = ("language", "feature", "value")
 
-_SAFE_SOURCE_RE = re.compile(r"^[A-Za-z0-9._-]+$")
+_SAFE_SOURCE_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 def format_value(v: float) -> str:

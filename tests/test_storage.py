@@ -144,6 +144,12 @@ def test_unsafe_source_name_rejected(tmp_path):
         storage.save_tensor(tensor, tmp_path)
 
 
+def test_source_name_with_a_trailing_newline_rejected(tmp_path):
+    tensor = make_tensor(["abcd1234"], ["S_F1"], [("abcd1234", "S_F1", "evil\n", 1.0)])
+    with pytest.raises(FormatError, match="not filesystem-safe"):
+        storage.save_tensor(tensor, tmp_path)
+
+
 def test_load_rejects_a_source_name_outside_the_directory_before_reading_any_csv(
         tmp_path, tiny_tensor, monkeypatch):
     kb = tmp_path / "kb"
