@@ -228,7 +228,8 @@ GOLDEN_LANGUAGES = ["stan1293", "stan1295", "stan1290", "mode1248", "stan1293"]
 
 
 @pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("table", "txt")])
-@pytest.mark.parametrize("scope,extra", [("all", []), ("morphological", ["--category", "morphological"])])
+@pytest.mark.parametrize("scope,extra", [
+    ("all", []), ("morphological", ["--category", "morphological"])])
 def test_distance_matrix_stdout_matches_golden(workspace, capsys, scope, extra, fmt, suffix):
     data = ingest(capsys, workspace)
     code, out, err = run(capsys, "--format", fmt, "distance", "--data", data,
