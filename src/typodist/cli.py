@@ -289,7 +289,7 @@ def cmd_distance(args, config: CliConfig) -> int:
                 "languages": langs,
                 "metric": metric.value,
                 "aggregation": mode.value,
-                "results": [[cell.to_json() for cell in row] for row in grid],
+                "results": grid.to_json(),
             },
             args.format,
         )

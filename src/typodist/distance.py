@@ -74,19 +74,25 @@ class DistanceResult:
         return cls(tuple(pair), metric, aggregation, None, 0, reason)
 
     def to_json(self) -> dict:
-        if not self.computable:
-            return {
-                "pair": list(self.pair),
-                "status": "not_computable",
-                "reason": self.reason,
-            }
+        return _cell_json(self.pair, self.metric.value, self.aggregation.value,
+                          self.distance, self.shared_features, self.reason)
+
+
+def _cell_json(pair, metric: str, aggregation: str, distance, shared_features, reason) -> dict:
+    """A DistanceResult's JSON from its fields; None distance is not computable."""
+    if distance is None:
         return {
-            "pair": list(self.pair),
-            "metric": self.metric.value,
-            "aggregation": self.aggregation.value,
-            "distance": self.distance,
-            "shared_features": self.shared_features,
+            "pair": list(pair),
+            "status": "not_computable",
+            "reason": reason,
         }
+    return {
+        "pair": list(pair),
+        "metric": metric,
+        "aggregation": aggregation,
+        "distance": distance,
+        "shared_features": shared_features,
+    }
 
 
 def select_feature_indices(features, selector: FeatureSelector) -> np.ndarray:
@@ -164,6 +170,8 @@ def _gram_cells(
     """(verdict, shared count, distance) of every pair of rows of x.
 
     x holds NaN for missing values; rows[i] is the matrix row of x[i].
+    Angular distances are taken for i <= j only; below the diagonal they
+    are 0.
     """
     known = ~np.isnan(x)
     k = known.astype(float)
@@ -181,8 +189,10 @@ def _gram_cells(
     else:
         # math.acos per cell, as in language_distance: numpy's arccos may
         # differ from it in the last ulp
-        acos = [np.fromiter(map(math.acos, row.tolist()), float, len(row)) for row in sim]
-        d = (2.0 / math.pi) * np.array(acos)
+        acos = np.zeros_like(sim)
+        for i, row in enumerate(sim):
+            acos[i, i:] = np.fromiter(map(math.acos, row[i:].tolist()), float, len(row) - i)
+        d = (2.0 / math.pi) * acos
         # arccos near 1 turns last-ulp differences of the Gram sums into ~1e-8
         ill = ~same & (1.0 - sim < _ILL_CONDITIONED_ACOS)
     d = np.where(same, 0.0, np.clip(d, 0.0, 1.0))
@@ -192,14 +202,15 @@ def _gram_cells(
 
 @dataclass(frozen=True, eq=False)
 class DistanceGrid:
-    """All-pairs distances as read-only n x n arrays over a language list.
+    """All-pairs distances as symmetric n x n arrays over a language list.
 
     ``distances`` is float64, NaN where not computable; ``reasons`` is
     int8: 0 computed, 1 no shared data, 2 zero vector; ``shared`` is the
-    int32 shared-feature count, 0 where not computable. Every array is
-    symmetric. ``grid[i][j]`` is the DistanceResult of the pair
-    (languages[i], languages[j]); row i is built as a list on first
-    access and kept, so assigning into it sticks.
+    int32 shared-feature count, 0 where not computable. distance_matrix
+    makes the arrays read-only. ``grid[i][j]`` is the DistanceResult of
+    the pair (languages[i], languages[j]); row i is built as a list on
+    first access and kept, so assigning into it sticks. ``to_json()``
+    reads the arrays and builds no cell objects.
     """
 
     languages: tuple[str, ...]
@@ -209,10 +220,6 @@ class DistanceGrid:
     reasons: np.ndarray
     shared: np.ndarray
     _rows: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        for values in (self.distances, self.reasons, self.shared):
-            values.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.languages)
@@ -227,14 +234,26 @@ class DistanceGrid:
             row = self._rows.setdefault(i, self._build_row(i))
         return row
 
+    def _cells(self, i: int):
+        """(b, reason code, distance, shared count) of row i, as Python scalars."""
+        return zip(self.languages, self.reasons[i].tolist(),
+                   self.distances[i].tolist(), self.shared[i].tolist())
+
     def _build_row(self, i: int) -> list[DistanceResult]:
         a, metric, mode = self.languages[i], self.metric, self.aggregation
-        cells = zip(self.languages, self.reasons[i].tolist(),
-                    self.distances[i].tolist(), self.shared[i].tolist())
         return [
             DistanceResult((a, b), metric, mode, None, 0, _REASONS[r]) if r
             else DistanceResult((a, b), metric, mode, d, count)
-            for b, r, d, count in cells
+            for b, r, d, count in self._cells(i)
+        ]
+
+    def to_json(self) -> list[list[dict]]:
+        """Each cell's DistanceResult.to_json(), row by row, from the arrays."""
+        metric, mode = self.metric.value, self.aggregation.value
+        return [
+            [_cell_json((a, b), metric, mode, None if r else d, count, _REASONS[r])
+             for b, r, d, count in self._cells(i)]
+            for i, a in enumerate(self.languages)
         ]
 
 
@@ -271,6 +290,8 @@ def distance_matrix(
                 _REASONS.index(res.reason), res.shared_features)
         distances[i, j], reasons[i, j], counts[i, j] = cell
         distances[j, i], reasons[j, i], counts[j, i] = cell
+    for values in (distances, reasons, counts):
+        values.flags.writeable = False
     return DistanceGrid(tuple(langs), template.metric, template.aggregation,
                         distances, reasons, counts)
 

@@ -21,9 +21,11 @@ class FormatError(TypodistError):
 # registry lookups
 
 class UnknownLanguage(QueryError):
-    def __init__(self, glottocode):
+    def __init__(self, glottocode, parent_of=None):
         super().__init__(f"unknown language: {glottocode!r}")
         self.glottocode = glottocode
+        # the language being registered whose parent is unknown, if any
+        self.parent_of = parent_of
 
 
 class UnknownFeature(QueryError):

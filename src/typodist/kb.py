@@ -248,7 +248,7 @@ def _unregistered(kind: str, entries, registered: list, index: dict) -> list:
             # chains cannot form cycles
             parent = getattr(entry, "parent", None)
             if parent is not None and parent not in index and parent not in new:
-                raise UnknownLanguage(parent)
+                raise UnknownLanguage(parent, parent_of=name)
             new[name] = entry
         elif known != entry:
             raise FormatError(f"{kind} {name!r} already registered with different metadata")

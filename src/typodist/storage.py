@@ -205,18 +205,16 @@ def load_tensor(directory) -> FeatureTensor:
     sources = _json_field(registries, "sources", [str], where, [])
     for src in sources:
         _check_source_name(src, where)
-    # saved order preserves registration order, so parents precede dialects
-    earlier = set()
-    for rec in languages:
-        if rec.parent is not None and rec.parent not in earlier:
-            raise FormatError(
-                f"{where}: language entry {rec.glottocode!r}: parent {rec.parent!r} "
-                "is not an earlier language entry"
-            )
-        earlier.add(rec.glottocode)
 
     tensor = FeatureTensor()
-    tensor.extend_with(TensorBatch(languages, features, sources))
+    # saved order preserves registration order, so parents precede dialects
+    try:
+        tensor.extend_with(TensorBatch(languages, features, sources))
+    except UnknownLanguage as exc:
+        raise FormatError(
+            f"{where}: language entry {exc.parent_of!r}: parent {exc.glottocode!r} "
+            "is not an earlier language entry"
+        ) from exc
 
     lang_index = {rec.glottocode: i for i, rec in enumerate(tensor.languages)}
     feat_index = {f.name: i for i, f in enumerate(tensor.features)}

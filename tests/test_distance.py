@@ -522,6 +522,7 @@ def _assert_grid_arrays_agree_with_cells(grid, langs):
             if cell.distance is not None:
                 assert type(cell.distance) is float
                 assert cell.distance == grid.distances[i, j]
+    assert grid.to_json() == [[cell.to_json() for cell in row] for row in rows]
 
 
 @pytest.mark.parametrize("values, langs, features", [
@@ -562,17 +563,29 @@ def test_distance_grid_ill_conditioned_cells_land_in_both_triangles():
     _assert_grid_arrays_agree_with_cells(grid, EDGE_LANGS)
 
 
+def test_distance_grid_leaves_the_arrays_it_is_given_writeable():
+    values = np.zeros((2, 2))
+    reasons, shared = np.zeros((2, 2), dtype=np.int8), np.ones((2, 2), dtype=np.int32)
+    grid = DistanceGrid(("aaaa1234", "bbbb1234"), Metric.COSINE, AggregationMode.AVERAGE,
+                        values, reasons, shared)
+    assert all(a.flags.writeable for a in (values, reasons, shared))
+    assert grid[0][1] == DistanceResult.of(("aaaa1234", "bbbb1234"), Metric.COSINE,
+                                           AggregationMode.AVERAGE, 0.0, 1)
+
+
 def test_distance_grid_keeps_each_row_so_assignments_stick():
     m = make_matrix(AggregationMode.UNION, EDGE_LANGS, EDGE_FEATS,
                     [[1, 0, 1], [0, 1, 1], [1, 1, np.nan]])
     grid = distance_matrix(EDGE_LANGS, _req("", ""), m)
     fabricated = DistanceResult.of(("aaaa1234", "bbbb1234"), Metric.ANGULAR,
                                    AggregationMode.UNION, 0.5, 1)
+    measured = grid[0][1].to_json()
     grid[0][1] = fabricated
     assert grid[0][1] is fabricated
     assert next(iter(grid))[1] is fabricated
     assert grid[1][0] is not fabricated
     assert grid.distances[0, 1] != 0.5  # the arrays keep the measured values
+    assert grid.to_json()[0][1] == measured
     assert grid[-1] is grid[2]
     with pytest.raises(IndexError):
         grid[3]
