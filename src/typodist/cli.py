@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (a not-computable distance is a successful answer),
 1 query error (unknown identifiers, undefined statistics), 2 input-format
-error. All randomness flows from --seed; identical flags, data, and seed
-produce byte-identical reports.
+error. All randomness flows from the seed (--seed, else the config file's
+"seed", else 0); identical flags, data, and seed produce byte-identical
+reports.
 """
 
 from __future__ import annotations
@@ -150,6 +151,11 @@ def _source_selector(args):
     return None
 
 
+def _seed(args, config: CliConfig) -> int:
+    """--seed, else the config file's seed (0 without one)."""
+    return config.seed if args.seed is None else args.seed
+
+
 def _imputer_spec(args, config: CliConfig, method: Optional[str] = None) -> ImputerSpec:
     method = method or getattr(args, "method", None) or config.imputer
     return ImputerSpec(
@@ -157,7 +163,7 @@ def _imputer_spec(args, config: CliConfig, method: Optional[str] = None) -> Impu
         k=getattr(args, "k", 9),
         lam=getattr(args, "lam", None),
         rank_cap=getattr(args, "rank_cap", None),
-        seed=getattr(args, "seed", config.seed),
+        seed=_seed(args, config),
         external_path=getattr(args, "external_file", None),
     )
 
@@ -322,7 +328,7 @@ def cmd_eval_quality(args, config: CliConfig) -> int:
     report = quality_test(
         matrix,
         spec,
-        seed=args.seed,
+        seed=spec.seed,
         registry=tensor,
         dialect_fill=not args.no_dialect_fill,
     )
@@ -330,7 +336,7 @@ def cmd_eval_quality(args, config: CliConfig) -> int:
     if args.select_k:
         payload["selected_k"] = knn_select_k(
             matrix,
-            seed=args.seed,
+            seed=spec.seed,
             registry=tensor,
             dialect_fill=not args.no_dialect_fill,
         )
@@ -348,7 +354,7 @@ def cmd_eval_quality(args, config: CliConfig) -> int:
 def cmd_eval_casestudy(args, config: CliConfig) -> int:
     labels, a, b, ref = load_case_study(args.input)
     result = case_study(
-        a, b, ref, iterations=args.iterations, seed=args.seed, pair_labels=labels
+        a, b, ref, iterations=args.iterations, seed=_seed(args, config), pair_labels=labels
     )
     payload = result.to_json()
     if args.out:
@@ -406,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p_imp)
     _add_imputer_args(p_imp, with_method=True)
     p_imp.add_argument("--dialect-fill", action="store_true")
-    p_imp.add_argument("--seed", type=int, default=0)
+    p_imp.add_argument("--seed", type=int)
     p_imp.add_argument("--out", required=True)
     p_imp.set_defaults(func=cmd_impute)
 
@@ -421,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument("--impute", metavar="METHOD", choices=IMPUTER_METHODS)
     _add_imputer_args(p_dist, with_method=False)
     p_dist.add_argument("--dialect-fill", action="store_true")
-    p_dist.add_argument("--seed", type=int, default=0)
+    p_dist.add_argument("--seed", type=int)
     p_dist.set_defaults(func=cmd_distance)
 
     p_conf = sub.add_parser("confidence", help="confidence components for a pair")
@@ -434,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("--method", choices=IMPUTER_METHODS)
     _add_imputer_args(p_conf, with_method=False)
     p_conf.add_argument("--quality-cache", help="JSON cache from 'eval quality'")
-    p_conf.add_argument("--seed", type=int, default=0)
+    p_conf.add_argument("--seed", type=int)
     p_conf.set_defaults(func=cmd_confidence)
 
     p_eval = sub.add_parser("eval", help="evaluation workflows")
@@ -446,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_q.add_argument("--mode", choices=AGGREGATION_MODES)
     _add_source_args(p_q)
     _add_imputer_args(p_q, with_method=False)
-    p_q.add_argument("--seed", type=int, default=0)
+    p_q.add_argument("--seed", type=int)
     p_q.add_argument("--no-dialect-fill", action="store_true")
     p_q.add_argument("--select-k", action="store_true",
                      help="also run the cross-validated k search")
@@ -457,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cs = eval_sub.add_parser("casestudy", help="rank correlations plus Perm-Both test")
     p_cs.add_argument("--input", required=True, help="CSV: pair,dist_a,dist_b,g_d")
     p_cs.add_argument("--iterations", type=int, default=10000)
-    p_cs.add_argument("--seed", type=int, default=0)
+    p_cs.add_argument("--seed", type=int)
     p_cs.add_argument("--out")
     p_cs.set_defaults(func=cmd_eval_casestudy)
 

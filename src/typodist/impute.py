@@ -17,7 +17,7 @@ import numpy as np
 
 from .aggregate import AggregatedMatrix, AggregationMode
 from .errors import FormatError
-from .kb import FeatureTensor, LanguageRecord
+from .kb import FeatureTensor, LanguageRecord, ancestors
 from . import storage
 
 LAMBDA_GRID_SCALES = (0.1, 0.5, 1.0, 2.0, 5.0)
@@ -97,16 +97,7 @@ def fill_dialects(matrix: AggregatedMatrix, registry) -> AggregatedMatrix:
     values = original.copy()
     row_of = {g: i for i, g in enumerate(matrix.languages)}
     for i, glottocode in enumerate(matrix.languages):
-        rec = records.get(glottocode)
-        if rec is None or rec.parent is None:
-            continue
-        chain = []
-        seen = {glottocode}
-        while rec is not None and rec.parent is not None and rec.parent not in seen:
-            seen.add(rec.parent)
-            chain.append(rec.parent)
-            rec = records.get(rec.parent)
-        for ancestor in chain:
+        for ancestor in ancestors(records, glottocode):
             a = row_of.get(ancestor)
             if a is None:
                 continue

@@ -5,11 +5,12 @@ missing. Registries are append-only: once a language, feature, or source
 has an index, that index never changes, and known cells are never
 silently overwritten.
 
-Each source's cells are three numpy arrays, kept sorted by (language,
-feature): an int32 language index, an int32 feature index and a float64
-value, 16 bytes per cell. A write never changes published arrays: it
-checks the whole batch first, builds new arrays, and publishes them, with
-the registry sizes they were written against, in one reference swap
+Each source's cells are two numpy arrays, kept sorted by key: an int64
+key that holds the language index in its high 32 bits and the feature
+index in its low 32 bits, so keys sort as (language, feature) does, and a
+float64 value, 16 bytes per cell. A write never changes published arrays:
+it checks the whole batch first, builds new arrays, and publishes them,
+with the registry sizes they were written against, in one reference swap
 before it bumps `version`. Writes are serialised under the tensor's lock,
 so concurrent writers never share an index. Readers take one snapshot
 (`snapshot`), so a read that overlaps a write sees the tensor as it was
@@ -23,7 +24,7 @@ import threading
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -165,14 +166,23 @@ class TensorBatch:
 
 
 class SourceColumn(NamedTuple):
-    """One source's known cells, sorted by (language, feature), each pair once."""
+    """One source's known cells, sorted by key, each (language, feature) pair once."""
 
-    language: np.ndarray  # int32 language indices
-    feature: np.ndarray  # int32 feature indices
+    key: np.ndarray  # int64 keys, as _keys builds them
     value: np.ndarray  # float64 values in [0, 1]
 
+    @property
+    def language(self) -> np.ndarray:
+        """Each cell's language index."""
+        return self.key >> 32
 
-_NO_CELLS = SourceColumn(np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0))
+    @property
+    def feature(self) -> np.ndarray:
+        """Each cell's feature index."""
+        return self.key & 0xFFFFFFFF
+
+
+_NO_CELLS = SourceColumn(np.empty(0, np.int64), np.empty(0))
 
 
 class TensorSnapshot(NamedTuple):
@@ -184,24 +194,23 @@ class TensorSnapshot(NamedTuple):
     columns: tuple[SourceColumn, ...]  # one per source, in source order
 
 
-def _keys(language: np.ndarray, feature: np.ndarray) -> np.ndarray:
-    """One int64 per cell that sorts as (language, feature) does."""
-    return (language.astype(np.int64) << 32) | feature
+def _keys(language, feature) -> np.ndarray:
+    """The key of each (language index, feature index) cell: one int64 that
+    sorts as (language, feature) does."""
+    return (np.asarray(language, np.int64) << 32) | feature
 
 
 def _find(column: SourceColumn, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each key sits or would go in column, and whether it is stored there."""
-    stored = _keys(column.language, column.feature)
-    pos = np.searchsorted(stored, keys)
-    hit = pos < len(stored)
-    hit[hit] = stored[pos[hit]] == keys[hit]
+    pos = np.searchsorted(column.key, keys)
+    hit = pos < len(column.key)
+    hit[hit] = column.key[pos[hit]] == keys[hit]
     return pos, hit
 
 
-def _stored_values(columns, source, language, feature) -> np.ndarray:
-    """The stored value of each (source, language, feature) cell; NaN where missing."""
+def _stored_values(columns, source, keys) -> np.ndarray:
+    """The stored value of each (source index, key) cell; NaN where missing."""
     out = np.full(len(source), np.nan)
-    keys = _keys(language, feature)
     for si in np.unique(source).tolist():
         if si < len(columns):  # a source registered after the snapshot has no cells
             rows = np.flatnonzero(source == si)
@@ -210,27 +219,22 @@ def _stored_values(columns, source, language, feature) -> np.ndarray:
     return out
 
 
-def _merged(column: SourceColumn, language, feature, value) -> SourceColumn:
+def _merged(column: SourceColumn, keys, value) -> SourceColumn:
     """A new column: column with the cells, given in write order, written over it.
 
-    A pair written more than once keeps its last value.
+    A cell written more than once keeps its last value.
     """
-    keys = _keys(language, feature)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     last = np.append(keys[1:] != keys[:-1], True)
     order, keys = order[last], keys[last]
-    language, feature, value = language[order], feature[order], value[order]
+    value = value[order]
     pos, hit = _find(column, keys)
     kept = column.value.copy()
     kept[pos[hit]] = value[hit]
     new = ~hit
     at = pos[new]
-    return SourceColumn(
-        np.insert(column.language, at, language[new]),
-        np.insert(column.feature, at, feature[new]),
-        np.insert(kept, at, value[new]),
-    )
+    return SourceColumn(np.insert(column.key, at, keys[new]), np.insert(kept, at, value[new]))
 
 
 def _unregistered(kind: str, entries, registered: list, index: dict) -> list:
@@ -282,8 +286,8 @@ def _resolve(cells, languages: dict, features: dict, sources: dict):
 
 
 def _checked(cells, indices, columns, overwrite: bool):
-    """Index arrays and clamped values of a batch's cells, and whether any
-    differs from what columns hold.
+    """Source indices, keys and clamped values of a batch's cells, and
+    whether any differs from what columns hold.
 
     Raises for the first bad cell in batch order, as checking one cell at
     a time would: a conflict, a non-finite value, or the error that
@@ -293,7 +297,8 @@ def _checked(cells, indices, columns, overwrite: bool):
     finite = np.isfinite(raw)
     n_ok = len(raw) if finite.all() else int(np.argmin(finite))
     values = np.clip(raw, 0.0, 1.0) + 0.0  # + 0.0 stores -0.0 as 0.0
-    old = _stored_values(columns, src[:n_ok], lang[:n_ok], feat[:n_ok])
+    keys = _keys(lang, feat)
+    old = _stored_values(columns, src[:n_ok], keys[:n_ok])
     if not overwrite:
         conflict = ~np.isnan(old) & (old != values[:n_ok])
         if conflict.any():
@@ -304,7 +309,7 @@ def _checked(cells, indices, columns, overwrite: bool):
         raise FormatError(f"cell values must be finite, got {float(raw[n_ok])!r}")
     if error is not None:
         raise error
-    return src, lang, feat, values, bool(np.any(old != values))  # NaN differs from any value
+    return src, keys, values, bool(np.any(old != values))  # NaN differs from any value
 
 
 class FeatureTensor:
@@ -405,8 +410,8 @@ class FeatureTensor:
     def get_cell(self, lang: str, feat: str, src: str) -> CellValue:
         """Stored value for the triple, or None if the cell is missing."""
         li, fi, si = self.language_index(lang), self.feature_index(feat), self.source_index(src)
-        columns = self._state[0]
-        return _cell(columns[si], li, fi) if si < len(columns) else None
+        found = _stored_values(self._state[0], np.full(1, si), np.full(1, _keys(li, fi)))
+        return None if np.isnan(found[0]) else float(found[0])
 
     def stored_values(self, cells) -> list[CellValue]:
         """get_cell for many (language, feature, source, ...) tuples at once.
@@ -421,7 +426,7 @@ class FeatureTensor:
         found = [i for i, key in enumerate(keys) if None not in key]
         lang, feat, src = (np.array([keys[i][k] for i in found], dtype=np.int32) for k in range(3))
         out: list[CellValue] = [None] * len(keys)
-        for i, v in zip(found, _stored_values(columns, src, lang, feat).tolist()):
+        for i, v in zip(found, _stored_values(columns, src, _keys(lang, feat)).tolist()):
             if v == v:  # NaN marks a missing cell
                 out[i] = v
         return out
@@ -459,7 +464,7 @@ class FeatureTensor:
                     if new else index
                     for _registry, index, new in registries
                 ]
-                src, lang, feat, values, changed = _checked(cells, indices, columns, overwrite)
+                src, keys, values, changed = _checked(cells, indices, columns, overwrite)
             for registry, index, new in registries:
                 for entry in new:
                     registry.append(entry)
@@ -469,7 +474,7 @@ class FeatureTensor:
                 columns = list(columns)
                 for si in np.unique(src).tolist():
                     rows = src == si
-                    columns[si] = _merged(columns[si], lang[rows], feat[rows], values[rows])
+                    columns[si] = _merged(columns[si], keys[rows], values[rows])
             self._state = (tuple(columns), len(self._languages), len(self._features))
             if changed or any(new for _registry, _index, new in registries):
                 self.version += 1
@@ -482,15 +487,16 @@ class FeatureTensor:
         with self._write_lock:
             columns, n_languages, n_features = self._state
             columns = list(columns)
-            columns[source] = _merged(columns[source], language, feature, value)
+            columns[source] = _merged(columns[source], _keys(language, feature), value)
             self._state = (tuple(columns), n_languages, n_features)
             self.version += 1
 
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:
         """(number of sources with a known value, those values in source order)."""
-        li = self.language_index(lang)
-        fi = self.feature_index(feat)
-        values = [v for v in (_cell(col, li, fi) for col in self._state[0]) if v is not None]
+        key = _keys(self.language_index(lang), self.feature_index(feat))
+        columns = self._state[0]
+        found = _stored_values(columns, np.arange(len(columns)), np.full(len(columns), key))
+        values = found[~np.isnan(found)].tolist()
         return len(values), values
 
     def iter_cells(self) -> Iterator[tuple[str, str, str, float]]:
@@ -508,16 +514,23 @@ class FeatureTensor:
 
     def ancestor_chain(self, glottocode: str) -> list[str]:
         """Parent, grandparent, ... for a language; empty if it has no parent."""
-        chain = []
-        rec = self.language(glottocode)
-        seen = {glottocode}
-        while rec.parent is not None:
-            if rec.parent in seen:  # defensive; construction forbids cycles
-                raise FormatError(f"parent cycle involving {rec.parent!r}")
-            seen.add(rec.parent)
-            chain.append(rec.parent)
-            rec = self.language(rec.parent)
-        return chain
+        self.language_index(glottocode)  # raises for an unknown language
+        return ancestors(self.language_map, glottocode)
+
+
+def ancestors(records: Mapping[str, LanguageRecord], glottocode: str) -> list[str]:
+    """Parent, grandparent, ... of a language in a glottocode -> record mapping.
+
+    The walk ends after an ancestor the mapping lacks, and before one it
+    has already visited.
+    """
+    chain, seen = [], {glottocode}
+    rec = records.get(glottocode)
+    while rec is not None and rec.parent is not None and rec.parent not in seen:
+        seen.add(rec.parent)
+        chain.append(rec.parent)
+        rec = records.get(rec.parent)
+    return chain
 
 
 def _key(entry) -> str:
@@ -527,9 +540,3 @@ def _key(entry) -> str:
     if isinstance(entry, FeatureDescriptor):
         return entry.name
     return entry
-
-
-def _cell(column: SourceColumn, li: int, fi: int) -> CellValue:
-    lo, hi = np.searchsorted(column.language, (li, li + 1))
-    j = lo + int(np.searchsorted(column.feature[lo:hi], fi))
-    return float(column.value[j]) if j < hi and column.feature[j] == fi else None

@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .errors import FormatError, UnknownFeature, UnknownLanguage
+from .errors import FormatError, UnknownLanguage
 from .kb import (
     Category,
     FeatureDescriptor,
@@ -218,9 +218,6 @@ def load_tensor(directory) -> FeatureTensor:
 
     lang_index = {rec.glottocode: i for i, rec in enumerate(tensor.languages)}
     feat_index = {f.name: i for i, f in enumerate(tensor.features)}
-    # every file is parsed before a cell's unknown language or feature is
-    # reported, so a malformed row anywhere is what gets reported
-    unknown = None
     for src in sources:
         path = directory / f"{src}.csv"
         if not path.exists():
@@ -233,12 +230,8 @@ def load_tensor(directory) -> FeatureTensor:
             li = lang_index.get(row[0].strip())
             fi = feat_index.get(row[1].strip())
             if li is None or fi is None:
-                if unknown is None:
-                    unknown = (
-                        UnknownLanguage(row[0].strip()) if li is None
-                        else UnknownFeature(row[1].strip())
-                    )
-                continue
+                kind, name = ("language", row[0]) if li is None else ("feature", row[1])
+                raise FormatError(f"{path}: row {row_num}: unregistered {kind} {name.strip()!r}")
             lang.append(li)
             feat.append(fi)
             values.append(value)
@@ -248,8 +241,6 @@ def load_tensor(directory) -> FeatureTensor:
             np.frombuffer(feat, dtype=np.int32),
             np.frombuffer(values),
         )
-    if unknown is not None:
-        raise unknown
     return tensor
 
 

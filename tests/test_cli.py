@@ -340,6 +340,26 @@ def test_config_seed_must_be_an_unsigned_64_bit_integer(workspace, capsys, tmp_p
     assert code == 0, err
 
 
+def test_config_seed_is_the_seed_that_no_flag_overrides(workspace, capsys, tmp_path):
+    data = ingest(capsys, workspace)
+    config, unseeded = tmp_path / "config.json", tmp_path / "unseeded.json"
+    config.write_text(json.dumps({"data_dir": str(data), "seed": 5}))
+    unseeded.write_text(json.dumps({"data_dir": str(data)}))
+    commands = [
+        (["eval", "quality", "--imputer", "mean", "--mode", "union"], lambda r: r["seed"]),
+        (["eval", "casestudy", "--input", DATA_DIR / "table5.csv", "--iterations", "200"],
+         lambda r: r["perm_both"]["seed"]),
+    ]
+    for argv, seed_of in commands:
+        code, from_config, err = run(capsys, "--config", config, *argv)
+        assert code == 0, err
+        assert seed_of(json.loads(from_config)) == 5
+        assert run(capsys, "--config", config, *argv, "--seed", "5")[1] == from_config
+        overridden = run(capsys, "--config", config, *argv, "--seed", "0")[1]
+        assert seed_of(json.loads(overridden)) == 0
+        assert overridden == run(capsys, "--config", unseeded, *argv)[1]
+
+
 def test_distance_with_external_imputer_file(workspace, capsys, tmp_path):
     data = ingest(capsys, workspace)
     imputed_csv = tmp_path / "imp.csv"
@@ -401,6 +421,22 @@ def test_unknown_schema_feature_is_format_error(workspace, capsys):
     )
     assert code == 2
     assert "ingest schema" in json.loads(err)["message"]
+
+
+def test_unregistered_language_in_a_source_csv_exits_2_naming_the_row(workspace, capsys):
+    data = ingest(capsys, workspace)
+    wals = data / "WALS.csv"
+    with open(wals, "a", encoding="utf-8") as fh:
+        fh.write("zzzz9999,P_TONE,1\n")
+    row = len(wals.read_text().splitlines())
+    code, out, err = run(capsys, "distance", "--data", data, "stan1293", "stan1295")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert json.loads(err) == {
+        "error": "FormatError",
+        "message": f"{wals}: row {row}: unregistered language 'zzzz9999'",
+    }
 
 
 def test_ingest_twice_into_same_tensor_is_stable(workspace, capsys, tmp_path):

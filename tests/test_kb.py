@@ -17,7 +17,9 @@ from typodist.kb import (
     FeatureDescriptor,
     FeatureTensor,
     LanguageRecord,
+    SourceColumn,
     TensorBatch,
+    _keys,
 )
 
 from conftest import DictTensor, make_tensor
@@ -232,6 +234,41 @@ def test_ancestor_chain(tiny_tensor):
     tiny_tensor.add_language(LanguageRecord("gran1234", parent="dial1234"))
     assert tiny_tensor.ancestor_chain("gran1234") == ["dial1234", "pare1234"]
     assert tiny_tensor.ancestor_chain("pare1234") == []
+
+
+def test_keys_round_trip_language_and_feature_indices():
+    edges = np.array([0, 1, 2**16, 2**31 - 1], dtype=np.int32)
+    language, feature = (a.ravel() for a in np.meshgrid(edges, edges, indexing="ij"))
+    column = SourceColumn(_keys(language, feature), np.zeros(len(language)))
+    assert column.key.dtype == np.int64
+    assert np.array_equal(column.language, language)
+    assert np.array_equal(column.feature, feature)
+    assert np.all(np.diff(column.key) > 0)  # keys sort as (language, feature) does
+
+
+def test_a_batch_out_of_key_order_is_stored_sorted_and_keeps_the_last_repeat(tiny_tensor):
+    tiny_tensor.extend_with(TensorBatch(sources=["SRC_C"], cells=[
+        ("othe1234", "S_F2", "SRC_C", 1.0),
+        ("pare1234", "S_F2", "SRC_C", 0.0),
+        ("othe1234", "S_F1", "SRC_C", 0.25),
+        ("pare1234", "S_F2", "SRC_C", 0.5),
+        ("dial1234", "S_F1", "SRC_C", 1.0),
+    ]))
+    column = tiny_tensor.snapshot().columns[tiny_tensor.source_index("SRC_C")]
+    assert SourceColumn._fields == ("key", "value")
+    assert column.key.dtype == np.int64 and column.value.dtype == np.float64
+    assert np.all(np.diff(column.key) > 0)
+    languages, features = tiny_tensor.languages, tiny_tensor.features
+    stored = [
+        (languages[li].glottocode, features[fi].name, v)
+        for li, fi, v in zip(column.language.tolist(), column.feature.tolist(), column.value)
+    ]
+    assert stored == [
+        ("pare1234", "S_F2", 0.5),
+        ("dial1234", "S_F1", 1.0),
+        ("othe1234", "S_F1", 0.25),
+        ("othe1234", "S_F2", 1.0),
+    ]
 
 
 # --- the columnar store against the dict-of-cells oracle -------------------

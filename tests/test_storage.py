@@ -9,7 +9,7 @@ import pytest
 
 from typodist import storage
 from typodist.aggregate import AggregationMode, aggregate
-from typodist.errors import FormatError, UnknownFeature
+from typodist.errors import FormatError
 from typodist.kb import LanguageRecord, TensorBatch
 
 from conftest import make_matrix, make_tensor
@@ -303,14 +303,19 @@ def test_save_load_save_is_byte_identical_and_keeps_the_old_rows(tmp_path, tiny_
                                   equal_nan=True)
 
 
-def test_load_reports_the_first_unknown_cell_after_every_row_parsed(tmp_path, tiny_tensor):
+def test_load_reports_the_first_bad_row_in_file_order(tmp_path, tiny_tensor):
     storage.save_tensor(tiny_tensor, tmp_path)
     (tmp_path / "SRC_A.csv").write_text(
         "language,feature,value\npare1234,S_NOPE,1\nzzzz9999,S_F1,1\n")
-    with pytest.raises(UnknownFeature, match="S_NOPE"):
-        storage.load_tensor(tmp_path)
     (tmp_path / "SRC_B.csv").write_text("language,feature,value\npare1234,S_F1,7\n")
-    with pytest.raises(FormatError, match="outside"):
+    with pytest.raises(FormatError, match=r"SRC_A\.csv: row 2: unregistered feature 'S_NOPE'$"):
+        storage.load_tensor(tmp_path)
+    (tmp_path / "SRC_A.csv").write_text(
+        "language,feature,value\npare1234,S_F1,1\nzzzz9999,S_F1,1\npare1234,S_NOPE,1\n")
+    with pytest.raises(FormatError, match=r"SRC_A\.csv: row 3: unregistered language 'zzzz9999'$"):
+        storage.load_tensor(tmp_path)
+    (tmp_path / "SRC_A.csv").write_text("language,feature,value\npare1234,S_F1,1\n")
+    with pytest.raises(FormatError, match=r"SRC_B\.csv: row 2: value 7\.0 outside"):
         storage.load_tensor(tmp_path)
 
 
