@@ -57,6 +57,7 @@ from .ingest import (
 )
 from .kb import (
     Category,
+    CellArrays,
     CellValue,
     FeatureDescriptor,
     FeatureOrigin,

@@ -46,6 +46,7 @@ from .ingest import (
     load_rules,
     merge_batches,
     read_source_csv,
+    split_conflicts,
 )
 from .kb import Category, FeatureTensor, ResourceTier
 
@@ -184,30 +185,18 @@ def cmd_ingest(args, config: CliConfig) -> int:
         name, _, path = entry.partition("=")
         if not path:
             raise QueryError(f"--source must look like NAME=PATH, got {entry!r}")
-        records = read_source_csv(path, name)
         batch, report = build_batch(
-            records, schema, table, namer=namer, source_name=name, source_path=path
+            read_source_csv(path, name), schema, table, namer=namer, source_name=name,
+            source_path=path,
         )
         batches.append(batch)
         reports.append(report)
 
-    merged = merge_batches(batches)
     tensor = storage.load_tensor(args.data) if args.data else FeatureTensor()
+    merged = merge_batches(batches, tensor)
     if rules:
         merged = apply_inference(rules, merged, tensor if args.data else None)
-
-    # drop already-registered entries so re-registration cannot conflict,
-    # and screen out cell conflicts: existing known values win
-    merged.languages = [r for r in merged.languages if not tensor.has_language(r.glottocode)]
-    conflicts = []
-    kept = []
-    for cell, existing in zip(merged.cells, tensor.stored_values(merged.cells)):
-        lang, feat, src, value = cell
-        if existing is not None and existing != value:
-            conflicts.append({"cell": [lang, feat, src], "existing": existing, "incoming": value})
-        else:
-            kept.append(cell)
-    merged.cells = kept
+    merged, conflicts = split_conflicts(merged, tensor)
     tensor.extend_with(merged)
     storage.save_tensor(tensor, args.out)
 

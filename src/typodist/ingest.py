@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import graphlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -22,19 +22,21 @@ from .errors import (
     FormatError,
     LevelOutOfRange,
     NameCollision,
+    TypodistError,
     UnknownCategory,
     UnknownFeature,
     UnresolvableId,
 )
 from .kb import (
     Category,
+    CellArrays,
     FeatureDescriptor,
     FeatureOrigin,
     FeatureTensor,
     LanguageRecord,
     TensorBatch,
 )
-from .storage import _checked, _json_field, _read_csv_rows, _read_json
+from .storage import _checked, _json_field, _read_cell_columns, _read_csv_rows, _read_json
 
 MISSING_MARKERS = {"", "--", "?", "NA", "N/A"}
 
@@ -232,9 +234,12 @@ def apply_inference(
             if name not in known_features:
                 raise UnknownFeature(name)
 
-    # (lang, feature) -> first contributing source and its value
+    cells = CellArrays.of(batch.cells)
+    ruled = {name for rule in rules for name in (rule.from_feature, rule.to_feature)}
+    # (lang, feature) -> first contributing source and its value, for the rules' features
     cell_map: dict[tuple[str, str], tuple[str, float]] = {}
-    for lang, feat, src, value in batch.cells:
+    for i in np.flatnonzero(np.isin(cells.names[1], list(ruled))[cells.codes[1]]).tolist():
+        lang, feat, src, value = cells[i]
         cell_map.setdefault((lang, feat), (src, value))
     # rule target feature -> languages with a known value for it in the tensor
     known_in_tensor: dict[str, set[str]] = {}
@@ -246,9 +251,7 @@ def apply_inference(
             rows = np.flatnonzero(known[:, column[name]]).tolist()
             known_in_tensor[name] = {matrix.languages[i] for i in rows}
 
-    languages = {lang for lang, _feat in cell_map} | {
-        rec.glottocode for rec in batch.languages
-    }
+    languages = dict.fromkeys(lang for lang, _feat in cell_map)  # the ones a rule can fill
     inferred: list[tuple[str, str, str, float]] = []
     changed = True
     while changed:
@@ -269,13 +272,13 @@ def apply_inference(
                 changed = True
 
     dropped = {r.from_feature for r in rules if r.direction is RuleDirection.EQUIVALENT}
-    cells = [c for c in batch.cells + inferred if c[1] not in dropped]
-    features = [f for f in batch.features if f.name not in dropped]
+    kept = ~np.isin(cells.names[1], list(dropped))[cells.codes[1]]
     return TensorBatch(
         languages=list(batch.languages),
-        features=features,
+        features=[f for f in batch.features if f.name not in dropped],
         sources=list(batch.sources),
-        cells=cells,
+        cells=CellArrays.concat(
+            [cells.take(kept), CellArrays.of(c for c in inferred if c[1] not in dropped)]),
     )
 
 
@@ -368,14 +371,6 @@ def load_ingest_schema(path) -> IngestSchema:
     return IngestSchema(features)
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    external_lang_id: str
-    feature_label: str
-    value: str
-    source_name: str
-
-
 @dataclass
 class IngestReport:
     source: str
@@ -394,118 +389,160 @@ class IngestReport:
         }
 
 
-def read_source_csv(path, source_name: str) -> list[RawRecord]:
+@dataclass
+class SourceRows:
+    """A raw export read as columns: each data row's CSV row number, and
+    per column (language id, feature label, value) a table of its distinct
+    stripped strings with each row's code into that table."""
+
+    source_name: str
+    path: str
+    rows: np.ndarray
+    tables: list[list[str]]
+    codes: list[np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def read_source_csv(path, source_name: str) -> SourceRows:
     """Raw export CSV with header language,feature,value."""
-    return [
-        RawRecord(row[0].strip(), row[1].strip(), row[2].strip(), source_name)
-        for _, row in _read_csv_rows(path, ("language", "feature", "value"))
-    ]
+    return SourceRows(source_name, str(path), *_read_cell_columns(path))
+
+
+def _first_records(records: Iterable[LanguageRecord], registered=frozenset()) -> list[LanguageRecord]:
+    """The first record of each glottocode that is not registered yet: a
+    language reached under two ids, in one source, across the sources of a
+    run, or across runs, keeps the record it was first given."""
+    first: dict[str, LanguageRecord] = {}
+    for rec in records:
+        if rec.glottocode not in registered:
+            first.setdefault(rec.glottocode, rec)
+    return list(first.values())
+
+
+def _binarized(label: str, value: str, spec: FeatureSpec, namer: CanonicalNamer):
+    """The features and cell values one raw (label, value) pair gives."""
+    if spec.kind is VariableKind.BINARY:
+        if value not in {"0", "1", "0.0", "1.0"}:
+            raise FormatError(f"binary feature {label!r} has non-binary value {value!r}")
+        return [(FeatureDescriptor(namer.canonicalize(label, spec.category), spec.category),
+                 float(value))]
+    if spec.kind is VariableKind.NOMINAL:
+        pairs = binarize_nominal(label, spec.categories, value, spec.category)
+        base = canonicalize_feature_name(label, spec.category)
+        return [(FeatureDescriptor(namer.claim(name, f"{label}={cat}"), spec.category,
+                                   FeatureOrigin.nominal(base, str(cat))), v)
+                for (name, v), cat in zip(pairs, spec.categories)]
+    try:
+        level = int(value)
+    except ValueError:
+        raise FormatError(f"ordinal feature {label!r} has non-integer level {value!r}") from None
+    name, v = binarize_ordinal(label, spec.max_level, level, spec.category)
+    return [(FeatureDescriptor(namer.claim(name, label), spec.category,
+                               FeatureOrigin.ordinal(label)), v)]
+
+
+def _factorized(codes: np.ndarray):
+    """The distinct codes in order of first appearance, the position of
+    each one's first appearance, and each element's index among them."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order].tolist(), first[order].tolist(), np.argsort(order)[inverse.ravel()]
 
 
 def build_batch(
-    records: Iterable[RawRecord],
+    records: SourceRows,
     schema: IngestSchema,
     table: IdResolutionTable,
     namer: Optional[CanonicalNamer] = None,
     source_name: str = "",
     source_path=None,
 ) -> tuple[TensorBatch, IngestReport]:
-    """Binarize, rename, and resolve one source's records into a batch."""
+    """Binarize, rename, and resolve one source's rows into a batch.
+
+    Each distinct language id is resolved once, and each distinct (label,
+    value) pair binarized once, in order of first appearance. A row-level
+    error names the file and the first bad row in file order.
+    """
     namer = namer if namer is not None else CanonicalNamer()
-    batch = TensorBatch()
-    report = IngestReport(source=source_name)
-    seen_langs: set[str] = set()
-    seen_feats: set[str] = set()
-    seen_sources: set[str] = set()
+    ids, labels, values = records.tables
+    id_code, label_code, value_code = records.codes
+    kept = np.flatnonzero(~np.isin(values, list(MISSING_MARKERS))[value_code])
+    report = IngestReport(source_name or records.source_name, len(records),
+                          rows_skipped_missing=len(records) - len(kept))
+    id_codes, id_first, id_rank = _factorized(id_code[kept])
+    pair_codes, pair_first, pair_rank = _factorized(label_code[kept].astype(np.int64) * len(values) + value_code[kept])
+    stop, error = len(kept), None  # the first kept row with a bad id or pair, and its error
+    glottocodes = []
+    for code, position in zip(id_codes, id_first):
+        try:
+            glottocodes.append(resolve_language(ids[code], table))
+        except UnresolvableId as exc:
+            stop, error = position, exc
+            break
+    per_pair = []  # each pair's cells, as (feature descriptor, value)
+    for code, position in zip(pair_codes, pair_first):
+        if position >= stop:
+            break
+        label = labels[code // len(values)]
+        try:
+            per_pair.append(_binarized(label, values[code % len(values)], schema.lookup(label), namer))
+        except TypodistError as exc:
+            stop, error = position, exc
+            break
+    if error is not None:
+        where = source_path if source_path is not None else records.path
+        error.args = (f"{where}: row {records.rows[kept[stop]]}: {error}",)
+        raise error
 
-    def add_feature(name: str, category: Category, origin: FeatureOrigin):
-        if name not in seen_feats:
-            seen_feats.add(name)
-            batch.features.append(FeatureDescriptor(name, category, origin))
-
-    for i, rec in enumerate(records):
-        if not report.source:
-            report.source = rec.source_name
-        report.rows_read += 1
-        if rec.value in MISSING_MARKERS:
-            report.rows_skipped_missing += 1
-            continue
-
-        glotto = resolve_language(rec.external_lang_id, table)
-        if is_retired(rec.external_lang_id, table):
-            pair = (rec.external_lang_id, glotto)
-            if pair not in report.resolved_retired:
-                report.resolved_retired.append(pair)
-        if glotto not in seen_langs:
-            seen_langs.add(glotto)
-            iso = rec.external_lang_id if rec.external_lang_id != glotto else None
-            batch.languages.append(LanguageRecord(glottocode=glotto, iso639_3=iso))
-        if rec.source_name not in seen_sources:
-            seen_sources.add(rec.source_name)
-            batch.sources.append(rec.source_name)
-
-        spec = schema.lookup(rec.feature_label)
-        if spec.kind is VariableKind.BINARY:
-            if rec.value not in {"0", "1", "0.0", "1.0"}:
-                raise FormatError(
-                    f"{source_path}: record {i + 1}: binary feature "
-                    f"{rec.feature_label!r} has non-binary value {rec.value!r}"
-                )
-            name = namer.canonicalize(rec.feature_label, spec.category)
-            add_feature(name, spec.category, FeatureOrigin.native())
-            batch.cells.append((glotto, name, rec.source_name, float(rec.value)))
-        elif spec.kind is VariableKind.NOMINAL:
-            pairs = binarize_nominal(rec.feature_label, spec.categories, rec.value, spec.category)
-            base = canonicalize_feature_name(rec.feature_label, spec.category)
-            for (name, value), cat_value in zip(pairs, spec.categories):
-                namer.claim(name, f"{rec.feature_label}={cat_value}")
-                add_feature(name, spec.category, FeatureOrigin.nominal(base, str(cat_value)))
-                batch.cells.append((glotto, name, rec.source_name, value))
-        else:
-            try:
-                level = int(rec.value)
-            except ValueError:
-                raise FormatError(
-                    f"{source_path}: record {i + 1}: ordinal feature "
-                    f"{rec.feature_label!r} has non-integer level {rec.value!r}"
-                ) from None
-            name, value = binarize_ordinal(rec.feature_label, spec.max_level, level, spec.category)
-            namer.claim(name, rec.feature_label)
-            add_feature(name, spec.category, FeatureOrigin.ordinal(rec.feature_label))
-            batch.cells.append((glotto, name, rec.source_name, value))
-
+    batch = TensorBatch(sources=[records.source_name] if len(kept) else [])
+    for code, glotto in zip(id_codes, glottocodes):
+        ext = ids[code]
+        batch.languages.append(LanguageRecord(glotto, iso639_3=ext if ext != glotto else None))
+        if is_retired(ext, table):
+            report.resolved_retired.append((ext, glotto))
+    batch.languages = _first_records(batch.languages)
+    flat = [cell for cells in per_pair for cell in cells]
+    # pairs that give one feature name give equal descriptors; else the namer raised
+    batch.features = list({desc.name: desc for desc, _v in flat}.values())
+    # each kept row gives its pair's cells, rows in file order
+    n_cells = np.array([len(cells) for cells in per_pair], dtype=np.intp)
+    cell_row = np.repeat(np.arange(len(kept)), n_cells[pair_rank])
+    pair_cell = (np.cumsum(n_cells) - n_cells)[pair_rank][cell_row]  # the row's pair's first cell
+    cell_at = pair_cell + np.arange(len(cell_row)) - np.searchsorted(cell_row, cell_row)  # in flat
+    batch.cells = CellArrays(
+        (glottocodes, [desc.name for desc, _v in flat], batch.sources),
+        (id_rank[cell_row], cell_at, np.zeros(len(cell_at), np.intp)),
+        np.array([v for _desc, v in flat], dtype=float)[cell_at])
     report.cells_written = len(batch.cells)
     return batch, report
 
 
-def merge_batches(batches: Sequence[TensorBatch]) -> TensorBatch:
-    """Concatenate per-source batches, deduplicating registry entries."""
-    merged = TensorBatch()
-    seen_langs: dict[str, LanguageRecord] = {}
-    seen_feats: dict[str, FeatureDescriptor] = {}
-    seen_sources: set[str] = set()
-    for batch in batches:
-        for rec in batch.languages:
-            prior = seen_langs.get(rec.glottocode)
-            if prior is None:
-                seen_langs[rec.glottocode] = rec
-                merged.languages.append(rec)
-            elif prior != rec:
-                # keep the first record; identity is the glottocode
-                continue
-        for desc in batch.features:
-            prior = seen_feats.get(desc.name)
-            if prior is None:
-                seen_feats[desc.name] = desc
-                merged.features.append(desc)
-            elif prior != desc:
-                raise FormatError(
-                    f"feature {desc.name!r} declared with conflicting metadata "
-                    "across sources"
-                )
-        for src in batch.sources:
-            if src not in seen_sources:
-                seen_sources.add(src)
-                merged.sources.append(src)
-        merged.cells.extend(batch.cells)
-    return merged
+def merge_batches(batches: Sequence[TensorBatch], tensor: FeatureTensor) -> TensorBatch:
+    """Concatenate per-source batches into one write to tensor.
+
+    A language keeps its first record: the one tensor holds, else the
+    first in batch order. Repeated features and sources are left for
+    extend_with, which registers each once.
+    """
+    registered = {rec.glottocode for rec in tensor.languages}
+    return TensorBatch(
+        languages=_first_records((rec for b in batches for rec in b.languages), registered),
+        features=[desc for b in batches for desc in b.features],
+        sources=[src for b in batches for src in b.sources],
+        cells=CellArrays.concat([CellArrays.of(b.cells) for b in batches]),
+    )
+
+
+def split_conflicts(batch: TensorBatch, tensor: FeatureTensor) -> tuple[TensorBatch, list[dict]]:
+    """batch without the cells whose known value in tensor differs, and
+    those cells in batch order: existing known values win."""
+    cells = CellArrays.of(batch.cells)
+    existing = tensor.stored_array(cells)
+    conflict = ~np.isnan(existing) & (existing != cells.value)
+    conflicts = [
+        {"cell": list(cells[i][:3]), "existing": float(existing[i]), "incoming": float(cells.value[i])}
+        for i in np.flatnonzero(conflict).tolist()
+    ]
+    return replace(batch, cells=cells.take(~conflict)), conflicts

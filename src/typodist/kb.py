@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 import threading
-from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Optional
@@ -31,7 +30,6 @@ import numpy as np
 from .errors import (
     ConflictingWrite,
     FormatError,
-    TypodistError,
     UnknownFeature,
     UnknownLanguage,
     UnknownSource,
@@ -154,15 +152,73 @@ class TensorBatch:
 
     Cells reference glottocodes / feature names / source names, which must
     either be pre-registered in the target tensor or carried in this batch.
+    They are (glottocode, feature name, source name, value) tuples, or
+    CellArrays.
     """
 
     languages: list[LanguageRecord] = field(default_factory=list)
     features: list[FeatureDescriptor] = field(default_factory=list)
     sources: list[str] = field(default_factory=list)
-    cells: list[tuple[str, str, str, float]] = field(default_factory=list)
+    cells: list[tuple[str, str, str, float]] | CellArrays = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.cells)
+
+
+class CellArrays:
+    """Cells as arrays, in write order: each cell's language, feature and
+    source as a code into a table of names, and its value (float64).
+
+    It reads as a sequence of (glottocode, feature name, source name,
+    value) tuples. A table may hold a name no cell uses, or a name twice.
+    """
+
+    def __init__(self, names, codes, value):
+        self.names = names  # (glottocodes, feature names, source names), lists
+        self.codes = codes  # three integer arrays, one code per cell
+        self.value = value
+
+    @classmethod
+    def of(cls, cells) -> "CellArrays":
+        """cells, CellArrays or tuples, as arrays; a tuple that is not three
+        names and a number raises TypeError or ValueError."""
+        if isinstance(cells, CellArrays):
+            return cells
+        rows = [(lang, feat, src, float(v)) for lang, feat, src, v in cells]
+        columns = list(zip(*rows)) or [()] * 4
+        names, codes = [], []
+        for column in columns[:3]:
+            index = {name: i for i, name in enumerate(dict.fromkeys(column))}
+            names.append(list(index))
+            codes.append(np.fromiter(map(index.__getitem__, column), np.intp, len(column)))
+        return cls(names, codes, np.array(columns[3], dtype=float))
+
+    @classmethod
+    def concat(cls, parts) -> "CellArrays":
+        """The cells of parts, one after another, over their joined name tables."""
+        names, codes = ([], [], []), ([], [], [])
+        for part in parts:
+            for table, code, part_names, part_code in zip(names, codes, part.names, part.codes):
+                code.append(part_code + len(table))
+                table.extend(part_names)
+        return cls(list(names), [np.concatenate([np.empty(0, np.intp), *code]) for code in codes],
+                   np.concatenate([np.empty(0), *(part.value for part in parts)]))
+
+    def take(self, rows) -> "CellArrays":
+        """The cells at rows, an index array or a boolean mask."""
+        return CellArrays(self.names, [code[rows] for code in self.codes], self.value[rows])
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i: int) -> tuple[str, str, str, float]:
+        return (*(names[code[i]] for names, code in zip(self.names, self.codes)),
+                float(self.value[i]))
+
+    def __iter__(self) -> Iterator[tuple[str, str, str, float]]:
+        columns = (np.array(names, dtype=object)[code].tolist()
+                   for names, code in zip(self.names, self.codes))
+        return zip(*columns, self.value.tolist())
 
 
 class SourceColumn(NamedTuple):
@@ -259,30 +315,14 @@ def _unregistered(kind: str, entries, registered: list, index: dict) -> list:
     return list(new.values())
 
 
-def _resolve(cells, languages: dict, features: dict, sources: dict):
-    """Index arrays and values of the cells up to the first one that does
-    not resolve or whose value is not a number, and that cell's error."""
-    lang, feat, src, values = array("i"), array("i"), array("i"), array("d")
-    error = None
-    try:
-        for glottocode, name, source, value in cells:
-            li = languages.get(glottocode)
-            if li is None:
-                raise UnknownLanguage(glottocode)
-            fi = features.get(name)
-            if fi is None:
-                raise UnknownFeature(name)
-            si = sources.get(source)
-            if si is None:
-                raise UnknownSource(source)
-            values.append(float(value))
-            lang.append(li)
-            feat.append(fi)
-            src.append(si)
-    except (TypodistError, TypeError, ValueError) as exc:
-        error = exc
-    arrays = (np.frombuffer(a, dtype=np.int32) for a in (src, lang, feat))
-    return (*arrays, np.frombuffer(values), error)
+_UNKNOWN = (UnknownLanguage, UnknownFeature, UnknownSource)
+
+
+def _indices(cells: CellArrays, indices) -> list[np.ndarray]:
+    """Each cell's language, feature and source index; -1 for a name that
+    indices, the three name -> index maps, do not hold."""
+    return [np.array([index.get(name, -1) for name in names], np.int64)[code]
+            for names, code, index in zip(cells.names, cells.codes, indices)]
 
 
 def _checked(cells, indices, columns, overwrite: bool):
@@ -290,25 +330,29 @@ def _checked(cells, indices, columns, overwrite: bool):
     whether any differs from what columns hold.
 
     Raises for the first bad cell in batch order, as checking one cell at
-    a time would: a conflict, a non-finite value, or the error that
-    stopped _resolve.
+    a time would: an unregistered name, a non-finite value, or a conflict.
+    Tuple cells are converted to CellArrays first, once; a tuple that is
+    not three names and a number raises there.
     """
-    src, lang, feat, raw, error = _resolve(cells, *indices)
+    cells = CellArrays.of(cells)
+    lang, feat, src = _indices(cells, indices)
+    raw = cells.value
     finite = np.isfinite(raw)
-    n_ok = len(raw) if finite.all() else int(np.argmin(finite))
     values = np.clip(raw, 0.0, 1.0) + 0.0  # + 0.0 stores -0.0 as 0.0
     keys = _keys(lang, feat)
-    old = _stored_values(columns, src[:n_ok], keys[:n_ok])
-    if not overwrite:
-        conflict = ~np.isnan(old) & (old != values[:n_ok])
-        if conflict.any():
-            i = int(np.argmax(conflict))
-            glottocode, name, source, _value = cells[i]
-            raise ConflictingWrite(glottocode, name, source, float(old[i]), float(values[i]))
-    if n_ok < len(raw):
-        raise FormatError(f"cell values must be finite, got {float(raw[n_ok])!r}")
-    if error is not None:
-        raise error
+    ok = (lang >= 0) & (feat >= 0) & (src >= 0) & finite
+    old = np.full(len(raw), np.nan)
+    old[ok] = _stored_values(columns, src[ok], keys[ok])
+    bad = ~ok if overwrite else ~ok | (~np.isnan(old) & (old != values))
+    if bad.any():
+        i = int(np.argmax(bad))
+        glottocode, name, source, _value = cells[i]
+        for index, unknown, key in zip((lang, feat, src), _UNKNOWN, (glottocode, name, source)):
+            if index[i] < 0:
+                raise unknown(key)
+        if not finite[i]:
+            raise FormatError(f"cell values must be finite, got {float(raw[i])!r}")
+        raise ConflictingWrite(glottocode, name, source, float(old[i]), float(values[i]))
     return src, keys, values, bool(np.any(old != values))  # NaN differs from any value
 
 
@@ -418,17 +462,16 @@ class FeatureTensor:
 
         None where the cell is missing or one of its names is not registered.
         """
-        columns = self._state[0]
-        keys = [
-            (self._lang_index.get(c[0]), self._feat_index.get(c[1]), self._src_index.get(c[2]))
-            for c in cells
-        ]
-        found = [i for i, key in enumerate(keys) if None not in key]
-        lang, feat, src = (np.array([keys[i][k] for i in found], dtype=np.int32) for k in range(3))
-        out: list[CellValue] = [None] * len(keys)
-        for i, v in zip(found, _stored_values(columns, src, _keys(lang, feat)).tolist()):
-            if v == v:  # NaN marks a missing cell
-                out[i] = v
+        found = self.stored_array(CellArrays.of((c[0], c[1], c[2], 0.0) for c in cells))
+        return [None if v != v else v for v in found.tolist()]  # NaN marks a missing cell
+
+    def stored_array(self, cells: CellArrays) -> np.ndarray:
+        """The stored value of each cell; NaN where it is missing or one of
+        its names is not registered."""
+        lang, feat, src = _indices(cells, (self._lang_index, self._feat_index, self._src_index))
+        found = (lang >= 0) & (feat >= 0) & (src >= 0)
+        out = np.full(len(cells), np.nan)
+        out[found] = _stored_values(self._state[0], src[found], _keys(lang[found], feat[found]))
         return out
 
     def extend_with(self, batch: TensorBatch, overwrite: bool = False) -> "FeatureTensor":

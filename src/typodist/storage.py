@@ -166,10 +166,12 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
     lang_rank, feat_rank = _ranks(glottocodes), _ranks(names)
     for src, col in zip(snap.sources, snap.columns):
         order = np.lexsort((feat_rank[col.feature], lang_rank[col.language]))
+        distinct, which = np.unique(col.value[order], return_inverse=True)
+        texts = np.array([format_value(v) for v in distinct.tolist()], dtype=object)
         rows = zip(
             glottocodes[col.language[order]].tolist(),
             names[col.feature[order]].tolist(),
-            map(format_value, col.value[order].tolist()),
+            texts[which.ravel()].tolist(),  # each distinct value formatted once
         )
         with _replacing(directory / f"{src}.csv") as fh:
             writer = csv.writer(fh)
@@ -222,25 +224,27 @@ def load_tensor(directory) -> FeatureTensor:
         path = directory / f"{src}.csv"
         if not path.exists():
             continue  # a source with no stored cells
-        lang, feat, values = array("i"), array("i"), array("d")
-        for row_num, row in _read_csv_rows(path, CELL_HEADER):
-            value = parse_value(row[2], path, row_num)
-            if value is None:
-                continue  # explicit-missing row
-            li = lang_index.get(row[0].strip())
-            fi = feat_index.get(row[1].strip())
-            if li is None or fi is None:
-                kind, name = ("language", row[0]) if li is None else ("feature", row[1])
-                raise FormatError(f"{path}: row {row_num}: unregistered {kind} {name.strip()!r}")
-            lang.append(li)
-            feat.append(fi)
-            values.append(value)
-        tensor._put_column(
-            tensor.source_index(src),
-            np.frombuffer(lang, dtype=np.int32),
-            np.frombuffer(feat, dtype=np.int32),
-            np.frombuffer(values),
-        )
+        rows, (langs, feats, texts), (lc, fc, vc) = _read_cell_columns(path)
+        lang_of = np.array([lang_index.get(name, -1) for name in langs], np.int32)
+        feat_of = np.array([feat_index.get(name, -1) for name in feats], np.int32)
+        value, bad_value = np.full(len(texts), np.nan), np.zeros(len(texts), dtype=bool)
+        for k, text in enumerate(texts):  # each distinct value string once
+            try:
+                v = parse_value(text, path, 0)
+            except FormatError:
+                bad_value[k] = True
+                continue
+            value[k] = np.nan if v is None else v  # NaN marks the missing token
+        lang, feat = lang_of[lc], feat_of[fc]
+        bad = bad_value[vc] | (lang < 0) | (feat < 0)
+        if bad.any():  # the first bad row in file order, checked as one row would be
+            i = int(np.argmax(bad))
+            row = int(rows[i])
+            parse_value(texts[vc[i]], path, row)  # raises for a bad value
+            kind, name = ("language", langs[lc[i]]) if lang[i] < 0 else ("feature", feats[fc[i]])
+            raise FormatError(f"{path}: row {row}: unregistered {kind} {name!r}")
+        kept = ~np.isnan(value[vc])  # explicit-missing rows are skipped
+        tensor._put_column(tensor.source_index(src), lang[kept], feat[kept], value[vc[kept]])
     return tensor
 
 
@@ -344,6 +348,23 @@ def _read_csv_rows(path, expected_header: Sequence[str]):
         raise _cannot("read", path, exc) from None
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _read_cell_columns(path):
+    """The rows of a language,feature,value CSV file (a stored source or a
+    raw export), read by _read_csv_rows, as columns: each row's number,
+    and per column a table of its distinct stripped strings, in order of
+    first appearance, with each row's code into that table."""
+    tables = langs, feats, texts = {}, {}, {}
+    codes = lang, feat, value = array("i"), array("i"), array("i")
+    rows = array("i")
+    for row_num, (language, feature, text) in _read_csv_rows(path, CELL_HEADER):
+        rows.append(row_num)
+        lang.append(langs.setdefault(language.strip(), len(langs)))
+        feat.append(feats.setdefault(feature.strip(), len(feats)))
+        value.append(texts.setdefault(text.strip(), len(texts)))
+    return (np.frombuffer(rows, np.int32), [list(table) for table in tables],
+            [np.frombuffer(code, np.int32) for code in codes])
 
 
 def export_matrix_csv(languages: Sequence[str], features, values: np.ndarray, path) -> None:

@@ -491,6 +491,35 @@ def test_reingest_reports_conflicts_in_order_and_keeps_stored_values(workspace, 
     assert tensor.get_cell("stan1290", "P_TONE", "WALS") == 1.0  # a new cell is written
 
 
+INGEST_DIR = DATA_DIR / "ingest"
+
+
+def test_ingest_and_reingest_match_golden(capsys, tmp_path, monkeypatch):
+    """An ingest of two sources, then a re-ingest with rules and a planted
+    conflict: stdout and every saved file match the goldens. A language
+    reached first as an ISO code keeps that record when a later row, source
+    or run names its glottocode directly."""
+    monkeypatch.chdir(tmp_path)
+    common = ["ingest", "--schema", INGEST_DIR / "schema.json",
+              "--resolution-table", INGEST_DIR / "resolution.csv"]
+    steps = {
+        "step1": [*common, "--source", f"A={INGEST_DIR / 'a.csv'}",
+                  "--source", f"B={INGEST_DIR / 'b.csv'}", "--out", "step1"],
+        "step2": [*common, "--rules", INGEST_DIR / "rules.csv",
+                  "--source", f"A={INGEST_DIR / 'a_update.csv'}",
+                  "--source", f"C={INGEST_DIR / 'c.csv'}", "--data", "step1", "--out", "step2"],
+    }
+    for step, argv in steps.items():
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == (INGEST_DIR / f"{step}.json").read_text(encoding="utf-8")
+        want = {p.name: p.read_bytes() for p in (INGEST_DIR / step).iterdir()}
+        assert {p.name: p.read_bytes() for p in (tmp_path / step).iterdir()} == want
+    tensor = storage.load_tensor(tmp_path / "step2")
+    assert tensor.language("aaab1037").iso639_3 == "kcv"
+    assert tensor.language("mode1248").iso639_3 == "gre"
+
+
 def test_registry_file_bytes_deterministic(workspace, capsys, tmp_path):
     ingest(capsys, workspace)
     code, _, _ = run(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,27 +8,33 @@ from typodist.errors import (
     FormatError,
     LevelOutOfRange,
     NameCollision,
+    TypodistError,
     UnknownCategory,
     UnknownFeature,
     UnresolvableId,
 )
 from typodist.ingest import (
+    MISSING_MARKERS,
     CanonicalNamer,
     IdResolutionTable,
     InferenceRule,
+    IngestReport,
     RuleDirection,
+    VariableKind,
     apply_inference,
     binarize_nominal,
     binarize_ordinal,
     build_batch,
     canonicalize_feature_name,
+    is_retired,
     load_ingest_schema,
     load_resolution_table,
     load_rules,
     read_source_csv,
     resolve_language,
 )
-from typodist.kb import Category, FeatureDescriptor, TensorBatch
+from typodist.kb import Category, FeatureDescriptor, FeatureOrigin, LanguageRecord, TensorBatch
+from typodist.storage import _read_csv_rows
 
 
 
@@ -355,3 +363,190 @@ def test_build_batch_rejects_bad_binary(tmp_path):
             source_name="S",
             source_path=src,
         )
+
+
+# row errors and the per-row oracle -------------------------------------------------------
+
+ROW_SCHEMA = {
+    "tone": {"kind": "binary", "category": "phonological"},
+    "tone!": {"kind": "binary", "category": "phonological"},  # canonicalizes as "tone" does
+    "nasal vowels": {"kind": "binary", "category": "phonological"},
+    "word order": {"kind": "nominal", "category": "syntactic", "categories": ["SOV", "SVO", "VSO"]},
+    "cases": {"kind": "ordinal", "category": "morphological", "max_level": 3},
+}
+
+
+def _row_schema(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"features": ROW_SCHEMA}))
+    return load_ingest_schema(path)
+
+
+def _row_table():
+    return IdResolutionTable(
+        iso_to_glotto={"eng": "stan1293", "deu": "stan1295", "kcv": "aaab1037", "ell": "mode1248"},
+        retired_iso={"gre": "mode1248", "alb": "alba1267"},
+    )
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    (["eng,tone,1", "", "deu,tone,maybe"], FormatError,  # a blank row keeps its number
+     "row 4: binary feature 'tone' has non-binary value 'maybe'"),
+    (["eng,cases,2", "eng,cases,two"], FormatError,
+     "row 3: ordinal feature 'cases' has non-integer level 'two'"),
+    (["eng,cases,2", "deu,cases,--", "deu,cases,4"], LevelOutOfRange,
+     "row 4: level 4 for 'cases' outside [0, 3]"),
+    (["eng,word order,SVO", "deu,word order,OVS"], UnknownCategory,
+     "row 3: value 'OVS' not among declared categories for 'word order'"),
+    (["eng,tone,1", "deu,bogus,1"], FormatError,
+     "row 3: feature label 'bogus' is not in the ingest schema"),
+    (["eng,tone,1", "xxq,bogus,--", "xxq,tone,1"], UnresolvableId,
+     "row 4: cannot resolve language identifier: 'xxq'"),
+    # the first bad row in file order, whichever distinct value is bad
+    (["eng,tone,1", "xxq,tone,1", "eng,tone,maybe"], UnresolvableId, "row 3: cannot resolve"),
+    (["eng,tone,1", "eng,tone,maybe", "xxq,tone,1"], FormatError, "row 3: binary feature"),
+    (["eng,tone,1", "xxq,tone,maybe"], UnresolvableId, "row 3: cannot resolve"),
+    (["eng,tone,1", "deu,tone!,1"], NameCollision, "row 3: feature name collision"),
+])
+def test_build_batch_row_errors_name_the_file_and_csv_row(tmp_path, rows, error, message):
+    path = tmp_path / "bad1.csv"
+    path.write_text("language,feature,value\n" + "\n".join(rows) + "\n")
+    with pytest.raises(error) as caught:
+        build_batch(read_source_csv(path, "S"), _row_schema(tmp_path), _row_table(),
+                    source_name="S", source_path=path)
+    assert type(caught.value) is error
+    assert str(caught.value).startswith(f"{path}: {message}")
+
+
+def _build_batch_oracle(path, schema, table, namer, source_name):
+    """The per-row build_batch that the distinct-value one replaced; its
+    row errors carry the file and CSV row prefix of today's contract."""
+    batch = TensorBatch()
+    report = IngestReport(source=source_name)
+    seen_langs, seen_feats, seen_sources = set(), set(), set()
+
+    def add_feature(name, category, origin):
+        if name not in seen_feats:
+            seen_feats.add(name)
+            batch.features.append(FeatureDescriptor(name, category, origin))
+
+    for row_num, row in _read_csv_rows(path, ("language", "feature", "value")):
+        ext, label, value = (c.strip() for c in row)
+        report.rows_read += 1
+        if value in MISSING_MARKERS:
+            report.rows_skipped_missing += 1
+            continue
+        try:
+            glotto = resolve_language(ext, table)
+            if is_retired(ext, table) and (ext, glotto) not in report.resolved_retired:
+                report.resolved_retired.append((ext, glotto))
+            if glotto not in seen_langs:
+                seen_langs.add(glotto)
+                batch.languages.append(
+                    LanguageRecord(glottocode=glotto, iso639_3=ext if ext != glotto else None))
+            if source_name not in seen_sources:
+                seen_sources.add(source_name)
+                batch.sources.append(source_name)
+            spec = schema.lookup(label)
+            if spec.kind is VariableKind.BINARY:
+                if value not in {"0", "1", "0.0", "1.0"}:
+                    raise FormatError(f"binary feature {label!r} has non-binary value {value!r}")
+                name = namer.canonicalize(label, spec.category)
+                add_feature(name, spec.category, FeatureOrigin.native())
+                batch.cells.append((glotto, name, source_name, float(value)))
+            elif spec.kind is VariableKind.NOMINAL:
+                pairs = binarize_nominal(label, spec.categories, value, spec.category)
+                base = canonicalize_feature_name(label, spec.category)
+                for (name, v), cat_value in zip(pairs, spec.categories):
+                    namer.claim(name, f"{label}={cat_value}")
+                    add_feature(name, spec.category, FeatureOrigin.nominal(base, str(cat_value)))
+                    batch.cells.append((glotto, name, source_name, v))
+            else:
+                try:
+                    level = int(value)
+                except ValueError:
+                    raise FormatError(
+                        f"ordinal feature {label!r} has non-integer level {value!r}") from None
+                name, v = binarize_ordinal(label, spec.max_level, level, spec.category)
+                namer.claim(name, label)
+                add_feature(name, spec.category, FeatureOrigin.ordinal(label))
+                batch.cells.append((glotto, name, source_name, v))
+        except TypodistError as exc:
+            exc.args = (f"{path}: row {row_num}: {exc}",)
+            raise
+    report.cells_written = len(batch.cells)
+    return batch, report
+
+
+ROW_IDS = ["eng", "deu", "kcv", "ell", "gre", "alb", "stan1293", "aaab1037", "abcd1234",
+           " eng", "gre "]
+ROW_VALUES = {
+    "tone": ["0", "1", "0.0", "1.0"], "tone!": ["1"], "nasal vowels": ["0", "1"],
+    "word order": ["SOV", "SVO", "VSO"], "cases": ["0", "1", "2", "3", " 2"],
+}
+BAD_VALUES = ["maybe", "2", "4", "-1", "two", "OVS", "SVO "]
+
+
+def _random_source(rng, path, bad_rate):
+    """A raw export of seeded random rows: every kind of feature and id,
+    every missing marker, repeated and blank rows, and at bad_rate a bad
+    id, label or value."""
+    labels = [label for label in ROW_VALUES if label != "tone!"]
+    lines = []
+    for _ in range(int(rng.integers(0, 40))):
+        r = rng.random()
+        if lines and r < 0.15:
+            lines.append(lines[int(rng.integers(len(lines)))])  # a repeated row
+            continue
+        if r < 0.2:
+            lines.append("")
+            continue
+        ext = ROW_IDS[int(rng.integers(len(ROW_IDS)))]
+        label = labels[int(rng.integers(len(labels)))]
+        choices = ROW_VALUES[label] + sorted(MISSING_MARKERS)
+        value = choices[int(rng.integers(len(choices)))]
+        if rng.random() < bad_rate:
+            kind = int(rng.integers(4))
+            ext = "xxq" if kind == 0 else ext
+            label = ["bogus", "tone!"][int(rng.integers(2))] if kind == 1 else label
+            value = BAD_VALUES[int(rng.integers(len(BAD_VALUES)))] if kind >= 2 else value
+            if label == "tone!":
+                value = "1"
+        lines.append(f"{ext},{label},{value}")
+    path.write_text("language,feature,value\n" + "".join(line + "\n" for line in lines))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compared by type and message
+        return exc
+
+
+def test_build_batch_matches_the_per_row_oracle(tmp_path):
+    schema, table = _row_schema(tmp_path), _row_table()
+    outcomes = []
+    for seed in range(120):
+        rng = np.random.default_rng([seed, 23])
+        namer, oracle_namer = CanonicalNamer(), CanonicalNamer()  # shared by a run's sources
+        for k in range(3):
+            path = tmp_path / f"s{seed}_{k}.csv"
+            _random_source(rng, path, bad_rate=float(rng.choice([0.0, 0.02, 0.1])))
+            want = _outcome(lambda: _build_batch_oracle(path, schema, table, oracle_namer, f"S{k}"))
+            got = _outcome(lambda: build_batch(read_source_csv(path, f"S{k}"), schema, table,
+                                               namer=namer, source_name=f"S{k}", source_path=path))
+            outcomes.append(type(want).__name__)
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+                break
+            (want_batch, want_report), (got_batch, got_report) = want, got
+            assert got_batch.languages == want_batch.languages
+            assert got_batch.features == want_batch.features
+            assert got_batch.sources == want_batch.sources
+            assert list(got_batch.cells) == want_batch.cells
+            assert len(got_batch.cells) == len(want_batch.cells)
+            assert got_report.to_json() == want_report.to_json()
+    # the fixtures reach every outcome
+    assert {"tuple", "FormatError", "UnresolvableId", "UnknownCategory", "LevelOutOfRange",
+            "NameCollision"} <= set(outcomes)
+    assert outcomes.count("tuple") > len(outcomes) // 2

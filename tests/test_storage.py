@@ -9,6 +9,7 @@ import pytest
 
 from typodist import storage
 from typodist.aggregate import AggregationMode, aggregate
+from typodist.cli import main
 from typodist.errors import FormatError
 from typodist.kb import LanguageRecord, TensorBatch
 
@@ -136,6 +137,18 @@ def test_explicit_missing_rows_are_skipped(tmp_path, tiny_tensor):
         fh.write("othe1234,P_F1,--\n")
     loaded = storage.load_tensor(tmp_path)
     assert loaded.get_cell("othe1234", "P_F1", "SRC_B") is None
+
+
+def test_a_missing_row_naming_an_unregistered_language_is_rejected(tmp_path, capsys):
+    storage.save_tensor(make_tensor(["abcd1234"], ["P_F1"], [("abcd1234", "P_F1", "WALS", 1.0)]),
+                        tmp_path)
+    with open(tmp_path / "WALS.csv", "a", encoding="utf-8", newline="") as fh:
+        fh.write("zzzz9999,P_NOPE,--\n")
+    with pytest.raises(FormatError, match=r"WALS\.csv: row 3: unregistered language 'zzzz9999'$"):
+        storage.load_tensor(tmp_path)
+    assert main(["eval", "coverage", "--data", str(tmp_path)]) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "FormatError" and "WALS.csv: row 3: " in error["message"]
 
 
 def test_unsafe_source_name_rejected(tmp_path):
@@ -326,3 +339,66 @@ def test_load_keeps_the_last_of_repeated_rows(tmp_path, tiny_tensor):
     loaded = storage.load_tensor(tmp_path)
     assert loaded.get_cell("pare1234", "S_F1", "SRC_A") == 0.5
     assert loaded.cell_count() == 2 + 3  # SRC_B keeps its three cells
+
+
+def _load_as_before(directory):
+    """The per-row loader load_tensor replaced, with a missing row's names
+    checked as well: the cells it stores, by (language, feature, source)."""
+    registries = json.loads((directory / storage.REGISTRY_FILE).read_text())
+    langs = {obj["glottocode"] for obj in registries["languages"]}
+    feats = {obj["name"] for obj in registries["features"]}
+    cells = {}
+    for src in registries["sources"]:
+        path = directory / f"{src}.csv"
+        if not path.exists():
+            continue
+        for row_num, row in storage._read_csv_rows(path, storage.CELL_HEADER):
+            value = storage.parse_value(row[2], path, row_num)
+            lang, feat = row[0].strip(), row[1].strip()
+            if lang not in langs or feat not in feats:
+                kind, name = ("language", lang) if lang not in langs else ("feature", feat)
+                raise FormatError(f"{path}: row {row_num}: unregistered {kind} {name!r}")
+            if value is not None:
+                cells[(lang, feat, src)] = value
+    return cells
+
+
+def test_load_matches_the_per_row_loader_on_random_files(tmp_path):
+    outcomes = []
+    for seed in range(60):
+        rng = np.random.default_rng([seed, 29])
+        directory = tmp_path / f"kb{seed}"
+        tensor = _random_tensor(rng)
+        storage.save_tensor(tensor, directory)
+        langs = [r.glottocode for r in tensor.languages]
+        feats = [f.name for f in tensor.features]
+        bad_rate = float(rng.choice([0.0, 0.05, 0.2]))
+        for src in tensor.sources:
+            path = directory / f"{src}.csv"
+            lines = path.read_text().splitlines()
+            for _ in range(int(rng.integers(0, 8))):
+                lang, feat = langs[int(rng.integers(len(langs)))], feats[int(rng.integers(len(feats)))]
+                value = str(rng.choice(["0", "1", "0.25", "--", " 1 ", "-0", "", "--"]))
+                if rng.random() < bad_rate:
+                    kind = int(rng.integers(3))
+                    lang = "zzzz9999" if kind == 0 else lang
+                    feat = "S_NOPE" if kind == 1 else feat
+                    value = str(rng.choice(["maybe", "1.5", "nan", "-0.5"])) if kind == 2 else value
+                line = "" if value == "" else f" {lang},{feat} ,{value}"
+                lines.insert(int(rng.integers(1, len(lines) + 1)), line)
+            path.write_text("\n".join(lines) + "\n")
+        want, got = _outcome(lambda: _load_as_before(directory)), _outcome(
+            lambda: storage.load_tensor(directory))
+        outcomes.append(isinstance(want, Exception))
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert {(l, f, s): v for l, f, s, v in got.iter_cells()} == want
+    assert 10 < sum(outcomes) < 50  # both outcomes, often
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # compared by type and message
+        return exc
