@@ -51,6 +51,8 @@ class AggregatedMatrix:
             )
         self._lang_index = {g: i for i, g in enumerate(self.languages)}
         self._feat_index = {f.name: i for i, f in enumerate(self.features)}
+        # distance._RowView per feature selector, kept while values are read-only
+        self._views = {}
 
     def language_index(self, glottocode: str) -> int:
         try:

@@ -30,6 +30,8 @@ def _resolve_scope(tensor: FeatureTensor, scope) -> list[str]:
     elif isinstance(scope, Category):
         names = [f.name for f in tensor.features_in_category(scope)]
     else:
+        if isinstance(scope, str):
+            scope = (scope,)
         names = list(dict.fromkeys(scope))
         for name in names:
             tensor.feature_index(name)  # raises UnknownFeature

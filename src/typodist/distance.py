@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence, Union
@@ -36,7 +37,8 @@ class Metric(Enum):
     COSINE = "cosine"
 
 
-#: A feature scope: a whole category, an explicit name list, or None for all.
+#: A feature scope: a whole category, one feature name, an explicit name
+#: list, or None for all.
 FeatureSelector = Union[Category, Sequence[str], None]
 
 
@@ -96,13 +98,18 @@ def _cell_json(pair, metric: str, aggregation: str, distance, shared_features, r
 
 
 def select_feature_indices(features, selector: FeatureSelector) -> np.ndarray:
-    """Column indices for a selector, in matrix order regardless of list order."""
+    """Column indices for a selector, in matrix order regardless of list order.
+
+    A bare string names one feature.
+    """
     if selector is None:
         return np.arange(len(features))
     if isinstance(selector, Category):
         return np.array(
             [j for j, f in enumerate(features) if f.category is selector], dtype=int
         )
+    if isinstance(selector, str):
+        selector = (selector,)
     names = list(dict.fromkeys(selector))
     if not names:
         raise ValueError("explicit feature list must be non-empty")
@@ -114,19 +121,60 @@ def select_feature_indices(features, selector: FeatureSelector) -> np.ndarray:
     return np.array([j for j, f in enumerate(features) if f.name in wanted], dtype=int)
 
 
-def _metric_distance(u: np.ndarray, v: np.ndarray, metric: Metric) -> Optional[float]:
-    """Distance in [0, 1] for nonnegative vectors, or None on a zero norm."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return None
-    sim = float(np.dot(u, v)) / (nu * nv)
-    sim = min(1.0, max(-1.0, sim))
-    if metric is Metric.COSINE:
-        d = 1.0 - sim
-    else:
-        d = (2.0 / math.pi) * math.acos(sim)
-    return min(1.0, max(0.0, d))
+# _RowView row states
+_UNREAD, _FULL, _GAPS = range(3)
+
+
+class _RowView:
+    """The columns a feature selector picks from a matrix and, per row,
+    whether the row has a selected cell and all of them are known, with
+    the norm of those cells; a row's state and norm are filled on its
+    first read.
+
+    ``cols`` is a slice when the columns form one run and each row is
+    contiguous, so a row is read without a copy and with the same strides
+    as a compacted copy, which keeps its dot products bit-identical.
+    """
+
+    def __init__(self, matrix: AggregatedMatrix, selector: FeatureSelector):
+        self.values = np.asarray(matrix.values, dtype=float)
+        cols = select_feature_indices(matrix.features, selector)
+        self.width = len(cols)
+        if (self.width and self.values.strides[1] == self.values.itemsize
+                and cols[-1] - cols[0] + 1 == self.width):
+            cols = slice(int(cols[0]), int(cols[-1]) + 1)
+        self.cols = cols
+        n = len(matrix.languages)
+        self.state = array("b", bytes(n))  # all _UNREAD
+        self.norm = array("d", bytes(8 * n))
+
+    def row(self, i: int) -> tuple[np.ndarray, bool]:
+        """Row i's selected cells, and whether the row is _FULL."""
+        row = self.values[i, self.cols]
+        state = self.state[i]
+        if state == _UNREAD:
+            if self.width and not np.isnan(row).any():
+                # norm before state: a concurrent reader that sees _FULL
+                # also sees the norm
+                self.norm[i] = float(np.linalg.norm(row))
+                state = _FULL
+            else:
+                state = _GAPS
+            self.state[i] = state
+        return row, state == _FULL
+
+
+def _view(matrix: AggregatedMatrix, selector: FeatureSelector) -> _RowView:
+    """The matrix's view for selector. It is kept on the matrix when the
+    values are read-only and the selector is None or a Category; otherwise
+    it is built for this call, so a mutated matrix is never read through a
+    stale view and explicit lists do not accumulate."""
+    if matrix.values.flags.writeable or not (selector is None or isinstance(selector, Category)):
+        return _RowView(matrix, selector)
+    view = matrix._views.get(selector)
+    if view is None or view.values is not matrix.values:
+        view = matrix._views[selector] = _RowView(matrix, selector)
+    return view
 
 
 def _check_mode(req: DistanceRequest, matrix: AggregatedMatrix) -> None:
@@ -138,30 +186,42 @@ def _check_mode(req: DistanceRequest, matrix: AggregatedMatrix) -> None:
 
 
 def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> DistanceResult:
-    """Distance between req's pair over the matrix, or why it is undefined."""
+    """Distance between req's pair over the matrix, or why it is undefined.
+
+    Two fully known rows (every row of an ImputedMatrix) cost one dot
+    product with their norms kept from earlier queries; other pairs are
+    measured over the cells both rows know.
+    """
     _check_mode(req, matrix)
     pair = (req.lang_a, req.lang_b)
-    cols = select_feature_indices(matrix.features, req.features)
+    view = _view(matrix, req.features)
     ia = matrix.language_index(req.lang_a)
     ib = matrix.language_index(req.lang_b)
 
-    row_a = np.asarray(matrix.values[ia, cols], dtype=float)
-    row_b = np.asarray(matrix.values[ib, cols], dtype=float)
-    shared = ~np.isnan(row_a) & ~np.isnan(row_b)
-    n_shared = int(shared.sum())
-    if n_shared == 0:
-        return DistanceResult.not_computable(pair, req.metric, req.aggregation, NO_SHARED_DATA)
-    u = row_a[shared]
-    v = row_b[shared]
-    if ia == ib:
-        # same row: zero distance by identity, norm permitting
-        if float(np.linalg.norm(u)) == 0.0:
-            return DistanceResult.not_computable(pair, req.metric, req.aggregation, ZERO_VECTOR)
-        return DistanceResult.of(pair, req.metric, req.aggregation, 0.0, n_shared)
-    d = _metric_distance(u, v, req.metric)
-    if d is None:
+    u, full_a = view.row(ia)
+    v, full_b = view.row(ib)
+    if full_a and full_b:
+        n_shared = view.width
+        nu, nv = view.norm[ia], view.norm[ib]
+    else:
+        shared = ~np.isnan(u) & ~np.isnan(v)
+        n_shared = int(shared.sum())
+        if n_shared == 0:
+            return DistanceResult.not_computable(pair, req.metric, req.aggregation, NO_SHARED_DATA)
+        u = u[shared]
+        v = v[shared]
+        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
         return DistanceResult.not_computable(pair, req.metric, req.aggregation, ZERO_VECTOR)
-    return DistanceResult.of(pair, req.metric, req.aggregation, d, n_shared)
+    if ia == ib:
+        # same row: zero distance by identity
+        return DistanceResult.of(pair, req.metric, req.aggregation, 0.0, n_shared)
+    sim = min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv)))
+    if req.metric is Metric.COSINE:
+        d = 1.0 - sim
+    else:
+        d = (2.0 / math.pi) * math.acos(sim)
+    return DistanceResult.of(pair, req.metric, req.aggregation, min(1.0, max(0.0, d)), n_shared)
 
 
 def _gram_cells(
@@ -274,9 +334,9 @@ def distance_matrix(
     if len(langs) < 2:
         raise ValueError("distance matrix needs at least 2 languages")
     _check_mode(template, matrix)
-    cols = select_feature_indices(matrix.features, template.features)
+    view = _view(matrix, template.features)
     rows = np.array([matrix.language_index(lang) for lang in langs])
-    x = np.asarray(matrix.values[rows][:, cols], dtype=float)
+    x = view.values[rows][:, view.cols]
     upper = np.triu(np.ones((len(langs), len(langs)), dtype=bool))
     verdict, shared, d = (np.where(upper, a, a.T) for a in _gram_cells(x, rows, template.metric))
 

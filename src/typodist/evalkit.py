@@ -327,31 +327,6 @@ def _delta(a: np.ndarray, b: np.ndarray, ref: np.ndarray) -> Optional[float]:
     return abs(ta - tb)
 
 
-def perm_both_exhaustive(
-    scores_a: Sequence[float], scores_b: Sequence[float], reference: Sequence[float]
-) -> float:
-    """Exact swap-pattern enumeration; only viable for short inputs."""
-    a = np.asarray(scores_a, dtype=float)
-    b = np.asarray(scores_b, dtype=float)
-    ref = np.asarray(reference, dtype=float)
-    n = a.size
-    if n > 16:
-        raise ValueError("exhaustive enumeration limited to 16 pairs")
-    observed = _delta(a, b, ref)
-    if observed is None:
-        raise DegenerateInput("rank correlation undefined for constant input")
-    at_least, valid = 0, 0
-    for pattern in range(2**n):
-        swap = np.array([(pattern >> i) & 1 for i in range(n)], dtype=bool)
-        delta = _delta(np.where(swap, b, a), np.where(swap, a, b), ref)
-        if delta is None:
-            continue
-        valid += 1
-        if delta >= observed:
-            at_least += 1
-    return at_least / valid
-
-
 # --- case study ---------------------------------------------------------------
 
 @dataclass

@@ -214,6 +214,12 @@ def test_empty_scope_rejected(fixture_tensor):
         confidence_report("l0011234", "l0021234", fixture_tensor, scope=[])
 
 
+def test_bare_string_scope_is_one_feature(fixture_tensor):
+    one = confidence_report("l0011234", "l0021234", fixture_tensor, scope="S_F1")
+    assert one == confidence_report("l0011234", "l0021234", fixture_tensor, scope=["S_F1"])
+    assert one.feature_count_k == 1
+
+
 def test_components_bounded_and_monotone(fixture_tensor):
     rng = np.random.default_rng(47)
     base = completeness("l0031234", "l0041234", fixture_tensor)

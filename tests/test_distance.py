@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -21,10 +23,10 @@ from typodist.distance import (
     matrix_for,
 )
 from typodist.errors import UnknownFeature, UnknownLanguage
-from typodist.impute import ImputerSpec
+from typodist.impute import ImputerSpec, impute_knn, impute_mean
 from typodist.kb import Category, LanguageRecord, TensorBatch
 
-from conftest import make_matrix, random_matrix
+from conftest import make_matrix, make_tensor, random_matrix
 
 
 def _req(a, b, **kw):
@@ -147,6 +149,16 @@ def test_unknown_identifiers_raise():
         language_distance(_req("aaaa1234", "bbbb1234", features=["S_NOPE"]), m)
     with pytest.raises(ValueError, match="non-empty"):
         language_distance(_req("aaaa1234", "bbbb1234", features=[]), m)
+
+
+def test_bare_string_selector_is_one_feature():
+    m = make_matrix(AggregationMode.UNION, ["aaaa1234", "bbbb1234"], ["S_F1", "S_F2"],
+                    [[1.0, 0.0], [0.0, 1.0]])
+    one = language_distance(_req("aaaa1234", "bbbb1234", features="S_F2"), m)
+    assert one == language_distance(_req("aaaa1234", "bbbb1234", features=["S_F2"]), m)
+    assert one.reason == ZERO_VECTOR
+    with pytest.raises(UnknownFeature, match="S_F9"):
+        language_distance(_req("aaaa1234", "bbbb1234", features="S_F9"), m)
 
 
 def test_distance_matrix_symmetric_and_matches_pairwise_oracle():
@@ -593,3 +605,210 @@ def test_distance_grid_keeps_each_row_so_assignments_stick():
         grid[0:2]
     with pytest.raises(ValueError):
         grid.distances[0, 1] = 0.5
+
+
+# language_distance against its per-pair oracle ---------------------------------
+
+def _oracle_metric_distance(u, v, metric):
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return None
+    sim = float(np.dot(u, v)) / (nu * nv)
+    sim = min(1.0, max(-1.0, sim))
+    if metric is Metric.COSINE:
+        d = 1.0 - sim
+    else:
+        d = (2.0 / math.pi) * math.acos(sim)
+    return min(1.0, max(0.0, d))
+
+
+def oracle_language_distance(req, matrix):
+    """language_distance as it was before prepared row views: select the
+    columns, mask both rows and compact them on every call."""
+    distance_module._check_mode(req, matrix)
+    pair = (req.lang_a, req.lang_b)
+    cols = distance_module.select_feature_indices(matrix.features, req.features)
+    ia = matrix.language_index(req.lang_a)
+    ib = matrix.language_index(req.lang_b)
+
+    row_a = np.asarray(matrix.values[ia, cols], dtype=float)
+    row_b = np.asarray(matrix.values[ib, cols], dtype=float)
+    shared = ~np.isnan(row_a) & ~np.isnan(row_b)
+    n_shared = int(shared.sum())
+    if n_shared == 0:
+        return DistanceResult.not_computable(pair, req.metric, req.aggregation, NO_SHARED_DATA)
+    u = row_a[shared]
+    v = row_b[shared]
+    if ia == ib:
+        if float(np.linalg.norm(u)) == 0.0:
+            return DistanceResult.not_computable(pair, req.metric, req.aggregation, ZERO_VECTOR)
+        return DistanceResult.of(pair, req.metric, req.aggregation, 0.0, n_shared)
+    d = _oracle_metric_distance(u, v, req.metric)
+    if d is None:
+        return DistanceResult.not_computable(pair, req.metric, req.aggregation, ZERO_VECTOR)
+    return DistanceResult.of(pair, req.metric, req.aggregation, d, n_shared)
+
+
+VIEW_PREFIXES = ("S_", "P_", "M_", "INV_")
+# no fixture has a geographic feature, so this category is always empty
+VIEW_CATEGORIES = (Category.SYNTACTIC, Category.PHONOLOGICAL, Category.MORPHOLOGICAL,
+                   Category.INVENTORY, Category.GEOGRAPHIC)
+
+
+def _view_fixture(rng):
+    """A random matrix over a registry whose categories are grouped or
+    interleaved, observed or imputed, C- or Fortran-ordered."""
+    n_lang = int(rng.integers(2, 10))
+    n_feat = int(rng.integers(1, 15))
+    prefixes = [VIEW_PREFIXES[int(k)] for k in rng.integers(len(VIEW_PREFIXES), size=n_feat)]
+    if rng.random() < 0.5:
+        prefixes.sort(key=VIEW_PREFIXES.index)  # one run of columns per category
+    names = [f"{p}F{j:03d}" for j, p in enumerate(prefixes)]
+    langs = [f"l{i:03d}1234" for i in range(n_lang)]
+    binary = rng.random() < 0.5
+    if binary:
+        values = rng.integers(0, 2, (n_lang, n_feat)).astype(float)
+    else:
+        values = rng.random((n_lang, n_feat))
+    values[rng.random(n_lang) < 0.15] = 0.0  # all-zero rows
+    values[rng.random(values.shape) < rng.uniform(0.0, 0.9)] = np.nan
+    if np.isnan(values).all():
+        values[0, 0] = 1.0  # the imputers need an observed cell
+    if rng.random() < 0.2:
+        values = np.asfortranarray(values)
+    mode = AggregationMode.UNION if rng.random() < 0.5 else AggregationMode.AVERAGE
+    m = make_matrix(mode, langs, names, values)
+    imputer = rng.random()
+    if imputer < 0.2:
+        m = impute_mean(m)
+    elif imputer < 0.4:
+        m = impute_knn(m, k=int(rng.integers(1, 4)))
+    if rng.random() < 0.6:
+        m.values.flags.writeable = False  # as aggregate and matrix_for return it
+    return m
+
+
+def _view_selectors(rng, m):
+    names = [f.name for f in m.features]
+    listed = list(rng.choice(names, size=int(rng.integers(1, len(names) + 1))))
+    listed += listed[: int(rng.integers(0, len(listed) + 1))]  # duplicates, out of order
+    rng.shuffle(listed)
+    return [None, *VIEW_CATEGORIES, listed, str(rng.choice(names))]
+
+
+def test_language_distance_matches_its_oracle_on_random_fixtures():
+    rng = np.random.default_rng(1212)
+    reasons, paths, row_states = set(), set(), set()
+    for _ in range(300):
+        m = _view_fixture(rng)
+        for selector in _view_selectors(rng, m):
+            metric = Metric.ANGULAR if rng.random() < 0.5 else Metric.COSINE
+            for a in m.languages:
+                for b in m.languages:
+                    req = _req(a, b, metric=metric, aggregation=m.mode, features=selector)
+                    got = language_distance(req, m)
+                    assert got == oracle_language_distance(req, m), (req, m.values)
+                    reasons.add(got.reason)
+            view = distance_module._view(m, selector)
+            paths.add(type(view.cols))
+            row_states.update(view.state)
+    assert reasons == {None, NO_SHARED_DATA, ZERO_VECTOR}
+    assert paths == {slice, np.ndarray}
+    assert {distance_module._FULL, distance_module._GAPS} <= row_states
+
+
+def test_views_are_kept_only_for_read_only_matrices_and_category_selectors():
+    m = make_matrix(AggregationMode.UNION, EDGE_LANGS, EDGE_FEATS,
+                    [[1, 0, 1], [0, 1, 1], [1, 1, np.nan]])
+    for selector in (None, Category.SYNTACTIC, ["S_F1"]):
+        language_distance(_req("aaaa1234", "bbbb1234", features=selector), m)
+    assert m._views == {}
+    m.values.flags.writeable = False
+    for selector in (None, Category.SYNTACTIC, ["S_F1"], "S_F2"):
+        language_distance(_req("aaaa1234", "bbbb1234", features=selector), m)
+    assert set(m._views) == {None, Category.SYNTACTIC}
+    assert m._views[Category.SYNTACTIC].cols == slice(0, 2)
+
+
+def test_writable_matrix_mutated_between_calls_gets_the_fresh_answer():
+    m = make_matrix(AggregationMode.AVERAGE, EDGE_LANGS, EDGE_FEATS,
+                    [[1, 0, 1], [0, 1, 1], [1, 1, 0.5]])
+    req = _req("aaaa1234", "cccc1234", aggregation=AggregationMode.AVERAGE)
+    before = language_distance(req, m)
+    m.values[2] = [0.0, 1.0, 0.0]
+    after = language_distance(req, m)
+    assert after == oracle_language_distance(req, m) and after.distance == 1.0
+    assert after != before
+    m.values[0, 1] = np.nan
+    assert language_distance(req, m) == oracle_language_distance(req, m)
+
+    # read-only values replaced by other read-only values: the kept view is not used
+    for row in ([1, 0, 1], [0, 1, 0]):
+        frozen = np.array([[1, 0, 1], [0, 1, 1], row], dtype=float)
+        frozen.flags.writeable = False
+        m.values = frozen
+        assert language_distance(req, m) == oracle_language_distance(req, m)
+    assert language_distance(req, m).distance == 1.0
+
+
+@pytest.mark.parametrize("use_imputed", [False, True])
+def test_views_follow_tensor_writes(tiny_tensor, use_imputed):
+    req = _req("pare1234", "othe1234", features=Category.SYNTACTIC,
+               use_imputed=use_imputed, imputer=ImputerSpec("mean"))
+    first = matrix_for(tiny_tensor, req)
+    assert distance_from_tensor(tiny_tensor, req) == oracle_language_distance(req, first)
+    kept = first._views[Category.SYNTACTIC]
+
+    tiny_tensor.extend_with(TensorBatch(cells=[("othe1234", "S_F1", "SRC_B", 1.0)]))
+    second = matrix_for(tiny_tensor, req)
+    assert second is not first
+    got = distance_from_tensor(tiny_tensor, req)
+    assert got == oracle_language_distance(req, second)
+    assert second._views[Category.SYNTACTIC] is not kept
+    assert got != oracle_language_distance(req, first)
+
+    tiny_tensor.add_language(LanguageRecord("newl1234"))
+    third = matrix_for(tiny_tensor, req)
+    new_req = replace(req, lang_b="newl1234")
+    assert distance_from_tensor(tiny_tensor, new_req) == oracle_language_distance(new_req, third)
+    assert len(third._views[Category.SYNTACTIC].state) == 4
+
+
+def test_threads_from_a_cold_view_get_the_oracle_answers():
+    rng = np.random.default_rng(88)
+    langs = [f"l{i:03d}1234" for i in range(40)]
+    feats = [f"{p}F{j:03d}" for p in VIEW_PREFIXES for j in range(6)]
+    cells = [(lang, feat, "A", float(rng.integers(0, 2)))
+             for lang in langs for feat in feats if rng.random() < 0.4]
+    tensor = make_tensor(langs, feats, cells)
+    template = _req("", "", use_imputed=True, imputer=ImputerSpec("mean"))
+    matrix = matrix_for(tensor, template)
+    requests = [replace(template, lang_a=a, lang_b=b, metric=metric, features=selector)
+                for a in langs[:12] for b in langs
+                for metric, selector in ((Metric.ANGULAR, None), (Metric.COSINE, Category.PHONOLOGICAL))]
+    want = [oracle_language_distance(req, matrix) for req in requests]
+    assert matrix._views == {}
+
+    start = threading.Barrier(8)
+    results = [None] * 8
+
+    def work(k):
+        start.wait()
+        order = requests if k % 2 else requests[::-1]
+        got = [distance_from_tensor(tensor, req) for req in order]
+        results[k] = got if k % 2 else got[::-1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(got == want for got in results)
+    assert set(matrix._views) == {None, Category.PHONOLOGICAL}

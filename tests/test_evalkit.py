@@ -16,7 +16,6 @@ from typodist.evalkit import (
     kendall_tau,
     knn_select_k,
     load_case_study,
-    perm_both_exhaustive,
     perm_both_test,
     quality_test,
 )
@@ -287,6 +286,30 @@ def test_perm_both_identical_scores_p_one():
     result = perm_both_test(a, list(a), ref, iterations=200, seed=0)
     assert result.p_value == 1.0
     assert result.observed_delta == 0.0
+
+
+def perm_both_exhaustive(scores_a, scores_b, reference) -> float:
+    """Perm-Both's exact p-value by enumerating every swap pattern; the
+    oracle for perm_both_test, only viable for short inputs."""
+    a = np.asarray(scores_a, dtype=float)
+    b = np.asarray(scores_b, dtype=float)
+    ref = np.asarray(reference, dtype=float)
+    n = a.size
+    if n > 16:
+        raise ValueError("exhaustive enumeration limited to 16 pairs")
+    observed = evalkit._delta(a, b, ref)
+    if observed is None:
+        raise DegenerateInput("rank correlation undefined for constant input")
+    at_least, valid = 0, 0
+    for pattern in range(2**n):
+        swap = np.array([(pattern >> i) & 1 for i in range(n)], dtype=bool)
+        delta = evalkit._delta(np.where(swap, b, a), np.where(swap, a, b), ref)
+        if delta is None:
+            continue
+        valid += 1
+        if delta >= observed:
+            at_least += 1
+    return at_least / valid
 
 
 def test_perm_both_matches_exhaustive_on_four_pairs():
