@@ -137,17 +137,19 @@ def _parse_category(name: str) -> Category:
 
 
 def _feature_selector(args):
-    if getattr(args, "category", None):
+    """The feature scope the flags name; a flag given empty still names one."""
+    if getattr(args, "category", None) is not None:
         return _parse_category(args.category)
-    if getattr(args, "features", None):
+    if getattr(args, "features", None) is not None:
         return [f.strip() for f in args.features.split(",") if f.strip()]
     return None
 
 
 def _source_selector(args):
-    if getattr(args, "source", None):
+    """The source scope the flags name; a flag given empty still names one."""
+    if getattr(args, "source", None) is not None:
         return args.source
-    if getattr(args, "sources", None):
+    if getattr(args, "sources", None) is not None:
         return [s.strip() for s in args.sources.split(",") if s.strip()]
     return None
 
@@ -185,10 +187,7 @@ def cmd_ingest(args, config: CliConfig) -> int:
         name, _, path = entry.partition("=")
         if not path:
             raise QueryError(f"--source must look like NAME=PATH, got {entry!r}")
-        batch, report = build_batch(
-            read_source_csv(path, name), schema, table, namer=namer, source_name=name,
-            source_path=path,
-        )
+        batch, report = build_batch(read_source_csv(path, name), schema, table, namer=namer)
         batches.append(batch)
         reports.append(report)
 

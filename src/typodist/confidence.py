@@ -10,34 +10,18 @@ produced; the components stand on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .aggregate import AggregationMode, _per_version
 from .errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
 from .impute import ImputerSpec
-from .kb import Category, FeatureTensor
+from .kb import FeatureSelector, FeatureTensor, feature_columns
 from .storage import _checked, _json_field, _read_json, write_json
 
 #: The metric each aggregation mode's imputation quality is read from.
 _QUALITY_METRIC = {AggregationMode.UNION: "f1", AggregationMode.AVERAGE: "rmse"}
-
-
-def _resolve_scope(tensor: FeatureTensor, scope) -> list[str]:
-    if scope is None:
-        names = [f.name for f in tensor.features]
-    elif isinstance(scope, Category):
-        names = [f.name for f in tensor.features_in_category(scope)]
-    else:
-        if isinstance(scope, str):
-            scope = (scope,)
-        names = list(dict.fromkeys(scope))
-        for name in names:
-            tensor.feature_index(name)  # raises UnknownFeature
-    if not names:
-        raise EmptyScope("feature scope is empty")
-    return names
 
 
 def _source_agreement(tensor: FeatureTensor) -> tuple[np.ndarray, np.ndarray]:
@@ -65,10 +49,13 @@ def _source_agreement(tensor: FeatureTensor) -> tuple[np.ndarray, np.ndarray]:
         return sourced, top / sourced
 
 
-def _scope_stats(tensor: FeatureTensor, names: Sequence[str]):
-    """The tensor version's source statistics, and the scope's feature indices."""
+def _scope_stats(tensor: FeatureTensor, scope: FeatureSelector):
+    """The tensor version's source statistics, and the scope's feature
+    indices in scope order; an empty scope raises EmptyScope."""
+    cols = feature_columns(tensor.features, scope)
+    if not len(cols):
+        raise EmptyScope("feature scope is empty")
     sourced, agreement = _per_version(tensor, "source agreement", lambda: _source_agreement(tensor))
-    cols = np.array([tensor.feature_index(name) for name in names], dtype=np.intp)
     return sourced, agreement, cols
 
 
@@ -78,12 +65,13 @@ def completeness(lang_a: str, lang_b: str, tensor: FeatureTensor, scope=None) ->
     A feature counts as missing for a language only when no source at all
     provides a value.
     """
-    names = _resolve_scope(tensor, scope)
-    sourced, _agreement, cols = _scope_stats(tensor, names)
+    return _completeness(lang_a, lang_b, tensor, *_scope_stats(tensor, scope))
 
+
+def _completeness(lang_a, lang_b, tensor, sourced, _agreement, cols) -> float:
     def missing_fraction(lang: str) -> float:
         missing = int(np.count_nonzero(sourced[tensor.language_index(lang), cols] == 0))
-        return missing / len(names)
+        return missing / len(cols)
 
     return 1.0 - (missing_fraction(lang_a) + missing_fraction(lang_b)) / 2.0
 
@@ -96,9 +84,10 @@ def consistency(lang_a: str, lang_b: str, tensor: FeatureTensor, scope=None) -> 
     one sourced value enter the average; a language with none in scope has
     no defined consistency.
     """
-    names = _resolve_scope(tensor, scope)
-    sourced, agreement, cols = _scope_stats(tensor, names)
+    return _consistency(lang_a, lang_b, tensor, *_scope_stats(tensor, scope))
 
+
+def _consistency(lang_a, lang_b, tensor, sourced, agreement, cols) -> float:
     def agreement_of(lang: str) -> float:
         li = tensor.language_index(lang)
         # summed in scope order, as a per-feature loop would
@@ -195,12 +184,14 @@ def confidence_report(
     mode: AggregationMode = AggregationMode.UNION,
     cache: Optional[QualityCache] = None,
 ) -> ConfidenceReport:
-    """Bundle the three components for a pair; nothing is averaged together."""
-    names = _resolve_scope(tensor, scope)
+    """Bundle the three components for a pair; nothing is averaged together.
+
+    The scope is resolved once, for both components."""
+    stats = _scope_stats(tensor, scope)
     return ConfidenceReport(
         pair=(lang_a, lang_b),
-        completeness=completeness(lang_a, lang_b, tensor, names),
-        consistency=consistency(lang_a, lang_b, tensor, names),
+        completeness=_completeness(lang_a, lang_b, tensor, *stats),
+        consistency=_consistency(lang_a, lang_b, tensor, *stats),
         imputation_quality=imputation_quality(method, mode, cache),
-        feature_count_k=len(names),
+        feature_count_k=len(stats[2]),
     )

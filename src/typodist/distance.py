@@ -13,14 +13,13 @@ import operator
 from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .aggregate import AggregatedMatrix, AggregationMode, SourceSelector, _per_version, aggregate
-from .errors import UnknownFeature
 from .impute import ImputedMatrix, ImputerSpec, run_imputer
-from .kb import Category, FeatureTensor
+from .kb import Category, FeatureSelector, FeatureTensor, feature_columns
 
 NO_SHARED_DATA = "no shared data"
 ZERO_VECTOR = "zero vector"
@@ -35,11 +34,6 @@ _ILL_CONDITIONED_ACOS = 1e-5
 class Metric(Enum):
     ANGULAR = "angular"
     COSINE = "cosine"
-
-
-#: A feature scope: a whole category, one feature name, an explicit name
-#: list, or None for all.
-FeatureSelector = Union[Category, Sequence[str], None]
 
 
 @dataclass(frozen=True)
@@ -100,25 +94,12 @@ def _cell_json(pair, metric: str, aggregation: str, distance, shared_features, r
 def select_feature_indices(features, selector: FeatureSelector) -> np.ndarray:
     """Column indices for a selector, in matrix order regardless of list order.
 
-    A bare string names one feature.
+    The scope rules are kb.feature_columns'; an empty explicit list raises.
     """
-    if selector is None:
-        return np.arange(len(features))
-    if isinstance(selector, Category):
-        return np.array(
-            [j for j, f in enumerate(features) if f.category is selector], dtype=int
-        )
-    if isinstance(selector, str):
-        selector = (selector,)
-    names = list(dict.fromkeys(selector))
-    if not names:
+    cols = feature_columns(features, selector)
+    if not len(cols) and not (selector is None or isinstance(selector, Category)):
         raise ValueError("explicit feature list must be non-empty")
-    available = {f.name: j for j, f in enumerate(features)}
-    for name in names:
-        if name not in available:
-            raise UnknownFeature(name)
-    wanted = set(names)
-    return np.array([j for j, f in enumerate(features) if f.name in wanted], dtype=int)
+    return np.sort(cols)
 
 
 # _RowView row states

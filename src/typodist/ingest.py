@@ -456,8 +456,6 @@ def build_batch(
     schema: IngestSchema,
     table: IdResolutionTable,
     namer: Optional[CanonicalNamer] = None,
-    source_name: str = "",
-    source_path=None,
 ) -> tuple[TensorBatch, IngestReport]:
     """Binarize, rename, and resolve one source's rows into a batch.
 
@@ -469,7 +467,7 @@ def build_batch(
     ids, labels, values = records.tables
     id_code, label_code, value_code = records.codes
     kept = np.flatnonzero(~np.isin(values, list(MISSING_MARKERS))[value_code])
-    report = IngestReport(source_name or records.source_name, len(records),
+    report = IngestReport(records.source_name, len(records),
                           rows_skipped_missing=len(records) - len(kept))
     id_codes, id_first, id_rank = _factorized(id_code[kept])
     pair_codes, pair_first, pair_rank = _factorized(label_code[kept].astype(np.int64) * len(values) + value_code[kept])
@@ -492,8 +490,7 @@ def build_batch(
             stop, error = position, exc
             break
     if error is not None:
-        where = source_path if source_path is not None else records.path
-        error.args = (f"{where}: row {records.rows[kept[stop]]}: {error}",)
+        error.args = (f"{records.path}: row {records.rows[kept[stop]]}: {error}",)
         raise error
 
     batch = TensorBatch(sources=[records.source_name] if len(kept) else [])

@@ -23,7 +23,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -140,6 +140,32 @@ class FeatureDescriptor:
                 f"feature name {self.name!r} does not carry the {prefix!r} prefix "
                 f"required for category {self.category.value}"
             )
+
+
+#: A feature scope: a whole category, one feature name, an explicit name
+#: list, or None for all.
+FeatureSelector = Union[Category, Sequence[str], None]
+
+
+def feature_columns(features: Sequence[FeatureDescriptor],
+                    selector: FeatureSelector) -> np.ndarray:
+    """The indices into features that a feature scope names: all of them
+    for None, a Category's in registry order, or each listed name once, in
+    the order first named. A bare string names one feature; the first
+    unknown name raises UnknownFeature. Callers decide what an empty
+    scope means.
+    """
+    if selector is None:
+        return np.arange(len(features))
+    if isinstance(selector, Category):
+        return np.array([j for j, f in enumerate(features) if f.category is selector], dtype=int)
+    if isinstance(selector, str):
+        selector = (selector,)
+    index = {f.name: j for j, f in enumerate(features)}
+    try:
+        return np.array([index[name] for name in dict.fromkeys(selector)], dtype=int)
+    except KeyError as exc:
+        raise UnknownFeature(exc.args[0]) from None
 
 
 #: A cell value: a float in [0, 1], or None for a missing cell.

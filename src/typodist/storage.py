@@ -57,7 +57,7 @@ def parse_value(text: str, path, row_num: int) -> Optional[float]:
         raise FormatError(f"{path}: row {row_num}: bad value {text!r}") from None
     if not 0.0 <= v <= 1.0:
         raise FormatError(f"{path}: row {row_num}: value {v} outside [0, 1]")
-    return v
+    return v + 0.0  # -0 reads as 0.0, the bits extend_with stores
 
 
 def _language_to_json(rec: LanguageRecord) -> dict:
@@ -166,17 +166,24 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
     lang_rank, feat_rank = _ranks(glottocodes), _ranks(names)
     for src, col in zip(snap.sources, snap.columns):
         order = np.lexsort((feat_rank[col.feature], lang_rank[col.language]))
-        distinct, which = np.unique(col.value[order], return_inverse=True)
-        texts = np.array([format_value(v) for v in distinct.tolist()], dtype=object)
         rows = zip(
             glottocodes[col.language[order]].tolist(),
             names[col.feature[order]].tolist(),
-            texts[which.ravel()].tolist(),  # each distinct value formatted once
+            _rendered(col.value[order]).tolist(),
         )
         with _replacing(directory / f"{src}.csv") as fh:
             writer = csv.writer(fh)
             writer.writerow(CELL_HEADER)
             writer.writerows(rows)
+
+
+def _rendered(values: np.ndarray) -> np.ndarray:
+    """Each value's text, in an object array of values' shape: the missing
+    token for NaN, format_value for any other value, each distinct value
+    rendered once."""
+    distinct, which = np.unique(values, return_inverse=True)
+    texts = [MISSING_TOKEN if v != v else format_value(v) for v in distinct.tolist()]
+    return np.array(texts, dtype=object)[which.reshape(np.shape(values))]
 
 
 def _check_source_name(src: str, where) -> None:
@@ -370,15 +377,11 @@ def _read_cell_columns(path):
 def export_matrix_csv(languages: Sequence[str], features, values: np.ndarray, path) -> None:
     """Write a language x feature matrix; NaN cells become the missing token."""
     names = [f.name if isinstance(f, FeatureDescriptor) else str(f) for f in features]
+    texts = _rendered(values).tolist()
     with _replacing(Path(path)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["language"] + names)
-        for i, lang in enumerate(languages):
-            row = [lang]
-            for j in range(len(names)):
-                v = values[i, j]
-                row.append(MISSING_TOKEN if np.isnan(v) else format_value(v))
-            writer.writerow(row)
+        writer.writerows([lang, *row] for lang, row in zip(languages, texts))
 
 
 def load_matrix_values(path, languages: Sequence[str], feature_names: Sequence[str]) -> np.ndarray:

@@ -238,6 +238,67 @@ def test_distance_matrix_stdout_matches_golden(workspace, capsys, scope, extra, 
     assert out == (DATA_DIR / f"distance_{scope}.{suffix}").read_text(encoding="utf-8")
 
 
+# two more sources, so that some cells have two or three sources that disagree
+PHOIBLE = (
+    "language,feature,value\n"
+    "eng,tone,1\n"
+    "eng,nasal vowels,0\n"
+    "fra,tone,0\n"
+    "fra,word order,SVO\n"
+)
+
+APICS = (
+    "language,feature,value\n"
+    "eng,tone,1\n"
+    "fra,tone,1\n"
+    "fra,word order,SOV\n"
+    "deu,cases,2\n"
+)
+
+
+@pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("table", "txt")])
+@pytest.mark.parametrize("scope,extra", [
+    ("all", []),
+    ("syntactic", ["--category", "syntactic"]),
+    ("listed", ["--features", "S_WORD_ORDER_SOV,P_TONE,M_CASES,P_TONE"]),
+    ("one", ["--features", "P_TONE"]),
+])
+def test_confidence_stdout_matches_golden(workspace, capsys, scope, extra, fmt, suffix):
+    ws, data = workspace, workspace / "kb"
+    (ws / "phoible.csv").write_text(PHOIBLE)
+    (ws / "apics.csv").write_text(APICS)
+    code, _, err = run(
+        capsys, "ingest", "--schema", ws / "schema.json", "--resolution-table", ws / "res.csv",
+        "--rules", ws / "rules.csv", "--out", data,
+        *(f"--source={name}={ws / name.lower()}.csv"
+          for name in ("WALS", "GRAMBANK", "PHOIBLE", "APICS")),
+    )
+    assert code == 0, err
+    code, out, err = run(capsys, "--format", fmt, "confidence", "--data", data,
+                         "stan1293", "stan1290", *extra)
+    assert code == 0, err
+    assert out == (DATA_DIR / f"confidence_{scope}.{suffix}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command,flag,error,message", [
+    ("distance", "--features", "ValueError", "explicit feature list must be non-empty"),
+    ("distance", "--category", "QueryError", "unknown feature category: ''"),
+    ("distance", "--sources", "EmptySourceSubset", "source subset must be non-empty"),
+    ("distance", "--source", "UnknownSource", "unknown source: ''"),
+    ("confidence", "--features", "EmptyScope", "feature scope is empty"),
+    ("confidence", "--category", "QueryError", "unknown feature category: ''"),
+])
+def test_an_empty_scope_flag_names_an_empty_scope(workspace, capsys, command, flag, error,
+                                                  message):
+    # an empty value is a scope the library rejects, not the whole scope
+    data = ingest(capsys, workspace)
+    code, out, err = run(capsys, command, "--data", data, "stan1293", "stan1295", flag, "")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err) == {"error": error, "message": message}
+    assert len(err.splitlines()) == 1
+
+
 def test_confidence_command(workspace, capsys):
     data = ingest(capsys, workspace)
     code, out, _ = run(capsys, "confidence", "--data", data, "stan1293", "stan1295")

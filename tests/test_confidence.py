@@ -6,6 +6,7 @@ import pytest
 
 from typodist.aggregate import AggregationMode
 from typodist.confidence import (
+    ConfidenceReport,
     QualityCache,
     completeness,
     confidence_report,
@@ -291,6 +292,12 @@ def _consistency_oracle(lang_a, lang_b, tensor, scope=None):
     return (agreement(lang_a) + agreement(lang_b)) / 2.0
 
 
+def _report_oracle(lang_a, lang_b, tensor, scope=None):
+    return ConfidenceReport((lang_a, lang_b), _completeness_oracle(lang_a, lang_b, tensor, scope),
+                            _consistency_oracle(lang_a, lang_b, tensor, scope), 1.0,
+                            len(_scope_names(tensor, scope)))
+
+
 def _same_outcome(fn, oracle, *args):
     try:
         want = oracle(*args)
@@ -320,6 +327,7 @@ def test_components_match_the_per_call_oracle():
             scope = scopes[int(rng.integers(len(scopes)))]
             _same_outcome(completeness, _completeness_oracle, a, b, tensor, scope)
             _same_outcome(consistency, _consistency_oracle, a, b, tensor, scope)
+            _same_outcome(confidence_report, _report_oracle, a, b, tensor, scope)
         # a write makes a new version, and the statistics follow it
         l, f, s, v = cells[0]
         tensor.extend_with(TensorBatch(cells=[(l, f, s, 1.0 - v)]), overwrite=True)

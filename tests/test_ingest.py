@@ -334,9 +334,7 @@ def test_build_batch_from_csv(tmp_path):
     )
     schema = load_ingest_schema(schema_path)
     records = read_source_csv(src, "WALS")
-    batch, report = build_batch(
-        records, schema, _replacement_table(), source_name="WALS", source_path=src
-    )
+    batch, report = build_batch(records, schema, _replacement_table())
     assert report.rows_read == 4
     assert report.rows_skipped_missing == 1
     assert report.resolved_retired == [("alb", "alba1267")]
@@ -360,8 +358,6 @@ def test_build_batch_rejects_bad_binary(tmp_path):
             read_source_csv(src, "S"),
             load_ingest_schema(schema_path),
             _replacement_table(),
-            source_name="S",
-            source_path=src,
         )
 
 
@@ -412,8 +408,7 @@ def test_build_batch_row_errors_name_the_file_and_csv_row(tmp_path, rows, error,
     path = tmp_path / "bad1.csv"
     path.write_text("language,feature,value\n" + "\n".join(rows) + "\n")
     with pytest.raises(error) as caught:
-        build_batch(read_source_csv(path, "S"), _row_schema(tmp_path), _row_table(),
-                    source_name="S", source_path=path)
+        build_batch(read_source_csv(path, "S"), _row_schema(tmp_path), _row_table())
     assert type(caught.value) is error
     assert str(caught.value).startswith(f"{path}: {message}")
 
@@ -534,7 +529,7 @@ def test_build_batch_matches_the_per_row_oracle(tmp_path):
             _random_source(rng, path, bad_rate=float(rng.choice([0.0, 0.02, 0.1])))
             want = _outcome(lambda: _build_batch_oracle(path, schema, table, oracle_namer, f"S{k}"))
             got = _outcome(lambda: build_batch(read_source_csv(path, f"S{k}"), schema, table,
-                                               namer=namer, source_name=f"S{k}", source_path=path))
+                                               namer=namer))
             outcomes.append(type(want).__name__)
             if isinstance(want, Exception):
                 assert type(got) is type(want) and str(got) == str(want)

@@ -20,9 +20,10 @@ from typodist.kb import (
     SourceColumn,
     TensorBatch,
     _keys,
+    feature_columns,
 )
 
-from conftest import DictTensor, make_tensor
+from conftest import DictTensor, category_of, make_tensor
 
 
 def test_get_cell_known(tiny_tensor):
@@ -437,3 +438,25 @@ def test_iter_cells_yields_each_source_sorted(tiny_tensor):
     t = tiny_tensor
     rank = [(t.source_index(s), t.language_index(l), t.feature_index(f)) for l, f, s, _v in cells]
     assert rank == sorted(rank) and len(set(rank)) == len(rank)
+
+
+def test_feature_columns_resolves_every_kind_of_scope():
+    names = ["S_A", "P_A", "S_B", "INV_A", "S_C"]
+    features = [FeatureDescriptor(name, category_of(name)) for name in names]
+
+    def cols(selector):
+        return feature_columns(features, selector).tolist()
+
+    assert cols(None) == [0, 1, 2, 3, 4]
+    assert cols(Category.SYNTACTIC) == [0, 2, 4]  # registry order
+    assert cols(Category.MORPHOLOGICAL) == []
+    assert cols(["S_C", "P_A", "S_C", "S_A", "P_A"]) == [4, 1, 0]  # first-named order, once
+    assert cols(("INV_A",)) == [3]
+    assert cols("S_B") == cols(np.str_("S_B")) == [2]  # a bare name is one feature
+    assert cols([]) == []
+    assert feature_columns(features, []).dtype.kind == "i"
+    assert feature_columns([], None).tolist() == []
+    with pytest.raises(UnknownFeature, match="'S_NOPE'"):
+        cols(["S_A", "S_NOPE", "P_NOPE"])  # the first unknown name, in given order
+    with pytest.raises(UnknownFeature, match="'S_AB'"):
+        cols("S_AB")  # a bare name is not a list of characters

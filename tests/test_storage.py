@@ -11,7 +11,7 @@ from typodist import storage
 from typodist.aggregate import AggregationMode, aggregate
 from typodist.cli import main
 from typodist.errors import FormatError
-from typodist.kb import LanguageRecord, TensorBatch
+from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch
 
 from conftest import make_matrix, make_tensor
 
@@ -139,6 +139,15 @@ def test_explicit_missing_rows_are_skipped(tmp_path, tiny_tensor):
     assert loaded.get_cell("othe1234", "P_F1", "SRC_B") is None
 
 
+def test_a_stored_negative_zero_loads_as_the_bits_extend_with_writes(tmp_path, tiny_tensor):
+    written = make_tensor(["abcd1234"], ["S_F1"], [("abcd1234", "S_F1", "SRC_A", -0.0)])
+    want = written.get_cell("abcd1234", "S_F1", "SRC_A")
+    storage.save_tensor(tiny_tensor, tmp_path)
+    (tmp_path / "SRC_A.csv").write_text("language,feature,value\npare1234,S_F1,-0\n")
+    got = storage.load_tensor(tmp_path).get_cell("pare1234", "S_F1", "SRC_A")
+    assert np.float64(got).tobytes() == np.float64(want).tobytes() == np.float64(0.0).tobytes()
+
+
 def test_a_missing_row_naming_an_unregistered_language_is_rejected(tmp_path, capsys):
     storage.save_tensor(make_tensor(["abcd1234"], ["P_F1"], [("abcd1234", "P_F1", "WALS", 1.0)]),
                         tmp_path)
@@ -217,6 +226,39 @@ def test_matrix_export_round_trip(tmp_path):
     loaded = storage.load_matrix_values(path, matrix.languages, [f.name for f in matrix.features])
     assert np.array_equal(np.isnan(loaded), np.isnan(values))
     assert np.array_equal(loaded[~np.isnan(values)], values[~np.isnan(values)])
+
+
+def _export_matrix_as_before(languages, features, values, path):
+    """The per-cell writer export_matrix_csv replaced."""
+    names = [f.name if isinstance(f, FeatureDescriptor) else str(f) for f in features]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["language"] + names)
+        for i, lang in enumerate(languages):
+            row = [lang]
+            for j in range(len(names)):
+                v = values[i, j]
+                row.append(storage.MISSING_TOKEN if np.isnan(v) else storage.format_value(v))
+            writer.writerow(row)
+
+
+def test_matrix_export_matches_the_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(41)
+    special = [np.nan, -0.0, 0.0, 0.5, 1.0, 5e-324, 1e-300, 2.0**-40, 1 / 3]
+    for trial in range(40):
+        n, k = (int(rng.integers(0 if trial == 0 else 1, 12)) for _ in range(2))
+        values = np.where(rng.random((n, k)) < 0.5, rng.choice(special, size=(n, k)),
+                          rng.random((n, k)))
+        if trial % 3 == 0:
+            values = np.round(values * 4) / 4  # few distinct values, some integral
+        languages = [f"l{i:03d}1234" for i in range(n)]
+        features = [f"S_F{j}" for j in range(k)]
+        if trial % 2:
+            features = [FeatureDescriptor(name, Category.SYNTACTIC) for name in features]
+        got, want = tmp_path / f"got{trial}.csv", tmp_path / f"want{trial}.csv"
+        storage.export_matrix_csv(languages, features, values, got)
+        _export_matrix_as_before(languages, features, values, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_matrix_load_validates_grid(tmp_path):
