@@ -4,15 +4,14 @@ Union aggregation takes the max over known source values, average
 aggregation the unweighted mean; a cell is missing only when every
 contributing source is missing.
 
-Derived matrices are cached per tensor and key, and invalidated whenever
-the tensor version changes, so queries always reflect the current store.
-`aggregate` caches per (mode, source subset); `distance.matrix_for` uses
-the same cache for imputed matrices.
+Derived matrices live in the `derived` dict of the tensor state they were
+built from, one per key; a write that changes the tensor publishes a new,
+empty dict, which frees the stale ones. `aggregate` keys on (mode, source
+subset); `distance.matrix_for` and `confidence` use the same dict.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Hashable, Sequence, TypeVar, Union
@@ -81,23 +80,14 @@ class AggregatedMatrix:
 
 T = TypeVar("T")
 
-_cache: "weakref.WeakKeyDictionary[FeatureTensor, dict]" = weakref.WeakKeyDictionary()
 
-
-def _per_version(tensor: FeatureTensor, key: Hashable, build: Callable[[], T]) -> T:
-    """build()'s result, built once per (tensor version, key) and then shared."""
-    version = tensor.version
-    per_tensor = _cache.setdefault(tensor, {})
-    hit = per_tensor.get((version, key))
-    if hit is not None:
-        return hit
-    result = build()
-    # entries for older tensor versions can never be requested again;
-    # concurrent callers may evict the same key, so neither step may raise
-    for stale in [k for k in list(per_tensor) if k[0] != version]:
-        per_tensor.pop(stale, None)
-    per_tensor[(version, key)] = result
-    return result
+def _get_or_build(cache: dict, key: Hashable, build: Callable[[], T]) -> T:
+    """cache[key], set to build()'s result on the first request; concurrent
+    first builders all get the one result setdefault keeps. Callers read a
+    tensor's `derived` before build reads the tensor, so a result from a
+    newer state can only land in a dict the tensor no longer publishes."""
+    hit = cache.get(key)
+    return hit if hit is not None else cache.setdefault(key, build())
 
 
 def aggregate(
@@ -110,15 +100,13 @@ def aggregate(
     The returned matrix is shared via a cache and marked read-only; copy
     before mutating.
     """
-    if sources is None:
-        provenance = tuple(tensor.sources)
-    else:
-        if isinstance(sources, str):
-            sources = (sources,)
-        provenance = tuple(dict.fromkeys(sources))  # dedupe, keep order
-        if not provenance:
-            raise EmptySourceSubset("source subset must be non-empty")
-    return _per_version(tensor, (mode, provenance), lambda: _aggregate(tensor, mode, provenance))
+    if isinstance(sources, str):
+        sources = (sources,)
+    provenance = tuple(dict.fromkeys(tensor.sources if sources is None else sources))  # dedupe
+    if not provenance and sources is not None:
+        raise EmptySourceSubset("source subset must be non-empty")
+    return _get_or_build(tensor.derived, (mode, provenance),
+                         lambda: _aggregate(tensor, mode, provenance))
 
 
 def _aggregate(

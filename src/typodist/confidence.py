@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .aggregate import AggregationMode, _per_version
+from .aggregate import AggregationMode, _get_or_build
 from .errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
 from .impute import ImputerSpec
 from .kb import FeatureSelector, FeatureTensor, feature_columns
@@ -50,12 +50,13 @@ def _source_agreement(tensor: FeatureTensor) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scope_stats(tensor: FeatureTensor, scope: FeatureSelector):
-    """The tensor version's source statistics, and the scope's feature
+    """The tensor state's source statistics, and the scope's feature
     indices in scope order; an empty scope raises EmptyScope."""
     cols = feature_columns(tensor.features, scope)
     if not len(cols):
         raise EmptyScope("feature scope is empty")
-    sourced, agreement = _per_version(tensor, "source agreement", lambda: _source_agreement(tensor))
+    sourced, agreement = _get_or_build(tensor.derived, "source agreement",
+                                       lambda: _source_agreement(tensor))
     return sourced, agreement, cols
 
 

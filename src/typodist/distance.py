@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .aggregate import AggregatedMatrix, AggregationMode, SourceSelector, _per_version, aggregate
+from .aggregate import AggregatedMatrix, AggregationMode, SourceSelector, _get_or_build, aggregate
 from .impute import ImputedMatrix, ImputerSpec, run_imputer
 from .kb import Category, FeatureSelector, FeatureTensor, feature_columns
 
@@ -46,6 +46,10 @@ class DistanceRequest:
     sources: SourceSelector = None
     use_imputed: bool = False
     imputer: Optional[ImputerSpec] = None
+
+    def __post_init__(self):
+        if self.imputer is not None and not self.use_imputed:
+            raise ValueError("an imputer is named but use_imputed is not set")
 
 
 @dataclass(frozen=True)
@@ -270,10 +274,7 @@ class DistanceGrid:
 
     def __getitem__(self, i: int) -> list[DistanceResult]:
         i = range(len(self))[operator.index(i)]
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows.setdefault(i, self._build_row(i))
-        return row
+        return _get_or_build(self._rows, i, lambda: self._build_row(i))
 
     def _cells(self, i: int):
         """(b, reason code, distance, shared count) of row i, as Python scalars."""
@@ -362,12 +363,13 @@ def matrix_for(
     """The matrix req is measured on: aggregated over req's sources, then
     imputed (SoftImpute unless req names an imputer) if req asks for it.
 
-    Aggregated and imputed matrices are built once per tensor version and
+    Aggregated and imputed matrices are built once per tensor state and
     request (mode, sources, imputer spec, dialect_fill), then shared
     read-only; copy before mutating. An external imputation is read from
     its file on every call, since the file can change while the tensor
     does not. The pair and features of req are not used.
     """
+    derived = tensor.derived  # read first, so matrix is from its state or a newer one
     matrix = aggregate(tensor, req.aggregation, req.sources)
     if not req.use_imputed:
         return matrix
@@ -382,7 +384,7 @@ def matrix_for(
         return result
 
     # never equal to aggregate's (mode, sources) key for the same scope
-    return _per_version(tensor, (req.aggregation, matrix.provenance, spec, dialect_fill), impute)
+    return _get_or_build(derived, (req.aggregation, matrix.provenance, spec, dialect_fill), impute)
 
 
 def distance_from_tensor(
@@ -390,6 +392,5 @@ def distance_from_tensor(
     req: DistanceRequest,
     dialect_fill: bool = False,
 ) -> DistanceResult:
-    """Measure req on its matrix from matrix_for, which reflects the
-    current tensor version."""
+    """Measure req on matrix_for's matrix, which reflects the current tensor state."""
     return language_distance(req, matrix_for(tensor, req, dialect_fill))

@@ -20,9 +20,14 @@ class FormatError(TypodistError):
 
 # registry lookups
 
+def _quoted(name) -> str:
+    """repr of a name; a str subclass (numpy.str_) reads as the str it holds."""
+    return repr(str(name) if isinstance(name, str) else name)
+
+
 class UnknownLanguage(QueryError):
     def __init__(self, glottocode, parent_of=None):
-        super().__init__(f"unknown language: {glottocode!r}")
+        super().__init__(f"unknown language: {_quoted(glottocode)}")
         self.glottocode = glottocode
         # the language being registered whose parent is unknown, if any
         self.parent_of = parent_of
@@ -30,13 +35,13 @@ class UnknownLanguage(QueryError):
 
 class UnknownFeature(QueryError):
     def __init__(self, name):
-        super().__init__(f"unknown feature: {name!r}")
+        super().__init__(f"unknown feature: {_quoted(name)}")
         self.name = name
 
 
 class UnknownSource(QueryError):
     def __init__(self, name):
-        super().__init__(f"unknown source: {name!r}")
+        super().__init__(f"unknown source: {_quoted(name)}")
         self.name = name
 
 

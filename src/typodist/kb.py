@@ -10,11 +10,11 @@ key that holds the language index in its high 32 bits and the feature
 index in its low 32 bits, so keys sort as (language, feature) does, and a
 float64 value, 16 bytes per cell. A write never changes published arrays:
 it checks the whole batch first, builds new arrays, and publishes them,
-with the registry sizes they were written against, in one reference swap
-before it bumps `version`. Writes are serialised under the tensor's lock,
-so concurrent writers never share an index. Readers take one snapshot
-(`snapshot`), so a read that overlaps a write sees the tensor as it was
-before the write or after it, never half done.
+with the registry sizes they were written against and an empty `derived`
+dict, in one swap before it bumps `version`; a no-op write publishes
+nothing. Writes are serialised under the tensor's lock, so concurrent
+writers never share an index. Readers take one snapshot (`snapshot`), so
+an overlapping read sees the tensor before or after a write, never half done.
 """
 
 from __future__ import annotations
@@ -392,14 +392,14 @@ class FeatureTensor:
         self._lang_index: dict[str, int] = {}
         self._feat_index: dict[str, int] = {}
         self._src_index: dict[str, int] = {}
-        # the published cells: one column per source, and the language and
-        # feature counts they were written against; replaced whole by each
-        # write, so one read of it is a consistent snapshot
-        self._state: tuple[tuple[SourceColumn, ...], int, int] = ((), 0, 0)
+        # the published cells: one column per source, the language and
+        # feature counts they were written against, and the matrices derived
+        # from them; replaced whole by each write that changes anything, so
+        # one read of it is a consistent snapshot
+        self._state: tuple[tuple[SourceColumn, ...], int, int, dict] = ((), 0, 0, {})
         # held by every write; reentrant, as add_* call _write
         self._write_lock = threading.RLock()
-        # bumped once per write that changes anything (a new registry entry
-        # or cell value); the matrix caches key on it
+        # bumped once per write that publishes a new state
         self.version = 0
 
     # registries -----------------------------------------------------------
@@ -467,9 +467,14 @@ class FeatureTensor:
 
     # cells ----------------------------------------------------------------
 
+    @property
+    def derived(self) -> dict:
+        """Matrices built from the published state, by key; a property, so tracers skip it."""
+        return self._state[3]
+
     def snapshot(self) -> TensorSnapshot:
         """The registries and cells as of the last completed write."""
-        columns, n_languages, n_features = self._state
+        columns, n_languages, n_features, _derived = self._state
         return TensorSnapshot(
             self._languages[:n_languages],
             self._features[:n_features],
@@ -544,8 +549,8 @@ class FeatureTensor:
                 for si in np.unique(src).tolist():
                     rows = src == si
                     columns[si] = _merged(columns[si], keys[rows], values[rows])
-            self._state = (tuple(columns), len(self._languages), len(self._features))
             if changed or any(new for _registry, _index, new in registries):
+                self._state = (tuple(columns), len(self._languages), len(self._features), {})
                 self.version += 1
 
     def _put_column(self, source: int, language, feature, value) -> None:
@@ -554,10 +559,10 @@ class FeatureTensor:
         if not len(value):
             return
         with self._write_lock:
-            columns, n_languages, n_features = self._state
+            columns, n_languages, n_features, _derived = self._state
             columns = list(columns)
             columns[source] = _merged(columns[source], _keys(language, feature), value)
-            self._state = (tuple(columns), n_languages, n_features)
+            self._state = (tuple(columns), n_languages, n_features, {})
             self.version += 1
 
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:

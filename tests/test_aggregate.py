@@ -1,13 +1,20 @@
+import gc
 import itertools
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from typodist.aggregate import AggregationMode, _aggregate, aggregate
-from typodist.errors import EmptySourceSubset
-from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch
+from typodist.errors import (
+    EmptySourceSubset,
+    UnknownFeature,
+    UnknownLanguage,
+    UnknownSource,
+)
+from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch, feature_columns
 
 from conftest import make_tensor
 
@@ -117,6 +124,69 @@ def test_cache_invalidated_by_add_language():
     assert np.isnan(fresh.values[fresh.language_index("efgh5678")]).all()
 
 
+def test_a_write_frees_the_stale_matrix_at_once():
+    tensor = _three_source_tensor()
+    stale = weakref.ref(aggregate(tensor, AggregationMode.UNION))
+    tensor.extend_with(TensorBatch(cells=[("abcd1234", "S_F3", "SRC_A", 1.0)]))
+    gc.collect()
+    assert stale() is None
+
+
+def test_concurrent_cold_builders_share_one_matrix():
+    """Each round one thread writes (the barrier action), then 8 threads
+    ask for the same cold key at once; all must get the one object kept."""
+    tensor = _three_source_tensor()
+    n_threads, rounds = 8, 50
+    step = itertools.count()
+    barrier = threading.Barrier(n_threads, timeout=30, action=lambda: tensor.extend_with(
+        TensorBatch(cells=[("abcd1234", "S_F3", "SRC_A", float(next(step) % 2))]),
+        overwrite=True))
+    got = [[None] * n_threads for _ in range(rounds)]
+    errors = []
+
+    def worker(k):
+        try:
+            for r in range(rounds):
+                barrier.wait()
+                got[r][k] = aggregate(tensor, AggregationMode.AVERAGE, ["SRC_B", "SRC_A"])
+        except Exception as exc:
+            errors.append(exc)
+            barrier.abort()
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for matrices in got:
+        assert all(m is matrices[0] for m in matrices)
+    assert len({id(matrices[0]) for matrices in got}) == rounds
+
+
+def test_numpy_string_names_read_as_plain_strings_in_errors():
+    tensor = _three_source_tensor()
+    matrix = aggregate(tensor, AggregationMode.UNION)
+    with pytest.raises(UnknownFeature) as feature:
+        feature_columns(matrix.features, [np.str_("S_X")])
+    with pytest.raises(UnknownLanguage) as language:
+        matrix.language_index(np.str_("zzzz9999"))
+    with pytest.raises(UnknownSource) as source:
+        aggregate(tensor, AggregationMode.UNION, [np.str_("NOPE")])
+    assert str(feature.value) == "unknown feature: 'S_X'"
+    assert str(language.value) == "unknown language: 'zzzz9999'"
+    assert str(source.value) == "unknown source: 'NOPE'"
+    # plain str and non-str names read as before
+    assert str(UnknownFeature("S_X")) == "unknown feature: 'S_X'"
+    assert str(UnknownSource(3)) == "unknown source: 3"
+
+
 def test_provenance_records_source_subset():
     tensor = _three_source_tensor()
     m = aggregate(tensor, AggregationMode.UNION, sources=["SRC_B", "SRC_A", "SRC_B"])
@@ -134,8 +204,8 @@ def test_concurrent_eviction_after_extend_never_raises():
     """8 threads alternate a write and a burst of concurrent aggregates.
 
     Each round one thread extends the tensor (the barrier action, so no
-    write overlaps a read), then all 8 threads aggregate at the new
-    version and evict the same stale cache keys at the same time.
+    write overlaps a read), then all 8 threads aggregate the new state at
+    the same time, each key cold; none of them may raise.
     """
     tensor = _three_source_tensor()
     n_threads, rounds = 8, 200

@@ -458,6 +458,25 @@ def test_imputed_distance_matches_the_impute_command(workspace, capsys, tmp_path
     assert outputs[0] == outputs[1]
 
 
+def test_imputed_distance_output_is_pinned(workspace, capsys):
+    """--impute measures on the imputed matrix. The grid is pinned, so a
+    change in how the CLI builds its request shows; without --impute the
+    sparse pair stays not computable."""
+    data = ingest(capsys, workspace)
+    langs = ["stan1293", "stan1295", "stan1290", "mode1248"]
+    code, out, err = run(capsys, "distance", "--data", data, *langs, "--impute", "mean")
+    assert code == 0, err
+    far, near = 0.4096655293982671, 0.26772047280122996
+    want = [[0.0, far, near, near], [far, 0.0, near, near],
+            [near, near, 0.0, 0.0], [near, near, 0.0, 0.0]]
+    results = json.loads(out)["results"]
+    assert [[cell["distance"] for cell in row] for row in results] == want
+    assert {cell["shared_features"] for row in results for cell in row} == {8}
+    code, out, err = run(capsys, "distance", "--data", data, "stan1293", "mode1248")
+    assert code == 0, err
+    assert json.loads(out)["status"] == "not_computable"
+
+
 def test_bad_schema_exits_2(workspace, capsys):
     (workspace / "bad_schema.json").write_text('{"features": {}}')
     code, _, err = run(

@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from typodist import distance as distance_module
 from typodist import storage
 from typodist.aggregate import AggregationMode, aggregate
+from typodist.confidence import confidence_report
 from typodist.distance import (
     NO_SHARED_DATA,
     ZERO_VECTOR,
@@ -349,6 +352,60 @@ def test_imputed_cache_follows_tensor_writes(tiny_tensor):
     assert third is not second
     assert third.language_index("newl1234") == 3
     assert third.imputed_mask[3].all()
+
+
+def test_no_op_writes_keep_the_cached_matrices(tiny_tensor):
+    req = _req("dial1234", "othe1234", use_imputed=True, imputer=ImputerSpec("mean"))
+    observed = aggregate(tiny_tensor, AggregationMode.UNION)
+    imputed = matrix_for(tiny_tensor, req)
+    version = tiny_tensor.version
+    tiny_tensor.extend_with(TensorBatch(cells=[("pare1234", "S_F1", "SRC_A", 1.0)]))
+    tiny_tensor.add_language(tiny_tensor.language("othe1234"))
+    assert tiny_tensor.version == version
+    assert aggregate(tiny_tensor, AggregationMode.UNION) is observed
+    assert matrix_for(tiny_tensor, req) is imputed
+
+
+def test_an_imputation_across_a_write_is_not_kept_for_the_new_state(tiny_tensor, monkeypatch):
+    """A write between the aggregate and the imputation of one matrix_for
+    call must not leave the older imputation cached for the newer state."""
+    req = _req("dial1234", "othe1234", use_imputed=True, imputer=ImputerSpec("mean"))
+    real = distance_module.aggregate
+
+    def aggregate_then_write(tensor, *args):
+        matrix = real(tensor, *args)
+        tensor.add_language(LanguageRecord("newl1234"))
+        return matrix
+
+    monkeypatch.setattr(distance_module, "aggregate", aggregate_then_write)
+    raced = matrix_for(tiny_tensor, req)
+    monkeypatch.undo()
+    fresh = matrix_for(tiny_tensor, req)
+    assert fresh is not raced
+    assert fresh.language_index("newl1234") == 3
+
+
+def test_a_tensor_with_cached_entries_is_freed_without_the_collector():
+    tensor = make_tensor(["aaaa1234", "bbbb1234"], ["S_F1", "S_F2"],
+                         [("aaaa1234", "S_F1", "A", 1.0), ("bbbb1234", "S_F2", "A", 0.0)])
+    req = _req("aaaa1234", "bbbb1234", use_imputed=True, imputer=ImputerSpec("mean"))
+    distance_from_tensor(tensor, replace(req, use_imputed=False, imputer=None))
+    distance_from_tensor(tensor, req)
+    confidence_report("aaaa1234", "bbbb1234", tensor)
+    assert len(tensor.derived) == 3  # aggregated, imputed, source agreement
+    ref = weakref.ref(tensor)
+    gc.disable()
+    try:
+        del tensor
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_an_imputer_without_use_imputed_is_rejected():
+    with pytest.raises(ValueError, match="use_imputed"):
+        DistanceRequest("aaaa1234", "bbbb1234", imputer=ImputerSpec("knn"))
+    assert DistanceRequest("aaaa1234", "bbbb1234", use_imputed=True).imputer is None
 
 
 def test_cached_imputed_matrix_is_read_only(tiny_tensor):
@@ -755,7 +812,7 @@ def test_writable_matrix_mutated_between_calls_gets_the_fresh_answer():
 @pytest.mark.parametrize("use_imputed", [False, True])
 def test_views_follow_tensor_writes(tiny_tensor, use_imputed):
     req = _req("pare1234", "othe1234", features=Category.SYNTACTIC,
-               use_imputed=use_imputed, imputer=ImputerSpec("mean"))
+               use_imputed=use_imputed, imputer=ImputerSpec("mean") if use_imputed else None)
     first = matrix_for(tiny_tensor, req)
     assert distance_from_tensor(tiny_tensor, req) == oracle_language_distance(req, first)
     kept = first._views[Category.SYNTACTIC]
