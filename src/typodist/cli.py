@@ -159,16 +159,10 @@ def _seed(args, config: CliConfig) -> int:
     return config.seed if args.seed is None else args.seed
 
 
-def _imputer_spec(args, config: CliConfig, method: Optional[str] = None) -> ImputerSpec:
-    method = method or getattr(args, "method", None) or config.imputer
-    return ImputerSpec(
-        method=method,
-        k=getattr(args, "k", 9),
-        lam=getattr(args, "lam", None),
-        rank_cap=getattr(args, "rank_cap", None),
-        seed=_seed(args, config),
-        external_path=getattr(args, "external_file", None),
-    )
+def _imputer_spec(args, config: CliConfig, method: str) -> ImputerSpec:
+    """method with the knobs the imputer flags and the seed give it."""
+    return ImputerSpec(method, k=args.k, lam=args.lam, rank_cap=args.rank_cap,
+                       seed=_seed(args, config), external_path=args.external_file)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -234,7 +228,7 @@ def cmd_impute(args, config: CliConfig) -> int:
     tensor = _load_tensor(args, config)
     mode = AggregationMode(args.mode or config.aggregation)
     matrix = aggregate(tensor, mode, _source_selector(args))
-    spec = _imputer_spec(args, config)
+    spec = _imputer_spec(args, config, args.method or config.imputer)
     result = run_imputer(matrix, spec, registry=tensor, dialect_fill=args.dialect_fill)
     storage.export_matrix_csv(result.languages, result.features, result.values, args.out)
     mask_path = str(args.out) + ".mask.csv"
@@ -259,7 +253,7 @@ def cmd_distance(args, config: CliConfig) -> int:
     tensor = _load_tensor(args, config)
     mode = AggregationMode(args.aggregation or config.aggregation)
     metric = Metric(args.metric or config.metric)
-    imputer = _imputer_spec(args, config, method=args.impute) if args.impute else None
+    imputer = _imputer_spec(args, config, args.impute) if args.impute else None
     template = DistanceRequest(
         lang_a="",
         lang_b="",
@@ -293,7 +287,8 @@ def cmd_distance(args, config: CliConfig) -> int:
 def cmd_confidence(args, config: CliConfig) -> int:
     tensor = _load_tensor(args, config)
     mode = AggregationMode(args.aggregation or config.aggregation)
-    method = _imputer_spec(args, config, method=args.method) if args.method else None
+    # a report reads only the method's cache key, so no other imputer flag applies
+    method = ImputerSpec(args.method, external_path=args.external_file) if args.method else None
     cache = QualityCache.load(args.quality_cache) if args.quality_cache else None
     report = confidence_report(
         args.lang_a,
@@ -312,7 +307,7 @@ def cmd_eval_quality(args, config: CliConfig) -> int:
     tensor = _load_tensor(args, config)
     mode = AggregationMode(args.mode or config.aggregation)
     matrix = aggregate(tensor, mode, _source_selector(args))
-    spec = _imputer_spec(args, config, method=args.imputer)
+    spec = _imputer_spec(args, config, args.imputer)
     report = quality_test(
         matrix,
         spec,
@@ -426,9 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("--features")
     p_conf.add_argument("--aggregation", choices=AGGREGATION_MODES)
     p_conf.add_argument("--method", choices=IMPUTER_METHODS)
-    _add_imputer_args(p_conf, with_method=False)
+    p_conf.add_argument("--external-file", help="dense matrix CSV for the external imputer")
     p_conf.add_argument("--quality-cache", help="JSON cache from 'eval quality'")
-    p_conf.add_argument("--seed", type=int)
     p_conf.set_defaults(func=cmd_confidence)
 
     p_eval = sub.add_parser("eval", help="evaluation workflows")

@@ -27,7 +27,8 @@ IMPUTER_METHODS = ("mean", "knn", "softimpute", "external")
 
 @dataclass(frozen=True)
 class ImputerSpec:
-    """Which imputer to run and with what parameters.
+    """Which imputer to run and with what parameters; the one place that
+    checks them.
 
     lam=None and rank_cap=None mean "pick at run time": a small grid on a
     held-out validation mask for lam, min(dims, 100) for rank_cap.
@@ -49,7 +50,12 @@ class ImputerSpec:
             raise ValueError("k must be >= 1")
         if self.method == "external" and not self.external_path:
             raise ValueError("external imputer needs external_path")
-        _check_softimpute_params(self.lam, self.tol)
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError("lam must be a finite non-negative number")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be a finite positive number")
+        if self.method == "softimpute" and self.rank_cap is not None and self.rank_cap < 1:
+            raise ValueError("rank_cap must be >= 1")
 
     @property
     def key(self) -> str:
@@ -154,15 +160,14 @@ def _finalize(
     )
 
 
-def impute_mean(matrix: AggregatedMatrix, spec: Optional[ImputerSpec] = None) -> ImputedMatrix:
+def impute_mean(matrix: AggregatedMatrix) -> ImputedMatrix:
     """Column-mean baseline."""
-    spec = spec or ImputerSpec("mean")
     values = matrix.values.copy()
     fill, all_missing = _column_fill_values(values)
     missing = np.isnan(values)
     values[missing] = np.broadcast_to(fill, values.shape)[missing]
     names = [matrix.features[j].name for j in np.flatnonzero(all_missing)]
-    return _finalize(matrix, values, spec, all_missing_columns=names)
+    return _finalize(matrix, values, ImputerSpec("mean"), all_missing_columns=names)
 
 
 def _masked_l1_distances(values: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -187,7 +192,7 @@ def _masked_l1_distances(values: np.ndarray, known: np.ndarray) -> np.ndarray:
     return dist
 
 
-def impute_knn(matrix: AggregatedMatrix, k: int = 9, spec: Optional[ImputerSpec] = None) -> ImputedMatrix:
+def impute_knn(matrix: AggregatedMatrix, k: int = 9) -> ImputedMatrix:
     """k nearest neighbors under the masked mean-absolute-difference metric.
 
     Neighbors for cell (l, f) are languages with f known and at least one
@@ -197,9 +202,7 @@ def impute_knn(matrix: AggregatedMatrix, k: int = 9, spec: Optional[ImputerSpec]
     and every cell's chosen values are averaged in that order, so the
     result equals a per-cell argsort and mean bit for bit.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    spec = spec or ImputerSpec("knn", k=k)
+    spec = ImputerSpec("knn", k=k)
     values = matrix.values
     known = ~np.isnan(values)
     col_fill, all_missing = _column_fill_values(values)
@@ -248,13 +251,6 @@ def _soft_svd(filled: np.ndarray, lam: float, rank_cap: int) -> tuple[np.ndarray
     return (recon if a is filled else recon.T), float(thr.sum())
 
 
-def _check_softimpute_params(lam: Optional[float], tol: float) -> None:
-    if lam is not None and not (math.isfinite(lam) and lam >= 0):
-        raise ValueError("lam must be a finite non-negative number")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be a finite positive number")
-
-
 def impute_softimpute(
     matrix: AggregatedMatrix,
     lam: Optional[float] = None,
@@ -262,7 +258,6 @@ def impute_softimpute(
     tol: float = 1e-4,
     max_iter: int = 200,
     seed: int = 0,
-    spec: Optional[ImputerSpec] = None,
     *,
     start: Optional[np.ndarray] = None,
 ) -> ImputedMatrix:
@@ -281,16 +276,12 @@ def impute_softimpute(
     path, and the winning grid point's completed matrix is the start of
     this full-data fit, so a start needs an explicit lam.
     """
-    _check_softimpute_params(lam, tol)
+    spec = ImputerSpec("softimpute", lam=lam, rank_cap=rank_cap, tol=tol, max_iter=max_iter,
+                       seed=seed)
     if lam is None and start is not None:
         raise ValueError("start needs an explicit lam")
-    if rank_cap is not None and rank_cap < 1:
-        raise ValueError("rank_cap must be >= 1")
     values = matrix.values
     missing = np.isnan(values)
-    spec = spec or ImputerSpec(
-        "softimpute", lam=lam, rank_cap=rank_cap, tol=tol, max_iter=max_iter, seed=seed
-    )
     if not missing.any():
         return _finalize(matrix, values.copy(), spec)
 
@@ -377,13 +368,13 @@ def select_softimpute_lambda(
     return best_lam, best_values
 
 
-def impute_external(matrix: AggregatedMatrix, path, spec: Optional[ImputerSpec] = None) -> ImputedMatrix:
+def impute_external(matrix: AggregatedMatrix, path) -> ImputedMatrix:
     """Adopt a pre-imputed dense matrix produced by an external tool.
 
     The exchange file must cover the exact language/feature grid with no
     missing cells; observed entries still come from the source matrix.
     """
-    spec = spec or ImputerSpec("external", external_path=str(path))
+    spec = ImputerSpec("external", external_path=str(path))
     names = [f.name for f in matrix.features]
     dense = storage.load_matrix_values(path, matrix.languages, names)
     if np.isnan(dense).any():
@@ -399,8 +390,8 @@ def run_imputer(
 ) -> ImputedMatrix:
     """Optional dialect fill, then the requested imputer.
 
-    The imputed mask is always relative to the matrix passed in, so
-    dialect-filled cells count as imputed, not observed.
+    The result's method is spec, and its imputed mask is relative to the
+    matrix passed in, so dialect-filled cells count as imputed, not observed.
     """
     source = matrix
     if dialect_fill:
@@ -409,22 +400,13 @@ def run_imputer(
         matrix = fill_dialects(matrix, registry)
 
     if spec.method == "mean":
-        result = impute_mean(matrix, spec=spec)
+        result = impute_mean(matrix)
     elif spec.method == "knn":
-        result = impute_knn(matrix, k=spec.k, spec=spec)
+        result = impute_knn(matrix, k=spec.k)
     elif spec.method == "softimpute":
-        result = impute_softimpute(
-            matrix,
-            lam=spec.lam,
-            rank_cap=spec.rank_cap,
-            tol=spec.tol,
-            max_iter=spec.max_iter,
-            seed=spec.seed,
-            spec=spec,
-        )
+        # called by its module name, where tracers observe each solve
+        result = impute_softimpute(matrix, lam=spec.lam, rank_cap=spec.rank_cap, tol=spec.tol,
+                                   max_iter=spec.max_iter, seed=spec.seed)
     else:
-        result = impute_external(matrix, spec.external_path, spec=spec)
-
-    if dialect_fill:
-        result = replace(result, imputed_mask=np.isnan(source.values))
-    return result
+        result = impute_external(matrix, spec.external_path)
+    return replace(result, method=spec, imputed_mask=np.isnan(source.values))

@@ -181,7 +181,6 @@ def load_rules(path) -> list[InferenceRule]:
     one rule's value mapping.
     """
     grouped: dict[tuple[str, str, RuleDirection], list[tuple[float, float]]] = {}
-    order: list[tuple[str, str, RuleDirection]] = []
     header = ("from_feature", "to_feature", "direction", "from_value", "to_value")
     for row_num, row in _read_csv_rows(path, header):
         frm, to, direction, fv, tv = (c.strip() for c in row)
@@ -190,15 +189,9 @@ def load_rules(path) -> list[InferenceRule]:
             pair = (float(fv), float(tv))
         except ValueError:
             raise FormatError(f"{path}: row {row_num}: bad value mapping") from None
-        key = (frm, to, direction)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(pair)
-    return [
-        InferenceRule(frm, to, direction, tuple(grouped[(frm, to, direction)]))
-        for frm, to, direction in order
-    ]
+        grouped.setdefault((frm, to, direction), []).append(pair)
+    return [InferenceRule(frm, to, direction, tuple(pairs))
+            for (frm, to, direction), pairs in grouped.items()]
 
 
 def check_rules_acyclic(rules: Iterable[InferenceRule]) -> None:
@@ -361,7 +354,8 @@ def load_ingest_schema(path) -> IngestSchema:
         where = f"{path}: feature {label!r}"
         kind = _json_field(spec, "kind", VariableKind, where)
         category = _json_field(spec, "category", Category, where)
-        categories = tuple(_json_field(spec, "categories", [str], where, []))
+        # each category once, in first-seen order, as binarize_nominal names them
+        categories = tuple(dict.fromkeys(_json_field(spec, "categories", [str], where, [])))
         max_level = _json_field(spec, "max_level", int, where, 0)
         if kind is VariableKind.NOMINAL and len(categories) < 2:
             raise FormatError(f"{path}: nominal feature {label!r} needs >= 2 categories")

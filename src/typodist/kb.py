@@ -293,7 +293,7 @@ def _find(column: SourceColumn, keys: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _stored_values(columns, source, keys) -> np.ndarray:
     """The stored value of each (source index, key) cell; NaN where missing."""
     out = np.full(len(source), np.nan)
-    for si in np.unique(source).tolist():
+    for si in np.flatnonzero(np.bincount(source)).tolist():  # distinct, cheaper than np.unique
         if si < len(columns):  # a source registered after the snapshot has no cells
             rows = np.flatnonzero(source == si)
             pos, hit = _find(columns[si], keys[rows])
@@ -488,14 +488,6 @@ class FeatureTensor:
         found = _stored_values(self._state[0], np.full(1, si), np.full(1, _keys(li, fi)))
         return None if np.isnan(found[0]) else float(found[0])
 
-    def stored_values(self, cells) -> list[CellValue]:
-        """get_cell for many (language, feature, source, ...) tuples at once.
-
-        None where the cell is missing or one of its names is not registered.
-        """
-        found = self.stored_array(CellArrays.of((c[0], c[1], c[2], 0.0) for c in cells))
-        return [None if v != v else v for v in found.tolist()]  # NaN marks a missing cell
-
     def stored_array(self, cells: CellArrays) -> np.ndarray:
         """The stored value of each cell; NaN where it is missing or one of
         its names is not registered."""
@@ -546,24 +538,12 @@ class FeatureTensor:
             columns = columns + (_NO_CELLS,) * len(registries[2][2])
             if changed:
                 columns = list(columns)
-                for si in np.unique(src).tolist():
+                for si in np.flatnonzero(np.bincount(src)).tolist():
                     rows = src == si
                     columns[si] = _merged(columns[si], keys[rows], values[rows])
             if changed or any(new for _registry, _index, new in registries):
                 self._state = (tuple(columns), len(self._languages), len(self._features), {})
                 self.version += 1
-
-    def _put_column(self, source: int, language, feature, value) -> None:
-        """Write index arrays of already checked cells of one source, in
-        write order, over what it holds (the path of storage.load_tensor)."""
-        if not len(value):
-            return
-        with self._write_lock:
-            columns, n_languages, n_features, _derived = self._state
-            columns = list(columns)
-            columns[source] = _merged(columns[source], _keys(language, feature), value)
-            self._state = (tuple(columns), n_languages, n_features, {})
-            self.version += 1
 
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:
         """(number of sources with a known value, those values in source order)."""

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import FormatError, UnknownLanguage
 from .kb import (
+    CellArrays,
     Category,
     FeatureDescriptor,
     FeatureOrigin,
@@ -251,7 +252,9 @@ def load_tensor(directory) -> FeatureTensor:
             kind, name = ("language", langs[lc[i]]) if lang[i] < 0 else ("feature", feats[fc[i]])
             raise FormatError(f"{path}: row {row}: unregistered {kind} {name!r}")
         kept = ~np.isnan(value[vc])  # explicit-missing rows are skipped
-        tensor._put_column(tensor.source_index(src), lang[kept], feat[kept], value[vc[kept]])
+        codes = (lc[kept], fc[kept], np.zeros(int(kept.sum()), np.intp))
+        tensor.extend_with(TensorBatch(cells=CellArrays((langs, feats, [src]), codes,
+                                                        value[vc[kept]])))
     return tensor
 
 

@@ -308,6 +308,16 @@ def test_confidence_command(workspace, capsys):
     assert payload["imputation_quality"] == 1.0
 
 
+@pytest.mark.parametrize("flag", [["--k", "3"], ["--lam", "0.5"], ["--rank-cap", "2"],
+                                  ["--seed", "1"]])
+def test_confidence_has_no_imputer_knob_flags(workspace, capsys, flag):
+    # a report reads only the method's cache key, so these flags would change nothing
+    data = ingest(capsys, workspace)
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "confidence", "--data", data, "stan1293", "stan1295", "--method", "knn", *flag)
+    assert exc.value.code == 2
+
+
 def test_eval_quality_deterministic_and_caches(workspace, capsys, tmp_path):
     data = ingest(capsys, workspace)
     cache = tmp_path / "cache.json"

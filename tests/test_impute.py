@@ -299,6 +299,14 @@ def test_softimpute_rejects_non_finite_parameters(params, message):
         impute_softimpute(m, **{"lam": 0.05, **params})
 
 
+def test_rank_cap_below_one_is_rejected_by_the_spec():
+    m = random_matrix(np.random.default_rng(23), 8, 5, AggregationMode.AVERAGE)
+    with pytest.raises(ValueError, match="rank_cap must be >= 1"):
+        ImputerSpec("softimpute", rank_cap=0)
+    with pytest.raises(ValueError, match="rank_cap must be >= 1"):
+        impute_softimpute(m, lam=0.05, rank_cap=0)
+
+
 def test_softimpute_warm_start_from_a_solution_stops_at_once():
     rng = np.random.default_rng(29)
     full = rng.random((20, 2)) @ rng.random((2, 12)) / 2
@@ -576,6 +584,26 @@ def test_external_imputer_requires_dense(tmp_path):
     storage.export_matrix_csv(m.languages, m.features, m.values, path)
     with pytest.raises(FormatError, match="dense"):
         impute_external(m, path)
+
+
+def test_each_imputer_records_the_spec_its_arguments_describe(tmp_path):
+    m = random_matrix(np.random.default_rng(8), 8, 5, AggregationMode.AVERAGE)
+    path = tmp_path / "external.csv"
+    storage.export_matrix_csv(m.languages, m.features, impute_mean(m).values, path)
+    calls = [
+        (lambda: impute_mean(m), ImputerSpec("mean")),
+        (lambda: impute_knn(m, k=3), ImputerSpec("knn", k=3)),
+        (lambda: impute_softimpute(m, lam=0.05, rank_cap=2, tol=1e-3, max_iter=50, seed=4),
+         ImputerSpec("softimpute", lam=0.05, rank_cap=2, tol=1e-3, max_iter=50, seed=4)),
+        (lambda: impute_external(m, path), ImputerSpec("external", external_path=str(path))),
+    ]
+    for call, spec in calls:
+        assert call().method == spec
+        assert run_imputer(m, replace(spec, seed=9)).method == replace(spec, seed=9)
+    # the arguments are the only record of what ran: no second spec to disagree with them
+    for imputer in (impute_mean, impute_knn, impute_softimpute):
+        with pytest.raises(TypeError):
+            imputer(m, spec=ImputerSpec("softimpute"))
 
 
 def test_run_imputer_counts_dialect_fill_as_imputed():

@@ -309,6 +309,23 @@ def test_load_schema_validation(tmp_path):
         load_ingest_schema(path)
 
 
+def test_schema_keeps_a_repeated_category_once_and_binarizes_with_its_own_level(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps({"features": {"order": {
+        "kind": "nominal", "category": "syntactic", "categories": ["SOV", "SOV", "SVO"]}}}))
+    schema = load_ingest_schema(path)
+    assert schema.lookup("order").categories == ("SOV", "SVO")
+    src = tmp_path / "s.csv"
+    src.write_text("language,feature,value\neng,order,SVO\n")
+    batch, _ = build_batch(read_source_csv(src, "S"), schema, _replacement_table())
+    assert {f.name: f.origin.level for f in batch.features} == {
+        "S_ORDER_SOV": "SOV", "S_ORDER_SVO": "SVO"}
+    path.write_text(json.dumps({"features": {"order": {
+        "kind": "nominal", "category": "syntactic", "categories": ["SOV", "SOV"]}}}))
+    with pytest.raises(FormatError, match="needs >= 2 categories"):
+        load_ingest_schema(path)
+
+
 # end-to-end batch building ------------------------------------------------------------
 
 def test_build_batch_from_csv(tmp_path):

@@ -13,6 +13,7 @@ from typodist.errors import (
     UnknownSource,
 )
 from typodist.kb import (
+    CellArrays,
     Category,
     FeatureDescriptor,
     FeatureTensor,
@@ -369,7 +370,8 @@ def _assert_same_store(tensor, oracle, rng):
     want = [oracle._cells.get(tuple(
         index.get(name) for index, name in zip(
             (oracle._lang_index, oracle._feat_index, oracle._src_index), p))) for p in probes]
-    assert tensor.stored_values(probes) == want
+    got = tensor.stored_array(CellArrays.of((*p, 0.0) for p in probes))
+    assert np.array_equal(got, [np.nan if v is None else v for v in want], equal_nan=True)
 
 
 def _outcome(call):
