@@ -17,7 +17,7 @@ import numpy as np
 from .aggregate import AggregationMode, _get_or_build
 from .errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
 from .impute import ImputerSpec
-from .kb import FeatureSelector, FeatureTensor, feature_columns
+from .kb import Category, FeatureSelector, FeatureTensor, feature_columns
 from .storage import _checked, _json_field, _read_json, write_json
 
 #: The metric each aggregation mode's imputation quality is read from.
@@ -26,7 +26,7 @@ _QUALITY_METRIC = {AggregationMode.UNION: "f1", AggregationMode.AVERAGE: "rmse"}
 
 def _source_agreement(tensor: FeatureTensor) -> tuple[np.ndarray, np.ndarray]:
     """Per (language, feature): how many sources know the cell, and their
-    mode agreement, the largest number of equal values over that count.
+    mode agreement, the largest number of equal values over that count or 0.
 
     Built from language x feature arrays one source at a time.
     """
@@ -45,19 +45,35 @@ def _source_agreement(tensor: FeatureTensor) -> tuple[np.ndarray, np.ndarray]:
             at = (other.language, other.feature)
             agreeing[at] += value_of[at] == other.value
         np.maximum(top, agreeing, out=top)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return sourced, top / sourced
+    return sourced, top / np.maximum(sourced, 1)
 
 
-def _scope_stats(tensor: FeatureTensor, scope: FeatureSelector):
-    """The tensor state's source statistics, and the scope's feature
-    indices in scope order; an empty scope raises EmptyScope."""
+def _scope_vectors(sourced: np.ndarray, agreement: np.ndarray, cols: np.ndarray):
+    """Per row: m, the fraction of scope features no source knows, and g, the mean
+    mode agreement over the sourced ones (NaN for none), summed left to right; and k."""
+    sums = np.cumsum(agreement[:, cols], axis=1)[:, -1]  # an unsourced feature adds 0.0
+    n = np.count_nonzero(sourced[:, cols], axis=1)
+    return (len(cols) - n) / len(cols), np.where(n > 0, sums, np.nan) / np.maximum(n, 1), len(cols)
+
+
+def _pair_stats(lang_a: str, lang_b: str, tensor: FeatureTensor, scope: FeatureSelector):
+    """The pair's completeness, its two g values and the scope size k."""
     cols = feature_columns(tensor.features, scope)
     if not len(cols):
         raise EmptyScope("feature scope is empty")
-    sourced, agreement = _get_or_build(tensor.derived, "source agreement",
+    # looked up first, so the statistics read next are from their state or a newer one
+    rows = [tensor.language_index(lang_a), tensor.language_index(lang_b)]
+    derived = tensor.derived
+    sourced, agreement = _get_or_build(derived, "source agreement",
                                        lambda: _source_agreement(tensor))
-    return sourced, agreement, cols
+    if scope is None or isinstance(scope, Category):
+        # scoped by the statistics' own features, so a racing write leaves no stale vectors
+        m, g, k = _get_or_build(derived, ("confidence vectors", scope), lambda: _scope_vectors(
+            sourced, agreement, feature_columns(tensor.features[:sourced.shape[1]], scope)))
+    else:  # a listed scope reads the pair's two rows only
+        (m, g, k), rows = _scope_vectors(sourced[rows], agreement[rows], cols), [0, 1]
+    m, g = m[rows].tolist(), g[rows].tolist()
+    return 1.0 - (m[0] + m[1]) / 2.0, g, k
 
 
 def completeness(lang_a: str, lang_b: str, tensor: FeatureTensor, scope=None) -> float:
@@ -66,15 +82,7 @@ def completeness(lang_a: str, lang_b: str, tensor: FeatureTensor, scope=None) ->
     A feature counts as missing for a language only when no source at all
     provides a value.
     """
-    return _completeness(lang_a, lang_b, tensor, *_scope_stats(tensor, scope))
-
-
-def _completeness(lang_a, lang_b, tensor, sourced, _agreement, cols) -> float:
-    def missing_fraction(lang: str) -> float:
-        missing = int(np.count_nonzero(sourced[tensor.language_index(lang), cols] == 0))
-        return missing / len(cols)
-
-    return 1.0 - (missing_fraction(lang_a) + missing_fraction(lang_b)) / 2.0
+    return _pair_stats(lang_a, lang_b, tensor, scope)[0]
 
 
 def consistency(lang_a: str, lang_b: str, tensor: FeatureTensor, scope=None) -> float:
@@ -85,21 +93,7 @@ def consistency(lang_a: str, lang_b: str, tensor: FeatureTensor, scope=None) -> 
     one sourced value enter the average; a language with none in scope has
     no defined consistency.
     """
-    return _consistency(lang_a, lang_b, tensor, *_scope_stats(tensor, scope))
-
-
-def _consistency(lang_a, lang_b, tensor, sourced, agreement, cols) -> float:
-    def agreement_of(lang: str) -> float:
-        li = tensor.language_index(lang)
-        # summed in scope order, as a per-feature loop would
-        ratios = agreement[li, cols][sourced[li, cols] > 0].tolist()
-        if not ratios:
-            raise NoSourcedFeatures(
-                f"language {lang!r} has no sourced value for any scope feature"
-            )
-        return sum(ratios) / len(ratios)
-
-    return (agreement_of(lang_a) + agreement_of(lang_b)) / 2.0
+    return confidence_report(lang_a, lang_b, tensor, scope).consistency
 
 
 class QualityCache:
@@ -188,11 +182,16 @@ def confidence_report(
     """Bundle the three components for a pair; nothing is averaged together.
 
     The scope is resolved once, for both components."""
-    stats = _scope_stats(tensor, scope)
+    complete, g, k = _pair_stats(lang_a, lang_b, tensor, scope)
+    for lang, value in zip((lang_a, lang_b), g):
+        if value != value:  # NaN: no sourced feature in scope
+            raise NoSourcedFeatures(
+                f"language {lang!r} has no sourced value for any scope feature"
+            )
     return ConfidenceReport(
         pair=(lang_a, lang_b),
-        completeness=_completeness(lang_a, lang_b, tensor, *stats),
-        consistency=_consistency(lang_a, lang_b, tensor, *stats),
+        completeness=complete,
+        consistency=(g[0] + g[1]) / 2.0,
         imputation_quality=imputation_quality(method, mode, cache),
-        feature_count_k=len(stats[2]),
+        feature_count_k=k,
     )

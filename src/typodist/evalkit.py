@@ -118,6 +118,15 @@ def _mask_cells(matrix: AggregatedMatrix, cells: np.ndarray) -> AggregatedMatrix
     return replace(matrix, values=values)
 
 
+def _held_out(matrix: AggregatedMatrix, cells: np.ndarray, spec: ImputerSpec, registry,
+              dialect_fill: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Impute matrix with cells masked; the cells' true and imputed values."""
+    result = run_imputer(_mask_cells(matrix, cells), spec, registry=registry,
+                         dialect_fill=dialect_fill and registry is not None)
+    at = (cells[:, 0], cells[:, 1])
+    return matrix.values[at], result.values[at]
+
+
 def quality_test(
     matrix: AggregatedMatrix,
     spec: ImputerSpec,
@@ -132,12 +141,7 @@ def quality_test(
     recovered from its parent language.
     """
     cells = draw_mask(matrix, seed)
-    test_matrix = _mask_cells(matrix, cells)
-    result = run_imputer(
-        test_matrix, spec, registry=registry, dialect_fill=dialect_fill and registry is not None
-    )
-    truth = matrix.values[cells[:, 0], cells[:, 1]]
-    pred = result.values[cells[:, 0], cells[:, 1]]
+    truth, pred = _held_out(matrix, cells, spec, registry, dialect_fill)
     metrics, guards = _score(matrix.mode, truth, pred)
 
     per_category: dict[str, dict[str, float]] = {}
@@ -185,20 +189,10 @@ def knn_select_k(
     objective_key = "f1" if maximize else "rmse"
     best_k, best_score = None, None
     for k in sorted(candidate_ks):
-        scores = []
+        scores, spec = [], ImputerSpec("knn", k=k)
         for fold in fold_indices:
-            cells = pool[fold]
-            test_matrix = _mask_cells(matrix, cells)
-            result = run_imputer(
-                test_matrix,
-                ImputerSpec("knn", k=k),
-                registry=registry,
-                dialect_fill=dialect_fill and registry is not None,
-            )
-            truth = matrix.values[cells[:, 0], cells[:, 1]]
-            pred = result.values[cells[:, 0], cells[:, 1]]
-            metrics, _ = _score(matrix.mode, truth, pred)
-            scores.append(metrics[objective_key])
+            truth, pred = _held_out(matrix, pool[fold], spec, registry, dialect_fill)
+            scores.append(_score(matrix.mode, truth, pred)[0][objective_key])
         mean_score = float(np.mean(scores))
         better = (
             best_score is None

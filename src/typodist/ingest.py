@@ -427,7 +427,7 @@ def _binarized(label: str, value: str, spec: FeatureSpec, namer: CanonicalNamer)
         base = canonicalize_feature_name(label, spec.category)
         return [(FeatureDescriptor(namer.claim(name, f"{label}={cat}"), spec.category,
                                    FeatureOrigin.nominal(base, str(cat))), v)
-                for (name, v), cat in zip(pairs, spec.categories)]
+                for (name, v), cat in zip(pairs, dict.fromkeys(spec.categories))]
     try:
         level = int(value)
     except ValueError:

@@ -213,8 +213,10 @@ def load_tensor(directory) -> FeatureTensor:
         for obj in _json_field(registries, "features", [dict], where, [])
     ]
     sources = _json_field(registries, "sources", [str], where, [])
-    for src in sources:
+    for i, src in enumerate(sources):
         _check_source_name(src, where)
+        if src in sources[:i]:
+            raise FormatError(f"{where}: source {src!r} is listed twice")
 
     tensor = FeatureTensor()
     # saved order preserves registration order, so parents precede dialects
@@ -225,6 +227,8 @@ def load_tensor(directory) -> FeatureTensor:
             f"{where}: language entry {exc.parent_of!r}: parent {exc.glottocode!r} "
             "is not an earlier language entry"
         ) from exc
+    except FormatError as exc:  # an empty name, or a name repeated with other metadata
+        raise FormatError(f"{where}: {exc}") from exc
 
     lang_index = {rec.glottocode: i for i, rec in enumerate(tensor.languages)}
     feat_index = {f.name: i for i, f in enumerate(tensor.features)}

@@ -699,6 +699,10 @@ def _registry_source_not_a_string(ws):
     return _edit_registries(ws, lambda r: r["sources"].append([1]))
 
 
+def _registry_source_listed_twice(ws):
+    return _edit_registries(ws, lambda r: r["sources"].append(r["sources"][0]))
+
+
 def _registry_origin_not_an_object(ws):
     return _edit_registries(ws, lambda r: r["features"][0].update(origin=[]))
 
@@ -827,6 +831,7 @@ def _casestudy_row_not_finite(ws):
     _registry_origin_not_an_object,
     _registry_section_not_a_list,
     _registry_source_not_a_string,
+    _registry_source_listed_twice,
     _missing_casestudy_input,
     _missing_tiers,
     _missing_external_file,

@@ -1,9 +1,13 @@
+import math
+import operator
 import re
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from typodist import confidence as confidence_module
 from typodist.aggregate import AggregationMode
 from typodist.confidence import (
     ConfidenceReport,
@@ -15,7 +19,7 @@ from typodist.confidence import (
 )
 from typodist.errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
 from typodist.impute import ImputerSpec
-from typodist.kb import Category, TensorBatch
+from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch
 
 from conftest import make_tensor
 
@@ -287,7 +291,8 @@ def _consistency_oracle(lang_a, lang_b, tensor, scope=None):
             raise NoSourcedFeatures(
                 f"language {lang!r} has no sourced value for any scope feature"
             )
-        return sum(ratios) / len(ratios)
+        # left to right: sum() of floats is compensated from Python 3.12 on
+        return reduce(operator.add, ratios) / len(ratios)
 
     return (agreement(lang_a) + agreement(lang_b)) / 2.0
 
@@ -333,6 +338,17 @@ def test_components_match_the_per_call_oracle():
         tensor.extend_with(TensorBatch(cells=[(l, f, s, 1.0 - v)]), overwrite=True)
         _same_outcome(consistency, _consistency_oracle, l, langs[-1], tensor, None)
         _same_outcome(completeness, _completeness_oracle, l, langs[-1], tensor, None)
+    # agreement ratios 1/3, 3/4 and 1 add up left to right to one ulp below
+    # their exact sum, which a compensated sum gives; the mean keeps the ulp
+    assert reduce(operator.add, [1 / 3, 3 / 4, 1.0]) / 3 != math.fsum([1 / 3, 3 / 4, 1.0]) / 3
+    cells = [("l0001234", "S_F0", s, v) for s, v in zip("ABC", (0.0, 0.5, 1.0))]
+    cells += [("l0001234", "S_F1", s, v) for s, v in zip("ABCD", (1.0, 1.0, 1.0, 0.0))]
+    cells += [("l0001234", "P_F2", "A", 1.0), ("l0011234", "S_F1", "D", 0.5)]
+    tensor = make_tensor(["l0001234", "l0011234"], ["S_F0", "S_F1", "P_F2"], cells)
+    for scope in (None, ["S_F0", "S_F1", "P_F2"], ["P_F2", "S_F1", "S_F0"]):
+        for a, b in (("l0001234", "l0001234"), ("l0001234", "l0011234")):
+            _same_outcome(consistency, _consistency_oracle, a, b, tensor, scope)
+            _same_outcome(confidence_report, _report_oracle, a, b, tensor, scope)
 
 
 def test_confidence_report_reads_no_per_cell_statistics(fixture_tensor, monkeypatch):
@@ -345,3 +361,58 @@ def test_confidence_report_reads_no_per_cell_statistics(fixture_tensor, monkeypa
     monkeypatch.setattr(type(fixture_tensor), "source_stats", fail)
     report = confidence_report(*pair, fixture_tensor)
     assert (report.completeness, report.consistency) == want
+
+
+def _counting_builds(monkeypatch):
+    """The row count of every per-language vector build."""
+    rows, build = [], confidence_module._scope_vectors
+
+    def counting(sourced, agreement, cols):
+        rows.append(len(sourced))
+        return build(sourced, agreement, cols)
+
+    monkeypatch.setattr(confidence_module, "_scope_vectors", counting)
+    return rows
+
+
+def test_scope_vectors_are_kept_per_tensor_state(fixture_tensor, monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    for scope in (None, Category.SYNTACTIC):
+        for a, b in (("l0011234", "l0021234"), ("l0041234", "l0011234")):
+            assert confidence_report(a, b, fixture_tensor, scope) == _report_oracle(
+                a, b, fixture_tensor, scope)
+    assert builds == [len(LANGS), len(LANGS)]  # one build per scope, then lookups
+    fixture_tensor.add_language(LanguageRecord("l0051234"))
+    fixture_tensor.extend_with(TensorBatch(cells=[("l0051234", "S_F1", "A", 1.0)]))
+    pair = ("l0051234", "l0011234")
+    assert confidence_report(*pair, fixture_tensor) == _report_oracle(*pair, fixture_tensor)
+    assert builds == [len(LANGS), len(LANGS), len(LANGS) + 1]  # the write made new ones
+
+
+def test_a_listed_scope_reads_the_pairs_two_rows_only(fixture_tensor, monkeypatch):
+    builds = _counting_builds(monkeypatch)
+    for _ in range(2):
+        report = confidence_report("l0011234", "l0041234", fixture_tensor, ["S_F1", "S_F6"])
+        assert report == _report_oracle("l0011234", "l0041234", fixture_tensor, ["S_F1", "S_F6"])
+    assert builds == [2, 2]
+    assert not any(key[0] == "confidence vectors" for key in fixture_tensor.derived
+                   if isinstance(key, tuple))
+
+
+def test_vectors_follow_a_write_made_after_the_scope_was_resolved(fixture_tensor, monkeypatch):
+    resolve, writes = confidence_module.feature_columns, []
+
+    def resolve_then_write(features, scope):
+        cols = resolve(features, scope)
+        if not writes:  # a write lands between the scope and the statistics
+            writes.append(fixture_tensor.add_feature(FeatureDescriptor("S_F7", Category.SYNTACTIC)))
+            fixture_tensor.extend_with(TensorBatch(cells=[("l0021234", "S_F7", "A", 1.0)]))
+        return cols
+
+    monkeypatch.setattr(confidence_module, "feature_columns", resolve_then_write)
+    pair = ("l0011234", "l0021234")
+    confidence_report(*pair, fixture_tensor, Category.SYNTACTIC)
+    monkeypatch.undo()
+    for scope in (None, Category.SYNTACTIC):
+        assert confidence_report(*pair, fixture_tensor, scope) == _report_oracle(
+            *pair, fixture_tensor, scope)

@@ -392,7 +392,7 @@ def test_a_tensor_with_cached_entries_is_freed_without_the_collector():
     distance_from_tensor(tensor, replace(req, use_imputed=False, imputer=None))
     distance_from_tensor(tensor, req)
     confidence_report("aaaa1234", "bbbb1234", tensor)
-    assert len(tensor.derived) == 3  # aggregated, imputed, source agreement
+    assert len(tensor.derived) == 4  # aggregated, imputed, source agreement, confidence vectors
     ref = weakref.ref(tensor)
     gc.disable()
     try:

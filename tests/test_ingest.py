@@ -16,9 +16,11 @@ from typodist.errors import (
 from typodist.ingest import (
     MISSING_MARKERS,
     CanonicalNamer,
+    FeatureSpec,
     IdResolutionTable,
     InferenceRule,
     IngestReport,
+    IngestSchema,
     RuleDirection,
     VariableKind,
     apply_inference,
@@ -324,6 +326,18 @@ def test_schema_keeps_a_repeated_category_once_and_binarizes_with_its_own_level(
         "kind": "nominal", "category": "syntactic", "categories": ["SOV", "SOV"]}}}))
     with pytest.raises(FormatError, match="needs >= 2 categories"):
         load_ingest_schema(path)
+
+
+def test_a_schema_built_in_code_labels_each_level_once(tmp_path):
+    spec = FeatureSpec("order", VariableKind.NOMINAL, Category.SYNTACTIC, ("SOV", "SOV", "SVO"))
+    src = tmp_path / "s.csv"
+    src.write_text("language,feature,value\neng,order,SVO\n")
+    batch, _ = build_batch(read_source_csv(src, "S"), IngestSchema({"order": spec}),
+                           _replacement_table())
+    assert {f.name: f.origin.level for f in batch.features} == {
+        "S_ORDER_SOV": "SOV", "S_ORDER_SVO": "SVO"}
+    assert sorted((feat, v) for _lang, feat, _src, v in batch.cells) == [
+        ("S_ORDER_SOV", 0.0), ("S_ORDER_SVO", 1.0)]
 
 
 # end-to-end batch building ------------------------------------------------------------

@@ -310,6 +310,20 @@ def test_bad_registry_entries_name_the_registry_file(tmp_path, tiny_tensor):
         storage.load_tensor(tmp_path)
 
 
+def test_a_registry_name_listed_twice_names_the_registry_file(tmp_path, tiny_tensor):
+    storage.save_tensor(tiny_tensor, tmp_path)
+    path = tmp_path / storage.REGISTRY_FILE
+    good = json.loads(path.read_text())
+    source = good["sources"][0]
+    path.write_text(json.dumps(dict(good, sources=good["sources"] + [source])))
+    with pytest.raises(FormatError, match=f"registries.json: source '{source}' is listed twice"):
+        storage.load_tensor(tmp_path)
+    language = dict(good["languages"][0], name="Other")
+    path.write_text(json.dumps(dict(good, languages=good["languages"] + [language])))
+    with pytest.raises(FormatError, match="registries.json: language .* different metadata"):
+        storage.load_tensor(tmp_path)
+
+
 def _write_cells_as_before(tensor, directory):
     """The per-cell writer save_tensor replaced: rows from iter_cells, sorted."""
     rows_by_source = {s: [] for s in tensor.sources}
