@@ -114,8 +114,7 @@ def _aggregate(
 ) -> AggregatedMatrix:
     snap = tensor.snapshot()
     # source order fixes the order in which average mode sums a cell's values
-    src_indices = sorted({tensor.source_index(s) for s in provenance})
-    columns = [snap.columns[si] for si in src_indices if si < len(snap.columns)]
+    columns = [snap.columns[si] for si in sorted({snap.source_index(s) for s in provenance})]
     shape = (len(snap.languages), len(snap.features))
     values = np.full(shape, np.nan)
     if mode is AggregationMode.UNION:
@@ -137,7 +136,7 @@ def _aggregate(
     return AggregatedMatrix(
         mode=mode,
         languages=[rec.glottocode for rec in snap.languages],
-        features=snap.features,
+        features=list(snap.features),
         values=values,
         provenance=provenance,
     )

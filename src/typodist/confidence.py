@@ -17,20 +17,19 @@ import numpy as np
 from .aggregate import AggregationMode, _get_or_build
 from .errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
 from .impute import ImputerSpec
-from .kb import Category, FeatureSelector, FeatureTensor, feature_columns
+from .kb import Category, FeatureSelector, FeatureTensor, TensorSnapshot, feature_columns
 from .storage import _checked, _json_field, _read_json, write_json
 
 #: The metric each aggregation mode's imputation quality is read from.
 _QUALITY_METRIC = {AggregationMode.UNION: "f1", AggregationMode.AVERAGE: "rmse"}
 
 
-def _source_agreement(tensor: FeatureTensor) -> tuple[np.ndarray, np.ndarray]:
+def _source_agreement(snap: TensorSnapshot) -> tuple[np.ndarray, np.ndarray]:
     """Per (language, feature): how many sources know the cell, and their
     mode agreement, the largest number of equal values over that count or 0.
 
     Built from language x feature arrays one source at a time.
     """
-    snap = tensor.snapshot()
     shape = (len(snap.languages), len(snap.features))
     sourced = np.zeros(shape, dtype=np.int64)
     top = np.zeros(shape, dtype=np.int64)
@@ -58,18 +57,16 @@ def _scope_vectors(sourced: np.ndarray, agreement: np.ndarray, cols: np.ndarray)
 
 def _pair_stats(lang_a: str, lang_b: str, tensor: FeatureTensor, scope: FeatureSelector):
     """The pair's completeness, its two g values and the scope size k."""
-    cols = feature_columns(tensor.features, scope)
+    snap = tensor.snapshot()
+    cols = feature_columns(snap.features, scope)
     if not len(cols):
         raise EmptyScope("feature scope is empty")
-    # looked up first, so the statistics read next are from their state or a newer one
-    rows = [tensor.language_index(lang_a), tensor.language_index(lang_b)]
-    derived = tensor.derived
-    sourced, agreement = _get_or_build(derived, "source agreement",
-                                       lambda: _source_agreement(tensor))
+    rows = [snap.language_index(lang_a), snap.language_index(lang_b)]
+    sourced, agreement = _get_or_build(snap.derived, "source agreement",
+                                       lambda: _source_agreement(snap))
     if scope is None or isinstance(scope, Category):
-        # scoped by the statistics' own features, so a racing write leaves no stale vectors
-        m, g, k = _get_or_build(derived, ("confidence vectors", scope), lambda: _scope_vectors(
-            sourced, agreement, feature_columns(tensor.features[:sourced.shape[1]], scope)))
+        m, g, k = _get_or_build(snap.derived, ("confidence vectors", scope),
+                                lambda: _scope_vectors(sourced, agreement, cols))
     else:  # a listed scope reads the pair's two rows only
         (m, g, k), rows = _scope_vectors(sourced[rows], agreement[rows], cols), [0, 1]
     m, g = m[rows].tolist(), g[rows].tolist()

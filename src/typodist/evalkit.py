@@ -164,10 +164,11 @@ def quality_test(
     )
 
 
+_CANDIDATE_KS, _FOLDS = (3, 6, 9, 12, 15), 5  #: knn_select_k's k values and fold count
+
+
 def knn_select_k(
     matrix: AggregatedMatrix,
-    candidate_ks: Sequence[int] = (3, 6, 9, 12, 15),
-    folds: int = 5,
     seed: int = 0,
     registry=None,
     dialect_fill: bool = True,
@@ -177,18 +178,18 @@ def knn_select_k(
     averaged across folds. Ties go to the smaller k.
     """
     pool = draw_mask(matrix, seed)
-    if len(pool) < folds:
+    if len(pool) < _FOLDS:
         raise TooFewObserved(
-            f"masked pool of {len(pool)} cells cannot fill {folds} folds"
+            f"masked pool of {len(pool)} cells cannot fill {_FOLDS} folds"
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pool))
-    fold_indices = np.array_split(order, folds)
+    fold_indices = np.array_split(order, _FOLDS)
 
     maximize = matrix.mode is AggregationMode.UNION
     objective_key = "f1" if maximize else "rmse"
     best_k, best_score = None, None
-    for k in sorted(candidate_ks):
+    for k in _CANDIDATE_KS:
         scores, spec = [], ImputerSpec("knn", k=k)
         for fold in fold_indices:
             truth, pred = _held_out(matrix, pool[fold], spec, registry, dialect_fill)
@@ -406,8 +407,8 @@ def coverage_report(tensor: FeatureTensor, tiers=None) -> CoverageReport:
     least one known typological cell.
     """
     tiers = tiers or {}
-    records = tensor.languages
     matrix = aggregate(tensor, AggregationMode.UNION)
+    records = tensor.languages  # read after matrix: registries only grow, so it covers its rows
     known = matrix.known_mask
     feature_categories = [f.category for f in matrix.features]
 
@@ -436,5 +437,5 @@ def coverage_report(tensor: FeatureTensor, tiers=None) -> CoverageReport:
     return CoverageReport(
         categories=categories,
         typological_total=typological_total,
-        language_count=len(records),
+        language_count=len(matrix.languages),
     )

@@ -8,13 +8,13 @@ silently overwritten.
 Each source's cells are two numpy arrays, kept sorted by key: an int64
 key that holds the language index in its high 32 bits and the feature
 index in its low 32 bits, so keys sort as (language, feature) does, and a
-float64 value, 16 bytes per cell. A write never changes published arrays:
-it checks the whole batch first, builds new arrays, and publishes them,
-with the registry sizes they were written against and an empty `derived`
-dict, in one swap before it bumps `version`; a no-op write publishes
-nothing. Writes are serialised under the tensor's lock, so concurrent
-writers never share an index. Readers take one snapshot (`snapshot`), so
-an overlapping read sees the tensor before or after a write, never half done.
+float64 value, 16 bytes per cell. A tensor publishes one read-only
+`TensorSnapshot`: registries, name -> index maps, cells, `derived`, `version`.
+A write checks the whole batch against it, builds the next state (registries
+copied only if it adds entries, new arrays only for the sources it changes,
+an empty `derived`) and publishes it in one swap; a no-op write publishes
+nothing. Writes are serialised under the tensor's lock, so concurrent writers
+never share an index. A reader takes one snapshot: it sees each write whole or not at all.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -268,12 +269,33 @@ _NO_CELLS = SourceColumn(np.empty(0, np.int64), np.empty(0))
 
 
 class TensorSnapshot(NamedTuple):
-    """The registries and cells as one completed write left them."""
+    """The tensor's published state, as one completed write left it; read-only."""
 
-    languages: list[LanguageRecord]
-    features: list[FeatureDescriptor]
-    sources: list[str]
+    languages: tuple[LanguageRecord, ...]
+    features: tuple[FeatureDescriptor, ...]
+    sources: tuple[str, ...]
+    lang_index: Mapping[str, int]  # glottocode -> index into languages
+    feat_index: Mapping[str, int]  # feature name -> index into features
+    src_index: Mapping[str, int]  # source name -> index into sources
     columns: tuple[SourceColumn, ...]  # one per source, in source order
+    derived: dict  # matrices built from this state, by key
+    version: int  # bumped once per write that publishes a new state
+
+    def language_index(self, glottocode: str) -> int:
+        return _index_of(self.lang_index, glottocode, UnknownLanguage)
+
+    def feature_index(self, name: str) -> int:
+        return _index_of(self.feat_index, name, UnknownFeature)
+
+    def source_index(self, name: str) -> int:
+        return _index_of(self.src_index, name, UnknownSource)
+
+
+def _index_of(index: Mapping, name: str, unknown: type) -> int:
+    try:
+        return index[name]
+    except KeyError:
+        raise unknown(name) from None
 
 
 def _keys(language, feature) -> np.ndarray:
@@ -294,10 +316,9 @@ def _stored_values(columns, source, keys) -> np.ndarray:
     """The stored value of each (source index, key) cell; NaN where missing."""
     out = np.full(len(source), np.nan)
     for si in np.flatnonzero(np.bincount(source)).tolist():  # distinct, cheaper than np.unique
-        if si < len(columns):  # a source registered after the snapshot has no cells
-            rows = np.flatnonzero(source == si)
-            pos, hit = _find(columns[si], keys[rows])
-            out[rows[hit]] = columns[si].value[pos[hit]]
+        rows = np.flatnonzero(source == si)
+        pos, hit = _find(columns[si], keys[rows])
+        out[rows[hit]] = columns[si].value[pos[hit]]
     return out
 
 
@@ -319,9 +340,9 @@ def _merged(column: SourceColumn, keys, value) -> SourceColumn:
     return SourceColumn(np.insert(column.key, at, keys[new]), np.insert(kept, at, value[new]))
 
 
-def _unregistered(kind: str, entries, registered: list, index: dict) -> list:
-    """The entries not registered yet, once each, checked in order as
-    registering them one at a time would check them."""
+def _registered(kind: str, entries, registered: tuple, index: Mapping) -> tuple[tuple, Mapping]:
+    """The registry and its name -> index map with entries registered, checked in
+    order as one at a time would be; copies if any is new, never changed in place."""
     new = {}
     for entry in entries:
         name = _key(entry)
@@ -338,7 +359,10 @@ def _unregistered(kind: str, entries, registered: list, index: dict) -> list:
             new[name] = entry
         elif known != entry:
             raise FormatError(f"{kind} {name!r} already registered with different metadata")
-    return list(new.values())
+    if not new:
+        return registered, index
+    names = {name: len(index) + k for k, name in enumerate(new)}
+    return registered + tuple(new.values()), MappingProxyType(index | names)
 
 
 _UNKNOWN = (UnknownLanguage, UnknownFeature, UnknownSource)
@@ -386,115 +410,94 @@ class FeatureTensor:
     """The sparse (language, feature, source) -> value store."""
 
     def __init__(self):
-        self._languages: list[LanguageRecord] = []
-        self._features: list[FeatureDescriptor] = []
-        self._sources: list[str] = []
-        self._lang_index: dict[str, int] = {}
-        self._feat_index: dict[str, int] = {}
-        self._src_index: dict[str, int] = {}
-        # the published cells: one column per source, the language and
-        # feature counts they were written against, and the matrices derived
-        # from them; replaced whole by each write that changes anything, so
-        # one read of it is a consistent snapshot
-        self._state: tuple[tuple[SourceColumn, ...], int, int, dict] = ((), 0, 0, {})
-        # held by every write; reentrant, as add_* call _write
-        self._write_lock = threading.RLock()
-        # bumped once per write that publishes a new state
-        self.version = 0
+        # replaced whole by each write that changes anything
+        no_names = MappingProxyType({})
+        self._state = TensorSnapshot((), (), (), no_names, no_names, no_names, (), {}, 0)
+        self._write_lock = threading.Lock()
 
     # registries -----------------------------------------------------------
 
     @property
     def languages(self) -> list[LanguageRecord]:
-        return list(self._languages)
+        return list(self._state.languages)
 
     @property
     def features(self) -> list[FeatureDescriptor]:
-        return list(self._features)
+        return list(self._state.features)
 
     @property
     def sources(self) -> list[str]:
-        return list(self._sources)
+        return list(self._state.sources)
 
     @property
     def language_map(self) -> dict[str, LanguageRecord]:
-        return {rec.glottocode: rec for rec in self._languages}
+        return {rec.glottocode: rec for rec in self._state.languages}
 
     def language(self, glottocode: str) -> LanguageRecord:
-        return self._languages[self.language_index(glottocode)]
+        state = self._state
+        return state.languages[state.language_index(glottocode)]
 
     def feature(self, name: str) -> FeatureDescriptor:
-        return self._features[self.feature_index(name)]
+        state = self._state
+        return state.features[state.feature_index(name)]
 
     def language_index(self, glottocode: str) -> int:
-        try:
-            return self._lang_index[glottocode]
-        except KeyError:
-            raise UnknownLanguage(glottocode) from None
+        return self._state.language_index(glottocode)
 
     def feature_index(self, name: str) -> int:
-        try:
-            return self._feat_index[name]
-        except KeyError:
-            raise UnknownFeature(name) from None
+        return self._state.feature_index(name)
 
     def source_index(self, name: str) -> int:
-        try:
-            return self._src_index[name]
-        except KeyError:
-            raise UnknownSource(name) from None
+        return self._state.source_index(name)
 
     def has_language(self, glottocode: str) -> bool:
-        return glottocode in self._lang_index
+        return glottocode in self._state.lang_index
 
     def features_in_category(self, category: Category) -> list[FeatureDescriptor]:
-        return [f for f in self._features if f.category is category]
+        return [f for f in self._state.features if f.category is category]
+
+    # each add_* copies a registry and its map, O(size); register many through extend_with
 
     def add_language(self, record: LanguageRecord) -> int:
-        with self._write_lock:
-            self._write(languages=[record])
-            return self._lang_index[record.glottocode]
+        return self._write(languages=[record]).language_index(record.glottocode)
 
     def add_feature(self, descriptor: FeatureDescriptor) -> int:
-        with self._write_lock:
-            self._write(features=[descriptor])
-            return self._feat_index[descriptor.name]
+        return self._write(features=[descriptor]).feature_index(descriptor.name)
 
     def add_source(self, name: str) -> int:
-        with self._write_lock:
-            self._write(sources=[name])
-            return self._src_index[name]
+        return self._write(sources=[name]).source_index(name)
 
     # cells ----------------------------------------------------------------
 
     @property
+    def version(self) -> int:
+        """Bumped once per write that publishes a new state."""
+        return self._state.version
+
+    @property
     def derived(self) -> dict:
         """Matrices built from the published state, by key; a property, so tracers skip it."""
-        return self._state[3]
+        return self._state.derived
 
     def snapshot(self) -> TensorSnapshot:
-        """The registries and cells as of the last completed write."""
-        columns, n_languages, n_features, _derived = self._state
-        return TensorSnapshot(
-            self._languages[:n_languages],
-            self._features[:n_features],
-            self._sources[: len(columns)],
-            columns,
-        )
+        """The published state: registries and cells as of the last completed write."""
+        return self._state
 
     def get_cell(self, lang: str, feat: str, src: str) -> CellValue:
         """Stored value for the triple, or None if the cell is missing."""
-        li, fi, si = self.language_index(lang), self.feature_index(feat), self.source_index(src)
-        found = _stored_values(self._state[0], np.full(1, si), np.full(1, _keys(li, fi)))
+        state = self._state
+        li, fi, si = state.language_index(lang), state.feature_index(feat), state.source_index(src)
+        found = _stored_values(state.columns, np.full(1, si), np.full(1, _keys(li, fi)))
         return None if np.isnan(found[0]) else float(found[0])
 
     def stored_array(self, cells: CellArrays) -> np.ndarray:
         """The stored value of each cell; NaN where it is missing or one of
         its names is not registered."""
-        lang, feat, src = _indices(cells, (self._lang_index, self._feat_index, self._src_index))
+        state = self._state
+        lang, feat, src = _indices(cells, (state.lang_index, state.feat_index, state.src_index))
         found = (lang >= 0) & (feat >= 0) & (src >= 0)
         out = np.full(len(cells), np.nan)
-        out[found] = _stored_values(self._state[0], src[found], _keys(lang[found], feat[found]))
+        out[found] = _stored_values(state.columns, src[found], _keys(lang[found], feat[found]))
         return out
 
     def extend_with(self, batch: TensorBatch, overwrite: bool = False) -> "FeatureTensor":
@@ -510,45 +513,42 @@ class FeatureTensor:
         self._write(batch.languages, batch.features, batch.sources, batch.cells, overwrite)
         return self
 
-    def _write(self, languages=(), features=(), sources=(), cells=(), overwrite=False) -> None:
-        """Check a whole write, then register its entries and publish its cells."""
+    def _write(self, languages=(), features=(), sources=(), cells=(), overwrite=False
+               ) -> TensorSnapshot:
+        """Check a whole write against the published state, then publish the
+        next state; the published state after the write."""
         with self._write_lock:
-            registries = [
-                (registry, index, _unregistered(kind, entries, registry, index))
+            state = self._state
+            (languages, lang_index), (features, feat_index), (sources, src_index) = [
+                _registered(kind, entries, registry, index)
                 for kind, entries, registry, index in (
-                    ("language", languages, self._languages, self._lang_index),
-                    ("feature", features, self._features, self._feat_index),
-                    ("source", sources, self._sources, self._src_index),
+                    ("language", languages, state.languages, state.lang_index),
+                    ("feature", features, state.features, state.feat_index),
+                    ("source", sources, state.sources, state.src_index),
                 )
             ]
-            columns = self._state[0]
+            columns = state.columns + (_NO_CELLS,) * (len(sources) - len(state.columns))
             changed = False
             if cells:
-                # the indices the batch's new entries will get
-                indices = [
-                    {**index, **{_key(e): len(index) + k for k, e in enumerate(new)}}
-                    if new else index
-                    for _registry, index, new in registries
-                ]
-                src, keys, values, changed = _checked(cells, indices, columns, overwrite)
-            for registry, index, new in registries:
-                for entry in new:
-                    registry.append(entry)
-                    index[_key(entry)] = len(registry) - 1
-            columns = columns + (_NO_CELLS,) * len(registries[2][2])
+                src, keys, values, changed = _checked(
+                    cells, (lang_index, feat_index, src_index), columns, overwrite)
             if changed:
                 columns = list(columns)
                 for si in np.flatnonzero(np.bincount(src)).tolist():
                     rows = src == si
                     columns[si] = _merged(columns[si], keys[rows], values[rows])
-            if changed or any(new for _registry, _index, new in registries):
-                self._state = (tuple(columns), len(self._languages), len(self._features), {})
-                self.version += 1
+            # _registered returns the registry itself when it adds nothing
+            grown = any(new is not old for new, old in zip((languages, features, sources), state))
+            if changed or grown:
+                self._state = TensorSnapshot(languages, features, sources, lang_index, feat_index,
+                                             src_index, tuple(columns), {}, state.version + 1)
+            return self._state
 
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:
         """(number of sources with a known value, those values in source order)."""
-        key = _keys(self.language_index(lang), self.feature_index(feat))
-        columns = self._state[0]
+        state = self._state
+        key = _keys(state.language_index(lang), state.feature_index(feat))
+        columns = state.columns
         found = _stored_values(columns, np.arange(len(columns)), np.full(len(columns), key))
         values = found[~np.isnan(found)].tolist()
         return len(values), values
@@ -564,7 +564,7 @@ class FeatureTensor:
                 yield snap.languages[li].glottocode, snap.features[fi].name, src, v
 
     def cell_count(self) -> int:
-        return sum(len(col.value) for col in self._state[0])
+        return sum(len(col.value) for col in self._state.columns)
 
     def ancestor_chain(self, glottocode: str) -> list[str]:
         """Parent, grandparent, ... for a language; empty if it has no parent."""

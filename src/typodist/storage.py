@@ -230,15 +230,14 @@ def load_tensor(directory) -> FeatureTensor:
     except FormatError as exc:  # an empty name, or a name repeated with other metadata
         raise FormatError(f"{where}: {exc}") from exc
 
-    lang_index = {rec.glottocode: i for i, rec in enumerate(tensor.languages)}
-    feat_index = {f.name: i for i, f in enumerate(tensor.features)}
+    snap = tensor.snapshot()
     for src in sources:
         path = directory / f"{src}.csv"
         if not path.exists():
             continue  # a source with no stored cells
         rows, (langs, feats, texts), (lc, fc, vc) = _read_cell_columns(path)
-        lang_of = np.array([lang_index.get(name, -1) for name in langs], np.int32)
-        feat_of = np.array([feat_index.get(name, -1) for name in feats], np.int32)
+        lang_of = np.array([snap.lang_index.get(name, -1) for name in langs], np.int32)
+        feat_of = np.array([snap.feat_index.get(name, -1) for name in feats], np.int32)
         value, bad_value = np.full(len(texts), np.nan), np.zeros(len(texts), dtype=bool)
         for k, text in enumerate(texts):  # each distinct value string once
             try:

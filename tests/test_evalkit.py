@@ -20,7 +20,7 @@ from typodist.evalkit import (
     quality_test,
 )
 from typodist.impute import ImputerSpec, impute_knn
-from typodist.kb import FeatureTensor, LanguageRecord, ResourceTier
+from typodist.kb import FeatureTensor, LanguageRecord, ResourceTier, TensorBatch
 
 from conftest import make_matrix, make_tensor, random_matrix
 
@@ -389,6 +389,24 @@ def test_coverage_counts_languages_with_any_category_data():
     assert report.categories["phonological"]["total"] == 0
     assert report.typological_total["total"] == 1  # only a000 has typological data
 
+
+
+def test_coverage_counts_a_language_added_while_it_aggregates(monkeypatch):
+    tensor = make_tensor(["a0001234"], ["S_F1"], [("a0001234", "S_F1", "X", 1.0)])
+    real = evalkit.aggregate
+
+    def write_then_aggregate(tensor, *args):
+        tensor.extend_with(TensorBatch(
+            languages=[LanguageRecord("b0001234", tier=ResourceTier.HRL)],
+            cells=[("b0001234", "S_F1", "X", 0.0)]))
+        return real(tensor, *args)
+
+    monkeypatch.setattr(evalkit, "aggregate", write_then_aggregate)
+    report = coverage_report(tensor)
+    assert report.language_count == 2
+    assert report.categories["syntactic"]["by_tier"] == {
+        "HRL": 1, "MRL": 0, "LRL": 0, "Unknown": 1,
+    }
 
 def test_coverage_hand_tally_with_tiers():
     langs = [

@@ -4,7 +4,9 @@ import threading
 import numpy as np
 import pytest
 
+import typodist.kb as kb_module
 from typodist.aggregate import AggregationMode, aggregate
+from typodist.confidence import confidence_report
 from typodist.errors import (
     ConflictingWrite,
     FormatError,
@@ -211,6 +213,39 @@ def test_concurrent_writers_get_unique_dense_indices():
     # one bump per add_language and one per batch, none lost
     assert tensor.version == version + total
     assert tensor.cell_count() == 1 + total // 2
+
+
+def test_a_read_during_a_write_sees_the_whole_state_before_it(tiny_tensor, monkeypatch):
+    """Readers run from inside a write that adds a language and a source,
+    after the write is checked and before it is published."""
+    merged, seen = kb_module._merged, []
+
+    def probing_merged(*args):
+        snap = tiny_tensor.snapshot()
+        seen.append((len(tiny_tensor.languages), len(snap.languages), len(tiny_tensor.sources),
+                     len(snap.sources), len(snap.columns), tiny_tensor.version))
+        for read in (lambda: tiny_tensor.language_index("newl1234"),
+                     lambda: confidence_report("newl1234", "pare1234", tiny_tensor)):
+            with pytest.raises(UnknownLanguage):
+                read()
+        with pytest.raises(UnknownSource):
+            aggregate(tiny_tensor, AggregationMode.UNION, ["SRC_NEW"])
+        return merged(*args)
+
+    monkeypatch.setattr(kb_module, "_merged", probing_merged)
+    version = tiny_tensor.version
+    tiny_tensor.extend_with(TensorBatch(
+        languages=[LanguageRecord("newl1234")], sources=["SRC_NEW"],
+        cells=[("newl1234", "S_F1", "SRC_NEW", 1.0), ("newl1234", "S_F2", "SRC_A", 0.0)]))
+    monkeypatch.undo()
+    assert seen and all(state == (3, 3, 2, 2, 2, version) for state in seen)
+    snap = tiny_tensor.snapshot()
+    assert (len(tiny_tensor.languages), len(snap.languages), len(snap.columns)) == (4, 4, 3)
+    assert tiny_tensor.version == snap.version == version + 1
+    assert tiny_tensor.language_index("newl1234") == 3
+    assert confidence_report("newl1234", "pare1234", tiny_tensor).feature_count_k == 4
+    union = aggregate(tiny_tensor, AggregationMode.UNION, ["SRC_NEW"])
+    assert union.values[3, union.feature_index("S_F1")] == 1.0
 
 
 def test_feature_name_validation():

@@ -2,6 +2,7 @@ import csv
 import errno
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,27 @@ def test_matrix_load_validates_grid(tmp_path):
     path.write_text("language,S_F1\naaaa1234,1\naaaa1234,0\n")
     with pytest.raises(FormatError, match="duplicate"):
         storage.load_matrix_values(path, ["aaaa1234"], ["S_F1"])
+
+
+@pytest.mark.parametrize("rows, error", [
+    ("aaaa1234,1,maybe\nbbbb1234,0,1", r"row 2: bad value 'maybe'"),
+    ("aaaa1234,1,0\nbbbb1234,1.5,0", r"row 3: value 1\.5 outside \[0, 1\]"),
+    ("aaaa1234,1,0\nzzzz9999,0,0", r"row 3: unexpected language 'zzzz9999'"),
+    ("aaaa1234,1,0\naaaa1234,0,0", r"row 3: duplicate language 'aaaa1234'"),
+    ("aaaa1234,1,--", r"missing rows for languages \['bbbb1234'\]"),
+    # the first bad row in file order, whatever is wrong with it
+    ("aaaa1234,1, x \nzzzz9999,0,0", r"row 2: bad value 'x'"),
+    ("zzzz9999,0,0\naaaa1234,1,x", r"row 2: unexpected language 'zzzz9999'"),
+    ("aaaa1234,1,0\nzzzz9999,x,0", r"row 3: unexpected language 'zzzz9999'"),
+    ("aaaa1234,x,-1\nbbbb1234,0,0", r"row 2: bad value 'x'"),
+    ("aaaa1234,0,2\nbbbb1234,0", r"row 2: value 2\.0 outside"),
+    ("aaaa1234,0,1\nbbbb1234,0", r"row 3: expected 3 columns, got 2"),
+])
+def test_matrix_load_reports_the_first_bad_row(tmp_path, rows, error):
+    path = tmp_path / "m.csv"
+    path.write_text(f"language,S_F1,S_F2\n{rows}\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: {error}"):
+        storage.load_matrix_values(path, ["aaaa1234", "bbbb1234"], ["S_F1", "S_F2"])
 
 
 def test_format_value_round_trips():
