@@ -226,6 +226,7 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     n = xa.size
     if n < 2:
         raise ValueError("need at least 2 observations")
+    _require_finite(xa, ya)
     tau = _tau_b(xa, ya)
     if tau is None:
         raise DegenerateInput("rank correlation undefined for constant input")
@@ -234,6 +235,12 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 
 #: pair-sign cells per row block of _tau_b, so its memory stays O(n)
 _TAU_BLOCK_CELLS = 2**18
+
+
+def _require_finite(*arrays: np.ndarray) -> None:
+    # a NaN pair is neither concordant, discordant nor tied, yet counts in n0
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("scores must be finite")
 
 
 def _tau_b(x: np.ndarray, y: np.ndarray) -> Optional[float]:
@@ -271,6 +278,11 @@ class PermTestResult:
     seed: int
 
 
+#: pair-class cells per column chunk, and swap-mask cells per block of
+#: iterations, in perm_both_test, so its memory stays O(n)
+_PERM_BLOCK_CELLS = 2**18
+
+
 def perm_both_test(
     scores_a: Sequence[float],
     scores_b: Sequence[float],
@@ -286,32 +298,83 @@ def perm_both_test(
     (1 + #{delta* >= observed}) / (1 + iterations). Iterations whose
     permuted vectors make the correlation undefined are skipped from both
     counts (only possible on tiny degenerate inputs).
+
+    Iterations run in blocks: one block's swap masks are drawn at once,
+    from the same stream as one draw per iteration, and every tau's pair
+    counts are exact integer sums (see _swap_counts), so the result equals
+    a per-iteration loop over _tau_b bit for bit.
     """
     a = np.asarray(scores_a, dtype=float)
     b = np.asarray(scores_b, dtype=float)
     ref = np.asarray(reference, dtype=float)
     if not (a.shape == b.shape == ref.shape) or a.ndim != 1 or a.size < 2:
         raise ValueError("need three equal-length 1-D sequences of length >= 2")
+    _require_finite(a, b, ref)
     if iterations < 100:
         raise ValueError("need at least 100 iterations")
     observed = _delta(a, b, ref)
     if observed is None:
         raise DegenerateInput("rank correlation undefined for constant input")
 
+    n = a.size
+    n0 = n * (n - 1) // 2
+    _, ref_counts = np.unique(ref, return_counts=True)
+    ties_ref = int((ref_counts * (ref_counts - 1) // 2).sum())
     rng = np.random.default_rng(seed)
     at_least, valid = 0, 0
-    for _ in range(iterations):
-        swap = rng.random(a.size) < 0.5
-        delta = _delta(np.where(swap, b, a), np.where(swap, a, b), ref)
-        if delta is None:
-            continue
-        valid += 1
-        if delta >= observed:
-            at_least += 1
+    block = max(1, _PERM_BLOCK_CELLS // n)
+    for done in range(0, iterations, block):
+        swaps = rng.random((min(block, iterations - done), n)) < 0.5
+        cd, ties = _swap_counts(a, b, ref, swaps)
+        denom = np.sqrt(((n0 - ties) * (n0 - ties_ref)).astype(float))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tau = cd / denom  # rows: v = where(swap, b, a), w = where(swap, a, b)
+            delta = np.abs(tau[0] - tau[1])
+        defined = (denom != 0.0).all(axis=0)
+        valid += int(np.count_nonzero(defined))
+        at_least += int(np.count_nonzero(delta[defined] >= observed))
     p = (1 + at_least) / (1 + valid) if valid else 1.0
     return PermTestResult(
         observed_delta=observed, p_value=p, iterations=iterations, seed=seed
     )
+
+
+def _swap_counts(a: np.ndarray, b: np.ndarray, ref: np.ndarray,
+                 swaps: np.ndarray) -> np.ndarray:
+    """Exact C - D against ref, and tied pairs, of v and of w per swap mask.
+
+    Pair (i, j) of v = where(swap, b, a) compares one of four value pairs,
+    by its swap class (sigma_i, sigma_j), sigma = +1 where swapped and -1
+    where not: (a_i, a_j), (b_i, b_j), (b_i, a_j) or (a_i, b_j). The pair
+    terms f (sign products for C - D, tie indicators for ties), summed over
+    ordered pairs, expand to
+        4 * sum f = c + sigma . l + sigma^T Q sigma.
+    w = where(swap, a, b) is v with every sigma negated, which flips only
+    the odd term sigma . l, so one sigma @ Q per column chunk serves both.
+    Every term is a small integer, so the float sums are exact. Returns
+    C - D and ties as int64 arrays, each with rows v and w.
+    """
+    n = a.size
+    sigma = np.where(swaps, 1.0, -1.0)
+    even = np.zeros((2, len(swaps)))  # c + sigma^T Q sigma, of C - D and of ties
+    odd = np.zeros((2, len(swaps)))  # sigma . l, likewise
+    step = max(1, _PERM_BLOCK_CELLS // n)
+    for lo in range(0, n, step):
+        cols = slice(lo, min(lo + step, n))
+        off_diagonal = np.arange(n)[:, None] != np.arange(n)[cols]
+        quad = 0.0
+        with np.errstate(over="ignore"):  # a difference may overflow to +-inf
+            ref_sign = np.sign(ref[:, None] - ref[cols])
+            for x, y, lin_sign, quad_sign in ((a, a, -1, 1), (b, b, 1, 1),
+                                              (b, a, -1, -1), (a, b, 1, -1)):
+                diff = x[:, None] - y[cols]
+                f = np.stack((np.sign(diff) * ref_sign, (diff == 0) & off_diagonal))
+                even += f.sum(axis=(1, 2))[:, None]
+                odd += 2 * lin_sign * (f.sum(axis=1) @ sigma[:, cols].T)
+                quad += quad_sign * f
+        even += ((sigma @ quad) * sigma[:, cols]).sum(axis=2)
+    # 8 * the counts over pairs i < j, exactly
+    return (np.stack((even + odd, even - odd), axis=1) / 8).astype(np.int64)
 
 
 def _delta(a: np.ndarray, b: np.ndarray, ref: np.ndarray) -> Optional[float]:

@@ -174,8 +174,27 @@ def _masked_l1_distances(values: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Pairwise mean absolute difference over mutually known features.
 
     Entries with no shared feature are NaN; the diagonal is NaN so a
-    language never neighbors itself.
+    language never neighbors itself. When every known value is 0 or 1, as
+    in every union matrix, the sums are matrix products: on shared cells
+    |x - y| = x + y - 2xy, and each product sums small integers exactly,
+    so the result equals _masked_l1_rows bit for bit.
     """
+    if not np.isin(values[known], (0.0, 1.0)).all():
+        return _masked_l1_rows(values, known)
+    ones = (values == 1.0).astype(float)  # unlike values, holds no -0.0
+    present = known.astype(float)
+    one_known = ones @ present.T
+    sums = one_known + one_known.T - 2 * (ones @ ones.T)
+    counts = present @ present.T
+    with np.errstate(invalid="ignore"):
+        dist = sums / counts
+    dist[counts == 0] = np.nan  # 0/0 may set the sign bit; np.nan does not
+    np.fill_diagonal(dist, np.nan)
+    return dist
+
+
+def _masked_l1_rows(values: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """_masked_l1_distances one row at a time, for any finite values."""
     n = values.shape[0]
     filled = np.where(known, values, 0.0)
     dist = np.full((n, n), np.nan)

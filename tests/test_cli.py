@@ -354,6 +354,16 @@ def test_eval_casestudy_table5(capsys, tmp_path):
     assert json.loads(out_file.read_text()) == payload
 
 
+@pytest.mark.parametrize("fmt,suffix", [("json", "json"), ("table", "txt")])
+def test_eval_casestudy_stdout_matches_golden(capsys, fmt, suffix):
+    # the default 10,000 Perm-Both iterations; the goldens pin every digit
+    # of tau and of the p-value
+    code, out, err = run(capsys, "--format", fmt, "eval", "casestudy",
+                         "--input", DATA_DIR / "table5.csv", "--seed", "0")
+    assert code == 0, err
+    assert out == (DATA_DIR / f"casestudy_table5.{suffix}").read_text(encoding="utf-8")
+
+
 def test_eval_coverage(workspace, capsys):
     data = ingest(capsys, workspace)
     code, out, _ = run(capsys, "eval", "coverage", "--data", data)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,106 @@ def test_perm_both_p_values_unchanged_by_blocked_tau_b(table5, monkeypatch):
     blocked = results()
     monkeypatch.setattr(evalkit, "_tau_b", _tau_b_all_pairs)
     assert blocked == results()
+
+
+def _perm_both_oracle(scores_a, scores_b, reference, iterations, seed):
+    """perm_both_test as one _tau_b pair per iteration and one swap mask
+    drawn per iteration: the loop that batched counting replaced."""
+    a, b, ref = (np.asarray(v, dtype=float) for v in (scores_a, scores_b, reference))
+    observed = evalkit._delta(a, b, ref)
+    if observed is None:
+        raise DegenerateInput("rank correlation undefined for constant input")
+    rng = np.random.default_rng(seed)
+    at_least, valid = 0, 0
+    for _ in range(iterations):
+        swap = rng.random(a.size) < 0.5
+        delta = evalkit._delta(np.where(swap, b, a), np.where(swap, a, b), ref)
+        if delta is None:
+            continue
+        valid += 1
+        if delta >= observed:
+            at_least += 1
+    p = (1 + at_least) / (1 + valid) if valid else 1.0
+    return evalkit.PermTestResult(
+        observed_delta=observed, p_value=p, iterations=iterations, seed=seed)
+
+
+def _perm_inputs(rng, n, tied):
+    if tied:  # few levels: ties, and at small n permuted vectors that go constant
+        return tuple(rng.integers(0, 3, n).astype(float) for _ in range(3))
+    return rng.random(n), rng.random(n), rng.random(n)
+
+
+@pytest.mark.parametrize("block_cells", [evalkit._PERM_BLOCK_CELLS, 2**10],
+                         ids=["default-blocks", "small-blocks"])
+def test_batched_perm_both_equals_the_per_iteration_loop(monkeypatch, block_cells):
+    monkeypatch.setattr(evalkit, "_PERM_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(79)
+    checked = 0
+    for n in [*range(2, 21), 37, 64, 200]:
+        for tied in (False, True):
+            scores = _perm_inputs(rng, n, tied)
+            iterations = 100 + int(rng.integers(0, 150))
+            seed = int(rng.integers(0, 1000))
+            try:
+                want = _perm_both_oracle(*scores, iterations, seed)
+            except DegenerateInput:
+                continue
+            assert perm_both_test(*scores, iterations=iterations, seed=seed) == want
+            checked += 1
+    assert checked >= 35
+
+
+def test_batched_perm_both_equals_the_loop_over_full_blocks_and_a_remainder():
+    rng = np.random.default_rng(89)
+    n = 150
+    iterations = 2 * (evalkit._PERM_BLOCK_CELLS // n) + 7
+    for tied in (False, True):
+        scores = _perm_inputs(rng, n, tied)
+        want = _perm_both_oracle(*scores, iterations, 11)
+        assert perm_both_test(*scores, iterations=iterations, seed=11) == want
+
+
+@pytest.mark.parametrize("a,b", [
+    # swapping exactly one pair makes both permuted vectors constant
+    ([0.0, 1.0], [1.0, 0.0]),
+    # swapping the first pair alone makes only w = where(swap, a, b) constant
+    ([0.0, 1.0], [2.0, 0.0]),
+])
+def test_batched_perm_both_skips_the_iterations_the_loop_skips(a, b):
+    ref = [0.0, 1.0]
+    for seed in range(3):
+        result = perm_both_test(a, b, ref, iterations=333, seed=seed)
+        assert result == _perm_both_oracle(a, b, ref, 333, seed)
+        assert result.p_value == 1.0
+
+
+def test_batched_perm_both_memory_stays_linear_in_n():
+    rng = np.random.default_rng(83)
+    n = 4000  # one n x n float64 array would take 128 MB
+    a, b, ref = rng.random(n), rng.random(n), rng.integers(0, 40, n).astype(float)
+    tracemalloc.start()
+    try:
+        perm_both_test(a, b, ref, iterations=100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_scores_are_rejected(bad):
+    # a NaN pair used to count in n0 as neither concordant, discordant nor tied
+    with pytest.raises(ValueError, match="finite"):
+        kendall_tau([1, 2, bad, 4], [1, 2, 3, 4])
+    with pytest.raises(ValueError, match="finite"):
+        kendall_tau([1, 2, 3, 4], [1, bad, 3, 4])
+    scores = [[0.1, 0.4, 0.3, 0.9], [0.2, 0.5, 0.1, 0.7], [0.3, 0.1, 0.8, 0.6]]
+    for k in range(3):
+        bent = [list(s) for s in scores]
+        bent[k][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            perm_both_test(*bent, iterations=100)
 
 
 def test_kendall_antisymmetric_under_negation():

@@ -238,6 +238,42 @@ def test_knn_equals_per_cell_oracle_on_random_fixtures():
     assert checked >= 200
 
 
+def _binary_product_cases():
+    for m, _k in _knn_fixtures():
+        known = ~np.isnan(m.values)
+        if np.isin(m.values[known], (0.0, 1.0)).all():
+            yield m.values, known
+    rng = np.random.default_rng(29)
+    values = rng.integers(0, 2, (300, 240)).astype(float)
+    values[rng.random(values.shape) < 0.5] = np.nan
+    yield values, ~np.isnan(values)
+
+
+def _spy_on_row_loop(monkeypatch):
+    calls, loop = [], impute._masked_l1_rows
+    monkeypatch.setattr(impute, "_masked_l1_rows", lambda *args: calls.append(1) or loop(*args))
+    return calls, loop
+
+
+def test_knn_product_distances_equal_the_row_loop_byte_for_byte(monkeypatch):
+    calls, loop = _spy_on_row_loop(monkeypatch)
+    checked = 0
+    for values, known in _binary_product_cases():
+        product = impute._masked_l1_distances(values, known)
+        assert product.tobytes() == loop(values, known).tobytes()
+        checked += 1
+    assert calls == [] and checked >= 100
+
+
+def test_knn_distances_with_a_fractional_value_take_the_row_loop(monkeypatch):
+    calls, loop = _spy_on_row_loop(monkeypatch)
+    values = np.random.default_rng(31).integers(0, 2, (20, 12)).astype(float)
+    values[3, 4], values[5, 6] = 0.5, np.nan
+    known = ~np.isnan(values)
+    assert impute._masked_l1_distances(values, known).tobytes() == loop(values, known).tobytes()
+    assert calls == [1]
+
+
 # softimpute -----------------------------------------------------------------------
 
 def test_softimpute_fully_known_is_identity():
