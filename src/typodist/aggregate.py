@@ -8,6 +8,8 @@ Derived matrices live in the `derived` dict of the tensor state they were
 built from, one per key; a write that changes the tensor publishes a new,
 empty dict, which frees the stale ones. `aggregate` keys on (mode, source
 subset); `distance.matrix_for` and `confidence` use the same dict.
+`aggregate` reads the published state once and keys, builds and caches
+from that one snapshot, so a concurrent write is seen whole or not at all.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Hashable, Sequence, TypeVar, Union
 import numpy as np
 
 from .errors import EmptySourceSubset, UnknownFeature, UnknownLanguage
-from .kb import FeatureDescriptor, FeatureTensor
+from .kb import FeatureDescriptor, FeatureTensor, TensorSnapshot
 
 
 class AggregationMode(Enum):
@@ -90,6 +92,18 @@ def _get_or_build(cache: dict, key: Hashable, build: Callable[[], T]) -> T:
     return hit if hit is not None else cache.setdefault(key, build())
 
 
+def _provenance(snap: TensorSnapshot, sources: SourceSelector) -> tuple[str, ...]:
+    """The sources a selector names, deduplicated in first-named order; snap's for None."""
+    if sources is None:
+        return snap.sources
+    if isinstance(sources, str):
+        return (sources,)
+    provenance = tuple(dict.fromkeys(sources))
+    if not provenance:
+        raise EmptySourceSubset("source subset must be non-empty")
+    return provenance
+
+
 def aggregate(
     tensor: FeatureTensor,
     mode: AggregationMode,
@@ -100,19 +114,18 @@ def aggregate(
     The returned matrix is shared via a cache and marked read-only; copy
     before mutating.
     """
-    if isinstance(sources, str):
-        sources = (sources,)
-    provenance = tuple(dict.fromkeys(tensor.sources if sources is None else sources))  # dedupe
-    if not provenance and sources is not None:
-        raise EmptySourceSubset("source subset must be non-empty")
-    return _get_or_build(tensor.derived, (mode, provenance),
-                         lambda: _aggregate(tensor, mode, provenance))
+    snap = tensor.snapshot()  # keyed, built and cached from this one state
+    provenance = _provenance(snap, sources)
+    return _get_or_build(snap.derived, (mode, provenance),
+                         lambda: _aggregate(snap, mode, provenance))
 
 
 def _aggregate(
-    tensor: FeatureTensor, mode: AggregationMode, provenance: tuple[str, ...]
+    state: Union[TensorSnapshot, FeatureTensor], mode: AggregationMode,
+    provenance: tuple[str, ...],
 ) -> AggregatedMatrix:
-    snap = tensor.snapshot()
+    """A cold aggregate of a snapshot, or of a tensor's published state."""
+    snap = state.snapshot() if isinstance(state, FeatureTensor) else state
     # source order fixes the order in which average mode sums a cell's values
     columns = [snap.columns[si] for si in sorted({snap.source_index(s) for s in provenance})]
     shape = (len(snap.languages), len(snap.features))

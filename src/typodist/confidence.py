@@ -56,19 +56,27 @@ def _scope_vectors(sourced: np.ndarray, agreement: np.ndarray, cols: np.ndarray)
 
 
 def _pair_stats(lang_a: str, lang_b: str, tensor: FeatureTensor, scope: FeatureSelector):
-    """The pair's completeness, its two g values and the scope size k."""
+    """The pair's completeness, its two g values and the scope size k.
+
+    A kept scope's vectors are looked up before its columns are built; an
+    empty scope is never kept, so it raises on every call."""
     snap = tensor.snapshot()
-    cols = feature_columns(snap.features, scope)
-    if not len(cols):
-        raise EmptyScope("feature scope is empty")
+    kept = scope is None or isinstance(scope, Category)
+    vectors = snap.derived.get(("confidence vectors", scope)) if kept else None
+    if vectors is None:
+        cols = feature_columns(snap.features, scope)
+        if not len(cols):
+            raise EmptyScope("feature scope is empty")
     rows = [snap.language_index(lang_a), snap.language_index(lang_b)]
-    sourced, agreement = _get_or_build(snap.derived, "source agreement",
-                                       lambda: _source_agreement(snap))
-    if scope is None or isinstance(scope, Category):
-        m, g, k = _get_or_build(snap.derived, ("confidence vectors", scope),
-                                lambda: _scope_vectors(sourced, agreement, cols))
-    else:  # a listed scope reads the pair's two rows only
-        (m, g, k), rows = _scope_vectors(sourced[rows], agreement[rows], cols), [0, 1]
+    if vectors is None:
+        sourced, agreement = _get_or_build(snap.derived, "source agreement",
+                                           lambda: _source_agreement(snap))
+        if kept:
+            vectors = _get_or_build(snap.derived, ("confidence vectors", scope),
+                                    lambda: _scope_vectors(sourced, agreement, cols))
+        else:  # a listed scope reads the pair's two rows only
+            vectors, rows = _scope_vectors(sourced[rows], agreement[rows], cols), [0, 1]
+    m, g, k = vectors
     m, g = m[rows].tolist(), g[rows].tolist()
     return 1.0 - (m[0] + m[1]) / 2.0, g, k
 

@@ -11,13 +11,20 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .aggregate import AggregatedMatrix, AggregationMode, SourceSelector, _get_or_build, aggregate
+from .aggregate import (
+    AggregatedMatrix,
+    AggregationMode,
+    SourceSelector,
+    _get_or_build,
+    _provenance,
+    aggregate,
+)
 from .impute import ImputedMatrix, ImputerSpec, run_imputer
 from .kb import Category, FeatureSelector, FeatureTensor, feature_columns
 
@@ -52,8 +59,11 @@ class DistanceRequest:
             raise ValueError("an imputer is named but use_imputed is not set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceResult:
+    """One pair's distance, or why it is not computable. Slotted: no
+    ``__dict__`` and no ``__weakref__``, so a held result stays small."""
+
     pair: tuple[str, str]
     metric: Metric
     aggregation: AggregationMode
@@ -76,6 +86,25 @@ class DistanceResult:
     def to_json(self) -> dict:
         return _cell_json(self.pair, self.metric.value, self.aggregation.value,
                           self.distance, self.shared_features, self.reason)
+
+
+# each slot's own setter, in field order: the frozen __init__ sets each field
+# through object.__setattr__, and those six calls cost more than a cached
+# query's dot product
+_SETTERS = tuple(DistanceResult.__dict__[f.name].__set__ for f in fields(DistanceResult))
+
+
+def _result(pair, metric, aggregation, distance, shared_features, reason) -> DistanceResult:
+    """DistanceResult(pair, ...), built through the slots' setters."""
+    result = object.__new__(DistanceResult)
+    set_pair, set_metric, set_aggregation, set_distance, set_shared, set_reason = _SETTERS
+    set_pair(result, pair)
+    set_metric(result, metric)
+    set_aggregation(result, aggregation)
+    set_distance(result, distance)
+    set_shared(result, shared_features)
+    set_reason(result, reason)
+    return result
 
 
 def _cell_json(pair, metric: str, aggregation: str, distance, shared_features, reason) -> dict:
@@ -177,7 +206,9 @@ def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> Distanc
     product with their norms kept from earlier queries; other pairs are
     measured over the cells both rows know.
     """
-    _check_mode(req, matrix)
+    metric, mode = req.metric, req.aggregation
+    if matrix.mode is not mode:  # identity first: the call is made only to raise
+        _check_mode(req, matrix)
     pair = (req.lang_a, req.lang_b)
     view = _view(matrix, req.features)
     ia = matrix.language_index(req.lang_a)
@@ -192,21 +223,21 @@ def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> Distanc
         shared = ~np.isnan(u) & ~np.isnan(v)
         n_shared = int(shared.sum())
         if n_shared == 0:
-            return DistanceResult.not_computable(pair, req.metric, req.aggregation, NO_SHARED_DATA)
+            return _result(pair, metric, mode, None, 0, NO_SHARED_DATA)
         u = u[shared]
         v = v[shared]
         nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     if nu == 0.0 or nv == 0.0:
-        return DistanceResult.not_computable(pair, req.metric, req.aggregation, ZERO_VECTOR)
+        return _result(pair, metric, mode, None, 0, ZERO_VECTOR)
     if ia == ib:
         # same row: zero distance by identity
-        return DistanceResult.of(pair, req.metric, req.aggregation, 0.0, n_shared)
-    sim = min(1.0, max(-1.0, float(np.dot(u, v)) / (nu * nv)))
-    if req.metric is Metric.COSINE:
+        return _result(pair, metric, mode, 0.0, n_shared, None)
+    sim = min(1.0, max(-1.0, float(u.dot(v)) / (nu * nv)))
+    if metric is Metric.COSINE:
         d = 1.0 - sim
     else:
         d = (2.0 / math.pi) * math.acos(sim)
-    return DistanceResult.of(pair, req.metric, req.aggregation, min(1.0, max(0.0, d)), n_shared)
+    return _result(pair, metric, mode, min(1.0, max(0.0, d)), n_shared, None)
 
 
 def _gram_cells(
@@ -284,8 +315,8 @@ class DistanceGrid:
     def _build_row(self, i: int) -> list[DistanceResult]:
         a, metric, mode = self.languages[i], self.metric, self.aggregation
         return [
-            DistanceResult((a, b), metric, mode, None, 0, _REASONS[r]) if r
-            else DistanceResult((a, b), metric, mode, d, count)
+            _result((a, b), metric, mode, None, 0, _REASONS[r]) if r
+            else _result((a, b), metric, mode, d, count, None)
             for b, r, d, count in self._cells(i)
         ]
 
@@ -355,6 +386,10 @@ def genetic_distance(
     return language_distance(req, matrix)
 
 
+#: the imputer of a request that asks for imputation and names none
+_DEFAULT_IMPUTER = ImputerSpec("softimpute")
+
+
 def matrix_for(
     tensor: FeatureTensor,
     req: DistanceRequest,
@@ -365,26 +400,38 @@ def matrix_for(
 
     Aggregated and imputed matrices are built once per tensor state and
     request (mode, sources, imputer spec, dialect_fill), then shared
-    read-only; copy before mutating. An external imputation is read from
-    its file on every call, since the file can change while the tensor
-    does not. The pair and features of req are not used.
+    read-only; copy before mutating. A request reads the published state
+    once, and an imputed one that is cached costs one dict lookup. An
+    external imputation is read from its file on every call, since the
+    file can change while the tensor does not. The pair and features of
+    req are not used.
     """
-    derived = tensor.derived  # read first, so matrix is from its state or a newer one
-    matrix = aggregate(tensor, req.aggregation, req.sources)
     if not req.use_imputed:
-        return matrix
-    spec = req.imputer or ImputerSpec("softimpute")
+        return aggregate(tensor, req.aggregation, req.sources)
+    spec = req.imputer or _DEFAULT_IMPUTER
     if spec.method == "external":
-        return run_imputer(matrix, spec, registry=tensor, dialect_fill=dialect_fill)
+        return _impute(tensor, req, spec, dialect_fill)
+    snap = tensor.snapshot()  # read first, so the matrix is from its state or a newer one
+    # never equal to aggregate's (mode, sources) key for the same scope
+    key = (req.aggregation, _provenance(snap, req.sources), spec, dialect_fill)
+    hit = snap.derived.get(key)
+    if hit is not None:
+        return hit
 
     def impute() -> ImputedMatrix:
-        result = run_imputer(matrix, spec, registry=tensor, dialect_fill=dialect_fill)
+        result = _impute(tensor, req, spec, dialect_fill)
         result.values.flags.writeable = False
         result.imputed_mask.flags.writeable = False
         return result
 
-    # never equal to aggregate's (mode, sources) key for the same scope
-    return _get_or_build(derived, (req.aggregation, matrix.provenance, spec, dialect_fill), impute)
+    return _get_or_build(snap.derived, key, impute)
+
+
+def _impute(tensor: FeatureTensor, req: DistanceRequest, spec: ImputerSpec,
+            dialect_fill: bool) -> ImputedMatrix:
+    """req's aggregate of the tensor, imputed by spec."""
+    matrix = aggregate(tensor, req.aggregation, req.sources)
+    return run_imputer(matrix, spec, registry=tensor, dialect_fill=dialect_fill)
 
 
 def distance_from_tensor(

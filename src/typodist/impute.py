@@ -10,7 +10,7 @@ matrices (threshold 0.5, ties round up).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -56,6 +56,16 @@ class ImputerSpec:
             raise ValueError("tol must be a finite positive number")
         if self.method == "softimpute" and self.rank_cap is not None and self.rank_cap < 1:
             raise ValueError("rank_cap must be >= 1")
+        # a spec keys the matrix cache: hash its fields once, not on every lookup
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # pickled as its fields, so the kept hash is taken again: a str's
+        # hash differs between processes
+        return type(self), astuple(self)
 
     @property
     def key(self) -> str:

@@ -323,3 +323,38 @@ def test_aggregate_while_writing_sees_only_whole_writes():
             replay.extend_with(batches[step], overwrite=True)
     assert len(set(seen)) > 10  # the readers overlapped many writes
     assert all(matrix in states for matrix in seen)
+
+
+class _WritesAfterFirstRead:
+    """A tensor that adds a language and a source, with a cell, right after
+    its first attribute is read: a write between two reads of one request."""
+
+    def __init__(self, tensor):
+        self._tensor = tensor
+        self._pending = TensorBatch(languages=[LanguageRecord("late1234")],
+                                    cells=[("late1234", "S_F1", "SRC_LATE", 1.0)],
+                                    sources=["SRC_LATE"])
+
+    def __getattr__(self, name):
+        value = getattr(self._tensor, name)
+        if self._pending is not None:
+            batch, self._pending = self._pending, None
+            self._tensor.extend_with(batch)
+        return value
+
+
+def test_aggregate_keys_builds_and_caches_from_one_state():
+    """A write between aggregate's reads of the tensor must not give a
+    matrix of the new languages over the old sources."""
+    for mode in AggregationMode:
+        tensor = _three_source_tensor()
+        before = _aggregate(tensor, mode, tuple(tensor.sources))
+        m = aggregate(_WritesAfterFirstRead(tensor), mode)
+        after = _aggregate(tensor, mode, tuple(tensor.sources))
+        whole = [(s.provenance, s.languages, s.values.tobytes()) for s in (before, after)]
+        assert (m.provenance, m.languages, m.values.tobytes()) in whole
+        # whatever the published state keeps is its own cold aggregate
+        for key, cached in tensor.derived.items():
+            cold = _aggregate(tensor, *key)
+            assert cached.languages == cold.languages
+            assert cached.values.tobytes() == cold.values.tobytes()

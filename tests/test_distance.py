@@ -1,7 +1,11 @@
+import copy
+import dataclasses
 import gc
 import math
+import pickle
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -26,7 +30,7 @@ from typodist.distance import (
     matrix_for,
 )
 from typodist.errors import UnknownFeature, UnknownLanguage
-from typodist.impute import ImputerSpec, impute_knn, impute_mean
+from typodist.impute import ImputerSpec, impute_knn, impute_mean, run_imputer
 from typodist.kb import Category, LanguageRecord, TensorBatch
 
 from conftest import make_matrix, make_tensor, random_matrix
@@ -869,3 +873,135 @@ def test_threads_from_a_cold_view_get_the_oracle_answers():
     assert not any(t.is_alive() for t in threads)
     assert all(got == want for got in results)
     assert set(matrix._views) == {None, Category.PHONOLOGICAL}
+
+
+# matrix_for's cache across request spellings -----------------------------------
+
+def test_every_spelling_of_a_scope_reads_one_cached_matrix(tiny_tensor, tmp_path, monkeypatch):
+    imputed = {"use_imputed": True, "imputer": ImputerSpec("mean")}
+    same_scopes = [(None, ["SRC_A", "SRC_B"], ("SRC_A", "SRC_B", "SRC_A")),
+                   ("SRC_A", ["SRC_A"], ["SRC_A", "SRC_A"])]
+    for extra in ({}, imputed):
+        for scope in same_scopes:
+            first, *rest = [matrix_for(tiny_tensor, _req("dial1234", "othe1234", sources=s, **extra))
+                            for s in scope]
+            assert all(m is first for m in rest)
+
+    imputations = _counting_imputer(monkeypatch)
+    aggregates = []
+    real = distance_module.aggregate
+    monkeypatch.setattr(distance_module, "aggregate",
+                        lambda *args: aggregates.append(args) or real(*args))
+    for scope in same_scopes:
+        for sources in scope:
+            matrix_for(tiny_tensor, _req("dial1234", "othe1234", sources=sources, **imputed))
+    assert imputations == [] and aggregates == []  # a hit neither imputes nor aggregates
+
+    # an external file can change while the tensor does not: read on every call
+    path = tmp_path / "external.csv"
+    observed = real(tiny_tensor, AggregationMode.UNION)
+    dense = np.where(np.isnan(observed.values), 0.0, observed.values)
+    storage.export_matrix_csv(observed.languages, observed.features, dense, path)
+    spec = ImputerSpec("external", external_path=str(path))
+    for _ in range(2):
+        matrix_for(tiny_tensor, _req("dial1234", "othe1234", use_imputed=True, imputer=spec))
+    assert len(imputations) == 2 and len(aggregates) == 2
+
+
+def test_cached_queries_equal_queries_on_a_freshly_built_matrix():
+    rng = np.random.default_rng(29)
+    langs = [f"l{i:03d}1234" for i in range(12)]
+    feats = [f"{p}F{j}" for j, p in enumerate(["S_", "P_", "S_", "M_", "P_", "S_", "M_", "P_"])]
+    sources = ["SRC_A", "SRC_B", "SRC_C"]
+    cells = [(l, f, s, float(rng.choice([0.0, 1.0]))) for l in langs for f in feats
+             for s in sources if rng.random() < 0.35]
+    tensor = make_tensor(langs, feats, cells, sources=sources)
+    scopes = [None, "SRC_B", ["SRC_C", "SRC_A"], ["SRC_A", "SRC_A"]]
+    specs = [None, ImputerSpec("mean"), ImputerSpec("knn", k=2)]
+    selectors = [None, Category.SYNTACTIC, Category.PHONOLOGICAL, ["S_F0", "M_F3"]]
+    for _ in range(300):
+        a, b = (langs[int(i)] for i in rng.integers(len(langs), size=2))
+        spec = specs[int(rng.integers(len(specs)))]
+        req = DistanceRequest(
+            a, b, metric=list(Metric)[int(rng.integers(2))],
+            aggregation=list(AggregationMode)[int(rng.integers(2))],
+            features=selectors[int(rng.integers(len(selectors)))],
+            sources=scopes[int(rng.integers(len(scopes)))],
+            use_imputed=bool(spec) or rng.random() < 0.3, imputer=spec)
+        fill = bool(rng.random() < 0.5)
+        # a new tensor of the same cells has nothing cached
+        fresh = aggregate(make_tensor(langs, feats, cells, sources=sources), req.aggregation,
+                          req.sources)
+        if req.use_imputed:
+            fresh = run_imputer(fresh, req.imputer or ImputerSpec("softimpute"),
+                                registry=tensor, dialect_fill=fill)
+        got = distance_from_tensor(tensor, req, dialect_fill=fill)
+        want = language_distance(req, fresh)
+        assert got == want
+        assert (got.distance is None) == (want.distance is None)
+        if got.distance is not None:
+            assert math.copysign(1.0, got.distance) == math.copysign(1.0, want.distance)
+
+
+# the DistanceResult contract ----------------------------------------------------
+
+def test_distance_result_is_a_frozen_slotted_dataclass():
+    ok = DistanceResult.of(["a", "b"], Metric.ANGULAR, AggregationMode.UNION, 0.48, 123)
+    nc = DistanceResult.not_computable(("a", "b"), Metric.COSINE, AggregationMode.AVERAGE, ZERO_VECTOR)
+    built = DistanceResult(("a", "b"), Metric.ANGULAR, AggregationMode.UNION, 0.48, 123)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ok.distance = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del ok.reason
+    assert not hasattr(ok, "__dict__")
+    with pytest.raises(TypeError):
+        weakref.ref(ok)  # no __weakref__ slot
+
+    assert ok == built and ok != nc and ok != (("a", "b"), Metric.ANGULAR)
+    assert hash(ok) == hash(built) == hash(dataclasses.astuple(built))
+    assert repr(ok) == ("DistanceResult(pair=('a', 'b'), metric=<Metric.ANGULAR: 'angular'>, "
+                        "aggregation=<AggregationMode.UNION: 'union'>, distance=0.48, "
+                        "shared_features=123, reason=None)")
+    assert dataclasses.replace(ok, distance=None, shared_features=0, reason=NO_SHARED_DATA) \
+        == DistanceResult.not_computable(("a", "b"), Metric.ANGULAR, AggregationMode.UNION,
+                                         NO_SHARED_DATA)
+    assert dataclasses.asdict(nc) == {
+        "pair": ("a", "b"), "metric": Metric.COSINE, "aggregation": AggregationMode.AVERAGE,
+        "distance": None, "shared_features": 0, "reason": ZERO_VECTOR,
+    }
+    for result in (ok, nc):
+        for twin in (copy.deepcopy(result), pickle.loads(pickle.dumps(result))):
+            assert twin == result and twin is not result and hash(twin) == hash(result)
+            assert twin.to_json() == result.to_json() and twin.computable is result.computable
+    assert [f.name for f in dataclasses.fields(DistanceResult)] == [
+        "pair", "metric", "aggregation", "distance", "shared_features", "reason"]
+
+
+#: bytes held per result below when DistanceResult was a frozen dataclass
+#: with a __dict__ (tracemalloc, CPython 3.11: 203.0; slotted: 154.9)
+DICT_RESULT_BYTES = 203
+
+
+def test_held_results_take_no_more_memory_than_dict_backed_ones():
+    rng = np.random.default_rng(7)
+    langs = [f"l{i:03d}1234" for i in range(50)]
+    values = rng.integers(0, 2, (50, 8)).astype(float)
+    values[:3] = [0.0] * 8, [np.nan] * 8, [1.0] + [np.nan] * 7  # not computable pairs
+    m = make_matrix(AggregationMode.UNION, langs, [f"S_F{j}" for j in range(8)], values)
+    m.values.flags.writeable = False
+    reqs = [_req(langs[i], langs[j], metric=Metric.ANGULAR if (i + j) % 2 else Metric.COSINE)
+            for i in range(50) for j in range(50)]
+    n = 100_000
+    batch = [reqs[k % len(reqs)] for k in range(n)]
+    language_distance(batch[0], m)  # the matrix's row view, built once
+    held = [None] * n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for k, req in enumerate(batch):
+            held[k] = language_distance(req, m)
+        per_result = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert any(r.reason for r in held) and any(r.computable for r in held)
+    assert per_result <= DICT_RESULT_BYTES

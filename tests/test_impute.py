@@ -1,4 +1,6 @@
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import FrozenInstanceError, asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -341,6 +343,22 @@ def test_rank_cap_below_one_is_rejected_by_the_spec():
         ImputerSpec("softimpute", rank_cap=0)
     with pytest.raises(ValueError, match="rank_cap must be >= 1"):
         impute_softimpute(m, lam=0.05, rank_cap=0)
+
+
+def test_a_spec_keeps_its_hash_but_pickles_only_its_fields():
+    spec, equal, other = (ImputerSpec("knn", k=k, seed=5) for k in (3, 3, 4))
+    assert spec == equal and hash(spec) == hash(equal)
+    assert hash(spec) == hash(astuple(spec))  # the hash dataclass(frozen=True) would compute
+    assert replace(spec, k=4) == other != spec and hash(replace(spec, k=4)) == hash(other)
+    # a str hashes differently in another process, so the kept hash is not pickled
+    data = pickle.dumps(spec)
+    assert b"_hash" not in data
+    for twin in (pickle.loads(data), copy.deepcopy(spec), copy.copy(spec)):
+        assert twin == spec and hash(twin) == hash(spec) and repr(twin) == repr(spec)
+    assert asdict(spec) == {"method": "knn", "k": 3, "lam": None, "rank_cap": None, "tol": 1e-4,
+                            "max_iter": 200, "seed": 5, "external_path": None}
+    with pytest.raises(FrozenInstanceError):
+        spec.k = 4
 
 
 def test_softimpute_warm_start_from_a_solution_stops_at_once():
