@@ -27,6 +27,7 @@ from .kb import FeatureDescriptor, FeatureTensor, TensorSnapshot
 class AggregationMode(Enum):
     UNION = "union"
     AVERAGE = "average"
+    __hash__ = object.__hash__  # as kb.Category's: dict lookups run no Python code
 
 
 #: A source scope: one name, a subset of names, or None for all sources.
@@ -120,12 +121,9 @@ def aggregate(
                          lambda: _aggregate(snap, mode, provenance))
 
 
-def _aggregate(
-    state: Union[TensorSnapshot, FeatureTensor], mode: AggregationMode,
-    provenance: tuple[str, ...],
-) -> AggregatedMatrix:
-    """A cold aggregate of a snapshot, or of a tensor's published state."""
-    snap = state.snapshot() if isinstance(state, FeatureTensor) else state
+def _aggregate(snap: TensorSnapshot, mode: AggregationMode,
+               provenance: tuple[str, ...]) -> AggregatedMatrix:
+    """A cold aggregate of a snapshot."""
     # source order fixes the order in which average mode sums a cell's values
     columns = [snap.columns[si] for si in sorted({snap.source_index(s) for s in provenance})]
     shape = (len(snap.languages), len(snap.features))

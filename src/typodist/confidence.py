@@ -9,15 +9,15 @@ produced; the components stand on their own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .aggregate import AggregationMode, _get_or_build
-from .errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
+from .errors import EmptyScope, FormatError, MissingQualityRun, NoSourcedFeatures
 from .impute import ImputerSpec
-from .kb import Category, FeatureSelector, FeatureTensor, TensorSnapshot, feature_columns
+from .kb import _NO_CELLS, Category, FeatureSelector, FeatureTensor, TensorSnapshot, feature_columns
 from .storage import _checked, _json_field, _read_json, write_json
 
 #: The metric each aggregation mode's imputation quality is read from.
@@ -28,23 +28,28 @@ def _source_agreement(snap: TensorSnapshot) -> tuple[np.ndarray, np.ndarray]:
     """Per (language, feature): how many sources know the cell, and their
     mode agreement, the largest number of equal values over that count or 0.
 
-    Built from language x feature arrays one source at a time.
+    Built once per tensor state by one merge of the S stored columns, in
+    O(S * cells): sorted by cell, a cell's values (at most one per source)
+    sit side by side, each counts the equal ones up to S - 1 places before
+    it, and the last of the mode's values counts them all. Arrays are
+    dropped once spent, so at most three with an entry per stored cell are
+    held at once.
     """
-    shape = (len(snap.languages), len(snap.features))
-    sourced = np.zeros(shape, dtype=np.int64)
-    top = np.zeros(shape, dtype=np.int64)
-    value_of = np.empty(shape)
-    for col in snap.columns:
-        # how many sources hold col's value at each of col's cells
-        value_of.fill(np.nan)
-        value_of[col.language, col.feature] = col.value
-        sourced[col.language, col.feature] += 1
-        agreeing = np.zeros(shape, dtype=np.int64)
-        for other in snap.columns:
-            at = (other.language, other.feature)
-            agreeing[at] += value_of[at] == other.value
-        np.maximum(top, agreeing, out=top)
-    return sourced, top / np.maximum(sourced, 1)
+    columns, n = snap.columns + (_NO_CELLS,), len(snap.features)  # so no sources concatenates
+    value = np.concatenate([col.value for col in columns])[
+        np.argsort(np.concatenate([col.key for col in columns]), kind="stable")]
+    cell = np.concatenate([col.language * n + col.feature for col in columns])
+    cell.sort(kind="stable")  # argsort's order, in place; stable merges the sorted runs
+    count = np.ones(len(cell), np.min_scalar_type(len(snap.columns)))  # at most S
+    for d in range(1, len(snap.columns)):
+        count[d:] += (cell[d:] == cell[:-d]) & (value[d:] == value[:-d])
+    del value
+    start = np.flatnonzero(np.diff(cell, prepend=-1))  # where each cell's values begin
+    top = np.zeros(len(snap.languages) * n, count.dtype)
+    top[cell[start]] = np.maximum.reduceat(count, start)
+    sourced = np.bincount(cell, minlength=len(top)).reshape(len(snap.languages), n)
+    del cell, count, start
+    return sourced, top.reshape(sourced.shape) / np.maximum(sourced, 1)
 
 
 def _scope_vectors(sourced: np.ndarray, agreement: np.ndarray, cols: np.ndarray):
@@ -133,6 +138,8 @@ class QualityCache:
         for key in data:
             where = f"{path}: {key!r}"
             method_key, _, mode = key.rpartition("|")
+            if not method_key:  # no "|", or nothing before it
+                raise FormatError(f"{where} is not a 'method|mode' key")
             mode = _checked(mode, AggregationMode, where, "mode")
             metrics = _json_field(data, key, dict, str(path))
             _json_field(metrics, _QUALITY_METRIC[mode], float, where)
@@ -166,13 +173,7 @@ class ConfidenceReport:
     feature_count_k: int
 
     def to_json(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "completeness": self.completeness,
-            "consistency": self.consistency,
-            "imputation_quality": self.imputation_quality,
-            "feature_count_k": self.feature_count_k,
-        }
+        return {**asdict(self), "pair": list(self.pair)}
 
 
 def confidence_report(

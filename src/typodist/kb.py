@@ -46,6 +46,7 @@ class Category(Enum):
     MORPHOLOGICAL = "morphological"
     GEOGRAPHIC = "geographic"
     GENETIC = "genetic"
+    __hash__ = object.__hash__  # members are singletons; Enum's hashes the name in Python
 
     @property
     def prefix(self) -> str:

@@ -316,7 +316,8 @@ def test_aggregate_while_writing_sees_only_whole_writes():
     for step in range(len(batches) + 1):
         for mode in AggregationMode:
             for sel in subsets:
-                m = _aggregate(replay, mode, tuple(replay.sources) if sel is None else tuple(sel))
+                m = _aggregate(replay.snapshot(), mode,
+                               tuple(replay.sources) if sel is None else tuple(sel))
                 states.add((mode, m.provenance, tuple(m.languages),
                             tuple(f.name for f in m.features), m.values.tobytes()))
         if step < len(batches):
@@ -348,13 +349,13 @@ def test_aggregate_keys_builds_and_caches_from_one_state():
     matrix of the new languages over the old sources."""
     for mode in AggregationMode:
         tensor = _three_source_tensor()
-        before = _aggregate(tensor, mode, tuple(tensor.sources))
+        before = _aggregate(tensor.snapshot(), mode, tuple(tensor.sources))
         m = aggregate(_WritesAfterFirstRead(tensor), mode)
-        after = _aggregate(tensor, mode, tuple(tensor.sources))
+        after = _aggregate(tensor.snapshot(), mode, tuple(tensor.sources))
         whole = [(s.provenance, s.languages, s.values.tobytes()) for s in (before, after)]
         assert (m.provenance, m.languages, m.values.tobytes()) in whole
         # whatever the published state keeps is its own cold aggregate
         for key, cached in tensor.derived.items():
-            cold = _aggregate(tensor, *key)
+            cold = _aggregate(tensor.snapshot(), *key)
             assert cached.languages == cold.languages
             assert cached.values.tobytes() == cold.values.tobytes()

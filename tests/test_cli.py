@@ -788,6 +788,10 @@ def _quality_cache_entry_without_f1(ws):
     return _confidence_with_cache(ws, {"mean|union": {"accuracy": 0.5}})
 
 
+def _quality_cache_key_without_a_method(ws):
+    return _confidence_with_cache(ws, {"union": {"f1": 0.5}})
+
+
 def _distance_with_config(ws, config):
     (ws / "config.json").write_text(json.dumps(config))
     return ["--config", ws / "config.json", "distance", "--data", ws / "kb",
@@ -854,6 +858,7 @@ def _casestudy_row_not_finite(ws):
     _schema_categories_not_a_list,
     _quality_cache_entry_not_an_object,
     _quality_cache_entry_without_f1,
+    _quality_cache_key_without_a_method,
     _config_data_dir_not_a_string,
     _config_aggregation_out_of_set,
     _registry_feature_name_not_a_string,

@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 import re
@@ -17,7 +18,7 @@ from typodist.confidence import (
     consistency,
     imputation_quality,
 )
-from typodist.errors import EmptyScope, MissingQualityRun, NoSourcedFeatures
+from typodist.errors import EmptyScope, FormatError, MissingQualityRun, NoSourcedFeatures
 from typodist.impute import ImputerSpec
 from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch
 
@@ -177,6 +178,14 @@ def test_quality_cache_round_trip(tmp_path):
     cache.save(path)
     loaded = QualityCache.load(path)
     assert loaded.get("softimpute", AggregationMode.UNION)["f1"] == 0.7980
+
+
+@pytest.mark.parametrize("key", ["union", "|union"])
+def test_quality_cache_key_without_a_method_is_a_format_error(tmp_path, key):
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({key: {"f1": 0.5}}))
+    with pytest.raises(FormatError, match=re.escape(repr(key))):
+        QualityCache.load(path)
 
 
 def test_confidence_report_bundles_components(fixture_tensor):
@@ -416,3 +425,65 @@ def test_vectors_follow_a_write_made_after_the_scope_was_resolved(fixture_tensor
     for scope in (None, Category.SYNTACTIC):
         assert confidence_report(*pair, fixture_tensor, scope) == _report_oracle(
             *pair, fixture_tensor, scope)
+
+
+# --- the merged source agreement against the per-source-pair loop ------------
+
+def _source_agreement_oracle(snap):
+    """Per (language, feature): how many sources know the cell, and their
+    mode agreement, the largest number of equal values over that count or 0.
+
+    Built from language x feature arrays one source at a time.
+    """
+    shape = (len(snap.languages), len(snap.features))
+    sourced = np.zeros(shape, dtype=np.int64)
+    top = np.zeros(shape, dtype=np.int64)
+    value_of = np.empty(shape)
+    for col in snap.columns:
+        # how many sources hold col's value at each of col's cells
+        value_of.fill(np.nan)
+        value_of[col.language, col.feature] = col.value
+        sourced[col.language, col.feature] += 1
+        agreeing = np.zeros(shape, dtype=np.int64)
+        for other in snap.columns:
+            at = (other.language, other.feature)
+            agreeing[at] += value_of[at] == other.value
+        np.maximum(top, agreeing, out=top)
+    return sourced, top / np.maximum(sourced, 1)
+
+
+def _agreement_tensors():
+    """Seeded random tensors with fractional values, then the edge cases."""
+    rng = np.random.default_rng(59)
+    for trial in range(24):
+        langs = [f"l{i:03d}1234" for i in range(int(rng.integers(1, 9)))]
+        feats = [f"S_F{j}" for j in range(int(rng.integers(1, 7)))]
+        sources = [f"src{s}" for s in range(int(rng.integers(1, 9)))]
+        # few levels make ties and agreement; continuous values make neither
+        levels = rng.random(3) if trial % 3 == 2 else np.arange(int(rng.integers(2, 6))) / 4
+        cells = [(l, f, s, float(rng.choice(levels)))
+                 for l in langs for f in feats for s in sources if rng.random() < 0.6]
+        yield make_tensor(langs, feats, [cells[i] for i in rng.permutation(len(cells))])
+    one_cell = [("l0011234", "S_F1", s, 0.5) for s in ("A", "B", "C")]
+    yield make_tensor(LANGS, FEATS, [c for c in CELLS if c[2] == "A"])  # one source
+    yield make_tensor(LANGS, FEATS, CELLS, sources=["A", "EMPTY"])  # an empty source column
+    yield make_tensor(LANGS + ["l0091234"], FEATS, CELLS)  # a language with no cells
+    yield make_tensor(LANGS, FEATS, [])  # no sources
+    yield make_tensor(LANGS, FEATS, one_cell)  # every source holds one cell, all agree
+    # more sources than an int8 count holds, all of them on one cell
+    many = [(f"src{s:03d}", s % 3 / 2) for s in range(130)]
+    yield make_tensor(LANGS, FEATS, [("l0021234", "S_F2", s, 0.25) for s, _ in many]
+                      + [("l0031234", "S_F3", s, v) for s, v in many])
+
+
+def test_source_agreement_matches_the_per_source_pair_oracle():
+    for tensor in _agreement_tensors():
+        snap = tensor.snapshot()
+        got = confidence_module._source_agreement(snap)
+        want = _source_agreement_oracle(snap)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+    sourced, agreement = got  # the last tensor's: 130 sources
+    assert (sourced[1, 1], agreement[1, 1]) == (130, 1.0)
+    assert (sourced[2, 2], agreement[2, 2]) == (130, 44 / 130)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import threading
 
@@ -27,6 +29,17 @@ from typodist.kb import (
 )
 
 from conftest import DictTensor, category_of, make_tensor
+
+
+@pytest.mark.parametrize("enum", [Category, AggregationMode])
+def test_a_pickled_or_copied_member_finds_its_dict_entry(enum):
+    """Members hash by identity, so a round trip must give the member itself."""
+    table = {member: member.value for member in enum}
+    for member in enum:
+        for twin in (pickle.loads(pickle.dumps(member)), copy.copy(member), copy.deepcopy(member)):
+            assert twin is member
+            assert table[twin] == member.value
+            assert (twin, "key") in {(member, "key")}
 
 
 def test_get_cell_known(tiny_tensor):
