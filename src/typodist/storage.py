@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 import re
 import sys
 from array import array
+from collections import defaultdict
 from enum import EnumMeta
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -36,6 +39,10 @@ from .kb import (
 MISSING_TOKEN = "--"
 REGISTRY_FILE = "registries.json"
 CELL_HEADER = ("language", "feature", "value")
+#: cell files are read this many bytes and written this many rows at a
+#: time, so only one block's field strings are alive at once
+_READ_BLOCK_BYTES = 1 << 14
+_WRITE_BLOCK_ROWS = 1 << 12
 
 _SAFE_SOURCE_RE = re.compile(r"[A-Za-z0-9._-]+")
 
@@ -111,15 +118,17 @@ def _feature_from_json(obj: dict, where: str) -> FeatureDescriptor:
 def _replacing(path: Path) -> Iterator[TextIO]:
     """Open a temp file next to path and rename it over path on success,
     so that path always holds either its old or its new content in full.
-    Failing to create, sync or rename the temp file raises FormatError; an
-    OSError raised by a write in the block reaches the caller unchanged."""
+    Each writer creates its own temp file, so of two writers to one path
+    the last rename wins whole. Failing to create, sync or rename the temp
+    file raises FormatError; an OSError raised by a write in the block
+    reaches the caller unchanged."""
     if path.exists() and not path.is_file():  # never rename over a device or a directory
         raise FormatError(f"{path}: cannot write: not a regular file")
-    tmp = path.with_name(f".{path.name}.tmp")
-    in_block = False
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    created = in_block = False
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            in_block = True
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            created = in_block = True
             yield fh
             in_block = False
             fh.flush()
@@ -130,15 +139,15 @@ def _replacing(path: Path) -> Iterator[TextIO]:
             raise
         raise _cannot("write", path, exc) from None
     finally:
-        with contextlib.suppress(OSError):  # no temp file, or no directory for one
-            tmp.unlink()
+        if created:
+            with contextlib.suppress(OSError):  # renamed, or its directory is gone
+                tmp.unlink()
 
 
 def write_json(data, path) -> None:
     """Write data as indented JSON with sorted keys, replacing path whole."""
     with _replacing(Path(path)) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")  # one write, not one per token
 
 
 def save_tensor(tensor: FeatureTensor, directory) -> None:
@@ -161,21 +170,35 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
     }
     write_json(registries, directory / REGISTRY_FILE)
 
-    # rows sort by glottocode, then feature name
-    glottocodes = np.array([r.glottocode for r in snap.languages], dtype=object)
-    names = np.array([f.name for f in snap.features], dtype=object)
+    # rows sort by glottocode, then feature name; each distinct string is
+    # rendered once, as the csv module quotes it
+    glottocodes, names = [r.glottocode for r in snap.languages], [f.name for f in snap.features]
     lang_rank, feat_rank = _ranks(glottocodes), _ranks(names)
+    lang_field, feat_field = _csv_fields(glottocodes), _csv_fields(names)
     for src, col in zip(snap.sources, snap.columns):
-        order = np.lexsort((feat_rank[col.feature], lang_rank[col.language]))
-        rows = zip(
-            glottocodes[col.language[order]].tolist(),
-            names[col.feature[order]].tolist(),
-            _rendered(col.value[order]).tolist(),
-        )
+        order = np.argsort(lang_rank[col.language] * len(names) + feat_rank[col.feature])
+        values, which = np.unique(col.value[order], return_inverse=True)
+        value_field = _csv_fields(_rendered(values).tolist()) + "\r\n"  # it ends the row
+        lines = map(",".join, zip(lang_field[col.language[order]].tolist(),
+                                  feat_field[col.feature[order]].tolist(),
+                                  value_field[which].tolist()))
         with _replacing(directory / f"{src}.csv") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CELL_HEADER)
-            writer.writerows(rows)
+            csv.writer(fh).writerow(CELL_HEADER)
+            while block := "".join(islice(lines, _WRITE_BLOCK_ROWS)):
+                fh.write(block)
+
+
+def _csv_fields(texts: Sequence[str]) -> np.ndarray:
+    """Each text as csv.writer writes it as a field of a row, in an object array."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for text in texts:
+        writer.writerow((text, ""))  # not alone in its row, where an empty field is quoted
+        fields.append(buf.getvalue()[:-3])  # less the second field's comma and the CRLF
+        buf.seek(0)
+        buf.truncate()
+    return np.array(fields, dtype=object)
 
 
 def _rendered(values: np.ndarray) -> np.ndarray:
@@ -193,7 +216,7 @@ def _check_source_name(src: str, where) -> None:
         raise FormatError(f"{where}: source name {src!r} is not filesystem-safe")
 
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
+def _ranks(keys: Sequence[str]) -> np.ndarray:
     """Each key's position in the sorted keys."""
     ranks = np.empty(len(keys), dtype=np.int64)
     ranks[sorted(range(len(keys)), key=keys.__getitem__)] = np.arange(len(keys))
@@ -367,7 +390,15 @@ def _read_cell_columns(path):
     """The rows of a language,feature,value CSV file (a stored source or a
     raw export), read by _read_csv_rows, as columns: each row's number,
     and per column a table of its distinct stripped strings, in order of
-    first appearance, with each row's code into that table."""
+    first appearance, with each row's code into that table.
+
+    A plain file takes a bulk path that gives the same columns without
+    Python per row; any other file, and every error, takes the csv path."""
+    return _bulk_cell_columns(path) or _csv_cell_columns(path)
+
+
+def _csv_cell_columns(path):
+    """_read_cell_columns through the csv module, one row at a time."""
     tables = langs, feats, texts = {}, {}, {}
     codes = lang, feat, value = array("i"), array("i"), array("i")
     rows = array("i")
@@ -378,6 +409,96 @@ def _read_cell_columns(path):
         value.append(texts.setdefault(text.strip(), len(texts)))
     return (np.frombuffer(rows, np.int32), [list(table) for table in tables],
             [np.frombuffer(code, np.int32) for code in codes])
+
+
+class _NotPlain(Exception):
+    """The file is not one the bulk cell reader reads as the csv path would."""
+
+
+def _bulk_cell_columns(path):
+    """_read_cell_columns for a plain file, None for any other.
+
+    A plain file is a regular file in UTF-8 with no quote and no NUL,
+    ends every line with the same one of LF or CRLF, has the cell header
+    (by _read_csv_rows's rule), and holds at least one data row, each with
+    exactly three fields of at most csv.field_size_limit() characters that
+    do not all strip to empty. Without quotes the csv module splits such a
+    line at its commas and nowhere else, so each line is row 2, 3, ... in
+    order.
+    """
+    if not os.path.isfile(path):  # a pipe can be read once, so the csv path reads it
+        return None
+    limit, sep, rows = csv.field_size_limit(), None, 0
+    raw = [defaultdict(count().__next__) for _ in CELL_HEADER]  # unstripped field -> code
+    codes = [array("i") for _ in CELL_HEADER]
+    try:
+        with open(path, "rb") as fh:
+            for block in _line_blocks(fh, 4 * (3 * limit + 4)):  # longer lines hold a long field
+                text = block.decode("utf-8")
+                if '"' in text or "\0" in text:
+                    raise _NotPlain
+                first = sep is None  # the first block starts with the header line
+                if first:
+                    end = text.find("\n")
+                    if end < 0:
+                        raise _NotPlain  # no data row
+                    sep = "\r\n" if text[end - 1:end] == "\r" else "\n"
+                crs = text.count("\r")
+                if crs != text.count("\r\n") or crs != (0 if sep == "\n" else text.count("\n")):
+                    raise _NotPlain  # a lone CR, or mixed line ends
+                if first:
+                    line, _, text = text.partition(sep)
+                    header = [h.strip() for h in line.split(",")]
+                    if len(line) > limit or len(header) != len(CELL_HEADER) or any(
+                            h != e and h.lower() != e for h, e in zip(header, CELL_HEADER)):
+                        raise _NotPlain  # the csv path decides
+                if not text:
+                    continue
+                if not text.endswith(sep):
+                    text += sep  # the file ends without a line end
+                # each line end becomes a field of its own, so n lines of three
+                # fields split into 4n fields with a line end at every fourth
+                n = text.count("\n")
+                fields = text.replace(sep, f",{sep},").split(",")
+                del fields[-1]  # what follows the last line end
+                if len(fields) != 4 * n or fields[3::4].count(sep) != n:
+                    raise _NotPlain  # a line without exactly two commas
+                if len(text) > limit and max(map(len, fields)) > limit:
+                    raise _NotPlain
+                for k, table in enumerate(raw):
+                    codes[k].frombytes(np.fromiter(map(table.__getitem__, fields[k::4]), np.int32,
+                                                   n).tobytes())
+                rows += n
+    except (_NotPlain, OSError, UnicodeDecodeError):
+        return None
+    tables = []
+    for k, table in enumerate(raw):  # strip each distinct field once
+        stripped = defaultdict(count().__next__)
+        code = np.fromiter(map(stripped.__getitem__, map(str.strip, table)), np.int32, len(table))
+        tables.append(list(stripped))
+        codes[k] = code[np.frombuffer(codes[k], np.int32)]
+    blank = [table.index("") if "" in table else -1 for table in tables]
+    if not rows or min(blank) >= 0 and np.logical_and.reduce(
+            [code == b for code, b in zip(codes, blank)]).any():
+        return None  # header only, or a row whose fields all strip to empty
+    return np.arange(2, rows + 2, dtype=np.int32), tables, codes
+
+
+def _line_blocks(fh, longest: int) -> Iterator[bytes]:
+    """fh's bytes in blocks of about _READ_BLOCK_BYTES that end at a line
+    end, the last one where the file ends; a line over longest bytes
+    raises _NotPlain."""
+    tail = b""
+    while data := fh.read(_READ_BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield tail + data[:cut]
+            tail = b""
+        tail += data[cut:]
+        if len(tail) > longest:
+            raise _NotPlain
+    if tail:
+        yield tail
 
 
 def export_matrix_csv(languages: Sequence[str], features, values: np.ndarray, path) -> None:

@@ -3,6 +3,8 @@ import errno
 import json
 import os
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from typodist.cli import main
 from typodist.errors import FormatError
 from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch
 
-from conftest import make_matrix, make_tensor
+from conftest import DATA_DIR, make_matrix, make_tensor
 
 
 def test_tensor_round_trip(tmp_path, tiny_tensor):
@@ -82,9 +84,11 @@ def test_interrupted_save_keeps_the_old_cells(tmp_path, monkeypatch, failing):
         ("newl1234", "S_F2", "SRC_B", 1.0),
     ]))
 
+    temp_name = re.compile(rf"\.{re.escape(failing)}\.[0-9a-f]+\.tmp")  # each writer's own
+
     def open_failing_part_way(path, *args, **kwargs):
         fh = open(path, *args, **kwargs)
-        return _DiskFullAfter(fh, 30) if Path(path).name == f".{failing}.tmp" else fh
+        return _DiskFullAfter(fh, 30) if temp_name.fullmatch(Path(path).name) else fh
 
     monkeypatch.setattr(storage, "open", open_failing_part_way, raising=False)
     with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
@@ -97,6 +101,51 @@ def test_interrupted_save_keeps_the_old_cells(tmp_path, monkeypatch, failing):
     assert set(old_cells) <= set(loaded)
     if failing != "SRC_B.csv":  # files after the failing one keep their old content
         assert loaded == old_cells
+
+
+def test_two_writers_to_one_target_leave_one_writers_whole_content(tmp_path):
+    target = tmp_path / "target"
+    target.write_text("old\n")
+    a, b = storage._replacing(target), storage._replacing(target)
+    a.__enter__().write("A-full-content\n")
+    fb = b.__enter__()
+    fb.write("B-part")
+    a.__exit__(None, None, None)
+    assert target.read_text() == "A-full-content\n"
+    fb.write("-rest\n")
+    b.__exit__(None, None, None)  # the last rename wins
+    assert target.read_text() == "B-part-rest\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+def test_concurrent_writers_to_one_target_each_publish_whole_content(tmp_path):
+    target, errors = tmp_path / "target", []
+    contents = [f"writer {k}: " + str(k) * 5000 + "\n" for k in range(6)]
+
+    def write(content):
+        try:
+            for _ in range(20):
+                with storage._replacing(target) as fh:
+                    for start in range(0, len(content), 700):  # many small writes
+                        fh.write(content[start:start + 700])
+                assert target.read_text() in contents
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(c,)) for c in contents]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert target.read_text() in contents
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
 
 
 def test_dialect_parent_survives_round_trip(tmp_path):
@@ -183,13 +232,13 @@ def test_load_rejects_a_source_name_outside_the_directory_before_reading_any_csv
     path.write_text(json.dumps(registries))
     (tmp_path / "outside.csv").write_text("language,feature,value\npare1234,S_F1,1\n")
     read = []
-    real = storage._read_csv_rows
+    real = storage._read_cell_columns
 
-    def recording(csv_path, header):
+    def recording(csv_path):
         read.append(Path(csv_path))
-        return real(csv_path, header)
+        return real(csv_path)
 
-    monkeypatch.setattr(storage, "_read_csv_rows", recording)
+    monkeypatch.setattr(storage, "_read_cell_columns", recording)
     with pytest.raises(FormatError, match=r"registries\.json: source name '\.\./outside'"):
         storage.load_tensor(kb)
     assert read == []
@@ -198,7 +247,7 @@ def test_load_rejects_a_source_name_outside_the_directory_before_reading_any_csv
     path.write_text(json.dumps(registries))
     (kb / "inside.csv").write_text("language,feature,value\npare1234,S_F1,1\n")
     assert storage.load_tensor(kb).get_cell("pare1234", "S_F1", "inside") == 1.0
-    assert tmp_path / "outside.csv" not in read
+    assert kb / "inside.csv" in read and tmp_path / "outside.csv" not in read
 
 
 def test_load_rejects_a_parent_that_is_not_an_earlier_language(tmp_path):
@@ -373,13 +422,31 @@ def _random_tensor(rng):
     return tensor
 
 
+#: glottocodes the csv module quotes (a comma, a quote, a line end) or
+#: writes bare (non-ASCII, value-like text)
+_AWKWARD_NAMES = ["a,b", 'q"uo"te', "line\nend", "cr\rlf", "\u00f1a\u00f1u", "--", "-0", "0.1+0.2"]
+
+
+def _awkward_tensor(pad=""):
+    """Every awkward name as a language, with values -0 and 0.1 + 0.2 as
+    well as 0 and 1."""
+    langs = [pad + name for name in _AWKWARD_NAMES]
+    feats = [f"S_F{j}" for j in range(3)]
+    values = [-0.0, 0.1 + 0.2, 1.0, 0.0]
+    cells = [(lang, feat, src, values[(i + j + k) % 4]) for i, lang in enumerate(langs)
+             for j, feat in enumerate(feats) for k, src in enumerate(["SRC_A", "SRC_B"])
+             if (i + j) % 3]
+    return make_tensor(langs, feats, cells)
+
+
 def _files(directory):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())}
 
 
 def test_save_load_save_is_byte_identical_and_keeps_the_old_rows(tmp_path, tiny_tensor):
     rng = np.random.default_rng(17)
-    for k, tensor in enumerate([tiny_tensor] + [_random_tensor(rng) for _ in range(25)]):
+    tensors = [tiny_tensor, _awkward_tensor()] + [_random_tensor(rng) for _ in range(25)]
+    for k, tensor in enumerate(tensors):
         first, second, before = tmp_path / f"a{k}", tmp_path / f"b{k}", tmp_path / f"c{k}"
         storage.save_tensor(tensor, first)
         loaded = storage.load_tensor(first)
@@ -392,6 +459,16 @@ def test_save_load_save_is_byte_identical_and_keeps_the_old_rows(tmp_path, tiny_
         for mode in AggregationMode:
             assert np.array_equal(aggregate(loaded, mode).values, aggregate(tensor, mode).values,
                                   equal_nan=True)
+
+
+def test_save_writes_padded_names_as_the_per_cell_writer_did(tmp_path):
+    # a load strips the padding, so these names do not read back
+    tensor = _awkward_tensor(pad=" ")
+    storage.save_tensor(tensor, tmp_path / "got")
+    (tmp_path / "want").mkdir()
+    _write_cells_as_before(tensor, tmp_path / "want")
+    got = _files(tmp_path / "got")
+    assert {name: got[name] for name in _files(tmp_path / "want")} == _files(tmp_path / "want")
 
 
 def test_load_reports_the_first_bad_row_in_file_order(tmp_path, tiny_tensor):
@@ -480,3 +557,127 @@ def _outcome(call):
         return call()
     except Exception as exc:  # compared by type and message
         return exc
+
+
+#: field texts for the cell-reader tests: plain, padded, non-ASCII, and
+#: characters str.splitlines breaks at and the csv module does not
+_CELL_TEXTS = ["abcd1234", "S_F1", "1", "0", "--", " 0.5 ", "ñañu", "\xa0pad\xa0",
+               "in side", " edge", "x\x0by", "\x1c", "\x85", "\t", ""]
+
+_MUTATIONS = {
+    "blank line": lambda rng, lines: _insert(rng, lines, ""),
+    "whitespace line": lambda rng, lines: _insert(rng, lines, " \t "),
+    "comma-only line": lambda rng, lines: _insert(rng, lines, " , ,"),
+    "short row": lambda rng, lines: _insert(rng, lines, "abcd1234,S_F1"),
+    "long row": lambda rng, lines: _insert(rng, lines, "abcd1234,S_F1,1,"),
+    "short and long row": lambda rng, lines: _insert(
+        rng, _insert(rng, lines, "abcd1234,S_F1"), "abcd1234,S_F1,1,"),
+    "quoted field": lambda rng, lines: _insert(rng, lines, '"ab,cd",S_F1,1'),
+    "quoted name": lambda rng, lines: _insert(rng, lines, '"abcd1234", S_F1,1'),
+    "stray quote": lambda rng, lines: _insert(rng, lines, 'ab"cd,S_F1,1'),
+    "NUL": lambda rng, lines: _insert(rng, lines, "ab\0cd,S_F1,1"),
+    "lone CR": lambda rng, lines: _insert(rng, lines, "abcd1234,S_F1,1\rabcd1234,S_F2,0"),
+    "CRLF in one line": lambda rng, lines: _insert(rng, lines, "abcd1234,S_F1,1\r"),
+    "BOM": lambda rng, lines: [("﻿" + lines[0]) if lines else "﻿", *lines[1:]],
+    "BOM in a field": lambda rng, lines: _insert(rng, lines, "﻿abcd1234,S_F1,1"),
+    "upper-case header": lambda rng, lines: [" Language ,FEATURE,value", *lines[1:]],
+    "bad header": lambda rng, lines: ["language,feature", *lines[1:]],
+    "header only": lambda rng, lines: lines[:1],
+    "empty": lambda rng, lines: [],
+}
+
+
+def _insert(rng, lines, line):
+    return [*lines[:1], *lines[1:], line] if rng.random() < 0.3 else [
+        *lines[:(k := int(rng.integers(1, len(lines) + 1)))], line, *lines[k:]]
+
+
+def _cell_lines(rng, n):
+    """A header and n rows; a row is blank only where a mutation makes it so."""
+    texts = np.array(_CELL_TEXTS, dtype=object)
+    named = texts[[bool(text.strip()) for text in _CELL_TEXTS]]
+    columns = rng.choice(named, n), rng.choice(texts, n), rng.choice(texts, n)
+    return ["language,feature,value", *map(",".join, zip(*columns))]
+
+
+def _same_outcome(got, want):
+    if isinstance(want, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    return (isinstance(got, tuple) and got[1] == want[1]
+            and all(g.dtype == w.dtype and np.array_equal(g, w)
+                    for g, w in zip([got[0], *got[2]], [want[0], *want[2]])))
+
+
+@pytest.mark.parametrize("block", [5, 64, None])
+def test_cell_reader_matches_the_csv_path_on_mutated_files(tmp_path, monkeypatch, block):
+    if block is not None:  # blocks of part of a line or a few lines
+        monkeypatch.setattr(storage, "_READ_BLOCK_BYTES", block)
+    bulk, longest = [], 0
+    for seed in range(150):
+        rng = np.random.default_rng([seed, 23])
+        lines = _cell_lines(rng, int(rng.integers(1, 30)) if seed % 10 else 6000)
+        kinds = rng.choice(list(_MUTATIONS), int(rng.choice([0, 0, 1, 2])), replace=False)
+        for kind in kinds:
+            lines = _MUTATIONS[kind](rng, lines)
+        end = str(rng.choice(["\n", "\r\n"]))
+        text = end.join(lines) + (end if rng.random() < 0.8 else "")
+        if rng.random() < 0.1 and end in text:  # mixed line ends
+            text = text.replace(end, "\r\n" if end == "\n" else "\n", 1)
+        path = tmp_path / f"cells{seed}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _outcome(lambda: storage._csv_cell_columns(path))
+        assert _same_outcome(_outcome(lambda: storage._read_cell_columns(path)), want), (
+            seed, kinds, text[:200])
+        bulk.append(storage._bulk_cell_columns(path) is not None)
+        longest = max(longest, len(text) if bulk[-1] else 0)
+    assert 40 < sum(bulk) < 140  # both paths, often
+    assert longest > storage._READ_BLOCK_BYTES  # some file read in several blocks
+
+
+@pytest.mark.parametrize("excess", [0, 1])
+def test_cell_reader_matches_the_csv_path_at_the_field_size_limit(tmp_path, excess):
+    long = "x" * (csv.field_size_limit() + excess)
+    for text in [f"language,feature,value\nabcd1234,{long},1\n",
+                 f"language,feature,value\r\n{long},S_F1,1\r\n",
+                 f"language,feature,{' ' * (len(long) - 5)}value\nabcd1234,S_F1,1\n"]:
+        path = tmp_path / "long.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = _outcome(lambda: storage._csv_cell_columns(path))
+        assert _same_outcome(_outcome(lambda: storage._read_cell_columns(path)), want)
+        assert isinstance(want, FormatError) == bool(excess)
+
+
+def test_cell_reader_reads_a_pipe_once(tmp_path):
+    # a bulk read that declined a pipe would leave the csv path nothing to read
+    text = 'language,feature,value\n"abcd1234",S_F1,1\n'
+    (tmp_path / "quoted.csv").write_text(text)
+    read, write = os.pipe()
+    with os.fdopen(write, "w") as fh:
+        fh.write(text)
+    try:
+        got = storage._read_cell_columns(f"/dev/fd/{read}")
+    finally:
+        os.close(read)
+    assert _same_outcome(got, storage._csv_cell_columns(tmp_path / "quoted.csv"))
+
+
+def test_cell_reader_takes_the_bulk_path_for_plain_files(tmp_path):
+    # exports and save_tensor outputs; a reader that declined them all
+    # would still give the right columns, only slower
+    ingest_data = DATA_DIR / "ingest"
+    assert storage._bulk_cell_columns(ingest_data / "a.csv") is None  # it holds an empty line
+    paths = [ingest_data / name for name in ("a_update.csv", "b.csv", "c.csv")]
+    paths += sorted(ingest_data.glob("step*/*.csv"))
+    rng = np.random.default_rng(5)
+    for k in range(5):
+        storage.save_tensor(_random_tensor(rng), tmp_path / f"kb{k}")
+    paths += sorted(tmp_path.glob("kb*/*.csv"))
+    for k, text in enumerate([" Language ,FEATURE,Value\r\nabcd1234,S_F1,1\r\n",
+                              "language,feature,value\nabcd1234,S_F1,1\n\xa0ñañu , S_F2,--",
+                              "language,feature,value\n, ,1\n"]):
+        paths.append(tmp_path / f"plain{k}.csv")
+        paths[-1].write_text(text, encoding="utf-8", newline="")
+    for path in paths:
+        got = storage._bulk_cell_columns(path)
+        assert got is not None, path
+        assert _same_outcome(got, storage._csv_cell_columns(path)), path
