@@ -22,6 +22,10 @@ from . import storage
 
 LAMBDA_GRID_SCALES = (0.1, 0.5, 1.0, 2.0, 5.0)
 
+#: kNN fill scans a language's ranked neighbours this many at first, then
+#: four times as many at each step, until every missing cell has k holders
+_KNN_FIRST_WINDOW = 32
+
 IMPUTER_METHODS = ("mean", "knn", "softimpute", "external")
 
 
@@ -227,9 +231,10 @@ def impute_knn(matrix: AggregatedMatrix, k: int = 9) -> ImputedMatrix:
     Neighbors for cell (l, f) are languages with f known and at least one
     feature shared with l, nearest first, ties in row order; fewer than k
     candidates means all of them are used, and no candidate at all falls
-    back to the column mean. Each language's neighbors are sorted once,
-    and every cell's chosen values are averaged in that order, so the
-    result equals a per-cell argsort and mean bit for bit.
+    back to the column mean. Each language's neighbors are sorted once and
+    scanned only as far as its cells' k-th holders, and every cell's chosen
+    values are averaged in that order, so the result equals a per-cell
+    argsort and mean bit for bit.
     """
     spec = ImputerSpec("knn", k=k)
     values = matrix.values
@@ -245,12 +250,8 @@ def impute_knn(matrix: AggregatedMatrix, k: int = 9) -> ImputedMatrix:
     for l in np.flatnonzero(~known.all(axis=1)):
         near = order[l, : n_near[l]]
         miss = np.flatnonzero(~known[l])
-        # take[j, i]: near[i] is among the first k holders of column miss[j]
-        held = known_by_feature[miss][:, near]
-        take = held & (np.cumsum(held, axis=1, dtype=np.int32) <= k)
-        cell, pos = np.nonzero(take)  # grouped by cell, nearest first
+        cell, pos, counts = _first_holders(known_by_feature, miss, near, k)
         picked = values[near[pos], miss[cell]]
-        counts = take.sum(axis=1)
         starts = np.cumsum(counts) - counts
         fill = col_fill[miss]
         for c in np.unique(counts[counts > 0]):
@@ -260,6 +261,32 @@ def impute_knn(matrix: AggregatedMatrix, k: int = 9) -> ImputedMatrix:
         out[l, miss] = fill
     names = [matrix.features[j].name for j in np.flatnonzero(all_missing)]
     return _finalize(matrix, out, spec, all_missing_columns=names)
+
+
+def _first_holders(known_by_feature: np.ndarray, miss: np.ndarray, near: np.ndarray,
+                   k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the first k holders of each missing feature miss[j] sit in
+    near, the ranked neighbours: (cell, pos) pairs, grouped by cell (j) and
+    nearest first, and each cell's number of them. near is scanned in
+    growing windows, and a cell leaves the scan at its k-th holder."""
+    counts = np.zeros(len(miss), np.int64)
+    pending = np.arange(len(miss))
+    cells, positions = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    lo, width = 0, _KNN_FIRST_WINDOW
+    while pending.size and lo < len(near):
+        # take[j, i]: near[lo + i] is among the first k holders of miss[pending[j]]
+        held = known_by_feature[np.ix_(miss[pending], near[lo:lo + width])]
+        want = (k - counts[pending])[:, None]
+        take = held & (np.cumsum(held, axis=1, dtype=np.int32) <= want)
+        cell, pos = np.nonzero(take)
+        cells.append(pending[cell])
+        positions.append(pos + lo)
+        counts[pending] += take.sum(axis=1)
+        pending = pending[counts[pending] < k]
+        lo, width = lo + width, 4 * width
+    cell, pos = np.concatenate(cells), np.concatenate(positions)
+    by_cell = np.argsort(cell, kind="stable")  # windows come in order, so pos stays ascending
+    return cell[by_cell], pos[by_cell], counts
 
 
 def _soft_svd(filled: np.ndarray, lam: float, rank_cap: int) -> tuple[np.ndarray, float]:
@@ -330,14 +357,20 @@ def impute_softimpute(
             raise ValueError("start must be a finite matrix of the same shape")
         fill[missing] = start[missing]
 
-    observed = ~missing
+    # flat indices, taken once: np.where over the scattered 2-D mask would
+    # mispredict a branch per cell in every iteration
+    observed_at, missing_at = np.flatnonzero(~missing), np.flatnonzero(missing)
+    observed_values, base = values.ravel()[observed_at], values.copy()
+    resid = np.zeros(values.size)  # stays zero on every missing cell
     history: list[float] = []
     converged = False
     for _ in range(max_iter):
         recon, nuclear = _soft_svd(fill, lam, rank_cap)
-        resid = np.where(observed, values - recon, 0.0)
+        flat = recon.ravel()
+        resid[observed_at] = observed_values - flat[observed_at]
         history.append(0.5 * float(np.vdot(resid, resid)) + lam * nuclear)
-        new_fill = np.where(missing, recon, values)
+        new_fill = base.copy()
+        new_fill.ravel()[missing_at] = flat[missing_at]
         denom = max(float(np.linalg.norm(fill)), 1e-12)
         delta = float(np.linalg.norm(new_fill - fill)) / denom
         fill = new_fill

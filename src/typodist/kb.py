@@ -115,11 +115,13 @@ class LanguageRecord:
     def __post_init__(self):
         if not self.glottocode:
             raise FormatError("glottocode must be non-empty")
+        if self.glottocode != self.glottocode.strip():  # a load strips every field
+            raise FormatError(f"glottocode {self.glottocode!r} has leading or trailing whitespace")
         if self.parent == self.glottocode:
             raise FormatError(f"language {self.glottocode!r} cannot be its own parent")
 
 
-_NAME_RE = re.compile(r"^[A-Z0-9_]+$")
+_NAME_RE = re.compile(r"[A-Z0-9_]+")
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class FeatureDescriptor:
     origin: FeatureOrigin = field(default_factory=FeatureOrigin.native)
 
     def __post_init__(self):
-        if not _NAME_RE.match(self.name):
+        if not _NAME_RE.fullmatch(self.name):  # "$" would let a final newline through
             raise FormatError(
                 f"feature name {self.name!r} may contain only uppercase letters, "
                 "digits, and underscores"

@@ -3,6 +3,16 @@
 A tensor directory holds ``registries.json`` plus one ``<source>.csv``
 per source with header ``language,feature,value``. Matrix exports are
 CSV with language rows and feature columns; ``--`` marks a missing cell.
+
+``save_tensor`` writes one more file, last: ``cells.bin``, a cache of the
+cells that a load reads without parsing the CSVs. It holds a marker, the
+BLAKE2b-256 digest of ``registries.json`` and of each source CSV, in registry
+order, with each source's cell count, then each source's sorted int64 keys
+and float64 values, little-endian. The JSON and CSV files stay canonical:
+``load_tensor`` uses the cache only when every digest matches the files'
+current bytes and its arrays are cells the registries can hold, and
+otherwise, without an error or a warning, reads the CSVs. The cache is
+safe to delete; only this module knows its format.
 """
 
 from __future__ import annotations
@@ -19,9 +29,14 @@ from collections import defaultdict
 from enum import EnumMeta
 from itertools import count, islice
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
+
+try:  # CPython's own BLAKE2: hashlib would load OpenSSL, about 3.7 MB more RSS per process
+    from _blake2 import blake2b
+except ImportError:  # a build without it
+    from hashlib import blake2b
 
 from .errors import FormatError, UnknownLanguage
 from .kb import (
@@ -33,12 +48,19 @@ from .kb import (
     LanguageRecord,
     OriginKind,
     ResourceTier,
+    SourceColumn,
     TensorBatch,
+    TensorSnapshot,
 )
 
 MISSING_TOKEN = "--"
 REGISTRY_FILE = "registries.json"
+CACHE_FILE = "cells.bin"
 CELL_HEADER = ("language", "feature", "value")
+#: the cell cache's first bytes; a new layout takes a new marker
+_CACHE_MARKER = b"typodist cells/1"
+_DIGEST_BYTES = 32
+_HASH_BLOCK_BYTES = 1 << 18
 #: cell files are read this many bytes and written this many rows at a
 #: time, so only one block's field strings are alive at once
 _READ_BLOCK_BYTES = 1 << 14
@@ -115,9 +137,10 @@ def _feature_from_json(obj: dict, where: str) -> FeatureDescriptor:
 
 
 @contextlib.contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
-    """Open a temp file next to path and rename it over path on success,
-    so that path always holds either its old or its new content in full.
+def _replacing(path: Path, binary: bool = False) -> Iterator[IO]:
+    """Open a temp file next to path, as UTF-8 text or binary, and rename it
+    over path on success, so that path always holds either its old or its
+    new content in full.
     Each writer creates its own temp file, so of two writers to one path
     the last rename wins whole. Failing to create, sync or rename the temp
     file raises FormatError; an OSError raised by a write in the block
@@ -127,7 +150,7 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     created = in_block = False
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+        with (open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="")) as fh:
             created = in_block = True
             yield fh
             in_block = False
@@ -147,7 +170,11 @@ def _replacing(path: Path) -> Iterator[TextIO]:
 def write_json(data, path) -> None:
     """Write data as indented JSON with sorted keys, replacing path whole."""
     with _replacing(Path(path)) as fh:
-        fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")  # one write, not one per token
+        fh.write(_json_text(data))  # one write, not one per token
+
+
+def _json_text(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def save_tensor(tensor: FeatureTensor, directory) -> None:
@@ -155,7 +182,9 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
 
     Registries go first: they only ever grow, so a save interrupted
     between files leaves new registries over old CSV files, which still
-    load with every old cell.
+    load with every old cell. The cell cache goes last, with the digests
+    of the bytes this save wrote, so a cache left by an earlier or an
+    interrupted save does not match them and is not used.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -163,12 +192,14 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
     for src in snap.sources:
         _check_source_name(src, directory)
 
-    registries = {
+    registries = _json_text({
         "languages": [_language_to_json(r) for r in snap.languages],
         "features": [_feature_to_json(f) for f in snap.features],
         "sources": snap.sources,
-    }
-    write_json(registries, directory / REGISTRY_FILE)
+    }).encode()
+    with _replacing(directory / REGISTRY_FILE, binary=True) as fh:
+        fh.write(registries)
+    cache_head = [_CACHE_MARKER, _digest(registries).digest()]
 
     # rows sort by glottocode, then feature name; each distinct string is
     # rendered once, as the csv module quotes it
@@ -182,10 +213,20 @@ def save_tensor(tensor: FeatureTensor, directory) -> None:
         lines = map(",".join, zip(lang_field[col.language[order]].tolist(),
                                   feat_field[col.feature[order]].tolist(),
                                   value_field[which].tolist()))
-        with _replacing(directory / f"{src}.csv") as fh:
-            csv.writer(fh).writerow(CELL_HEADER)
-            while block := "".join(islice(lines, _WRITE_BLOCK_ROWS)):
+        digest = _digest()
+        with _replacing(directory / f"{src}.csv", binary=True) as fh:
+            block = (",".join(CELL_HEADER) + "\r\n").encode()  # as csv.writer writes it
+            while block:
+                digest.update(block)
                 fh.write(block)
+                block = "".join(islice(lines, _WRITE_BLOCK_ROWS)).encode()
+        cache_head += [digest.digest(), len(col.key).to_bytes(8, "little")]
+
+    with _replacing(directory / CACHE_FILE, binary=True) as fh:
+        fh.write(b"".join(cache_head))
+        for col in snap.columns:  # straight from the arrays, never one copy of the whole
+            fh.write(np.ascontiguousarray(col.key, "<i8"))
+            fh.write(np.ascontiguousarray(col.value, "<f8"))
 
 
 def _csv_fields(texts: Sequence[str]) -> np.ndarray:
@@ -226,7 +267,8 @@ def _ranks(keys: Sequence[str]) -> np.ndarray:
 def load_tensor(directory) -> FeatureTensor:
     directory = Path(directory)
     where = str(directory / REGISTRY_FILE)
-    registries = _read_json(where)
+    raw = _read_bytes(where)
+    registries = _parsed_json(raw, where)
     languages = [
         _language_from_json(obj, f"{where}: language entry")
         for obj in _json_field(registries, "languages", [dict], where, [])
@@ -253,35 +295,113 @@ def load_tensor(directory) -> FeatureTensor:
     except FormatError as exc:  # an empty name, or a name repeated with other metadata
         raise FormatError(f"{where}: {exc}") from exc
 
+    if _load_cached_cells(tensor, directory, _digest(raw).digest()):
+        return tensor
     snap = tensor.snapshot()
     for src in sources:
         path = directory / f"{src}.csv"
-        if not path.exists():
-            continue  # a source with no stored cells
-        rows, (langs, feats, texts), (lc, fc, vc) = _read_cell_columns(path)
-        lang_of = np.array([snap.lang_index.get(name, -1) for name in langs], np.int32)
-        feat_of = np.array([snap.feat_index.get(name, -1) for name in feats], np.int32)
-        value, bad_value = np.full(len(texts), np.nan), np.zeros(len(texts), dtype=bool)
-        for k, text in enumerate(texts):  # each distinct value string once
-            try:
-                v = parse_value(text, path, 0)
-            except FormatError:
-                bad_value[k] = True
-                continue
-            value[k] = np.nan if v is None else v  # NaN marks the missing token
-        lang, feat = lang_of[lc], feat_of[fc]
-        bad = bad_value[vc] | (lang < 0) | (feat < 0)
-        if bad.any():  # the first bad row in file order, checked as one row would be
-            i = int(np.argmax(bad))
-            row = int(rows[i])
-            parse_value(texts[vc[i]], path, row)  # raises for a bad value
-            kind, name = ("language", langs[lc[i]]) if lang[i] < 0 else ("feature", feats[fc[i]])
-            raise FormatError(f"{path}: row {row}: unregistered {kind} {name!r}")
-        kept = ~np.isnan(value[vc])  # explicit-missing rows are skipped
-        codes = (lc[kept], fc[kept], np.zeros(int(kept.sum()), np.intp))
-        tensor.extend_with(TensorBatch(cells=CellArrays((langs, feats, [src]), codes,
-                                                        value[vc[kept]])))
+        if path.exists():  # else a source with no stored cells
+            tensor.extend_with(TensorBatch(cells=_csv_cells(path, snap, src)))
     return tensor
+
+
+def _csv_cells(path: Path, snap: TensorSnapshot, src: str) -> CellArrays:
+    """The cells of a stored source's CSV file, for the registries in snap."""
+    rows, (langs, feats, texts), (lc, fc, vc) = _read_cell_columns(path)
+    lang_of = np.array([snap.lang_index.get(name, -1) for name in langs], np.int32)
+    feat_of = np.array([snap.feat_index.get(name, -1) for name in feats], np.int32)
+    value, bad_value = np.full(len(texts), np.nan), np.zeros(len(texts), dtype=bool)
+    for k, text in enumerate(texts):  # each distinct value string once
+        try:
+            v = parse_value(text, path, 0)
+        except FormatError:
+            bad_value[k] = True
+            continue
+        value[k] = np.nan if v is None else v  # NaN marks the missing token
+    lang, feat = lang_of[lc], feat_of[fc]
+    bad = bad_value[vc] | (lang < 0) | (feat < 0)
+    if bad.any():  # the first bad row in file order, checked as one row would be
+        i = int(np.argmax(bad))
+        row = int(rows[i])
+        parse_value(texts[vc[i]], path, row)  # raises for a bad value
+        kind, name = ("language", langs[lc[i]]) if lang[i] < 0 else ("feature", feats[fc[i]])
+        raise FormatError(f"{path}: row {row}: unregistered {kind} {name!r}")
+    kept = ~np.isnan(value[vc])  # explicit-missing rows are skipped
+    codes = (lc[kept], fc[kept], np.zeros(int(kept.sum()), np.intp))
+    return CellArrays((langs, feats, [src]), codes, value[vc[kept]])
+
+
+def _load_cached_cells(tensor: FeatureTensor, directory: Path, registry_digest: bytes) -> bool:
+    """Write the cells of the directory's cell cache into tensor, which
+    holds the registries and no cells, one source at a time as a load from
+    the CSVs does, and return True. Write nothing and return False unless
+    the cache is whole, was written with registry_digest (the digest of
+    the registry file's bytes that tensor's registries were parsed from) and
+    the current bytes of every source CSV, and holds only cells the
+    registries can hold. The arrays are checked in one pass and read
+    again in a second, so only one source's arrays are held at once."""
+    snap, path = tensor.snapshot(), directory / CACHE_FILE
+    prefix, entry = _CACHE_MARKER + registry_digest, _DIGEST_BYTES + 8  # a CSV digest, a count
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return False
+    with fh:
+        try:
+            head = fh.read(len(prefix) + entry * len(snap.sources))
+            if len(head) != len(prefix) + entry * len(snap.sources) or not head.startswith(prefix):
+                return False
+            entries = [head[i:i + entry] for i in range(len(prefix), len(head), entry)]
+            counts = [int.from_bytes(e[_DIGEST_BYTES:], "little") for e in entries]
+            if (os.fstat(fh.fileno()).st_size != len(head) + 16 * sum(counts)  # cut short, or more
+                    or any(_file_digest(directory / f"{src}.csv") != e[:_DIGEST_BYTES]
+                           for src, e in zip(snap.sources, entries))
+                    or any(_cached_column(fh, n, snap) is None for n in counts)):
+                return False
+            fh.seek(len(head))
+        except (OSError, ValueError):  # ValueError: a file that changed size while read
+            return False
+        names = [r.glottocode for r in snap.languages], [f.name for f in snap.features]
+        for src, n in zip(snap.sources, counts):
+            column = _cached_column(fh, n, snap)
+            if column is None:  # it passed the first pass, so it was written over in place
+                raise FormatError(f"{path}: changed while read")
+            key, value = column
+            tensor.extend_with(TensorBatch(cells=CellArrays(
+                (*names, [src]), (key >> 32, key & 0xFFFFFFFF, np.zeros(n, np.intp)), value)))
+    return True
+
+
+def _cached_column(fh, n: int, snap: TensorSnapshot) -> Optional[SourceColumn]:
+    """The next n cells' keys and values in the open cell cache fh, or None
+    unless they are cells snap's registries can hold: keys strictly
+    increasing, indices inside the registries, values in [0, 1]."""
+    key = np.frombuffer(fh.read(8 * n), "<i8")
+    value = np.frombuffer(fh.read(8 * n), "<f8")
+    if n and not (len(key) == len(value) == n and key[0] >= 0
+                  and key[-1] >> 32 < len(snap.languages)
+                  and np.all(key[1:] > key[:-1])
+                  and np.all((key & 0xFFFFFFFF) < len(snap.features))
+                  and np.all((value >= 0.0) & (value <= 1.0))):  # NaN fails
+        return None
+    return SourceColumn(key, value)
+
+
+def _digest(data: bytes = b""):
+    """A BLAKE2b hash object with a 256-bit digest, fed data."""
+    return blake2b(data, digest_size=_DIGEST_BYTES)
+
+
+def _file_digest(path: Path) -> Optional[bytes]:
+    """The digest of a regular file's bytes, read in blocks; None
+    for anything else, such as a pipe, which can be read only once."""
+    if not path.is_file():
+        return None
+    digest = _digest()
+    with open(path, "rb") as fh:
+        while block := fh.read(_HASH_BLOCK_BYTES):
+            digest.update(block)
+    return digest.digest()
 
 
 def _cannot(verb: str, path, exc: Exception) -> FormatError:
@@ -291,10 +411,23 @@ def _cannot(verb: str, path, exc: Exception) -> FormatError:
 
 def _read_json(path) -> dict:
     """Parse a UTF-8 file holding one JSON object; anything else raises FormatError."""
+    return _parsed_json(_read_bytes(path), path)
+
+
+def _read_bytes(path) -> bytes:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8 or JSON, or too long an integer
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _cannot("read", path, exc) from None
+
+
+def _parsed_json(raw: bytes, path) -> dict:
+    """The JSON object in raw, a file's bytes, decoded as reading the file
+    as UTF-8 text would; anything else raises FormatError naming path."""
+    try:
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    except ValueError as exc:  # bad UTF-8 or JSON, or too long an integer
         raise _cannot("read", path, exc) from None
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object")

@@ -228,16 +228,28 @@ def _knn_fixtures(n_fixtures=240):
         yield replace(m, values=values), 1 + i % 15
 
 
+def _sparse_knn_fixtures(n_fixtures=16):
+    """40-150 languages at 5-20 % fill, so cells find their k-th holder
+    past the fill's first window of neighbours, or never."""
+    rng = np.random.default_rng(2025)
+    for i in range(n_fixtures):
+        mode = (AggregationMode.UNION, AggregationMode.AVERAGE)[i % 2]
+        n_lang, n_feat = int(rng.integers(40, 151)), int(rng.integers(5, 40))
+        m = random_matrix(rng, n_lang, n_feat, mode, missing_frac=float(rng.uniform(0.8, 0.95)),
+                          binary=bool((i // 2) % 2))
+        yield m, int(rng.choice([1, 5, 9, 15]))
+
+
 def test_knn_equals_per_cell_oracle_on_random_fixtures():
     checked = 0
-    for m, k in _knn_fixtures():
+    for m, k in [*_knn_fixtures(), *_sparse_knn_fixtures()]:
         if np.isnan(m.values).all():
             with pytest.raises(FormatError):
                 impute_knn(m, k=k)
             continue
         assert np.array_equal(impute_knn(m, k=k).values, _knn_oracle(m, k))
         checked += 1
-    assert checked >= 200
+    assert checked >= 216
 
 
 def _binary_product_cases():
@@ -470,6 +482,45 @@ def _cold_softimpute_fill(values, lam, rank_cap, tol, max_iter):
         if delta < tol:
             break
     return fill
+
+
+def _softimpute_where_loop(values, lam, rank_cap, tol, max_iter, start):
+    """impute_softimpute's solve with np.where over the 2-D masks: (unclipped
+    fill, objective history, converged)."""
+    missing = np.isnan(values)
+    fill = np.where(missing, start, values)
+    history = []
+    for _ in range(max_iter):
+        recon, nuclear = _soft_svd(fill, lam, rank_cap)
+        resid = np.where(~missing, values - recon, 0.0)
+        history.append(0.5 * float(np.vdot(resid, resid)) + lam * nuclear)
+        new_fill = np.where(missing, recon, values)
+        delta = float(np.linalg.norm(new_fill - fill)) / max(float(np.linalg.norm(fill)), 1e-12)
+        fill = new_fill
+        if delta < tol:
+            return fill, history, True
+    return fill, history, False
+
+
+def test_softimpute_solve_equals_the_where_loop_bit_for_bit(monkeypatch):
+    finalized = []
+    monkeypatch.setattr(impute, "_finalize", lambda m, fill, spec, **kw: finalized.append(
+        (fill, kw["objective_history"], kw["converged"])))
+    rng = np.random.default_rng(37)
+    for n_lang, n_feat in [(40, 12), (12, 40), (30, 30), (7, 3), (3, 7)]:
+        for mode in AggregationMode:
+            m = random_matrix(rng, n_lang, n_feat, mode, missing_frac=float(rng.uniform(0.2, 0.7)))
+            if np.isnan(m.values).all() or not np.isnan(m.values).any():
+                continue
+            start = rng.random(m.values.shape)
+            for lam, max_iter in ((0.05, 200), (0.5, 7)):
+                rank_cap = min(min(m.values.shape), 100)
+                impute_softimpute(m, lam=lam, max_iter=max_iter, start=start)
+                fill, history, converged = finalized.pop()
+                want_fill, want_history, want_converged = _softimpute_where_loop(
+                    m.values, lam, rank_cap, 1e-4, max_iter, start)
+                assert fill.tobytes() == want_fill.tobytes()
+                assert history == want_history and converged == want_converged
 
 
 def _softimpute_oracle(matrix, tol=1e-4, max_iter=200, seed=0):

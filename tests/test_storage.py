@@ -69,7 +69,7 @@ class _DiskFullAfter:
         self._fh.close()
 
 
-@pytest.mark.parametrize("failing", ["registries.json", "SRC_A.csv", "SRC_B.csv"])
+@pytest.mark.parametrize("failing", ["registries.json", "SRC_A.csv", "SRC_B.csv", "cells.bin"])
 def test_interrupted_save_keeps_the_old_cells(tmp_path, monkeypatch, failing):
     tensor = make_tensor(["abcd1234"], ["S_F1", "S_F2"], [
         ("abcd1234", "S_F1", "SRC_A", 1.0),
@@ -96,11 +96,29 @@ def test_interrupted_save_keeps_the_old_cells(tmp_path, monkeypatch, failing):
     monkeypatch.undo()
 
     assert (tmp_path / failing).read_bytes() == old_bytes
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["SRC_A.csv", "SRC_B.csv", "registries.json"]
-    loaded = sorted(storage.load_tensor(tmp_path).iter_cells())
-    assert set(old_cells) <= set(loaded)
-    if failing != "SRC_B.csv":  # files after the failing one keep their old content
-        assert loaded == old_cells
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "SRC_A.csv", "SRC_B.csv", "cells.bin", "registries.json"]
+    loaded = storage.load_tensor(tmp_path)
+    cells = sorted(loaded.iter_cells())
+    assert set(old_cells) <= set(cells)
+    if failing == "cells.bin":  # every CSV is new, the cache is the old save's
+        assert cells == sorted(tensor.iter_cells())
+    elif failing != "SRC_B.csv":  # files after the failing one keep their old content
+        assert cells == old_cells
+    # the old cache no longer matches the files, so the load read the CSVs
+    (tmp_path / "cells.bin").unlink()
+    _assert_same_tensor(loaded, storage.load_tensor(tmp_path))
+
+
+def _assert_same_tensor(got, want):
+    """got equals want: registries, version, and each column's key and
+    value arrays bit for bit."""
+    assert (got.languages, got.features, got.sources) == (want.languages, want.features,
+                                                          want.sources)
+    assert got.version == want.version
+    for a, b in zip(got.snapshot().columns, want.snapshot().columns, strict=True):
+        assert a.key.dtype == b.key.dtype and a.key.tobytes() == b.key.tobytes()
+        assert a.value.dtype == b.value.dtype and a.value.tobytes() == b.value.tobytes()
 
 
 def test_two_writers_to_one_target_leave_one_writers_whole_content(tmp_path):
@@ -427,10 +445,10 @@ def _random_tensor(rng):
 _AWKWARD_NAMES = ["a,b", 'q"uo"te', "line\nend", "cr\rlf", "\u00f1a\u00f1u", "--", "-0", "0.1+0.2"]
 
 
-def _awkward_tensor(pad=""):
+def _awkward_tensor():
     """Every awkward name as a language, with values -0 and 0.1 + 0.2 as
     well as 0 and 1."""
-    langs = [pad + name for name in _AWKWARD_NAMES]
+    langs = _AWKWARD_NAMES
     feats = [f"S_F{j}" for j in range(3)]
     values = [-0.0, 0.1 + 0.2, 1.0, 0.0]
     cells = [(lang, feat, src, values[(i + j + k) % 4]) for i, lang in enumerate(langs)
@@ -461,14 +479,22 @@ def test_save_load_save_is_byte_identical_and_keeps_the_old_rows(tmp_path, tiny_
                                   equal_nan=True)
 
 
-def test_save_writes_padded_names_as_the_per_cell_writer_did(tmp_path):
-    # a load strips the padding, so these names do not read back
-    tensor = _awkward_tensor(pad=" ")
-    storage.save_tensor(tensor, tmp_path / "got")
-    (tmp_path / "want").mkdir()
-    _write_cells_as_before(tensor, tmp_path / "want")
-    got = _files(tmp_path / "got")
-    assert {name: got[name] for name in _files(tmp_path / "want")} == _files(tmp_path / "want")
+def test_names_that_a_load_would_change_are_rejected_and_the_rest_round_trip(tmp_path):
+    # a load strips every field, so a padded glottocode would not read back;
+    # "$" matched before a final newline, so "S_F\n" passed the name check
+    for glottocode in [" a,b", "a,b ", "\u00a0a", "a\n", "\ta"]:
+        with pytest.raises(FormatError, match="leading or trailing whitespace"):
+            LanguageRecord(glottocode)
+    for name in ["S_F\n", "S_F\r\n", "S_F ", " S_F"]:
+        with pytest.raises(FormatError, match="may contain only"):
+            FeatureDescriptor(name, Category.SYNTACTIC)
+    tensor = _awkward_tensor()
+    storage.save_tensor(tensor, tmp_path)
+    through_cache = storage.load_tensor(tmp_path)
+    (tmp_path / storage.CACHE_FILE).unlink()
+    for loaded in through_cache, storage.load_tensor(tmp_path):
+        assert (loaded.languages, loaded.features) == (tensor.languages, tensor.features)
+        assert sorted(loaded.iter_cells()) == sorted(tensor.iter_cells())
 
 
 def test_load_reports_the_first_bad_row_in_file_order(tmp_path, tiny_tensor):
@@ -681,3 +707,150 @@ def test_cell_reader_takes_the_bulk_path_for_plain_files(tmp_path):
         got = storage._bulk_cell_columns(path)
         assert got is not None, path
         assert _same_outcome(got, storage._csv_cell_columns(path)), path
+
+
+# cell cache -----------------------------------------------------------------------
+
+
+def _cache_tensor(rng):
+    """Several sources, one of them empty, binary and fractional values,
+    dialects with parents, cells written in shuffled order."""
+    langs = [LanguageRecord(f"l{i:03d}1234") for i in range(int(rng.integers(2, 40)))]
+    langs += [LanguageRecord(f"d{i:03d}1234", parent=langs[i].glottocode) for i in range(2)]
+    feats = [f"{p}F{j}" for j in range(int(rng.integers(1, 20))) for p in ("S_", "INV_")]
+    srcs = ["SRC_B", "SRC_A", "SRC.c", "src-d"][: int(rng.integers(1, 5))]
+    cells = [(lang.glottocode, f, s, float(rng.choice([0.0, 1.0, rng.random()])))
+             for lang in langs for f in feats for s in srcs if rng.random() < 0.3]
+    cells = [cells[i] for i in rng.permutation(len(cells))]
+    return make_tensor(langs, feats, cells, sources=["EMPTY"])
+
+
+def _csv_reads(monkeypatch):
+    """The paths load_tensor reads as CSV from now on."""
+    paths, read = [], storage._read_cell_columns
+    monkeypatch.setattr(storage, "_read_cell_columns", lambda path: paths.append(path) or read(path))
+    return paths
+
+
+def _load_from_csv(directory, scratch):
+    """A load of directory's files without its cell cache."""
+    scratch.mkdir()
+    for path in Path(directory).iterdir():
+        if path.name != storage.CACHE_FILE:
+            (scratch / path.name).write_bytes(path.read_bytes())
+    return storage.load_tensor(scratch)
+
+
+def test_a_load_through_the_cell_cache_equals_a_load_from_the_csvs(tmp_path, monkeypatch):
+    rng = np.random.default_rng(41)
+    reads = _csv_reads(monkeypatch)
+    for k in range(12):
+        tensor = _cache_tensor(rng)
+        storage.save_tensor(tensor, tmp_path / f"kb{k}")
+        cached = storage.load_tensor(tmp_path / f"kb{k}")
+        assert reads == []
+        _assert_same_tensor(cached, _load_from_csv(tmp_path / f"kb{k}", tmp_path / f"csv{k}"))
+        assert len(reads) == len(tensor.sources)
+        reads.clear()
+        assert sorted(cached.iter_cells()) == sorted(tensor.iter_cells())
+        assert cached.languages == tensor.languages and cached.sources[0] == "EMPTY"
+
+
+def test_two_saves_of_one_tensor_write_the_same_cell_cache(tmp_path):
+    tensor = _cache_tensor(np.random.default_rng(43))
+    storage.save_tensor(tensor, tmp_path / "a")
+    storage.save_tensor(tensor, tmp_path / "b")
+    storage.save_tensor(storage.load_tensor(tmp_path / "a"), tmp_path / "c")
+    cache = (tmp_path / "a" / storage.CACHE_FILE).read_bytes()
+    assert cache.startswith(storage._CACHE_MARKER)
+    assert (tmp_path / "b" / storage.CACHE_FILE).read_bytes() == cache
+    assert (tmp_path / "c" / storage.CACHE_FILE).read_bytes() == cache
+
+
+def test_a_csv_edit_that_keeps_size_and_mtime_is_loaded(tmp_path, monkeypatch):
+    tensor = make_tensor(["abcd1234", "efgh1234"], ["S_F1"], [
+        ("abcd1234", "S_F1", "SRC_A", 1.0), ("efgh1234", "S_F1", "SRC_A", 0.0)])
+    storage.save_tensor(tensor, tmp_path)
+    path = tmp_path / "SRC_A.csv"
+    before = path.stat()
+    text = path.read_bytes()
+    assert b"abcd1234,S_F1,1\r\n" in text
+    path.write_bytes(text.replace(b"abcd1234,S_F1,1\r\n", b"abcd1234,S_F1,0\r\n"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert (path.stat().st_size, path.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    reads = _csv_reads(monkeypatch)
+    assert storage.load_tensor(tmp_path).get_cell("abcd1234", "S_F1", "SRC_A") == 0.0
+    assert reads == [path]
+
+
+def _tampered_caches(cache: bytes, n_sources: int, n_languages: int):
+    """(what was done, the cache bytes) for caches a load must not use;
+    the last source holds at least two cells."""
+    arrays = len(storage._CACHE_MARKER) + 32 + 40 * n_sources
+    n = int.from_bytes(cache[arrays - 8:arrays], "little")  # the last source's count
+    head, keys, values = cache[:-16 * n], cache[-16 * n:-8 * n], cache[-8 * n:]
+    keys, values = np.frombuffer(keys, "<i8"), np.frombuffer(values, "<f8")
+    assert n >= 2 and len(head) >= arrays
+
+    def with_arrays(k, v):
+        return head + np.asarray(k, "<i8").tobytes() + np.asarray(v, "<f8").tobytes()
+
+    past_language = np.int64(n_languages) << 32 | keys[-1] & 0xFFFFFFFF
+    past_feature = keys[-1] >> 32 << 32 | 0xFFFFFFF0  # each still sorts last
+    yield "empty", b""
+    yield "marker only", storage._CACHE_MARKER
+    yield "header cut short", cache[:arrays - 3]
+    yield "arrays cut short", cache[:-8]
+    yield "one byte more", cache + b"\0"
+    yield "garbage", bytes(np.random.default_rng(3).integers(0, 256, len(cache), np.uint8))
+    yield "wrong marker", b"typodist cells/0" + cache[len(storage._CACHE_MARKER):]
+    yield "keys out of order", with_arrays([keys[1], keys[0], *keys[2:]], values)
+    yield "a key twice", with_arrays([keys[0], *keys[:-1]], values)
+    yield "a negative language", with_arrays([-(1 << 32) | keys[0] & 0xFFFFFFFF, *keys[1:]], values)
+    yield "a language past the registries", with_arrays([*keys[:-1], past_language], values)
+    yield "a feature past the registries", with_arrays([*keys[:-1], past_feature], values)
+    for bad in (1.5, -0.5, np.nan, np.inf):
+        yield f"value {bad}", with_arrays(keys, [bad, *values[1:]])
+
+
+def test_a_cache_that_does_not_match_or_validate_is_ignored(tmp_path, monkeypatch):
+    tensor = _cache_tensor(np.random.default_rng(47))
+    directory = tmp_path / "kb"
+    storage.save_tensor(tensor, directory)
+    want = _load_from_csv(directory, tmp_path / "csv")
+    cache = (directory / storage.CACHE_FILE).read_bytes()
+    reads = _csv_reads(monkeypatch)
+    cases = list(_tampered_caches(cache, len(tensor.sources), len(tensor.languages)))
+    for what, tampered in cases:
+        (directory / storage.CACHE_FILE).write_bytes(tampered)
+        _assert_same_tensor(storage.load_tensor(directory), want)
+        assert len(reads) == len(tensor.sources), what
+        reads.clear()
+    (directory / storage.CACHE_FILE).write_bytes(cache)  # the genuine cache is used
+    _assert_same_tensor(storage.load_tensor(directory), want)
+    assert reads == []
+    # registries changed: a language's name, so its index stays where it was
+    path = directory / storage.REGISTRY_FILE
+    registries = json.loads(path.read_text())
+    registries["languages"][0]["name"] = "Renamed"
+    path.write_text(json.dumps(registries))
+    loaded = storage.load_tensor(directory)
+    assert loaded.languages[0].name == "Renamed" and len(reads) == len(tensor.sources)
+    assert sorted(loaded.iter_cells()) == sorted(tensor.iter_cells())
+    reads.clear()
+    # a source file gone: its cells are gone, as without a cache
+    (directory / "SRC_B.csv").unlink()
+    loaded = storage.load_tensor(directory)
+    assert len(reads) == len(tensor.sources) - 1
+    assert {s for _l, _f, s, _v in loaded.iter_cells()} == {
+        s for _l, _f, s, _v in tensor.iter_cells()} - {"SRC_B"}
+
+
+def test_a_bad_csv_next_to_a_stale_cache_exits_2(tmp_path, capsys, tiny_tensor):
+    storage.save_tensor(tiny_tensor, tmp_path)
+    (tmp_path / "SRC_A.csv").write_text("language,feature,value\npare1234,S_F1,7\n")
+    assert main(["eval", "coverage", "--data", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "FormatError" and "SRC_A.csv: row 2" in error["message"]
