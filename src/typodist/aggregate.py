@@ -128,20 +128,21 @@ def _aggregate(snap: TensorSnapshot, mode: AggregationMode,
     columns = [snap.columns[si] for si in sorted({snap.source_index(s) for s in provenance})]
     shape = (len(snap.languages), len(snap.features))
     values = np.full(shape, np.nan)
+    flat = values.ravel()  # a view: cells are written through flat indices
     if mode is AggregationMode.UNION:
         for col in columns:
-            at = (col.language, col.feature)
-            values[at] = np.fmax(values[at], col.value)
+            at = col.flat_index(shape[1])
+            flat[at] = np.fmax(flat[at], col.value)
     else:
-        total = np.zeros(shape)
-        count = np.zeros(shape)
+        total = np.zeros(flat.size)
+        count = np.zeros(flat.size)
         # within one source each cell occurs once, so plain fancy-index
         # updates do not lose writes
         for col in columns:
-            at = (col.language, col.feature)
+            at = col.flat_index(shape[1])
             total[at] += col.value
             count[at] += 1
-        np.divide(total, count, out=values, where=count > 0)
+        np.divide(total, count, out=flat, where=count > 0)
     values.flags.writeable = False
 
     return AggregatedMatrix(

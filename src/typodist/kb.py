@@ -13,8 +13,11 @@ float64 value, 16 bytes per cell. A tensor publishes one read-only
 A write checks the whole batch against it, builds the next state (registries
 copied only if it adds entries, new arrays only for the sources it changes,
 an empty `derived`) and publishes it in one swap; a no-op write publishes
-nothing. Writes are serialised under the tensor's lock, so concurrent writers
-never share an index. A reader takes one snapshot: it sees each write whole or not at all.
+nothing. `adopt_columns` is the one write that takes whole columns, for a
+load of columns saved as stored: it checks only the column invariants above
+and stores the arrays themselves. Writes are serialised under the tensor's
+lock, so concurrent writers never share an index. A reader takes one
+snapshot: it sees each write whole or not at all.
 """
 
 from __future__ import annotations
@@ -267,6 +270,14 @@ class SourceColumn(NamedTuple):
         """Each cell's feature index."""
         return self.key & 0xFFFFFFFF
 
+    def flat_index(self, n_features: int) -> np.ndarray:
+        """Each cell's index into a raveled C-order language x feature
+        matrix with n_features columns."""
+        at = self.key >> 32
+        at *= n_features
+        at += self.key & 0xFFFFFFFF
+        return at
+
 
 _NO_CELLS = SourceColumn(np.empty(0, np.int64), np.empty(0))
 
@@ -319,6 +330,8 @@ def _stored_values(columns, source, keys) -> np.ndarray:
     """The stored value of each (source index, key) cell; NaN where missing."""
     out = np.full(len(source), np.nan)
     for si in np.flatnonzero(np.bincount(source)).tolist():  # distinct, cheaper than np.unique
+        if not len(columns[si].key):
+            continue  # nothing stored to find
         rows = np.flatnonzero(source == si)
         pos, hit = _find(columns[si], keys[rows])
         out[rows[hit]] = columns[si].value[pos[hit]]
@@ -328,13 +341,19 @@ def _stored_values(columns, source, keys) -> np.ndarray:
 def _merged(column: SourceColumn, keys, value) -> SourceColumn:
     """A new column: column with the cells, given in write order, written over it.
 
-    A cell written more than once keeps its last value.
+    A cell written more than once keeps its last value. An empty column
+    takes the batch sorted once, or as it is if its keys already increase
+    strictly; the arrays are the caller's fresh copies.
     """
+    if not len(column.key) and not np.any(keys[1:] <= keys[:-1]):
+        return SourceColumn(keys, value)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     last = np.append(keys[1:] != keys[:-1], True)
     order, keys = order[last], keys[last]
     value = value[order]
+    if not len(column.key):
+        return SourceColumn(keys, value)
     pos, hit = _find(column, keys)
     kept = column.value.copy()
     kept[pos[hit]] = value[hit]
@@ -474,7 +493,8 @@ class FeatureTensor:
 
     @property
     def version(self) -> int:
-        """Bumped once per write that publishes a new state."""
+        """Bumped once per write that publishes a new state, and once per
+        non-empty column that adopt_columns stores."""
         return self._state.version
 
     @property
@@ -547,6 +567,32 @@ class FeatureTensor:
                                              src_index, tuple(columns), {}, state.version + 1)
             return self._state
 
+    def adopt_columns(self, columns: Mapping[str, SourceColumn]) -> "FeatureTensor":
+        """Store whole columns, by source name, as the cells of registered
+        sources that hold none; the arrays are stored, not copied.
+
+        Each column must be what writing its cells would store: int64 keys
+        that increase strictly and name registered languages and features,
+        and float64 values in [0, 1], none NaN or -0.0. Anything else, or a
+        source that holds cells, raises and changes nothing. The version goes
+        up once per non-empty column, as writing each column's cells in a
+        batch of its own would.
+        """
+        with self._write_lock:
+            state = self._state
+            stored, bumps = list(state.columns), 0
+            for name, column in columns.items():
+                si = state.source_index(name)
+                if len(stored[si].key):
+                    raise FormatError(f"source {name!r} already holds cells")
+                _check_column(column, len(state.languages), len(state.features), name)
+                stored[si] = column = SourceColumn(*column)
+                bumps += bool(len(column.key))
+            if bumps:
+                self._state = state._replace(columns=tuple(stored), derived={},
+                                             version=state.version + bumps)
+        return self
+
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:
         """(number of sources with a known value, those values in source order)."""
         state = self._state
@@ -588,6 +634,29 @@ def ancestors(records: Mapping[str, LanguageRecord], glottocode: str) -> list[st
         chain.append(rec.parent)
         rec = records.get(rec.parent)
     return chain
+
+
+#: cells per block when a column check needs a temporary array per cell
+_CHECK_BLOCK = 1 << 16
+
+
+def _check_column(column: SourceColumn, n_languages: int, n_features: int, name: str) -> None:
+    """Raise FormatError unless column holds only cells a write would store
+    in a tensor with these registry sizes."""
+    key, value = column
+    if not (key.dtype == np.int64 and value.dtype == np.float64
+            and key.ndim == 1 and key.shape == value.shape):
+        raise FormatError(f"source {name!r}: a column is int64 keys and float64 values, one each")
+    if not len(key):
+        return
+    # sorted keys put the smallest and largest language first and last
+    if key[0] < 0 or key[-1] >> 32 >= n_languages or np.any(key[1:] <= key[:-1]):
+        raise FormatError(f"source {name!r}: keys must increase strictly over registered languages")
+    if any((key[i:i + _CHECK_BLOCK] & 0xFFFFFFFF).max() >= n_features
+           for i in range(0, len(key), _CHECK_BLOCK)):
+        raise FormatError(f"source {name!r}: a key names an unregistered feature")
+    if np.signbit(value).any() or not value.max() <= 1.0:  # NaN fails the second
+        raise FormatError(f"source {name!r}: values must lie in [0, 1], none NaN or -0.0")
 
 
 def _key(entry) -> str:

@@ -7,12 +7,15 @@ CSV with language rows and feature columns; ``--`` marks a missing cell.
 ``save_tensor`` writes one more file, last: ``cells.bin``, a cache of the
 cells that a load reads without parsing the CSVs. It holds a marker, the
 BLAKE2b-256 digest of ``registries.json`` and of each source CSV, in registry
-order, with each source's cell count, then each source's sorted int64 keys
-and float64 values, little-endian. The JSON and CSV files stay canonical:
-``load_tensor`` uses the cache only when every digest matches the files'
-current bytes and its arrays are cells the registries can hold, and
-otherwise, without an error or a warning, reads the CSVs. The cache is
-safe to delete; only this module knows its format.
+order, with each source's cell count, then each source's column as ``kb``
+stores it: sorted int64 keys and float64 values, little-endian. The JSON and
+CSV files stay canonical: ``load_tensor`` uses the cache only when every
+digest matches the files' current bytes, and then reads each column once
+and hands them all to ``FeatureTensor.adopt_columns``, which checks them and
+stores the arrays; a cache that does not match, or whose columns ``kb``
+refuses, is ignored without an error or a warning, and the CSVs are read.
+The cache is safe to delete; only this module knows its format, and only
+``kb`` the key layout.
 """
 
 from __future__ import annotations
@@ -112,8 +115,19 @@ def _feature_to_json(desc: FeatureDescriptor) -> dict:
     }
 
 
+_TIERS, _CATEGORIES, _ORIGIN_KINDS = ({m.value: m for m in kind}
+                                      for kind in (ResourceTier, Category, OriginKind))
+_STR_OR_NULL = (str, type(None))
+
+
 def _language_from_json(obj: dict, where: str) -> LanguageRecord:
-    return LanguageRecord(
+    glottocode, iso639_3, name, parent, tier = (
+        obj.get("glottocode"), obj.get("iso639_3"), obj.get("name", ""), obj.get("parent"),
+        obj.get("tier", "Unknown"))
+    if (type(glottocode) is str and type(name) is str and type(tier) is str and tier in _TIERS
+            and type(iso639_3) in _STR_OR_NULL and type(parent) in _STR_OR_NULL):
+        return LanguageRecord(glottocode, iso639_3, name, parent, _TIERS[tier])
+    return LanguageRecord(  # _json_field raises the error that names the bad field
         glottocode=_json_field(obj, "glottocode", str, where),
         iso639_3=_json_field(obj, "iso639_3", (str, None), where, None),
         name=_json_field(obj, "name", str, where, ""),
@@ -123,9 +137,18 @@ def _language_from_json(obj: dict, where: str) -> LanguageRecord:
 
 
 def _feature_from_json(obj: dict, where: str) -> FeatureDescriptor:
+    name, category, origin = obj.get("name"), obj.get("category"), obj.get("origin")
+    origin = {} if origin is None else origin
+    if type(origin) is dict and type(name) is str and type(category) is str:
+        kind = origin.get("kind", "native")
+        parent_feature, level = origin.get("parent_feature"), origin.get("level")
+        if (category in _CATEGORIES and type(kind) is str and kind in _ORIGIN_KINDS
+                and type(parent_feature) in _STR_OR_NULL and type(level) in _STR_OR_NULL):
+            return FeatureDescriptor(name, _CATEGORIES[category],
+                                     FeatureOrigin(_ORIGIN_KINDS[kind], parent_feature, level))
     origin = _json_field(obj, "origin", (dict, None), where, None) or {}
     in_origin = f"{where} origin"
-    return FeatureDescriptor(
+    return FeatureDescriptor(  # _json_field raises the error that names the bad field
         name=_json_field(obj, "name", str, where),
         category=_json_field(obj, "category", Category, where),
         origin=FeatureOrigin(
@@ -332,59 +355,40 @@ def _csv_cells(path: Path, snap: TensorSnapshot, src: str) -> CellArrays:
 
 
 def _load_cached_cells(tensor: FeatureTensor, directory: Path, registry_digest: bytes) -> bool:
-    """Write the cells of the directory's cell cache into tensor, which
-    holds the registries and no cells, one source at a time as a load from
-    the CSVs does, and return True. Write nothing and return False unless
-    the cache is whole, was written with registry_digest (the digest of
-    the registry file's bytes that tensor's registries were parsed from) and
-    the current bytes of every source CSV, and holds only cells the
-    registries can hold. The arrays are checked in one pass and read
-    again in a second, so only one source's arrays are held at once."""
-    snap, path = tensor.snapshot(), directory / CACHE_FILE
+    """Give tensor, which holds the registries and no cells, the columns of
+    the directory's cell cache, read in one pass, and return True. Change
+    nothing and return False unless the cache is whole, was written with
+    registry_digest (the digest of the registry file's bytes that tensor's
+    registries were parsed from) and the current bytes of every source CSV,
+    and tensor.adopt_columns takes its columns."""
+    sources, path = tensor.sources, directory / CACHE_FILE
     prefix, entry = _CACHE_MARKER + registry_digest, _DIGEST_BYTES + 8  # a CSV digest, a count
     try:
-        fh = open(path, "rb")
-    except OSError:
-        return False
-    with fh:
-        try:
-            head = fh.read(len(prefix) + entry * len(snap.sources))
-            if len(head) != len(prefix) + entry * len(snap.sources) or not head.startswith(prefix):
+        with open(path, "rb") as fh:
+            head = fh.read(len(prefix) + entry * len(sources))
+            if len(head) != len(prefix) + entry * len(sources) or not head.startswith(prefix):
                 return False
             entries = [head[i:i + entry] for i in range(len(prefix), len(head), entry)]
             counts = [int.from_bytes(e[_DIGEST_BYTES:], "little") for e in entries]
             if (os.fstat(fh.fileno()).st_size != len(head) + 16 * sum(counts)  # cut short, or more
                     or any(_file_digest(directory / f"{src}.csv") != e[:_DIGEST_BYTES]
-                           for src, e in zip(snap.sources, entries))
-                    or any(_cached_column(fh, n, snap) is None for n in counts)):
+                           for src, e in zip(sources, entries))):
                 return False
-            fh.seek(len(head))
-        except (OSError, ValueError):  # ValueError: a file that changed size while read
-            return False
-        names = [r.glottocode for r in snap.languages], [f.name for f in snap.features]
-        for src, n in zip(snap.sources, counts):
-            column = _cached_column(fh, n, snap)
-            if column is None:  # it passed the first pass, so it was written over in place
-                raise FormatError(f"{path}: changed while read")
-            key, value = column
-            tensor.extend_with(TensorBatch(cells=CellArrays(
-                (*names, [src]), (key >> 32, key & 0xFFFFFFFF, np.zeros(n, np.intp)), value)))
+            columns = {src: SourceColumn(_read_array(fh, n, "<i8"), _read_array(fh, n, "<f8"))
+                       for src, n in zip(sources, counts)}
+        tensor.adopt_columns(columns)
+    except (OSError, EOFError, FormatError):  # unreadable, cut short while read, or not cells
+        return False
     return True
 
 
-def _cached_column(fh, n: int, snap: TensorSnapshot) -> Optional[SourceColumn]:
-    """The next n cells' keys and values in the open cell cache fh, or None
-    unless they are cells snap's registries can hold: keys strictly
-    increasing, indices inside the registries, values in [0, 1]."""
-    key = np.frombuffer(fh.read(8 * n), "<i8")
-    value = np.frombuffer(fh.read(8 * n), "<f8")
-    if n and not (len(key) == len(value) == n and key[0] >= 0
-                  and key[-1] >> 32 < len(snap.languages)
-                  and np.all(key[1:] > key[:-1])
-                  and np.all((key & 0xFFFFFFFF) < len(snap.features))
-                  and np.all((value >= 0.0) & (value <= 1.0))):  # NaN fails
-        return None
-    return SourceColumn(key, value)
+def _read_array(fh, n: int, dtype: str) -> np.ndarray:
+    """The next n items of dtype in the open file fh, in native byte order;
+    EOFError if the file ends first."""
+    array = np.empty(n, dtype)
+    if fh.readinto(array) != array.nbytes:
+        raise EOFError(fh.name)
+    return array.astype(array.dtype.newbyteorder("="), copy=False)
 
 
 def _digest(data: bytes = b""):

@@ -359,3 +359,42 @@ def test_aggregate_keys_builds_and_caches_from_one_state():
             cold = _aggregate(tensor.snapshot(), *key)
             assert cached.languages == cold.languages
             assert cached.values.tobytes() == cold.values.tobytes()
+
+
+def _aggregate_2d(snap, mode, provenance):
+    """The cold aggregate as it was written with (language, feature) index
+    pairs instead of flat indices: the oracle for _aggregate's values."""
+    columns = [snap.columns[si] for si in sorted({snap.source_index(s) for s in provenance})]
+    shape = (len(snap.languages), len(snap.features))
+    values = np.full(shape, np.nan)
+    if mode is AggregationMode.UNION:
+        for col in columns:
+            at = (col.language, col.feature)
+            values[at] = np.fmax(values[at], col.value)
+    else:
+        total = np.zeros(shape)
+        count = np.zeros(shape)
+        for col in columns:
+            at = (col.language, col.feature)
+            total[at] += col.value
+            count[at] += 1
+        np.divide(total, count, out=values, where=count > 0)
+    return values
+
+
+def test_flat_index_aggregate_equals_the_index_pair_oracle_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for _trial in range(25):
+        langs = [f"l{i:03d}1234" for i in range(int(rng.integers(1, 60)))]
+        feats = [f"S_F{j}" for j in range(int(rng.integers(1, 40)))]
+        srcs = ["SRC_A", "SRC_B", "SRC_C", "SRC_D"][: int(rng.integers(1, 5))]
+        fill = rng.random()
+        cells = [(lang, f, s, float(rng.choice([0.0, 1.0, rng.random()])))
+                 for lang in langs for f in feats for s in srcs if rng.random() < fill]
+        tensor = make_tensor(langs, feats, cells, sources=srcs)
+        snap = tensor.snapshot()
+        subsets = [tuple(srcs), (srcs[-1],), tuple(reversed(srcs))]
+        for mode, provenance in itertools.product(AggregationMode, subsets):
+            got = _aggregate(snap, mode, provenance).values
+            want = _aggregate_2d(snap, mode, provenance)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (mode, provenance)

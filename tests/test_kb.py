@@ -251,7 +251,8 @@ def test_a_read_during_a_write_sees_the_whole_state_before_it(tiny_tensor, monke
         languages=[LanguageRecord("newl1234")], sources=["SRC_NEW"],
         cells=[("newl1234", "S_F1", "SRC_NEW", 1.0), ("newl1234", "S_F2", "SRC_A", 0.0)]))
     monkeypatch.undo()
-    assert seen and all(state == (3, 3, 2, 2, 2, version) for state in seen)
+    # one merge into the new source's empty column, one into SRC_A's cells
+    assert len(seen) == 2 and all(state == (3, 3, 2, 2, 2, version) for state in seen)
     snap = tiny_tensor.snapshot()
     assert (len(tiny_tensor.languages), len(snap.languages), len(snap.columns)) == (4, 4, 3)
     assert tiny_tensor.version == snap.version == version + 1
@@ -510,3 +511,112 @@ def test_feature_columns_resolves_every_kind_of_scope():
         cols(["S_A", "S_NOPE", "P_NOPE"])  # the first unknown name, in given order
     with pytest.raises(UnknownFeature, match="'S_AB'"):
         cols("S_AB")  # a bare name is not a list of characters
+
+
+# --- whole columns: first writes into empty columns, adopt_columns ----------
+
+
+def _merged_oracle(column, keys, value):
+    """_merged as written before an empty column took its own path; the oracle."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.append(keys[1:] != keys[:-1], True)
+    order, keys = order[last], keys[last]
+    value = value[order]
+    pos, hit = kb_module._find(column, keys)
+    kept = column.value.copy()
+    kept[pos[hit]] = value[hit]
+    new = ~hit
+    at = pos[new]
+    return SourceColumn(np.insert(column.key, at, keys[new]), np.insert(kept, at, value[new]))
+
+
+def test_a_write_into_an_empty_column_equals_the_merge_oracle():
+    rng = np.random.default_rng(53)
+    for trial in range(60):
+        n = int(rng.integers(1, 300))  # a write merges only sources it has cells for
+        keys = _keys(rng.integers(0, 20, n), rng.integers(0, 30, n))
+        if trial % 3 == 0:  # strictly increasing already
+            keys = np.unique(keys)
+        value = rng.choice([0.0, 1.0, 0.5, 0.125], len(keys))
+        stored = rng.random() < 0.3
+        column = (kb_module._merged(kb_module._NO_CELLS, keys[::2].copy(), value[::2].copy())
+                  if stored else kb_module._NO_CELLS)
+        got = kb_module._merged(column, keys.copy(), value.copy())
+        want = _merged_oracle(column, keys.copy(), value.copy())
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        if trial % 3 == 0 and not stored:
+            increasing = keys.copy()
+            assert kb_module._merged(column, increasing, value).key is increasing  # adopted
+
+
+def _registries_only():
+    tensor = FeatureTensor()
+    tensor.extend_with(TensorBatch(
+        languages=[LanguageRecord(f"l{i:03d}1234") for i in range(3)],
+        features=[FeatureDescriptor(f"S_F{j}", Category.SYNTACTIC) for j in range(2)],
+        sources=["SRC_A", "SRC_B", "SRC_C"]))
+    return tensor
+
+
+def test_adopted_columns_equal_the_same_cells_written():
+    cells = [("l0021234", "S_F0", "SRC_C", 0.25), ("l0001234", "S_F1", "SRC_C", 1.0),
+             ("l0011234", "S_F0", "SRC_A", 0.0)]
+    written = _registries_only()
+    for src in ("SRC_A", "SRC_B", "SRC_C"):  # one batch per source, as a CSV load writes
+        written.extend_with(TensorBatch(cells=[c for c in cells if c[2] == src]))
+    adopted = _registries_only()
+    columns = {src: SourceColumn(col.key.copy(), col.value.copy())
+               for src, col in zip(written.sources, written.snapshot().columns)}
+    derived = adopted.derived
+    assert adopted.adopt_columns(columns) is adopted
+    assert adopted.version == written.version == 3 and adopted.derived is not derived
+    for src, col in zip(adopted.sources, adopted.snapshot().columns):
+        assert col.key is columns[src].key and col.value is columns[src].value  # not copied
+    assert sorted(adopted.iter_cells()) == sorted(written.iter_cells())
+    # later writes meet the adopted cells as they meet written ones
+    with pytest.raises(ConflictingWrite):
+        adopted.extend_with(TensorBatch(cells=[("l0021234", "S_F0", "SRC_C", 0.5)]))
+    adopted.extend_with(TensorBatch(cells=[("l0021234", "S_F1", "SRC_C", 0.5)]))
+    assert adopted.get_cell("l0021234", "S_F1", "SRC_C") == 0.5 and adopted.version == 4
+    # empty columns only: nothing is published
+    empty = _registries_only()
+    snap = empty.snapshot()
+    empty.adopt_columns({"SRC_B": SourceColumn(np.empty(0, np.int64), np.empty(0))})
+    assert empty.snapshot() is snap
+
+
+def test_adopt_columns_rejects_what_a_write_would_not_store():
+    good_key = _keys([0, 1, 2], [1, 0, 1])
+    good_value = np.array([0.0, 0.5, 1.0])
+    bad = {
+        "keys out of order": (good_key[[1, 0, 2]], good_value),
+        "a key twice": (good_key[[0, 0, 2]], good_value),
+        "a negative language": (np.array([-1 << 32, *good_key[1:]]), good_value),
+        "a language past the registry": (_keys([0, 1, 3], [1, 0, 1]), good_value),
+        "a feature past the registry": (_keys([0, 1, 2], [1, 0, 2]), good_value),
+        "value 1.5": (good_key, np.array([0.0, 1.5, 1.0])),
+        "value -0.5": (good_key, np.array([0.0, -0.5, 1.0])),
+        "value -0.0": (good_key, np.array([0.0, -0.0, 1.0])),
+        "value NaN": (good_key, np.array([0.0, np.nan, 1.0])),
+        "value -NaN": (good_key, np.array([0.0, -np.nan, 1.0])),
+        "int32 keys": (good_key.astype(np.int32), good_value),
+        "float32 values": (good_key, good_value.astype(np.float32)),
+        "lengths differ": (good_key, good_value[:2]),
+        "2-D": (good_key[None], good_value[None]),
+    }
+    tensor = _registries_only()
+    snap = tensor.snapshot()
+    for what, (key, value) in bad.items():
+        with pytest.raises(FormatError):
+            tensor.adopt_columns({"SRC_A": SourceColumn(np.array([], np.int64), np.array([])),
+                                  "SRC_B": SourceColumn(key, value)})
+        assert tensor.snapshot() is snap, what
+    with pytest.raises(UnknownSource):
+        tensor.adopt_columns({"SRC_X": SourceColumn(good_key, good_value)})
+    tensor.adopt_columns({"SRC_A": SourceColumn(good_key, good_value)})
+    snap = tensor.snapshot()
+    with pytest.raises(FormatError, match="already holds cells"):
+        tensor.adopt_columns({"SRC_A": SourceColumn(good_key.copy(), good_value.copy())})
+    assert tensor.snapshot() is snap

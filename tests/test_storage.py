@@ -5,6 +5,7 @@ import os
 import re
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,18 @@ import pytest
 from typodist import storage
 from typodist.aggregate import AggregationMode, aggregate
 from typodist.cli import main
-from typodist.errors import FormatError
-from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch
+from typodist.errors import ConflictingWrite, FormatError
+from typodist.kb import (
+    CellArrays,
+    Category,
+    FeatureDescriptor,
+    FeatureOrigin,
+    FeatureTensor,
+    LanguageRecord,
+    OriginKind,
+    ResourceTier,
+    TensorBatch,
+)
 
 from conftest import DATA_DIR, make_matrix, make_tensor
 
@@ -399,6 +410,71 @@ def test_bad_registry_entries_name_the_registry_file(tmp_path, tiny_tensor):
         storage.load_tensor(tmp_path)
 
 
+def _language_field_by_field(obj, where):
+    """The registry language reader that checks every field with _json_field; the oracle."""
+    return LanguageRecord(
+        glottocode=storage._json_field(obj, "glottocode", str, where),
+        iso639_3=storage._json_field(obj, "iso639_3", (str, None), where, None),
+        name=storage._json_field(obj, "name", str, where, ""),
+        parent=storage._json_field(obj, "parent", (str, None), where, None),
+        tier=storage._json_field(obj, "tier", ResourceTier, where, "Unknown"),
+    )
+
+
+def _feature_field_by_field(obj, where):
+    """The registry feature reader that checks every field with _json_field; the oracle."""
+    origin = storage._json_field(obj, "origin", (dict, None), where, None) or {}
+    in_origin = f"{where} origin"
+    return FeatureDescriptor(
+        name=storage._json_field(obj, "name", str, where),
+        category=storage._json_field(obj, "category", Category, where),
+        origin=FeatureOrigin(
+            kind=storage._json_field(origin, "kind", OriginKind, in_origin, "native"),
+            parent_feature=storage._json_field(origin, "parent_feature", (str, None), in_origin,
+                                               None),
+            level=storage._json_field(origin, "level", (str, None), in_origin, None),
+        ),
+    )
+
+
+def _entry_outcome(read, obj):
+    try:
+        return read(obj, "registries.json: entry")
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+#: a JSON value of each kind, and values a field might wrongly hold
+_JSON_VALUES = [None, True, False, 0, 1, 1.5, "", " ", "x", [], ["a"], {}, {"kind": "native"}]
+
+
+def test_registry_entries_read_as_the_field_by_field_reader_does():
+    language = {"glottocode": "abcd1234", "iso639_3": "abc", "name": "A", "parent": "pare1234",
+                "tier": "HRL"}
+    feature = {"name": "S_F_A", "category": "syntactic",
+               "origin": {"kind": "binarized_nominal", "parent_feature": "S_F", "level": "A"}}
+    cases = []
+    for good, read, oracle, values in (
+            (language, storage._language_from_json, _language_field_by_field,
+             _JSON_VALUES + ["Unknown", "MRL", "hrl", "abcd1234"]),
+            (feature, storage._feature_from_json, _feature_field_by_field,
+             _JSON_VALUES + ["native", "binarized_ordinal", "phonological", "S_X", "P_X"])):
+        for key in good:
+            cases.append((read, oracle, {k: v for k, v in good.items() if k != key}))
+            cases += [(read, oracle, dict(good, **{key: v})) for v in values]
+        if "origin" in good:
+            for key in good["origin"]:
+                cases.append((read, oracle, dict(good, origin={
+                    k: v for k, v in good["origin"].items() if k != key})))
+                cases += [(read, oracle, dict(good, origin=dict(good["origin"], **{key: v})))
+                          for v in values]
+        cases.append((read, oracle, dict(good, extra=1)))
+    outcomes = [_entry_outcome(read, obj) for read, _oracle, obj in cases]
+    assert outcomes == [_entry_outcome(oracle, obj) for _read, oracle, obj in cases]
+    errors = sum(isinstance(o, str) for o in outcomes)
+    assert 20 < errors < len(outcomes) - 10  # both outcomes are exercised
+
+
 def test_a_registry_name_listed_twice_names_the_registry_file(tmp_path, tiny_tensor):
     storage.save_tensor(tiny_tensor, tmp_path)
     path = tmp_path / storage.REGISTRY_FILE
@@ -741,6 +817,19 @@ def _load_from_csv(directory, scratch):
     return storage.load_tensor(scratch)
 
 
+def _next_writes(tensor, rng):
+    """A batch that conflicts with a stored cell, and one to write with
+    overwrite=True that changes that cell, adds cells to the empty source
+    and adds a source."""
+    lang, feat, src, v = sorted(tensor.iter_cells())[int(rng.integers(tensor.cell_count()))]
+    other = 0.25 if v != 0.25 else 0.75
+    glottocodes = [r.glottocode for r in tensor.languages]
+    new_cells = [(g, feat, s, float(rng.random())) for g in glottocodes for s in ("EMPTY", "SRC_NEW")
+                 if rng.random() < 0.5]
+    return (TensorBatch(cells=[(lang, feat, src, other)]),
+            TensorBatch(sources=["SRC_NEW"], cells=[(lang, feat, src, other), *new_cells]))
+
+
 def test_a_load_through_the_cell_cache_equals_a_load_from_the_csvs(tmp_path, monkeypatch):
     rng = np.random.default_rng(41)
     reads = _csv_reads(monkeypatch)
@@ -749,11 +838,52 @@ def test_a_load_through_the_cell_cache_equals_a_load_from_the_csvs(tmp_path, mon
         storage.save_tensor(tensor, tmp_path / f"kb{k}")
         cached = storage.load_tensor(tmp_path / f"kb{k}")
         assert reads == []
-        _assert_same_tensor(cached, _load_from_csv(tmp_path / f"kb{k}", tmp_path / f"csv{k}"))
+        from_csv = _load_from_csv(tmp_path / f"kb{k}", tmp_path / f"csv{k}")
+        _assert_same_tensor(cached, from_csv)
         assert len(reads) == len(tensor.sources)
         reads.clear()
         assert sorted(cached.iter_cells()) == sorted(tensor.iter_cells())
         assert cached.languages == tensor.languages and cached.sources[0] == "EMPTY"
+        # later writes meet both loads alike, and each saves the same bytes
+        conflicting, overwriting = _next_writes(cached, rng)
+        errors = []
+        for loaded in (cached, from_csv):
+            with pytest.raises(ConflictingWrite) as error:
+                loaded.extend_with(conflicting)
+            errors.append(str(error.value))
+            loaded.extend_with(overwriting, overwrite=True)
+        assert errors[0] == errors[1]
+        _assert_same_tensor(cached, from_csv)
+        storage.save_tensor(cached, tmp_path / f"next{k}")
+        storage.save_tensor(from_csv, tmp_path / f"next-csv{k}")
+        assert _files(tmp_path / f"next{k}") == _files(tmp_path / f"next-csv{k}")
+
+
+def test_a_cached_load_holds_few_bytes_beyond_its_cells(tmp_path):
+    """The peak traced memory of a load through the cell cache, per cell.
+    The columns themselves take 16 bytes per cell; writing the cached cells
+    through extend_with took about 58 on this tensor."""
+    rng = np.random.default_rng(59)
+    langs = [f"l{i:04d}123" for i in range(400)]
+    feats = [f"S_F{j}" for j in range(120)]
+    tensor = FeatureTensor()
+    tensor.extend_with(TensorBatch([LanguageRecord(g) for g in langs],
+                                   [FeatureDescriptor(f, Category.SYNTACTIC) for f in feats]))
+    for src in ("SRC_A", "SRC_B", "SRC_C", "SRC_D"):
+        lang, feat = np.nonzero(rng.random((len(langs), len(feats))) < 0.3)
+        codes = (lang, feat, np.zeros(len(lang), np.intp))
+        tensor.extend_with(TensorBatch(sources=[src], cells=CellArrays(
+            (langs, feats, [src]), codes, rng.choice([0.0, 0.5, 1.0], len(lang)))))
+    storage.save_tensor(tensor, tmp_path)
+    storage.load_tensor(tmp_path)  # imports and caches settle outside the traced load
+    tracemalloc.start()
+    try:
+        loaded = storage.load_tensor(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.cell_count() == tensor.cell_count() > 50_000
+    assert peak / loaded.cell_count() <= 30
 
 
 def test_two_saves_of_one_tensor_write_the_same_cell_cache(tmp_path):
@@ -809,7 +939,7 @@ def _tampered_caches(cache: bytes, n_sources: int, n_languages: int):
     yield "a negative language", with_arrays([-(1 << 32) | keys[0] & 0xFFFFFFFF, *keys[1:]], values)
     yield "a language past the registries", with_arrays([*keys[:-1], past_language], values)
     yield "a feature past the registries", with_arrays([*keys[:-1], past_feature], values)
-    for bad in (1.5, -0.5, np.nan, np.inf):
+    for bad in (1.5, -0.5, -0.0, np.nan, np.inf):  # a write stores -0.0 as 0.0
         yield f"value {bad}", with_arrays(keys, [bad, *values[1:]])
 
 
