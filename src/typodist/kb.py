@@ -13,11 +13,11 @@ float64 value, 16 bytes per cell. A tensor publishes one read-only
 A write checks the whole batch against it, builds the next state (registries
 copied only if it adds entries, new arrays only for the sources it changes,
 an empty `derived`) and publishes it in one swap; a no-op write publishes
-nothing. `adopt_columns` is the one write that takes whole columns, for a
-load of columns saved as stored: it checks only the column invariants above
-and stores the arrays themselves. Writes are serialised under the tensor's
-lock, so concurrent writers never share an index. A reader takes one
-snapshot: it sees each write whole or not at all.
+nothing. `adopt_columns`, a load's one cell write, takes whole columns (from
+the cell cache, or `SourceColumn.of` over CSV rows), checks only the column
+invariants above and stores the arrays themselves. Writes are serialised
+under the tensor's lock, so concurrent writers never share an index. A
+reader takes one snapshot: it sees each write whole or not at all.
 """
 
 from __future__ import annotations
@@ -259,6 +259,12 @@ class SourceColumn(NamedTuple):
 
     key: np.ndarray  # int64 keys, as _keys builds them
     value: np.ndarray  # float64 values in [0, 1]
+
+    @classmethod
+    def of(cls, language, feature, value: np.ndarray) -> "SourceColumn":
+        """The column of cells given in write order, by language index, feature index
+        and value (a fresh array it may keep); a repeated cell keeps its last value."""
+        return _merged(_NO_CELLS, _keys(language, feature), value)
 
     @property
     def language(self) -> np.ndarray:
@@ -569,7 +575,8 @@ class FeatureTensor:
 
     def adopt_columns(self, columns: Mapping[str, SourceColumn]) -> "FeatureTensor":
         """Store whole columns, by source name, as the cells of registered
-        sources that hold none; the arrays are stored, not copied.
+        sources that hold none; the arrays are stored, not copied. This is
+        a load's one cell write, from the cell cache or from the CSVs.
 
         Each column must be what writing its cells would store: int64 keys
         that increase strictly and name registered languages and features,

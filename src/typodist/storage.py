@@ -10,12 +10,13 @@ BLAKE2b-256 digest of ``registries.json`` and of each source CSV, in registry
 order, with each source's cell count, then each source's column as ``kb``
 stores it: sorted int64 keys and float64 values, little-endian. The JSON and
 CSV files stay canonical: ``load_tensor`` uses the cache only when every
-digest matches the files' current bytes, and then reads each column once
-and hands them all to ``FeatureTensor.adopt_columns``, which checks them and
-stores the arrays; a cache that does not match, or whose columns ``kb``
-refuses, is ignored without an error or a warning, and the CSVs are read.
-The cache is safe to delete; only this module knows its format, and only
-``kb`` the key layout.
+digest matches the files' current bytes, and then reads each column once;
+a cache that does not match, or whose columns ``kb`` refuses, is ignored
+without an error or a warning, and each source's CSV rows become its column
+through ``SourceColumn.of`` (a cell on several rows keeps the last). Either
+way the load writes every cell in one ``FeatureTensor.adopt_columns`` call,
+which checks the columns and stores the arrays. The cache is safe to
+delete; only this module knows its format, and only ``kb`` the key layout.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ except ImportError:  # a build without it
 
 from .errors import FormatError, UnknownLanguage
 from .kb import (
-    CellArrays,
     Category,
     FeatureDescriptor,
     FeatureOrigin,
@@ -318,18 +318,17 @@ def load_tensor(directory) -> FeatureTensor:
     except FormatError as exc:  # an empty name, or a name repeated with other metadata
         raise FormatError(f"{where}: {exc}") from exc
 
-    if _load_cached_cells(tensor, directory, _digest(raw).digest()):
-        return tensor
-    snap = tensor.snapshot()
-    for src in sources:
-        path = directory / f"{src}.csv"
-        if path.exists():  # else a source with no stored cells
-            tensor.extend_with(TensorBatch(cells=_csv_cells(path, snap, src)))
-    return tensor
+    cached = _cached_columns(directory, sources, _digest(raw).digest())
+    if cached is not None:
+        with contextlib.suppress(FormatError):  # a column kb refuses: the CSVs decide
+            return tensor.adopt_columns(cached)
+    snap, paths = tensor.snapshot(), [(src, directory / f"{src}.csv") for src in sources]
+    return tensor.adopt_columns({src: _csv_column(path, snap) for src, path in paths
+                                 if path.exists()})  # else a source with no stored cells
 
 
-def _csv_cells(path: Path, snap: TensorSnapshot, src: str) -> CellArrays:
-    """The cells of a stored source's CSV file, for the registries in snap."""
+def _csv_column(path: Path, snap: TensorSnapshot) -> SourceColumn:
+    """The column of a stored source's CSV file, for the registries in snap."""
     rows, (langs, feats, texts), (lc, fc, vc) = _read_cell_columns(path)
     lang_of = np.array([snap.lang_index.get(name, -1) for name in langs], np.int32)
     feat_of = np.array([snap.feat_index.get(name, -1) for name in feats], np.int32)
@@ -350,36 +349,30 @@ def _csv_cells(path: Path, snap: TensorSnapshot, src: str) -> CellArrays:
         kind, name = ("language", langs[lc[i]]) if lang[i] < 0 else ("feature", feats[fc[i]])
         raise FormatError(f"{path}: row {row}: unregistered {kind} {name!r}")
     kept = ~np.isnan(value[vc])  # explicit-missing rows are skipped
-    codes = (lc[kept], fc[kept], np.zeros(int(kept.sum()), np.intp))
-    return CellArrays((langs, feats, [src]), codes, value[vc[kept]])
+    return SourceColumn.of(lang[kept], feat[kept], value[vc[kept]])
 
 
-def _load_cached_cells(tensor: FeatureTensor, directory: Path, registry_digest: bytes) -> bool:
-    """Give tensor, which holds the registries and no cells, the columns of
-    the directory's cell cache, read in one pass, and return True. Change
-    nothing and return False unless the cache is whole, was written with
-    registry_digest (the digest of the registry file's bytes that tensor's
-    registries were parsed from) and the current bytes of every source CSV,
-    and tensor.adopt_columns takes its columns."""
-    sources, path = tensor.sources, directory / CACHE_FILE
-    prefix, entry = _CACHE_MARKER + registry_digest, _DIGEST_BYTES + 8  # a CSV digest, a count
+def _cached_columns(directory: Path, sources: Sequence[str], digest: bytes) -> Optional[dict]:
+    """The columns of the directory's cell cache, by source, read in one
+    pass; None unless the cache is whole, was written with digest (that of
+    the registry file's bytes that sources were parsed from) and the current
+    bytes of every source CSV. Only kb checks the columns themselves."""
+    prefix, entry = _CACHE_MARKER + digest, _DIGEST_BYTES + 8  # a CSV digest, a count
     try:
-        with open(path, "rb") as fh:
+        with open(directory / CACHE_FILE, "rb") as fh:
             head = fh.read(len(prefix) + entry * len(sources))
             if len(head) != len(prefix) + entry * len(sources) or not head.startswith(prefix):
-                return False
+                return None
             entries = [head[i:i + entry] for i in range(len(prefix), len(head), entry)]
             counts = [int.from_bytes(e[_DIGEST_BYTES:], "little") for e in entries]
             if (os.fstat(fh.fileno()).st_size != len(head) + 16 * sum(counts)  # cut short, or more
                     or any(_file_digest(directory / f"{src}.csv") != e[:_DIGEST_BYTES]
                            for src, e in zip(sources, entries))):
-                return False
-            columns = {src: SourceColumn(_read_array(fh, n, "<i8"), _read_array(fh, n, "<f8"))
-                       for src, n in zip(sources, counts)}
-        tensor.adopt_columns(columns)
-    except (OSError, EOFError, FormatError):  # unreadable, cut short while read, or not cells
-        return False
-    return True
+                return None
+            return {src: SourceColumn(_read_array(fh, n, "<i8"), _read_array(fh, n, "<f8"))
+                    for src, n in zip(sources, counts)}
+    except (OSError, EOFError):  # unreadable, or cut short while read
+        return None
 
 
 def _read_array(fh, n: int, dtype: str) -> np.ndarray:

@@ -984,3 +984,135 @@ def test_a_bad_csv_next_to_a_stale_cache_exits_2(tmp_path, capsys, tiny_tensor):
     assert out == "" and err.count("\n") == 1
     error = json.loads(err)
     assert error["error"] == "FormatError" and "SRC_A.csv: row 2" in error["message"]
+
+
+# one load path --------------------------------------------------------------------
+
+
+def _hand_edited(rng, directory):
+    """Save a random tensor to directory and edit its files as by hand: the
+    cell cache deleted; registries in shuffled order; per source some of a
+    header-only file or no file at all, rows that repeat a cell (the last
+    row wins), `--` rows, `-0`, padded values and names, an upper-case
+    header, CRLF line ends, no final line end; now and then a row naming an
+    unregistered language or feature, or holding a bad value."""
+    storage.save_tensor(_cache_tensor(rng), directory)
+    (directory / storage.CACHE_FILE).unlink()
+    path = directory / storage.REGISTRY_FILE
+    registries = json.loads(path.read_text())
+    langs = registries["languages"]  # _cache_tensor's two dialects come last, after their parents
+    registries["languages"] = [langs[i] for i in rng.permutation(len(langs) - 2)] + langs[-2:]
+    for key in ("features", "sources"):
+        registries[key] = [registries[key][i] for i in rng.permutation(len(registries[key]))]
+    path.write_text(json.dumps(registries))
+    glottocodes = [obj["glottocode"] for obj in langs]
+    names = [obj["name"] for obj in registries["features"]]
+    bad_rate = float(rng.choice([0.0, 0.2]))
+    for src in registries["sources"]:
+        path = directory / f"{src}.csv"
+        header, *rows = path.read_text().splitlines()
+        layout = int(rng.integers(8))
+        if layout == 0:
+            path.unlink()
+            continue
+        if layout == 1:
+            rows = []
+        for _ in range(int(rng.integers(0, 8))):
+            if rows and rng.random() < 0.5:  # a cell already on a row, again
+                lang, feat, _value = rows[int(rng.integers(len(rows)))].split(",")
+            else:
+                lang, feat = rng.choice(glottocodes), rng.choice(names)
+            value = str(rng.choice(["--", "-0", " 0.5 ", "1", "0", "0.25", " -- "]))
+            if rng.random() < bad_rate:
+                kind = int(rng.integers(3))
+                lang = "zzzz9999" if kind == 0 else lang
+                feat = "S_NOPE" if kind == 1 else feat
+                value = str(rng.choice(["maybe", "1.5", "nan", "-0.5"])) if kind == 2 else value
+            padded = rng.random() < 0.3
+            row = f" {lang}, {feat} ,{value}" if padded else f"{lang},{feat},{value}"
+            rows.insert(int(rng.integers(len(rows) + 1)), row)
+        header = header.upper() if rng.random() < 0.3 else header
+        end = str(rng.choice(["\n", "\r\n"]))
+        path.write_bytes((end.join([header, *rows]) + end * (rng.random() < 0.7)).encode())
+
+
+def _load_by_extend_with(directory):
+    """A tensor with directory's registries, then each source's rows, as the
+    csv module reads them, written through extend_with, one batch per source."""
+    registries = json.loads((directory / storage.REGISTRY_FILE).read_text())
+    languages = [LanguageRecord(obj["glottocode"], obj["iso639_3"], obj["name"], obj["parent"],
+                                ResourceTier(obj["tier"])) for obj in registries["languages"]]
+    features = [FeatureDescriptor(obj["name"], Category(obj["category"]), FeatureOrigin(
+        OriginKind(obj["origin"]["kind"]), obj["origin"]["parent_feature"], obj["origin"]["level"]))
+        for obj in registries["features"]]
+    tensor = FeatureTensor().extend_with(TensorBatch(languages, features, registries["sources"]))
+    snap = tensor.snapshot()
+    for src in registries["sources"]:
+        path = directory / f"{src}.csv"
+        if not path.exists():
+            continue
+        cells = []
+        for row_num, row in storage._read_csv_rows(path, storage.CELL_HEADER):
+            value = storage.parse_value(row[2], path, row_num)
+            lang, feat = row[0].strip(), row[1].strip()
+            for kind, name, index in (("language", lang, snap.lang_index),
+                                      ("feature", feat, snap.feat_index)):
+                if name not in index:
+                    raise FormatError(f"{path}: row {row_num}: unregistered {kind} {name!r}")
+            if value is not None:
+                cells.append((lang, feat, src, value))
+        tensor.extend_with(TensorBatch(cells=cells))
+    return tensor
+
+
+def test_every_load_equals_writing_its_rows_through_extend_with(tmp_path, monkeypatch):
+    reads = _csv_reads(monkeypatch)
+    errors = 0
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 67])
+        directory = tmp_path / f"kb{seed}"
+        _hand_edited(rng, directory)
+        want = _outcome(lambda: _load_by_extend_with(directory))
+        got = _outcome(lambda: storage.load_tensor(directory))
+        if isinstance(want, Exception):
+            errors += 1
+            assert type(got) is type(want) and str(got) == str(want), seed
+            continue
+        _assert_same_tensor(got, want)
+        # the cached load of a save equals the load of its CSVs
+        storage.save_tensor(got, tmp_path / f"saved{seed}")
+        reads.clear()
+        cached = storage.load_tensor(tmp_path / f"saved{seed}")
+        assert reads == []
+        (tmp_path / f"saved{seed}" / storage.CACHE_FILE).unlink()
+        _assert_same_tensor(cached, storage.load_tensor(tmp_path / f"saved{seed}"))
+    assert 5 <= errors <= 30  # both outcomes, often
+
+
+def test_no_load_writes_a_cell_through_extend_with(tmp_path, monkeypatch):
+    """The registries go through extend_with, every cell through adopt_columns:
+    from the cache, from the CSVs, and from the CSVs after kb refuses a cache."""
+    tensor = _cache_tensor(np.random.default_rng(61))
+    directory = tmp_path / "kb"
+    storage.save_tensor(tensor, directory)
+    cache = (directory / storage.CACHE_FILE).read_bytes()
+    refused = dict(_tampered_caches(cache, len(tensor.sources), len(tensor.languages)))["value 1.5"]
+    extend_with, batches = FeatureTensor.extend_with, []
+
+    def registries_only(self, batch, overwrite=False):
+        assert not len(batch.cells), f"{len(batch.cells)} cells reached extend_with"
+        batches.append(batch)
+        return extend_with(self, batch, overwrite)
+
+    monkeypatch.setattr(FeatureTensor, "extend_with", registries_only)
+    reads = _csv_reads(monkeypatch)
+    loads = [storage.load_tensor(directory)]
+    assert reads == []
+    (directory / storage.CACHE_FILE).write_bytes(refused)
+    loads.append(storage.load_tensor(directory))
+    (directory / storage.CACHE_FILE).unlink()
+    loads.append(storage.load_tensor(directory))
+    assert len(reads) == 2 * len(tensor.sources) and len(batches) == 3
+    for loaded in loads:
+        assert sorted(loaded.iter_cells()) == sorted(tensor.iter_cells())
+        _assert_same_tensor(loaded, loads[-1])
