@@ -250,6 +250,8 @@ def cmd_impute(args, config: CliConfig) -> int:
 
 
 def cmd_distance(args, config: CliConfig) -> int:
+    if args.dialect_fill and not args.impute:  # the fill runs only on an imputed matrix
+        raise ValueError("--dialect-fill is set but --impute is not")
     tensor = _load_tensor(args, config)
     mode = AggregationMode(args.aggregation or config.aggregation)
     metric = Metric(args.metric or config.metric)

@@ -10,14 +10,16 @@ key that holds the language index in its high 32 bits and the feature
 index in its low 32 bits, so keys sort as (language, feature) does, and a
 float64 value, 16 bytes per cell. A tensor publishes one read-only
 `TensorSnapshot`: registries, name -> index maps, cells, `derived`, `version`.
-A write checks the whole batch against it, builds the next state (registries
-copied only if it adds entries, new arrays only for the sources it changes,
-an empty `derived`) and publishes it in one swap; a no-op write publishes
-nothing. `adopt_columns`, a load's one cell write, takes whole columns (from
-the cell cache, or `SourceColumn.of` over CSV rows), checks only the column
-invariants above and stores the arrays themselves. Writes are serialised
-under the tensor's lock, so concurrent writers never share an index. A
-reader takes one snapshot: it sees each write whole or not at all.
+A write searches each source it touches once, for where each of its cells
+sits or would go. From that one search it checks the whole batch against the
+state, builds the next state (registries copied only if it adds entries, new
+arrays only for the sources whose cells it changes, an empty `derived`) and
+publishes it in one swap; a no-op write publishes nothing. `adopt_columns`,
+a load's one cell write, takes whole columns (from the cell cache, or
+`SourceColumn.of` over CSV rows), checks only the column invariants above
+and stores the arrays themselves. Writes are serialised under the tensor's
+lock, so concurrent writers never share an index. A reader takes one
+snapshot: it sees each write whole or not at all.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ class SourceColumn(NamedTuple):
     def of(cls, language, feature, value: np.ndarray) -> "SourceColumn":
         """The column of cells given in write order, by language index, feature index
         and value (a fresh array it may keep); a repeated cell keeps its last value."""
-        return _merged(_NO_CELLS, _keys(language, feature), value)
+        return cls(*_last_sorted(_keys(language, feature), value))
 
     @property
     def language(self) -> np.ndarray:
@@ -324,43 +326,45 @@ def _keys(language, feature) -> np.ndarray:
     return (np.asarray(language, np.int64) << 32) | feature
 
 
-def _find(column: SourceColumn, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each key sits or would go in column, and whether it is stored there."""
-    pos = np.searchsorted(column.key, keys)
-    hit = pos < len(column.key)
-    hit[hit] = column.key[pos[hit]] == keys[hit]
-    return pos, hit
+def _lookup(columns, source, keys) -> tuple[np.ndarray, list[tuple]]:
+    """One search of each column for its (source index, key) cells, -1 for none:
+    each cell's stored value (NaN where missing), and per touched source its index,
+    its cells' rows, where each sits or would go and whether it is stored there."""
+    stored, found = np.full(len(keys), np.nan), []
+    for si in np.flatnonzero(np.bincount(source + 1)[1:]).tolist():  # cheaper than np.unique
+        rows, column, pos, hit = np.flatnonzero(source == si), columns[si], None, None
+        if len(column.key):  # an empty column holds nothing to find
+            pos = np.searchsorted(column.key, keys[rows])
+            hit = pos < len(column.key)
+            hit[hit] = column.key[pos[hit]] == keys[rows[hit]]
+            stored[rows[hit]] = column.value[pos[hit]]
+        found.append((si, rows, pos, hit))
+    return stored, found
 
 
-def _stored_values(columns, source, keys) -> np.ndarray:
-    """The stored value of each (source index, key) cell; NaN where missing."""
-    out = np.full(len(source), np.nan)
-    for si in np.flatnonzero(np.bincount(source)).tolist():  # distinct, cheaper than np.unique
-        if not len(columns[si].key):
-            continue  # nothing stored to find
-        rows = np.flatnonzero(source == si)
-        pos, hit = _find(columns[si], keys[rows])
-        out[rows[hit]] = columns[si].value[pos[hit]]
-    return out
+def _last_sorted(keys, *arrays) -> tuple:
+    """keys sorted, a repeated key once at its last row, and arrays in that
+    order; keys and arrays themselves if keys already increase strictly."""
+    if not np.any(keys[1:] <= keys[:-1]):
+        return keys, *arrays
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    last = np.append(keys[1:] != keys[:-1], True)
+    order, keys = order[last], keys[last]  # frees the sorted copies before arrays are taken
+    return keys, *(array[order] for array in arrays)
 
 
-def _merged(column: SourceColumn, keys, value) -> SourceColumn:
-    """A new column: column with the cells, given in write order, written over it.
+def _merged(column: SourceColumn, keys, value, pos, hit) -> SourceColumn:
+    """A new column: column with the cells, given in write order with their
+    pos and hit from _lookup of column, written over it.
 
     A cell written more than once keeps its last value. An empty column
     takes the batch sorted once, or as it is if its keys already increase
     strictly; the arrays are the caller's fresh copies.
     """
-    if not len(column.key) and not np.any(keys[1:] <= keys[:-1]):
-        return SourceColumn(keys, value)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    last = np.append(keys[1:] != keys[:-1], True)
-    order, keys = order[last], keys[last]
-    value = value[order]
     if not len(column.key):
-        return SourceColumn(keys, value)
-    pos, hit = _find(column, keys)
+        return SourceColumn(*_last_sorted(keys, value))
+    keys, value, pos, hit = _last_sorted(keys, value, pos, hit)
     kept = column.value.copy()
     kept[pos[hit]] = value[hit]
     new = ~hit
@@ -403,9 +407,9 @@ def _indices(cells: CellArrays, indices) -> list[np.ndarray]:
             for names, code, index in zip(cells.names, cells.codes, indices)]
 
 
-def _checked(cells, indices, columns, overwrite: bool):
-    """Source indices, keys and clamped values of a batch's cells, and
-    whether any differs from what columns hold.
+def _checked(cells, indices, columns, overwrite: bool) -> dict[int, SourceColumn]:
+    """By source index, the new column of each source whose cells a batch
+    changes: its column with the batch's clamped values written over it.
 
     Raises for the first bad cell in batch order, as checking one cell at
     a time would: an unregistered name, a non-finite value, or a conflict.
@@ -419,8 +423,7 @@ def _checked(cells, indices, columns, overwrite: bool):
     values = np.clip(raw, 0.0, 1.0) + 0.0  # + 0.0 stores -0.0 as 0.0
     keys = _keys(lang, feat)
     ok = (lang >= 0) & (feat >= 0) & (src >= 0) & finite
-    old = np.full(len(raw), np.nan)
-    old[ok] = _stored_values(columns, src[ok], keys[ok])
+    old, found = _lookup(columns, np.where(ok, src, -1), keys)
     bad = ~ok if overwrite else ~ok | (~np.isnan(old) & (old != values))
     if bad.any():
         i = int(np.argmax(bad))
@@ -431,7 +434,9 @@ def _checked(cells, indices, columns, overwrite: bool):
         if not finite[i]:
             raise FormatError(f"cell values must be finite, got {float(raw[i])!r}")
         raise ConflictingWrite(glottocode, name, source, float(old[i]), float(values[i]))
-    return src, keys, values, bool(np.any(old != values))  # NaN differs from any value
+    return {si: _merged(columns[si], keys[rows], values[rows], pos, hit)
+            for si, rows, pos, hit in found
+            if np.any(old[rows] != values[rows])}  # NaN differs from any value
 
 
 class FeatureTensor:
@@ -516,18 +521,16 @@ class FeatureTensor:
         """Stored value for the triple, or None if the cell is missing."""
         state = self._state
         li, fi, si = state.language_index(lang), state.feature_index(feat), state.source_index(src)
-        found = _stored_values(state.columns, np.full(1, si), np.full(1, _keys(li, fi)))
-        return None if np.isnan(found[0]) else float(found[0])
+        found = _lookup(state.columns, np.full(1, si), np.full(1, _keys(li, fi)))[0][0]
+        return None if np.isnan(found) else float(found)
 
     def stored_array(self, cells: CellArrays) -> np.ndarray:
         """The stored value of each cell; NaN where it is missing or one of
         its names is not registered."""
         state = self._state
         lang, feat, src = _indices(cells, (state.lang_index, state.feat_index, state.src_index))
-        found = (lang >= 0) & (feat >= 0) & (src >= 0)
-        out = np.full(len(cells), np.nan)
-        out[found] = _stored_values(state.columns, src[found], _keys(lang[found], feat[found]))
-        return out
+        known = (lang >= 0) & (feat >= 0)  # an unregistered source is -1 already
+        return _lookup(state.columns, np.where(known, src, -1), _keys(lang, feat))[0]
 
     def extend_with(self, batch: TensorBatch, overwrite: bool = False) -> "FeatureTensor":
         """Apply a write batch; registries grow, known cells never regress.
@@ -557,20 +560,14 @@ class FeatureTensor:
                 )
             ]
             columns = state.columns + (_NO_CELLS,) * (len(sources) - len(state.columns))
-            changed = False
-            if cells:
-                src, keys, values, changed = _checked(
-                    cells, (lang_index, feat_index, src_index), columns, overwrite)
-            if changed:
-                columns = list(columns)
-                for si in np.flatnonzero(np.bincount(src)).tolist():
-                    rows = src == si
-                    columns[si] = _merged(columns[si], keys[rows], values[rows])
+            changed = _checked(cells, (lang_index, feat_index, src_index), columns,
+                               overwrite) if cells else {}
             # _registered returns the registry itself when it adds nothing
             grown = any(new is not old for new, old in zip((languages, features, sources), state))
             if changed or grown:
+                columns = tuple(changed.get(si, column) for si, column in enumerate(columns))
                 self._state = TensorSnapshot(languages, features, sources, lang_index, feat_index,
-                                             src_index, tuple(columns), {}, state.version + 1)
+                                             src_index, columns, {}, state.version + 1)
             return self._state
 
     def adopt_columns(self, columns: Mapping[str, SourceColumn]) -> "FeatureTensor":
@@ -605,7 +602,7 @@ class FeatureTensor:
         state = self._state
         key = _keys(state.language_index(lang), state.feature_index(feat))
         columns = state.columns
-        found = _stored_values(columns, np.arange(len(columns)), np.full(len(columns), key))
+        found = _lookup(columns, np.arange(len(columns)), np.full(len(columns), key))[0]
         values = found[~np.isnan(found)].tolist()
         return len(values), values
 

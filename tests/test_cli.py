@@ -10,8 +10,9 @@ import pytest
 
 from typodist import storage
 from typodist.cli import main
+from typodist.kb import LanguageRecord
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, make_tensor
 
 
 SCHEMA = {
@@ -476,6 +477,30 @@ def test_imputed_distance_matches_the_impute_command(workspace, capsys, tmp_path
         assert code == 0, err
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_dialect_fill_without_impute_exits_1(capsys, tmp_path):
+    """The fill runs only on an imputed matrix, so the flag alone is refused
+    rather than ignored: here it would have filled the dialect's S_B."""
+    tensor = make_tensor(
+        [LanguageRecord("pare1234"), LanguageRecord("dial1234", parent="pare1234"), "othe1234"],
+        ["S_A", "S_B"],
+        [("pare1234", "S_A", "SRC", 1.0), ("pare1234", "S_B", "SRC", 1.0),
+         ("dial1234", "S_A", "SRC", 1.0),
+         ("othe1234", "S_A", "SRC", 1.0), ("othe1234", "S_B", "SRC", 0.0)])
+    storage.save_tensor(tensor, tmp_path / "kb")
+    argv = ("distance", "--data", tmp_path / "kb", "dial1234", "othe1234")
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert json.loads(out)["shared_features"] == 1
+    code, out, err = run(capsys, *argv, "--dialect-fill")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "--dialect-fill is set but --impute is not"}
+    code, out, err = run(capsys, *argv, "--dialect-fill", "--impute", "mean")
+    assert code == 0, err
+    assert json.loads(out)["shared_features"] == 2
 
 
 def test_imputed_distance_output_is_pinned(workspace, capsys):

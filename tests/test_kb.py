@@ -398,9 +398,22 @@ def _state(tensor):
             sorted(tensor.iter_cells()))
 
 
+def _oracle_columns(oracle):
+    """Per source, the (key bytes, value bytes) of the dict store's cells as
+    a column holds them: int64 keys sorted, float64 values."""
+    cells = [[] for _ in oracle.sources]
+    for (li, fi, si), v in oracle._cells.items():
+        cells[si].append(((li << 32) | fi, v))
+    return [(np.array([k for k, _ in sorted(c)], np.int64).tobytes(),
+             np.array([v for _, v in sorted(c)], np.float64).tobytes()) for c in cells]
+
+
 def _assert_same_store(tensor, oracle, rng):
     assert _state(tensor) == _state(oracle)
     assert tensor.cell_count() == oracle.cell_count()
+    columns = tensor.snapshot().columns
+    assert all(c.key.dtype == np.int64 and c.value.dtype == np.float64 for c in columns)
+    assert [(c.key.tobytes(), c.value.tobytes()) for c in columns] == _oracle_columns(oracle)
     langs, feats = tensor.languages, tensor.features
     for _ in range(40 if langs and feats else 0):
         lang = langs[int(rng.integers(len(langs)))].glottocode
@@ -440,20 +453,72 @@ def test_random_writes_match_the_dict_store(seed):
     def fresh():
         return f"{next(counter):04d}"
 
-    rejected = 0
-    for _step in range(100):
+    rejected, seen = 0, set()
+    for _step in range(150):
         method, args, kwargs = _random_write(rng, oracle, fresh)
-        before = _state(tensor)
+        before, held, stored = _state(tensor), tensor.snapshot().columns, dict(oracle._cells)
         want = _outcome(lambda: getattr(oracle, method)(*args, **kwargs))
         got = _outcome(lambda: getattr(tensor, method)(*args, **kwargs))
         assert type(got) is type(want) and str(got) == str(want), (method, args, kwargs)
+        seen.add(type(got).__name__ + ("/overwrite" if kwargs.get("overwrite") else ""))
+        cells = args[0].cells if method == "extend_with" else []
+        if any(v == 0 and np.signbit(v) for *_, v in cells):
+            seen.add("-0.0")
+        if any(abs(v - 0.5) > 0.5 for *_, v in cells):  # clamped, or infinite
+            seen.add("out of range")
+        if len({cell[:3] for cell in cells}) < len(cells):
+            seen.add("repeated")
         if got is not None:
             rejected += 1
             assert _state(tensor) == before
         _assert_same_store(tensor, oracle, rng)
-    # the sequence exercises both outcomes
+        # a source that the write gives no value other than the one it holds keeps its arrays
+        index, given = (oracle._lang_index, oracle._feat_index, oracle._src_index), set()
+        for *names, v in cells if got is None else []:
+            key = tuple(i[name] for i, name in zip(index, names))
+            if stored.get(key) != min(1.0, max(0.0, float(v))):
+                given.add(key[2])
+        assert all(tensor.snapshot().columns[si] is column for si, column in enumerate(held)
+                   if si not in given)
+    # the sequence exercises both outcomes, and every kind of cell
     assert 10 < rejected < 120
     assert tensor.cell_count() > 30
+    assert {"NoneType", "NoneType/overwrite", "ConflictingWrite", "FormatError", "UnknownLanguage",
+            "UnknownFeature", "UnknownSource", "-0.0", "out of range", "repeated"} <= seen
+
+
+def test_a_touched_source_whose_cells_do_not_change_keeps_its_arrays(tiny_tensor):
+    before = tiny_tensor.snapshot()
+    a, b = tiny_tensor.source_index("SRC_A"), tiny_tensor.source_index("SRC_B")
+    stored = tiny_tensor.get_cell("pare1234", "S_F1", "SRC_A")
+    tiny_tensor.extend_with(TensorBatch(cells=[("pare1234", "S_F1", "SRC_A", stored),
+                                               ("othe1234", "S_F1", "SRC_B", 1.0)]))
+    after = tiny_tensor.snapshot()
+    assert after.version == before.version + 1
+    assert after.columns[a] is before.columns[a]
+    assert after.columns[b] is not before.columns[b]
+    assert tiny_tensor.get_cell("othe1234", "S_F1", "SRC_B") == 1.0
+
+
+def test_a_write_searches_each_touched_source_once(tiny_tensor, monkeypatch):
+    held, searched, searchsorted = tiny_tensor.snapshot().columns, [], np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        searched.append(a)
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    tiny_tensor.extend_with(TensorBatch(sources=["SRC_NEW"], cells=[
+        ("pare1234", "S_F1", "SRC_A", 1.0), ("dial1234", "S_F2", "SRC_NEW", 1.0),
+        ("othe1234", "S_F1", "SRC_B", 1.0), ("othe1234", "S_F2", "SRC_A", 0.0),
+        ("othe1234", "S_F1", "SRC_B", 0.0), ("dial1234", "S_F1", "SRC_NEW", 0.5),
+    ]), overwrite=True)
+    monkeypatch.undo()
+    # SRC_A and SRC_B once each, in source order; the new source holds nothing to find
+    assert [id(key) for key in searched] == [id(held[0].key), id(held[1].key)]
+    assert tiny_tensor.get_cell("othe1234", "S_F2", "SRC_A") == 0.0
+    assert tiny_tensor.get_cell("othe1234", "S_F1", "SRC_B") == 0.0  # the last write
+    assert tiny_tensor.source_stats("dial1234", "S_F1") == (2, [1.0, 0.5])
 
 
 def test_rejected_batch_registers_nothing(tiny_tensor):
@@ -523,12 +588,20 @@ def _merged_oracle(column, keys, value):
     last = np.append(keys[1:] != keys[:-1], True)
     order, keys = order[last], keys[last]
     value = value[order]
-    pos, hit = kb_module._find(column, keys)
+    pos = np.searchsorted(column.key, keys)
+    hit = pos < len(column.key)
+    hit[hit] = column.key[pos[hit]] == keys[hit]
     kept = column.value.copy()
     kept[pos[hit]] = value[hit]
     new = ~hit
     at = pos[new]
     return SourceColumn(np.insert(column.key, at, keys[new]), np.insert(kept, at, value[new]))
+
+
+def _merge(column, keys, value):
+    """_merged with the positions that _lookup finds for keys in column."""
+    _, [(_, _, pos, hit)] = kb_module._lookup([column], np.zeros(len(keys), np.int64), keys)
+    return kb_module._merged(column, keys, value, pos, hit)
 
 
 def test_a_write_into_an_empty_column_equals_the_merge_oracle():
@@ -540,15 +613,15 @@ def test_a_write_into_an_empty_column_equals_the_merge_oracle():
             keys = np.unique(keys)
         value = rng.choice([0.0, 1.0, 0.5, 0.125], len(keys))
         stored = rng.random() < 0.3
-        column = (kb_module._merged(kb_module._NO_CELLS, keys[::2].copy(), value[::2].copy())
+        column = (_merge(kb_module._NO_CELLS, keys[::2].copy(), value[::2].copy())
                   if stored else kb_module._NO_CELLS)
-        got = kb_module._merged(column, keys.copy(), value.copy())
+        got = _merge(column, keys.copy(), value.copy())
         want = _merged_oracle(column, keys.copy(), value.copy())
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         if trial % 3 == 0 and not stored:
             increasing = keys.copy()
-            assert kb_module._merged(column, increasing, value).key is increasing  # adopted
+            assert _merge(column, increasing, value).key is increasing  # adopted
 
 
 def _registries_only():

@@ -373,6 +373,86 @@ def test_matrix_load_reports_the_first_bad_row(tmp_path, rows, error):
         storage.load_matrix_values(path, ["aaaa1234", "bbbb1234"], ["S_F1", "S_F2"])
 
 
+def _load_matrix_values_per_cell(path, languages, feature_names):
+    """The per-cell reader that load_matrix_values replaced; the oracle."""
+    values = np.full((len(languages), len(feature_names)), np.nan)
+    lang_index = {g: i for i, g in enumerate(languages)}
+    seen = set()
+    for row_num, row in storage._read_csv_rows(path, ["language", *feature_names]):
+        lang = row[0].strip()
+        if lang not in lang_index:
+            raise FormatError(f"{path}: row {row_num}: unexpected language {lang!r}")
+        if lang in seen:
+            raise FormatError(f"{path}: row {row_num}: duplicate language {lang!r}")
+        seen.add(lang)
+        for j, cell in enumerate(row[1:]):
+            v = storage.parse_value(cell, path, row_num)
+            if v is not None:
+                values[lang_index[lang], j] = v
+    if seen != set(languages):
+        missing = sorted(set(languages) - seen)
+        raise FormatError(f"{path}: missing rows for languages {missing}")
+    return values
+
+
+_GOOD_CELLS = ["0", "1", "0.5", "0.25", "--", " 0.5 ", "-0", "1e-3", "0.125", " -- ", "1.0"]
+_BAD_CELLS = ["abc", "1.5", "-0.1", "nan", "inf", "", "0,5", '"0.5"', "0.5x"]
+
+
+def _mutated_matrix_text(rng, languages, names):
+    """A matrix file over languages x names in which rows and cells may be broken."""
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    header = ["language", *names] if rng.random() > 0.03 else ["language", *names[::-1], "S_X"]
+    lines, written = [",".join(header)], []
+    for lang in [languages[i] for i in rng.permutation(len(languages))]:
+        r = rng.random()
+        if r < 0.04:
+            continue  # a missing row
+        if r < 0.07:
+            lang = "zzzz9999"
+        elif r < 0.10 and written:
+            lang = pick(written)  # a duplicate
+        elif r < 0.13:
+            lang = f" {lang} "  # padded, still that language
+        written.append(lang.strip())
+        cells = [pick(_BAD_CELLS if rng.random() < 0.02 else _GOOD_CELLS) for _ in names]
+        lines.append(",".join([lang, *cells, *(["0"] if rng.random() < 0.02 else [])]))
+        if rng.random() < 0.03:
+            lines.append("")  # a blank line is skipped
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.7 else "")
+
+
+def _outcome_of(read, path, languages, names):
+    try:
+        return read(path, languages, names).tobytes()
+    except FormatError as exc:
+        return type(exc).__name__, str(exc)
+
+
+_MATRIX_ERRORS = ("bad value", "outside", "unexpected language", "duplicate language",
+                  "missing rows", "columns, got", "header columns")
+
+
+def test_matrix_load_equals_the_per_cell_reader_on_mutated_files(tmp_path):
+    """Values (bytes, NaN included) or error type and message, on seeded files."""
+    rng = np.random.default_rng(61)
+    path, seen = tmp_path / "m.csv", set()
+    for trial in range(400):
+        n, k = int(rng.integers(1, 8)), int(rng.integers(0 if trial < 5 else 1, 6))
+        languages = [f"l{i:03d}1234" for i in range(n)]
+        names = [f"S_F{j}" for j in range(k)]
+        path.write_bytes(_mutated_matrix_text(rng, languages, names).encode())
+        want = _outcome_of(_load_matrix_values_per_cell, path, languages, names)
+        got = _outcome_of(storage.load_matrix_values, path, languages, names)
+        assert got == want, path.read_text()
+        seen.update(kind for kind in _MATRIX_ERRORS if isinstance(want, tuple) and kind in want[1])
+        seen.add("ok" if isinstance(want, bytes) else "error")
+    assert seen == {"ok", "error", *_MATRIX_ERRORS}
+
+
 def test_format_value_round_trips():
     rng = np.random.default_rng(5)
     for v in [0.0, 1.0, 0.5, 2 / 3, *rng.random(50)]:
