@@ -10,16 +10,15 @@ key that holds the language index in its high 32 bits and the feature
 index in its low 32 bits, so keys sort as (language, feature) does, and a
 float64 value, 16 bytes per cell. A tensor publishes one read-only
 `TensorSnapshot`: registries, name -> index maps, cells, `derived`, `version`.
-A write searches each source it touches once, for where each of its cells
-sits or would go. From that one search it checks the whole batch against the
-state, builds the next state (registries copied only if it adds entries, new
-arrays only for the sources whose cells it changes, an empty `derived`) and
-publishes it in one swap; a no-op write publishes nothing. `adopt_columns`,
-a load's one cell write, takes whole columns (from the cell cache, or
-`SourceColumn.of` over CSV rows), checks only the column invariants above
-and stores the arrays themselves. Writes are serialised under the tensor's
-lock, so concurrent writers never share an index. A reader takes one
-snapshot: it sees each write whole or not at all.
+A write searches each source it touches once, checks the whole batch against
+the state from that search, builds the next state (registries copied only if
+it adds entries, new arrays only for the sources whose cells it changes, an
+empty `derived`) and publishes it in one swap; a no-op write publishes
+nothing. `adopt_columns`, a load's one cell write, takes whole columns (from
+the cell cache, or `SourceColumn.of` over CSV rows), checks only the column
+invariants above and stores the arrays themselves. Writes are serialised
+under the tensor's lock, so concurrent writers never share an index. A
+reader takes one snapshot: it sees each write whole or not at all.
 """
 
 from __future__ import annotations
@@ -326,20 +325,22 @@ def _keys(language, feature) -> np.ndarray:
     return (np.asarray(language, np.int64) << 32) | feature
 
 
-def _lookup(columns, source, keys) -> tuple[np.ndarray, list[tuple]]:
-    """One search of each column for its (source index, key) cells, -1 for none:
-    each cell's stored value (NaN where missing), and per touched source its index,
-    its cells' rows, where each sits or would go and whether it is stored there."""
-    stored, found = np.full(len(keys), np.nan), []
+def _lookup(columns, source, keys, found=None) -> np.ndarray:
+    """Each (source index, key) cell's stored value; NaN where it is missing or
+    its source is -1. One search of each touched column; found, a list if given,
+    gets per touched source its index, its cells' rows, where each sits or would
+    go and whether it is stored there (None, None for an empty column)."""
+    stored = np.full(len(keys), np.nan)
     for si in np.flatnonzero(np.bincount(source + 1)[1:]).tolist():  # cheaper than np.unique
         rows, column, pos, hit = np.flatnonzero(source == si), columns[si], None, None
-        if len(column.key):  # an empty column holds nothing to find
+        if len(column.key):
             pos = np.searchsorted(column.key, keys[rows])
             hit = pos < len(column.key)
             hit[hit] = column.key[pos[hit]] == keys[rows[hit]]
             stored[rows[hit]] = column.value[pos[hit]]
-        found.append((si, rows, pos, hit))
-    return stored, found
+        if found is not None:
+            found.append((si, rows, pos, hit))
+    return stored
 
 
 def _last_sorted(keys, *arrays) -> tuple:
@@ -355,15 +356,9 @@ def _last_sorted(keys, *arrays) -> tuple:
 
 
 def _merged(column: SourceColumn, keys, value, pos, hit) -> SourceColumn:
-    """A new column: column with the cells, given in write order with their
-    pos and hit from _lookup of column, written over it.
-
-    A cell written more than once keeps its last value. An empty column
-    takes the batch sorted once, or as it is if its keys already increase
-    strictly; the arrays are the caller's fresh copies.
-    """
-    if not len(column.key):
-        return SourceColumn(*_last_sorted(keys, value))
+    """A new column: column, which holds cells, with the cells given in write
+    order, with their pos and hit from _lookup of column, written over it. A
+    cell written more than once keeps its last value."""
     keys, value, pos, hit = _last_sorted(keys, value, pos, hit)
     kept = column.value.copy()
     kept[pos[hit]] = value[hit]
@@ -407,9 +402,9 @@ def _indices(cells: CellArrays, indices) -> list[np.ndarray]:
             for names, code, index in zip(cells.names, cells.codes, indices)]
 
 
-def _checked(cells, indices, columns, overwrite: bool) -> dict[int, SourceColumn]:
-    """By source index, the new column of each source whose cells a batch
-    changes: its column with the batch's clamped values written over it.
+def _checked(cells, indices, columns, overwrite: bool) -> list[tuple]:
+    """Per source whose cells a batch changes: its index, its cells' keys and
+    clamped values in write order, and their pos and hit from _lookup.
 
     Raises for the first bad cell in batch order, as checking one cell at
     a time would: an unregistered name, a non-finite value, or a conflict.
@@ -423,7 +418,8 @@ def _checked(cells, indices, columns, overwrite: bool) -> dict[int, SourceColumn
     values = np.clip(raw, 0.0, 1.0) + 0.0  # + 0.0 stores -0.0 as 0.0
     keys = _keys(lang, feat)
     ok = (lang >= 0) & (feat >= 0) & (src >= 0) & finite
-    old, found = _lookup(columns, np.where(ok, src, -1), keys)
+    found = []
+    old = _lookup(columns, np.where(ok, src, -1), keys, found)
     bad = ~ok if overwrite else ~ok | (~np.isnan(old) & (old != values))
     if bad.any():
         i = int(np.argmax(bad))
@@ -434,9 +430,12 @@ def _checked(cells, indices, columns, overwrite: bool) -> dict[int, SourceColumn
         if not finite[i]:
             raise FormatError(f"cell values must be finite, got {float(raw[i])!r}")
         raise ConflictingWrite(glottocode, name, source, float(old[i]), float(values[i]))
-    return {si: _merged(columns[si], keys[rows], values[rows], pos, hit)
-            for si, rows, pos, hit in found
-            if np.any(old[rows] != values[rows])}  # NaN differs from any value
+    changed = []
+    while found:  # each source's rows are freed once its cells are taken
+        si, rows, pos, hit = found.pop()
+        if np.any(old[rows] != values[rows]):  # NaN differs from any value
+            changed.append((si, keys[rows], values[rows], pos, hit))
+    return changed
 
 
 class FeatureTensor:
@@ -521,7 +520,7 @@ class FeatureTensor:
         """Stored value for the triple, or None if the cell is missing."""
         state = self._state
         li, fi, si = state.language_index(lang), state.feature_index(feat), state.source_index(src)
-        found = _lookup(state.columns, np.full(1, si), np.full(1, _keys(li, fi)))[0][0]
+        found = _lookup(state.columns, np.full(1, si), np.full(1, _keys(li, fi)))[0]
         return None if np.isnan(found) else float(found)
 
     def stored_array(self, cells: CellArrays) -> np.ndarray:
@@ -530,7 +529,7 @@ class FeatureTensor:
         state = self._state
         lang, feat, src = _indices(cells, (state.lang_index, state.feat_index, state.src_index))
         known = (lang >= 0) & (feat >= 0)  # an unregistered source is -1 already
-        return _lookup(state.columns, np.where(known, src, -1), _keys(lang, feat))[0]
+        return _lookup(state.columns, np.where(known, src, -1), _keys(lang, feat))
 
     def extend_with(self, batch: TensorBatch, overwrite: bool = False) -> "FeatureTensor":
         """Apply a write batch; registries grow, known cells never regress.
@@ -561,13 +560,16 @@ class FeatureTensor:
             ]
             columns = state.columns + (_NO_CELLS,) * (len(sources) - len(state.columns))
             changed = _checked(cells, (lang_index, feat_index, src_index), columns,
-                               overwrite) if cells else {}
+                               overwrite) if cells else []
             # _registered returns the registry itself when it adds nothing
             grown = any(new is not old for new, old in zip((languages, features, sources), state))
             if changed or grown:
-                columns = tuple(changed.get(si, column) for si, column in enumerate(columns))
+                columns = list(columns)  # merged once the check's per-cell arrays are freed
+                for si, keys, values, pos, hit in changed:
+                    columns[si] = (SourceColumn(*_last_sorted(keys, values)) if pos is None
+                                   else _merged(columns[si], keys, values, pos, hit))
                 self._state = TensorSnapshot(languages, features, sources, lang_index, feat_index,
-                                             src_index, columns, {}, state.version + 1)
+                                             src_index, tuple(columns), {}, state.version + 1)
             return self._state
 
     def adopt_columns(self, columns: Mapping[str, SourceColumn]) -> "FeatureTensor":
@@ -602,7 +604,7 @@ class FeatureTensor:
         state = self._state
         key = _keys(state.language_index(lang), state.feature_index(feat))
         columns = state.columns
-        found = _lookup(columns, np.arange(len(columns)), np.full(len(columns), key))[0]
+        found = _lookup(columns, np.arange(len(columns)), np.full(len(columns), key))
         values = found[~np.isnan(found)].tolist()
         return len(values), values
 

@@ -332,7 +332,14 @@ def _csv_column(path: Path, snap: TensorSnapshot) -> SourceColumn:
     rows, (langs, feats, texts), (lc, fc, vc) = _read_cell_columns(path)
     lang_of = np.array([snap.lang_index.get(name, -1) for name in langs], np.int32)
     feat_of = np.array([snap.feat_index.get(name, -1) for name in feats], np.int32)
-    value, bad_value = _parsed_values(texts, path)
+    value, bad_value = np.full(len(texts), np.nan), np.zeros(len(texts), dtype=bool)
+    for k, text in enumerate(texts):  # each distinct value string once
+        try:
+            v = parse_value(text, path, 0)
+        except FormatError:
+            bad_value[k] = True
+            continue
+        value[k] = np.nan if v is None else v  # NaN marks the missing token
     lang, feat = lang_of[lc], feat_of[fc]
     bad = bad_value[vc] | (lang < 0) | (feat < 0)
     if bad.any():  # the first bad row in file order, checked as one row would be
@@ -343,20 +350,6 @@ def _csv_column(path: Path, snap: TensorSnapshot) -> SourceColumn:
         raise FormatError(f"{path}: row {row}: unregistered {kind} {name!r}")
     kept = ~np.isnan(value[vc])  # explicit-missing rows are skipped
     return SourceColumn.of(lang[kept], feat[kept], value[vc[kept]])
-
-
-def _parsed_values(texts: Sequence[str], path) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct value string parsed once: its value (NaN for the
-    missing token) and whether parse_value rejects it."""
-    value, bad = np.full(len(texts), np.nan), np.zeros(len(texts), dtype=bool)
-    for k, text in enumerate(texts):
-        try:
-            v = parse_value(text, path, 0)
-        except FormatError:
-            bad[k] = True
-            continue
-        value[k] = np.nan if v is None else v
-    return value, bad
 
 
 def _cached_columns(directory: Path, sources: Sequence[str], digest: bytes) -> Optional[dict]:
@@ -653,38 +646,23 @@ def load_matrix_values(path, languages: Sequence[str], feature_names: Sequence[s
 
     Used for the external-imputer exchange file, which must be fully
     dense, and for reloading exported matrices (missing tokens allowed).
-    Each distinct cell string is parsed once. The first offending row in
-    file order raises, and within a row its language before its values,
-    left to right.
     """
-    lang_index = {g: i for i, g in enumerate(languages)}
-    at, row_nums, codes, texts = {}, [], array("i"), defaultdict(count().__next__)
-
-    def parsed() -> np.ndarray:
-        """The values of the rows read so far; raises for the first bad one."""
-        value, bad = _parsed_values(list(texts), path)
-        cells = np.frombuffer(codes, np.int32).reshape(len(row_nums), len(feature_names))
-        if bad[cells].any():
-            k = int(np.argmax(bad[cells]))  # C order: row by row, left to right
-            parse_value(list(texts)[cells.flat[k]], path, row_nums[k // len(feature_names)])
-        return value[cells]
-
-    try:
-        for row_num, row in _read_csv_rows(path, ["language", *feature_names]):
-            lang = row[0].strip()
-            if lang not in lang_index:
-                raise FormatError(f"{path}: row {row_num}: unexpected language {lang!r}")
-            if lang in at:
-                raise FormatError(f"{path}: row {row_num}: duplicate language {lang!r}")
-            at[lang] = lang_index[lang]
-            row_nums.append(row_num)
-            codes.extend(map(texts.__getitem__, row[1:]))
-    except FormatError:
-        parsed()  # a bad value in an earlier row comes first
-        raise
     values = np.full((len(languages), len(feature_names)), np.nan)
-    values[list(at.values())] = parsed()
-    if len(at) != len(lang_index):
-        missing = sorted(set(languages) - set(at))
+    lang_index = {g: i for i, g in enumerate(languages)}
+    seen, parsed = set(), {}  # each good cell string's value, NaN for the missing token
+    for row_num, row in _read_csv_rows(path, ["language", *feature_names]):
+        lang = row[0].strip()
+        if lang not in lang_index:
+            raise FormatError(f"{path}: row {row_num}: unexpected language {lang!r}")
+        if lang in seen:
+            raise FormatError(f"{path}: row {row_num}: duplicate language {lang!r}")
+        seen.add(lang)
+        for cell in row[1:]:
+            if cell not in parsed:  # a bad string is never stored: it raises at its first row
+                v = parse_value(cell, path, row_num)
+                parsed[cell] = np.nan if v is None else v
+        values[lang_index[lang]] = [parsed[cell] for cell in row[1:]]
+    if seen != set(languages):
+        missing = sorted(set(languages) - seen)
         raise FormatError(f"{path}: missing rows for languages {missing}")
     return values

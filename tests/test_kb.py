@@ -231,9 +231,9 @@ def test_concurrent_writers_get_unique_dense_indices():
 def test_a_read_during_a_write_sees_the_whole_state_before_it(tiny_tensor, monkeypatch):
     """Readers run from inside a write that adds a language and a source,
     after the write is checked and before it is published."""
-    merged, seen = kb_module._merged, []
+    last_sorted, seen = kb_module._last_sorted, []
 
-    def probing_merged(*args):
+    def probing_last_sorted(*args):
         snap = tiny_tensor.snapshot()
         seen.append((len(tiny_tensor.languages), len(snap.languages), len(tiny_tensor.sources),
                      len(snap.sources), len(snap.columns), tiny_tensor.version))
@@ -243,15 +243,15 @@ def test_a_read_during_a_write_sees_the_whole_state_before_it(tiny_tensor, monke
                 read()
         with pytest.raises(UnknownSource):
             aggregate(tiny_tensor, AggregationMode.UNION, ["SRC_NEW"])
-        return merged(*args)
+        return last_sorted(*args)
 
-    monkeypatch.setattr(kb_module, "_merged", probing_merged)
+    monkeypatch.setattr(kb_module, "_last_sorted", probing_last_sorted)
     version = tiny_tensor.version
     tiny_tensor.extend_with(TensorBatch(
         languages=[LanguageRecord("newl1234")], sources=["SRC_NEW"],
         cells=[("newl1234", "S_F1", "SRC_NEW", 1.0), ("newl1234", "S_F2", "SRC_A", 0.0)]))
     monkeypatch.undo()
-    # one merge into the new source's empty column, one into SRC_A's cells
+    # one sort of the new source's cells into its empty column, one of SRC_A's cells
     assert len(seen) == 2 and all(state == (3, 3, 2, 2, 2, version) for state in seen)
     snap = tiny_tensor.snapshot()
     assert (len(tiny_tensor.languages), len(snap.languages), len(snap.columns)) == (4, 4, 3)
@@ -599,8 +599,14 @@ def _merged_oracle(column, keys, value):
 
 
 def _merge(column, keys, value):
-    """_merged with the positions that _lookup finds for keys in column."""
-    _, [(_, _, pos, hit)] = kb_module._lookup([column], np.zeros(len(keys), np.int64), keys)
+    """The column a write of keys and value into column stores, as a write
+    builds it: _merged with the positions that _lookup finds, or the keys
+    sorted once for an empty column."""
+    found = []
+    kb_module._lookup([column], np.zeros(len(keys), np.int64), keys, found)
+    [(_, _, pos, hit)] = found
+    if pos is None:
+        return SourceColumn(*kb_module._last_sorted(keys, value))
     return kb_module._merged(column, keys, value, pos, hit)
 
 
