@@ -71,7 +71,7 @@ class LevelOutOfRange(FormatError):
 
 
 class CyclicRules(FormatError):
-    """The implication edges of an inference rule set form a cycle."""
+    """The implication edges, or the equivalence edges, of an inference rule set form a cycle."""
 
 
 class NameCollision(FormatError):

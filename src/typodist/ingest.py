@@ -159,6 +159,10 @@ class InferenceRule:
     def __post_init__(self):
         if self.from_feature == self.to_feature:
             raise FormatError(f"inference rule on {self.from_feature!r} maps to itself")
+        for value in (v for pair in self.mapping for v in pair):
+            if not (isinstance(value, (int, float, np.integer, np.floating)) and 0 <= value <= 1):
+                raise FormatError(f"inference rule {self.from_feature!r} -> {self.to_feature!r}: "
+                                  f"mapping value {value!r} is not a finite number in [0, 1]")
         if self.direction is RuleDirection.EQUIVALENT:
             targets = [t for _, t in self.mapping]
             if len(set(targets)) != len(targets):
@@ -186,24 +190,26 @@ def load_rules(path) -> list[InferenceRule]:
         frm, to, direction, fv, tv = (c.strip() for c in row)
         direction = _checked(direction.lower(), RuleDirection, f"{path}: row {row_num}", "direction")
         try:
-            pair = (float(fv), float(tv))
+            rule = InferenceRule(frm, to, direction, ((float(fv), float(tv)),))
         except ValueError:
             raise FormatError(f"{path}: row {row_num}: bad value mapping") from None
-        grouped.setdefault((frm, to, direction), []).append(pair)
+        except FormatError as exc:  # the row's own rule checks
+            raise FormatError(f"{path}: row {row_num}: {exc}") from None
+        grouped.setdefault((frm, to, direction), []).extend(rule.mapping)
     return [InferenceRule(frm, to, direction, tuple(pairs))
             for (frm, to, direction), pairs in grouped.items()]
 
 
 def check_rules_acyclic(rules: Iterable[InferenceRule]) -> None:
-    """Reject cycles among IMPLIES edges (from_feature -> to_feature)."""
-    graph: dict[str, set[str]] = {}
+    """Reject cycles among IMPLIES edges (from_feature -> to_feature), and among EQUIVALENT ones."""
+    graphs: dict[RuleDirection, dict[str, set[str]]] = {d: {} for d in RuleDirection}
     for rule in rules:
-        if rule.direction is RuleDirection.IMPLIES:
-            graph.setdefault(rule.to_feature, set()).add(rule.from_feature)
-    try:
-        tuple(graphlib.TopologicalSorter(graph).static_order())
-    except graphlib.CycleError as exc:
-        raise CyclicRules(f"inference rules contain an implication cycle: {exc.args[1]}") from None
+        graphs[rule.direction].setdefault(rule.to_feature, set()).add(rule.from_feature)
+    for direction, kind in ((RuleDirection.IMPLIES, "implication"), (RuleDirection.EQUIVALENT, "equivalence")):
+        try:
+            tuple(graphlib.TopologicalSorter(graphs[direction]).static_order())
+        except graphlib.CycleError as exc:
+            raise CyclicRules(f"inference rules contain an {kind} cycle: {exc.args[1]}") from None
 
 
 def apply_inference(
@@ -213,66 +219,59 @@ def apply_inference(
 ) -> TensorBatch:
     """Propagate values along rules, then drop equivalent-rule duplicates.
 
-    A target cell already known (in the batch or in the tensor the batch
-    will extend) is never overwritten. Rules are applied to a fixpoint so
-    the operation is idempotent; chained implications resolve regardless
-    of rule order.
+    An inferred cell takes the first matching mapping pair's value and the source of its
+    from-feature's first batch cell (or of the cell it was inferred from). A target known in
+    the batch or in the tensor, under any source, is never filled. Rules run in sweeps over
+    all languages until one infers nothing: chains resolve in any order, a rerun adds nothing.
+    A cycle of IMPLIES rules, or of EQUIVALENT rules, raises CyclicRules.
     """
     check_rules_acyclic(rules)
+    ruled = list(dict.fromkeys(name for rule in rules for name in (rule.from_feature, rule.to_feature)))
     known_features = {f.name for f in batch.features}
     if tensor is not None:
         known_features.update(f.name for f in tensor.features)
-    for rule in rules:
-        for name in (rule.from_feature, rule.to_feature):
-            if name not in known_features:
-                raise UnknownFeature(name)
+    for name in ruled:
+        if name not in known_features:
+            raise UnknownFeature(name)
 
     cells = CellArrays.of(batch.cells)
-    ruled = {name for rule in rules for name in (rule.from_feature, rule.to_feature)}
-    # (lang, feature) -> first contributing source and its value, for the rules' features
-    cell_map: dict[tuple[str, str], tuple[str, float]] = {}
-    for i in np.flatnonzero(np.isin(cells.names[1], list(ruled))[cells.codes[1]]).tolist():
-        lang, feat, src, value = cells[i]
-        cell_map.setdefault((lang, feat), (src, value))
-    # rule target feature -> languages with a known value for it in the tensor
-    known_in_tensor: dict[str, set[str]] = {}
+    column = {name: j for j, name in enumerate(ruled)}
+    feat_col = np.array([column.get(name, -1) for name in cells.names[1]], np.intp)[cells.codes[1]]
+    at = np.flatnonzero(feat_col >= 0)  # the cells of the rules' features
+    lang_id: dict[str, int] = {}  # a row per distinct glottocode: the table may repeat a name
+    lang_row = np.array([lang_id.setdefault(g, len(lang_id)) for g in cells.names[0]], np.intp)
+    # each language's ruled features: source code (-1: unknown) and value, from the first batch cell
+    key, first_cell = np.unique(lang_row[cells.codes[0][at]] * len(ruled) + feat_col[at], return_index=True)
+    source = np.full((len(lang_id), len(ruled)), -1, np.intp)
+    value = np.zeros(source.shape)
+    source.flat[key], value.flat[key] = cells.codes[2][at[first_cell]], cells.value[at[first_cell]]
+    given = source >= 0
+    blocked = given.copy()  # the targets never filled
     if tensor is not None:
         matrix = aggregate(tensor, AggregationMode.UNION)
-        known = matrix.known_mask
-        column = {f.name: j for j, f in enumerate(matrix.features)}
-        for name in {rule.to_feature for rule in rules} & column.keys():
-            rows = np.flatnonzero(known[:, column[name]]).tolist()
-            known_in_tensor[name] = {matrix.languages[i] for i in rows}
+        tensor_row = {g: i for i, g in enumerate(matrix.languages)}
+        tensor_col = {f.name: j for j, f in enumerate(matrix.features)}
+        blocked |= np.pad(matrix.known_mask, (0, 1))[np.ix_(  # index -1: known nowhere
+            [tensor_row.get(g, -1) for g in lang_id], [tensor_col.get(name, -1) for name in ruled])]
 
-    languages = dict.fromkeys(lang for lang, _feat in cell_map)  # the ones a rule can fill
-    inferred: list[tuple[str, str, str, float]] = []
+    steps = [(column[r.from_feature], column[r.to_feature], np.array(r.mapping)) for r in rules if r.mapping]
     changed = True
     while changed:
         changed = False
-        for rule in rules:
-            for lang in languages:
-                src_cell = cell_map.get((lang, rule.from_feature))
-                if src_cell is None:
-                    continue
-                in_tensor = known_in_tensor.get(rule.to_feature, ())
-                if (lang, rule.to_feature) in cell_map or lang in in_tensor:
-                    continue
-                mapped = rule.mapped(src_cell[1])
-                if mapped is None:
-                    continue
-                cell_map[(lang, rule.to_feature)] = (src_cell[0], mapped)
-                inferred.append((lang, rule.to_feature, src_cell[0], mapped))
-                changed = True
+        for f, t, pairs in steps:
+            match = value[:, f, None] == pairs[:, 0]
+            fill = np.flatnonzero((source[:, f] >= 0) & ~blocked[:, t] & match.any(axis=1))
+            value[fill, t] = pairs[match[fill].argmax(axis=1), 1]  # the first matching pair
+            source[fill, t], blocked[fill, t] = source[fill, f], True
+            changed |= fill.size > 0
 
-    dropped = {r.from_feature for r in rules if r.direction is RuleDirection.EQUIVALENT}
-    kept = ~np.isin(cells.names[1], list(dropped))[cells.codes[1]]
-    return TensorBatch(
-        languages=list(batch.languages),
-        features=[f for f in batch.features if f.name not in dropped],
-        sources=list(batch.sources),
-        cells=CellArrays.concat(
-            [cells.take(kept), CellArrays.of(c for c in inferred if c[1] not in dropped)]),
-    )
+    dropped = [r.from_feature for r in rules if r.direction is RuleDirection.EQUIVALENT]
+    rows, cols = np.nonzero((source >= 0) & ~given & ~np.isin(ruled, dropped))
+    inferred = CellArrays((list(lang_id), ruled, cells.names[2]),
+                          (rows, cols, source[rows, cols]), value[rows, cols])
+    kept = cells.take(~np.isin(cells.names[1], dropped)[cells.codes[1]])
+    features = [f for f in batch.features if f.name not in dropped]
+    return replace(batch, features=features, cells=CellArrays.concat([kept, inferred]))
 
 
 # --- language identifier resolution ------------------------------------------

@@ -127,6 +127,25 @@ def test_ingest_applies_inference_rules(workspace, capsys):
     assert payload["shared_features"] == 1
 
 
+@pytest.mark.parametrize("mapping, bad", [("1,5", "5.0"), ("inf,1", "inf"), ("0,nan", "nan")])
+def test_ingest_rejects_a_rule_value_no_cell_can_hold(workspace, capsys, mapping, bad):
+    rules = workspace / "rules.csv"
+    rules.write_text(RULES + f"P_TONE,P_NASAL_VOWELS,implies,{mapping}\n")
+    code, out, err = run(
+        capsys, "ingest",
+        "--schema", workspace / "schema.json",
+        "--resolution-table", workspace / "res.csv",
+        "--rules", rules,
+        "--source", f"WALS={workspace / 'wals.csv'}",
+        "--out", workspace / "kb",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == (
+        f"{rules}: row 3: inference rule 'P_TONE' -> 'P_NASAL_VOWELS': "
+        f"mapping value {bad} is not a finite number in [0, 1]")
+    assert not (workspace / "kb").exists()
+
+
 def test_ingest_malformed_row_exits_2(workspace, capsys):
     (workspace / "broken.csv").write_text("language,feature,value\neng,tone\n")
     code, _, err = run(

@@ -1,8 +1,10 @@
 import json
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 
+from typodist.aggregate import AggregationMode, aggregate
 from typodist.errors import (
     CyclicRules,
     FormatError,
@@ -28,6 +30,7 @@ from typodist.ingest import (
     binarize_ordinal,
     build_batch,
     canonicalize_feature_name,
+    check_rules_acyclic,
     is_retired,
     load_ingest_schema,
     load_resolution_table,
@@ -35,8 +38,18 @@ from typodist.ingest import (
     read_source_csv,
     resolve_language,
 )
-from typodist.kb import Category, FeatureDescriptor, FeatureOrigin, LanguageRecord, TensorBatch
+from typodist.kb import (
+    Category,
+    CellArrays,
+    FeatureDescriptor,
+    FeatureOrigin,
+    FeatureTensor,
+    LanguageRecord,
+    TensorBatch,
+)
 from typodist.storage import _read_csv_rows
+
+from conftest import make_tensor
 
 
 
@@ -235,6 +248,198 @@ def test_known_in_tensor_blocks_inference(tiny_tensor):
     assert all(c[1] != "S_F2" for c in out.cells)
 
 
+def test_an_equivalence_cycle_is_rejected_before_it_drops_both_columns():
+    rules = [
+        InferenceRule("S_A", "S_B", RuleDirection.EQUIVALENT, ((1.0, 1.0),)),
+        InferenceRule("S_B", "S_A", RuleDirection.EQUIVALENT, ((1.0, 1.0),)),
+    ]
+    batch = TensorBatch(
+        features=[FeatureDescriptor("S_A", Category.SYNTACTIC),
+                  FeatureDescriptor("S_B", Category.SYNTACTIC)],
+        sources=["SRC_A"],
+        cells=[("abcd1234", "S_A", "SRC_A", 1.0), ("efgh1234", "S_B", "SRC_A", 1.0)],
+    )
+    with pytest.raises(CyclicRules, match="equivalence cycle"):
+        apply_inference(rules, batch)
+
+
+def test_a_cycle_mixing_implies_and_equivalent_rules_is_allowed():
+    rules = [
+        InferenceRule("S_A", "S_B", RuleDirection.IMPLIES, ((1.0, 1.0),)),
+        InferenceRule("S_B", "S_A", RuleDirection.EQUIVALENT, ((1.0, 1.0),)),
+    ]
+    batch = TensorBatch(
+        features=[FeatureDescriptor("S_A", Category.SYNTACTIC),
+                  FeatureDescriptor("S_B", Category.SYNTACTIC)],
+        sources=["SRC_A"],
+        cells=[("abcd1234", "S_A", "SRC_A", 1.0), ("efgh1234", "S_B", "SRC_A", 1.0)],
+    )
+    out = apply_inference(rules, batch)
+    assert [f.name for f in out.features] == ["S_A"]
+    assert sorted(out.cells) == [("abcd1234", "S_A", "SRC_A", 1.0), ("efgh1234", "S_A", "SRC_A", 1.0)]
+
+
+@pytest.mark.parametrize("value", [5.0, -0.5, float("inf"), float("-inf"), float("nan"), "1"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_rule_mapping_value_must_be_a_finite_number_in_0_1(value, side):
+    pair = (value, 1.0) if side == 0 else (1.0, value)
+    with pytest.raises(FormatError, match=r"'S_A' -> 'S_B': mapping value .* is not a finite number in \[0, 1\]"):
+        InferenceRule("S_A", "S_B", RuleDirection.IMPLIES, ((0.0, 0.0), pair))
+
+
+def test_rule_inference_reads_no_cell_one_at_a_time(monkeypatch):
+    def one_cell(self, i):
+        raise AssertionError("apply_inference read a cell through CellArrays.__getitem__")
+
+    rules = [ARTICLE_RULE, InferenceRule("S_ARE_THERE_PRENOMINAL_ARTICLES", "S_C",
+                                         RuleDirection.EQUIVALENT, ((1.0, 0.0), (0.0, 1.0)))]
+    batch = _article_batch()
+    batch.features.append(FeatureDescriptor("S_C", Category.SYNTACTIC))
+    batch.cells = CellArrays.of(batch.cells + [("efgh1234", "S_ARTICLE_WORD_BEFORE_NOUN", "SRC_B", 1.0)])
+    want = list(apply_inference_oracle(rules, batch).cells)
+    monkeypatch.setattr(CellArrays, "__getitem__", one_cell)
+    got = list(apply_inference(rules, batch).cells)
+    assert sorted(got) == sorted(want)
+    assert ("efgh1234", "S_C", "SRC_B", 0.0) in got
+
+
+def apply_inference_oracle(
+    rules: Sequence[InferenceRule],
+    batch: TensorBatch,
+    tensor: Optional[FeatureTensor] = None,
+) -> TensorBatch:
+    """apply_inference as a per-cell dict fixpoint: the oracle for the
+    columnar one. Its inferred cells come in sweep, rule, language order."""
+    check_rules_acyclic(rules)
+    known_features = {f.name for f in batch.features}
+    if tensor is not None:
+        known_features.update(f.name for f in tensor.features)
+    for rule in rules:
+        for name in (rule.from_feature, rule.to_feature):
+            if name not in known_features:
+                raise UnknownFeature(name)
+
+    cells = CellArrays.of(batch.cells)
+    ruled = {name for rule in rules for name in (rule.from_feature, rule.to_feature)}
+    # (lang, feature) -> first contributing source and its value, for the rules' features
+    cell_map: dict[tuple[str, str], tuple[str, float]] = {}
+    for i in np.flatnonzero(np.isin(cells.names[1], list(ruled))[cells.codes[1]]).tolist():
+        lang, feat, src, value = cells[i]
+        cell_map.setdefault((lang, feat), (src, value))
+    # rule target feature -> languages with a known value for it in the tensor
+    known_in_tensor: dict[str, set[str]] = {}
+    if tensor is not None:
+        matrix = aggregate(tensor, AggregationMode.UNION)
+        known = matrix.known_mask
+        column = {f.name: j for j, f in enumerate(matrix.features)}
+        for name in {rule.to_feature for rule in rules} & column.keys():
+            rows = np.flatnonzero(known[:, column[name]]).tolist()
+            known_in_tensor[name] = {matrix.languages[i] for i in rows}
+
+    languages = dict.fromkeys(lang for lang, _feat in cell_map)  # the ones a rule can fill
+    inferred: list[tuple[str, str, str, float]] = []
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            for lang in languages:
+                src_cell = cell_map.get((lang, rule.from_feature))
+                if src_cell is None:
+                    continue
+                in_tensor = known_in_tensor.get(rule.to_feature, ())
+                if (lang, rule.to_feature) in cell_map or lang in in_tensor:
+                    continue
+                mapped = rule.mapped(src_cell[1])
+                if mapped is None:
+                    continue
+                cell_map[(lang, rule.to_feature)] = (src_cell[0], mapped)
+                inferred.append((lang, rule.to_feature, src_cell[0], mapped))
+                changed = True
+
+    dropped = {r.from_feature for r in rules if r.direction is RuleDirection.EQUIVALENT}
+    kept = ~np.isin(cells.names[1], list(dropped))[cells.codes[1]]
+    return TensorBatch(
+        languages=list(batch.languages),
+        features=[f for f in batch.features if f.name not in dropped],
+        sources=list(batch.sources),
+        cells=CellArrays.concat(
+            [cells.take(kept), CellArrays.of(c for c in inferred if c[1] not in dropped)]),
+    )
+
+
+# --- language identifier resolution ------------------------------------------
+
+
+_RULE_FEATURES = ["S_A", "S_B", "S_C", "S_D", "S_E"]
+_RULE_VALUES = [0.0, 0.5, 1.0, -0.0]
+
+
+def _random_rules(rng):
+    rules = []
+    for _ in range(rng.integers(1, 7)):
+        frm, to = rng.choice(_RULE_FEATURES + ["S_MISSING"] * (rng.random() < 0.05), 2, replace=False)
+        direction = RuleDirection.EQUIVALENT if rng.random() < 0.3 else RuleDirection.IMPLIES
+        n_pairs = rng.integers(0 if rng.random() < 0.05 else 1, 4)
+        sources = rng.choice(_RULE_VALUES, n_pairs).tolist()
+        targets = (rng.choice(_RULE_VALUES[:3], n_pairs, replace=False)
+                   if direction is RuleDirection.EQUIVALENT else rng.choice(_RULE_VALUES, n_pairs)).tolist()
+        rules.append(InferenceRule(str(frm), str(to), direction, tuple(zip(sources, targets))))
+    return rules
+
+
+def _random_cells(rng, n, languages, sources):
+    features = _RULE_FEATURES + ["S_OTHER"]
+    values = [0.0, 0.5, 1.0, 1.0, -0.0, float("nan"), 0.25]
+    return [(str(rng.choice(languages)), str(rng.choice(features)), str(rng.choice(sources)),
+             float(rng.choice(values))) for _ in range(n)]
+
+
+def _random_inference_case(rng):
+    languages = [f"l{i:03d}1234" for i in range(rng.integers(1, 8))]
+    sources = ["SRC_A", "SRC_B", "SRC_C"]
+    cells = _random_cells(rng, rng.integers(0, 20), languages, sources)
+    if rng.random() < 0.5:  # as merge_batches gives it: tables that repeat names
+        half = len(cells) // 2
+        cells = CellArrays.concat([CellArrays.of(cells[:half]), CellArrays.of(cells[half:])])
+    in_batch = [f for f in _RULE_FEATURES + ["S_OTHER"] if rng.random() < 0.95]
+    batch = TensorBatch(features=[FeatureDescriptor(f, Category.SYNTACTIC) for f in in_batch],
+                        sources=sources, cells=cells)
+    tensor = None
+    if rng.random() < 0.5:
+        held = languages[:rng.integers(0, len(languages) + 1)] + ["zzzz1234"]
+        tensor_cells = [c for c in _random_cells(rng, rng.integers(0, 30), held, sources[:2])
+                        if not np.isnan(c[3])]
+        tensor = make_tensor(held, _RULE_FEATURES + ["S_OTHER"], tensor_cells, sources[:2])
+    return _random_rules(rng), batch, tensor
+
+
+def _bits(cells):
+    return [(lang, feat, src, np.float64(v).tobytes()) for lang, feat, src, v in cells]
+
+
+def _inference_outcome(rules, batch, tensor, fn):
+    try:
+        out = fn(rules, batch, tensor)
+    except (CyclicRules, UnknownFeature) as exc:
+        return type(exc), str(exc)
+    dropped = {r.from_feature for r in rules if r.direction is RuleDirection.EQUIVALENT}
+    n_kept = sum(c[1] not in dropped for c in batch.cells)
+    cells = _bits(out.cells)
+    return (out.languages, out.features, out.sources, cells[:n_kept], sorted(cells[n_kept:]))
+
+
+def test_apply_inference_matches_the_per_cell_oracle():
+    rng = np.random.default_rng(29)
+    outcomes = []
+    for _ in range(1200):
+        rules, batch, tensor = _random_inference_case(rng)
+        want = _inference_outcome(rules, batch, tensor, apply_inference_oracle)
+        assert _inference_outcome(rules, batch, tensor, apply_inference) == want, (rules, list(batch.cells))
+        outcomes.append(want[0] if isinstance(want[0], type) else len(want[4]) > 0)
+    # the cases reach every kind of outcome
+    assert {CyclicRules, UnknownFeature, True, False} <= set(outcomes)
+
+
 # identifier resolution -----------------------------------------------------------
 
 def _replacement_table():
@@ -299,6 +504,20 @@ def test_load_rules(tmp_path):
     assert len(rules) == 2
     assert rules[0].mapping == ((1.0, 1.0), (0.0, 0.0))
     assert rules[1].direction is RuleDirection.EQUIVALENT
+
+
+def test_load_rules_names_the_first_row_with_a_value_no_cell_can_hold(tmp_path):
+    path = tmp_path / "rules.csv"
+    path.write_text(
+        "from_feature,to_feature,direction,from_value,to_value\n"
+        "S_A,S_B,implies,1,1\n"
+        "S_A,S_B,implies,0,-0.5\n"
+        "S_C,S_D,equivalent,2,1\n"
+    )
+    with pytest.raises(FormatError) as exc:
+        load_rules(path)
+    assert str(exc.value) == (f"{path}: row 3: inference rule 'S_A' -> 'S_B': "
+                              "mapping value -0.5 is not a finite number in [0, 1]")
 
 
 def test_load_schema_validation(tmp_path):
