@@ -269,7 +269,7 @@ def apply_inference(
     rows, cols = np.nonzero((source >= 0) & ~given & ~np.isin(ruled, dropped))
     inferred = CellArrays((list(lang_id), ruled, cells.names[2]),
                           (rows, cols, source[rows, cols]), value[rows, cols])
-    kept = cells.take(~np.isin(cells.names[1], dropped)[cells.codes[1]])
+    kept = cells.take(~np.isin(cells.names[1], dropped)[cells.codes[1]]) if dropped else cells
     features = [f for f in batch.features if f.name not in dropped]
     return replace(batch, features=features, cells=CellArrays.concat([kept, inferred]))
 

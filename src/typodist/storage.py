@@ -64,8 +64,9 @@ CELL_HEADER = ("language", "feature", "value")
 _CACHE_MARKER = b"typodist cells/1"
 _DIGEST_BYTES = 32
 _HASH_BLOCK_BYTES = 1 << 18
-#: cell files are read this many bytes and written this many rows at a
-#: time, so only one block's field strings are alive at once
+#: cell files are read in blocks of this many bytes and the rest of the
+#: line they end in, and written this many rows at a time, so only one
+#: block's field strings are alive at once
 _READ_BLOCK_BYTES = 1 << 14
 _WRITE_BLOCK_ROWS = 1 << 12
 
@@ -494,13 +495,11 @@ def _read_csv_rows(path, expected_header: Sequence[str]):
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = [h.strip() for h in next(reader, [])]  # an empty file has no columns
-            if len(header) != len(expected) or any(
-                h != e and h.lower() != e for h, e in zip(header, expected)
-            ):
+            header = next(reader, [])  # an empty file has no columns
+            if not _is_header(header, expected):
                 raise FormatError(
                     f"{path}: row 1: header columns do not match: expected "
-                    f"{','.join(expected)!r}, got {','.join(header)!r}"
+                    f"{','.join(expected)!r}, got {','.join(h.strip() for h in header)!r}"
                 )
             for row_num, row in enumerate(reader, start=2):
                 if not "".join(row).strip():  # blank row
@@ -514,6 +513,13 @@ def _read_csv_rows(path, expected_header: Sequence[str]):
         raise _cannot("read", path, exc) from None
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def _is_header(fields: Sequence[str], expected: Sequence[str]) -> bool:
+    """Whether a header row's fields, stripped, are expected's names, where
+    a lower-case name matches in any case."""
+    return len(fields) == len(expected) and all(
+        h == e or h.lower() == e for h, e in zip(map(str.strip, fields), expected))
 
 
 def _read_cell_columns(path):
@@ -541,10 +547,6 @@ def _csv_cell_columns(path):
             [np.frombuffer(code, np.int32) for code in codes])
 
 
-class _NotPlain(Exception):
-    """The file is not one the bulk cell reader reads as the csv path would."""
-
-
 def _bulk_cell_columns(path):
     """_read_cell_columns for a plain file, None for any other.
 
@@ -554,52 +556,45 @@ def _bulk_cell_columns(path):
     exactly three fields of at most csv.field_size_limit() characters that
     do not all strip to empty. Without quotes the csv module splits such a
     line at its commas and nowhere else, so each line is row 2, 3, ... in
-    order.
+    order. The header line is checked first and sets the line end; the
+    rows are then read in blocks of whole lines.
     """
     if not os.path.isfile(path):  # a pipe can be read once, so the csv path reads it
         return None
-    limit, sep, rows = csv.field_size_limit(), None, 0
+    limit, rows = csv.field_size_limit(), 0
+    bound = 4 * (3 * limit + 4)  # bytes in the longest line of three fields within the limit
     raw = [defaultdict(count().__next__) for _ in CELL_HEADER]  # unstripped field -> code
     codes = [array("i") for _ in CELL_HEADER]
     try:
         with open(path, "rb") as fh:
-            for block in _line_blocks(fh, 4 * (3 * limit + 4)):  # longer lines hold a long field
+            line = fh.readline(bound).decode("utf-8")
+            sep = "\r\n" if line.endswith("\r\n") else "\n"
+            if (not line.endswith("\n") or len(line) > limit or line.count("\r") != len(sep) - 1
+                    or not _is_header(line[:-len(sep)].split(","), CELL_HEADER)):
+                return None  # the csv path decides; the header rule admits no quote or NUL
+            # a block ends at a line end or where the file ends; a line over
+            # bound bytes comes back cut and fails the field checks below
+            while block := fh.read(_READ_BLOCK_BYTES) + fh.readline(bound):
                 text = block.decode("utf-8")
-                if '"' in text or "\0" in text:
-                    raise _NotPlain
-                first = sep is None  # the first block starts with the header line
-                if first:
-                    end = text.find("\n")
-                    if end < 0:
-                        raise _NotPlain  # no data row
-                    sep = "\r\n" if text[end - 1:end] == "\r" else "\n"
                 crs = text.count("\r")
-                if crs != text.count("\r\n") or crs != (0 if sep == "\n" else text.count("\n")):
-                    raise _NotPlain  # a lone CR, or mixed line ends
-                if first:
-                    line, _, text = text.partition(sep)
-                    header = [h.strip() for h in line.split(",")]
-                    if len(line) > limit or len(header) != len(CELL_HEADER) or any(
-                            h != e and h.lower() != e for h, e in zip(header, CELL_HEADER)):
-                        raise _NotPlain  # the csv path decides
-                if not text:
-                    continue
+                if ('"' in text or "\0" in text or crs != text.count("\r\n")
+                        or crs != (0 if sep == "\n" else text.count("\n"))):
+                    return None  # a quote, a NUL, a lone CR or mixed line ends
                 if not text.endswith(sep):
-                    text += sep  # the file ends without a line end
+                    text += sep  # the file ends without a line end, or a long line was cut
                 # each line end becomes a field of its own, so n lines of three
                 # fields split into 4n fields with a line end at every fourth
                 n = text.count("\n")
                 fields = text.replace(sep, f",{sep},").split(",")
                 del fields[-1]  # what follows the last line end
-                if len(fields) != 4 * n or fields[3::4].count(sep) != n:
-                    raise _NotPlain  # a line without exactly two commas
-                if len(text) > limit and max(map(len, fields)) > limit:
-                    raise _NotPlain
+                if len(fields) != 4 * n or fields[3::4].count(sep) != n or (
+                        len(text) > limit and max(map(len, fields)) > limit):
+                    return None  # a line without exactly two commas, or a long field
                 for k, table in enumerate(raw):
                     codes[k].frombytes(np.fromiter(map(table.__getitem__, fields[k::4]), np.int32,
                                                    n).tobytes())
                 rows += n
-    except (_NotPlain, OSError, UnicodeDecodeError):
+    except (OSError, UnicodeDecodeError):
         return None
     tables = []
     for k, table in enumerate(raw):  # strip each distinct field once
@@ -614,23 +609,6 @@ def _bulk_cell_columns(path):
     return np.arange(2, rows + 2, dtype=np.int32), tables, codes
 
 
-def _line_blocks(fh, longest: int) -> Iterator[bytes]:
-    """fh's bytes in blocks of about _READ_BLOCK_BYTES that end at a line
-    end, the last one where the file ends; a line over longest bytes
-    raises _NotPlain."""
-    tail = b""
-    while data := fh.read(_READ_BLOCK_BYTES):
-        cut = data.rfind(b"\n") + 1
-        if cut:
-            yield tail + data[:cut]
-            tail = b""
-        tail += data[cut:]
-        if len(tail) > longest:
-            raise _NotPlain
-    if tail:
-        yield tail
-
-
 def export_matrix_csv(languages: Sequence[str], features, values: np.ndarray, path) -> None:
     """Write a language x feature matrix; NaN cells become the missing token."""
     names = [f.name if isinstance(f, FeatureDescriptor) else str(f) for f in features]
@@ -641,6 +619,21 @@ def export_matrix_csv(languages: Sequence[str], features, values: np.ndarray, pa
         writer.writerows([lang, *row] for lang, row in zip(languages, texts))
 
 
+class _ParsedCells(dict):
+    """Each good matrix cell string's value, NaN for the missing token. A
+    string not yet seen is parsed as a cell of row row_num; a bad one raises
+    there and is never stored."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path, self.row_num = path, 0
+
+    def __missing__(self, cell: str) -> float:
+        v = parse_value(cell, self.path, self.row_num)
+        self[cell] = value = np.nan if v is None else v
+        return value
+
+
 def load_matrix_values(path, languages: Sequence[str], feature_names: Sequence[str]) -> np.ndarray:
     """Read a matrix CSV back, validating it covers exactly the given grid.
 
@@ -649,7 +642,7 @@ def load_matrix_values(path, languages: Sequence[str], feature_names: Sequence[s
     """
     values = np.full((len(languages), len(feature_names)), np.nan)
     lang_index = {g: i for i, g in enumerate(languages)}
-    seen, parsed = set(), {}  # each good cell string's value, NaN for the missing token
+    seen, parsed = set(), _ParsedCells(path)
     for row_num, row in _read_csv_rows(path, ["language", *feature_names]):
         lang = row[0].strip()
         if lang not in lang_index:
@@ -657,11 +650,9 @@ def load_matrix_values(path, languages: Sequence[str], feature_names: Sequence[s
         if lang in seen:
             raise FormatError(f"{path}: row {row_num}: duplicate language {lang!r}")
         seen.add(lang)
-        for cell in row[1:]:
-            if cell not in parsed:  # a bad string is never stored: it raises at its first row
-                v = parse_value(cell, path, row_num)
-                parsed[cell] = np.nan if v is None else v
-        values[lang_index[lang]] = [parsed[cell] for cell in row[1:]]
+        parsed.row_num = row_num
+        values[lang_index[lang]] = np.fromiter(map(parsed.__getitem__, islice(row, 1, None)),
+                                               np.float64, len(row) - 1)
     if seen != set(languages):
         missing = sorted(set(languages) - seen)
         raise FormatError(f"{path}: missing rows for languages {missing}")

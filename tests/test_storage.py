@@ -765,6 +765,12 @@ _MUTATIONS = {
     "upper-case header": lambda rng, lines: [" Language ,FEATURE,value", *lines[1:]],
     "bad header": lambda rng, lines: ["language,feature", *lines[1:]],
     "header only": lambda rng, lines: lines[:1],
+    "quote in header": lambda rng, lines: ['language,"feature",value', *lines[1:]],
+    "NUL in header": lambda rng, lines: ["language,feature,value\0", *lines[1:]],
+    "lone CR in header": lambda rng, lines: ["language,feature\r,value", *lines[1:]],
+    # a header line end unlike the rows' when the file's line end is the other one
+    "CRLF header": lambda rng, lines: ["\r\n".join(lines[:2]), *lines[2:]],
+    "LF header": lambda rng, lines: ["\n".join(lines[:2]), *lines[2:]],
     "empty": lambda rng, lines: [],
 }
 
@@ -790,9 +796,9 @@ def _same_outcome(got, want):
                     for g, w in zip([got[0], *got[2]], [want[0], *want[2]])))
 
 
-@pytest.mark.parametrize("block", [5, 64, None])
+@pytest.mark.parametrize("block", [1, 2, 5, 64, None])
 def test_cell_reader_matches_the_csv_path_on_mutated_files(tmp_path, monkeypatch, block):
-    if block is not None:  # blocks of part of a line or a few lines
+    if block is not None:  # blocks of part of a line or a few lines, some cut inside a CRLF
         monkeypatch.setattr(storage, "_READ_BLOCK_BYTES", block)
     bulk, longest = [], 0
     for seed in range(150):
@@ -819,14 +825,18 @@ def test_cell_reader_matches_the_csv_path_on_mutated_files(tmp_path, monkeypatch
 @pytest.mark.parametrize("excess", [0, 1])
 def test_cell_reader_matches_the_csv_path_at_the_field_size_limit(tmp_path, excess):
     long = "x" * (csv.field_size_limit() + excess)
+    # a line over the bulk reader's line bound, 4 x (3 x limit + 4) bytes:
+    # it reads a part of it, which must not pass for a line
+    over = f"language,feature,value\nabcd1234,S_F1,1\nabcd1234,S_F2,{long * 13}\nabcd1234,S_F3,1\n"
     for text in [f"language,feature,value\nabcd1234,{long},1\n",
                  f"language,feature,value\r\n{long},S_F1,1\r\n",
-                 f"language,feature,{' ' * (len(long) - 5)}value\nabcd1234,S_F1,1\n"]:
+                 f"language,feature,{' ' * (len(long) - 5)}value\nabcd1234,S_F1,1\n", over]:
         path = tmp_path / "long.csv"
         path.write_text(text, encoding="utf-8", newline="")
         want = _outcome(lambda: storage._csv_cell_columns(path))
         assert _same_outcome(_outcome(lambda: storage._read_cell_columns(path)), want)
-        assert isinstance(want, FormatError) == bool(excess)
+        assert isinstance(want, FormatError) == (bool(excess) or text is over)
+    assert storage._bulk_cell_columns(path) is None  # `over`, the last file
 
 
 def test_cell_reader_reads_a_pipe_once(tmp_path):
