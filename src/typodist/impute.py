@@ -393,9 +393,10 @@ def select_softimpute_lambda(
     the grid is solved as one regularisation path (Mazumder, Hastie and
     Tibshirani 2010, section 5): from the largest lam to the smallest,
     each solve starting from the previous solve's completed matrix. The
-    grid value with the lowest validation RMSE (before any binarization)
-    wins, ties going to the smaller lam. Returns (lam, the winning solve's
-    completed values).
+    walk stops at the first grid value whose validation RMSE (before any
+    binarization) is above the lowest so far, leaving the smaller lams
+    unsolved; an equal RMSE walks on, so ties go to the smaller lam. The
+    lowest RMSE wins. Returns (lam, the winning solve's completed values).
     """
     values = matrix.values
     observed = np.argwhere(~np.isnan(values))
@@ -425,8 +426,9 @@ def select_softimpute_lambda(
         start = result.values
         pred = result.values[picked[:, 0], picked[:, 1]]
         rmse = float(np.sqrt(np.mean((pred - truth) ** 2)))
-        if rmse <= best_rmse:  # walking down, so ties go to the smaller lam
-            best_lam, best_rmse, best_values = lam, rmse, result.values
+        if rmse > best_rmse:  # past the turn of the validation error
+            break
+        best_lam, best_rmse, best_values = lam, rmse, result.values
     return best_lam, best_values
 
 

@@ -776,7 +776,8 @@ _MUTATIONS = {
 
 
 def _insert(rng, lines, line):
-    return [*lines[:1], *lines[1:], line] if rng.random() < 0.3 else [
+    # appended when an earlier mutation left no lines to insert among
+    return [*lines, line] if rng.random() < 0.3 or not lines else [
         *lines[:(k := int(rng.integers(1, len(lines) + 1)))], line, *lines[k:]]
 
 
