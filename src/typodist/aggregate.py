@@ -81,6 +81,17 @@ class AggregatedMatrix:
         )
 
 
+def _masked_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K Kᵀ, (X0²) Kᵀ, X0 X0ᵀ) of rows x with NaN for missing, with K the
+    known mask and X0 the values with missing set to 0: each pair's
+    shared-feature count, each row's squared norm over the features it
+    shares with each other row, and the dot products."""
+    known = ~np.isnan(x)
+    k = known.astype(float)
+    x0 = np.where(known, x, 0.0)
+    return k @ k.T, (x0 * x0) @ k.T, x0 @ x0.T
+
+
 T = TypeVar("T")
 
 

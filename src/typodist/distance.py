@@ -22,6 +22,7 @@ from .aggregate import (
     AggregationMode,
     SourceSelector,
     _get_or_build,
+    _masked_gram,
     _provenance,
     aggregate,
 )
@@ -249,15 +250,13 @@ def _gram_cells(
     Angular distances are taken for i <= j only; below the diagonal they
     are 0.
     """
-    known = ~np.isnan(x)
-    k = known.astype(float)
-    x0 = np.where(known, x, 0.0)
-    shared = (k @ k.T).astype(np.int64)
-    # nu[i, j] is the norm of x[i] over the features it shares with x[j]
-    nu = np.sqrt((x0 * x0) @ k.T)
+    shared, squares, dots = _masked_gram(x)
+    # nu[i, j] is the norm of x[i] over the features it shares with x[j];
+    # in place, as a further n x n array costs page faults on every call
+    nu = np.sqrt(squares, out=squares)
     zero = (nu == 0.0) | (nu.T == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        sim = np.clip((x0 @ x0.T) / (nu * nu.T), -1.0, 1.0)
+        sim = np.clip(dots / (nu * nu.T), -1.0, 1.0)
     same = rows[:, None] == rows[None, :]
     if metric is Metric.COSINE:
         d = 1.0 - sim

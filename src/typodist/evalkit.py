@@ -465,7 +465,8 @@ class CoverageReport:
 def coverage_report(tensor: FeatureTensor, tiers=None) -> CoverageReport:
     """Languages with any known data, per feature category and resource tier.
 
-    tiers optionally overrides the registry's tier per glottocode. Also
+    tiers optionally overrides the registry's tier per glottocode with a
+    ResourceTier or its value; any other value raises ValueError. Also
     reports languages eligible for typological distance: those with at
     least one known typological cell.
     """
@@ -475,21 +476,26 @@ def coverage_report(tensor: FeatureTensor, tiers=None) -> CoverageReport:
     known = matrix.known_mask
     feature_categories = [f.category for f in matrix.features]
 
-    def tier_of(idx: int) -> str:
-        rec = records[idx]
-        tier = tiers.get(rec.glottocode, rec.tier)
-        return tier.value if isinstance(tier, ResourceTier) else str(tier)
+    tier_names = [t.value for t in ResourceTier]
 
-    all_tiers = [t.value for t in ResourceTier]
+    def tier_index(rec) -> int:
+        tier = tiers.get(rec.glottocode, rec.tier)
+        try:
+            return tier_names.index(ResourceTier(tier).value)
+        except ValueError:
+            raise ValueError(
+                f"tier override for {rec.glottocode}: {tier!r} is not a resource tier"
+            ) from None
+
+    row_tiers = np.array([tier_index(rec) for rec in records[: len(matrix.languages)]],
+                         dtype=np.intp)
 
     def languages_with_data(in_scope) -> dict:
         """Languages with a known cell in a feature whose category is in_scope, by tier."""
         cols = np.array([in_scope(c) for c in feature_categories], dtype=bool)
-        rows = np.flatnonzero(known[:, cols].any(axis=1)).tolist()
-        by_tier = {t: 0 for t in all_tiers}
-        for li in rows:
-            by_tier[tier_of(li)] += 1
-        return {"total": len(rows), "by_tier": by_tier}
+        rows = known[:, cols].any(axis=1)
+        by_tier = np.bincount(row_tiers[rows], minlength=len(tier_names)).tolist()
+        return {"total": int(rows.sum()), "by_tier": dict(zip(tier_names, by_tier))}
 
     categories = {
         cat.value: languages_with_data(lambda c: c is cat)

@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .aggregate import AggregatedMatrix, AggregationMode
+from .aggregate import AggregatedMatrix, AggregationMode, _masked_gram
 from .errors import FormatError
 from .kb import FeatureTensor, LanguageRecord, ancestors
 from . import storage
@@ -195,11 +195,9 @@ def _masked_l1_distances(values: np.ndarray, known: np.ndarray) -> np.ndarray:
     """
     if not np.isin(values[known], (0.0, 1.0)).all():
         return _masked_l1_rows(values, known)
-    ones = (values == 1.0).astype(float)  # unlike values, holds no -0.0
-    present = known.astype(float)
-    one_known = ones @ present.T
-    sums = one_known + one_known.T - 2 * (ones @ ones.T)
-    counts = present @ present.T
+    # on 0 and 1, x² = x; a -0.0 in X0 X0ᵀ leaves each sum's bytes as they are
+    counts, one_known, both_one = _masked_gram(values)
+    sums = one_known + one_known.T - 2 * both_one
     with np.errstate(invalid="ignore"):
         dist = sums / counts
     dist[counts == 0] = np.nan  # 0/0 may set the sign bit; np.nan does not

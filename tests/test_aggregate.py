@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import sys
 import threading
 import weakref
@@ -7,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from typodist.aggregate import AggregationMode, _aggregate, aggregate
+from typodist.aggregate import AggregationMode, _aggregate, _masked_gram, aggregate
 from typodist.errors import (
     EmptySourceSubset,
     UnknownFeature,
@@ -398,3 +399,58 @@ def test_flat_index_aggregate_equals_the_index_pair_oracle_bit_for_bit():
             got = _aggregate(snap, mode, provenance).values
             want = _aggregate_2d(snap, mode, provenance)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (mode, provenance)
+
+
+def _gram_fixtures(n_fixtures=60):
+    """Seeded rows with NaN for missing: shapes 1 x 1 to 40 x 30, missing
+    fractions 0 to 1, 0/1 or fractional values. Every third has an
+    all-missing row, and every other 0/1 one writes its zeros as -0.0."""
+    rng = np.random.default_rng(33)
+    corners = [(1, 1), (40, 30), (40, 1), (1, 30)]
+    for i in range(n_fixtures):
+        n, m = corners[i] if i < len(corners) else rng.integers(1, (41, 31))
+        binary = i % 2 == 0
+        x = rng.integers(0, 2, (n, m)).astype(float) if binary else rng.random((n, m))
+        x[rng.random((n, m)) < (0.0, 1.0, rng.random(), rng.random())[i % 4]] = np.nan
+        if i % 3 == 0:
+            x[rng.integers(n)] = np.nan
+        if binary and i % 4 == 2:
+            x[x == 0.0] = -0.0
+        yield x, binary
+
+
+def _gram_oracle(x):
+    """(shared counts, squared norms, dot products) as per-pair sums over shared features."""
+    n = len(x)
+    known = ~np.isnan(x)
+    counts, squares, dots = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for i, j in itertools.product(range(n), repeat=2):
+        shared = known[i] & known[j]
+        u, v = x[i, shared], x[j, shared]
+        counts[i, j] = shared.sum()
+        squares[i, j] = math.fsum(u * u)
+        dots[i, j] = math.fsum(u * v)
+    return counts, squares, dots
+
+
+def test_masked_gram_equals_per_pair_sums_over_shared_features():
+    seen = set()
+    for x, binary in _gram_fixtures():
+        got = _masked_gram(x)
+        for g, want in zip(got, _gram_oracle(x)):
+            assert g.shape == want.shape
+            if binary:
+                assert (g == want).all()  # sums of 0s and 1s are exact in any order
+            else:
+                assert np.allclose(g, want, rtol=0.0, atol=1e-12)
+        # kNN's sums rely on this: a -0.0 in x reaches neither array
+        assert not np.signbit(got[0]).any() and not np.signbit(got[1]).any()
+        cases = {
+            "one column": x.shape[1] == 1,
+            "all-missing row": np.isnan(x).all(axis=1).any(),
+            "-0.0": np.signbit(x[x == 0.0]).any(),
+            "no missing": not np.isnan(x).any(),
+            "all missing": np.isnan(x).all(),
+        }
+        seen.update(case for case, hit in cases.items() if hit)
+    assert seen == set(cases)

@@ -534,3 +534,11 @@ def test_coverage_hand_tally_with_tiers():
     # override mrla's tier via the tier map
     report2 = coverage_report(tensor, tiers={"mrla1234": ResourceTier.LRL})
     assert report2.categories["phonological"]["by_tier"]["LRL"] == 1
+
+
+def test_coverage_names_a_tier_override_that_is_not_a_tier():
+    tensor = make_tensor(["a0001234", "b0001234"], ["S_F1"], [("a0001234", "S_F1", "X", 1.0)])
+    report = coverage_report(tensor, tiers={"a0001234": "HRL", "b0001234": ResourceTier.MRL})
+    assert report.categories["syntactic"]["by_tier"] == {"HRL": 1, "MRL": 0, "LRL": 0, "Unknown": 0}
+    with pytest.raises(ValueError, match="a0001234: 'bogus' is not a resource tier"):
+        coverage_report(tensor, tiers={"a0001234": "bogus"})
