@@ -7,7 +7,8 @@ contributing source is missing.
 Derived matrices live in the `derived` dict of the tensor state they were
 built from, one per key; a write that changes the tensor publishes a new,
 empty dict, which frees the stale ones. `aggregate` keys on (mode, source
-subset); `distance.matrix_for` and `confidence` use the same dict.
+subset), and a one-source average wraps the values of that source's union
+entry; `distance.matrix_for` and `confidence` use the same dict.
 `aggregate` reads the published state once and keys, builds and caches
 from that one snapshot, so a concurrent write is seen whole or not at all.
 """
@@ -138,24 +139,30 @@ def _aggregate(snap: TensorSnapshot, mode: AggregationMode,
     # source order fixes the order in which average mode sums a cell's values
     columns = [snap.columns[si] for si in sorted({snap.source_index(s) for s in provenance})]
     shape = (len(snap.languages), len(snap.features))
-    values = np.full(shape, np.nan)
-    flat = values.ravel()  # a view: cells are written through flat indices
-    if mode is AggregationMode.UNION:
+    if mode is AggregationMode.AVERAGE and len(columns) == 1:
+        # one source's mean is its union: stored values are never -0.0, so
+        # (0.0 + v) / 1 and fmax(NaN, v) are both v. The two share one array
+        union = (AggregationMode.UNION, provenance)
+        values = _get_or_build(snap.derived, union, lambda: _aggregate(snap, *union)).values
+    elif mode is AggregationMode.UNION:
+        values = np.full(shape, np.nan)
+        flat = values.ravel()  # a view: cells are written through flat indices
         for col in columns:
             at = col.flat_index(shape[1])
             flat[at] = np.fmax(flat[at], col.value)
     else:
-        total = np.zeros(flat.size)
-        count = np.zeros(flat.size)
+        values = np.zeros(shape)
+        flat = values.ravel()
+        count = np.zeros(flat.size, np.min_scalar_type(len(columns)))  # at most len(columns)
         # within one source each cell occurs once, so plain fancy-index
         # updates do not lose writes
         for col in columns:
             at = col.flat_index(shape[1])
-            total[at] += col.value
+            flat[at] += col.value
             count[at] += 1
         with np.errstate(invalid="ignore"):  # a divide with where= is several times slower
-            np.divide(total, count, out=flat)
-        flat[np.flatnonzero(count == 0)] = np.nan  # 0 / 0 gave a NaN with its sign bit set
+            np.divide(flat, count, out=flat)
+        flat[count == 0] = np.nan  # 0 / 0 gave a NaN with its sign bit set
     values.flags.writeable = False
 
     return AggregatedMatrix(

@@ -55,8 +55,10 @@ def _source_agreement(snap: TensorSnapshot) -> tuple[np.ndarray, np.ndarray]:
 def _scope_vectors(sourced: np.ndarray, agreement: np.ndarray, cols: np.ndarray):
     """Per row: m, the fraction of scope features no source knows, and g, the mean
     mode agreement over the sourced ones (NaN for none), summed left to right; and k."""
-    sums = np.cumsum(agreement[:, cols], axis=1)[:, -1]  # an unsourced feature adds 0.0
-    n = np.count_nonzero(sourced[:, cols], axis=1)
+    sums, n = np.zeros(len(agreement)), np.zeros(len(sourced), np.intp)
+    for c in cols.tolist():  # an unsourced feature adds 0.0
+        sums += agreement[:, c]
+        n += sourced[:, c] != 0
     return (len(cols) - n) / len(cols), np.where(n > 0, sums, np.nan) / np.maximum(n, 1), len(cols)
 
 

@@ -171,7 +171,7 @@ class _RowView:
             if self.width and not np.isnan(row).any():
                 # norm before state: a concurrent reader that sees _FULL
                 # also sees the norm
-                self.norm[i] = float(np.linalg.norm(row))
+                self.norm[i] = math.sqrt(row.dot(row))  # np.linalg.norm's sum
                 state = _FULL
             else:
                 state = _GAPS
@@ -221,13 +221,13 @@ def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> Distanc
         n_shared = view.width
         nu, nv = view.norm[ia], view.norm[ib]
     else:
-        shared = ~np.isnan(u) & ~np.isnan(v)
-        n_shared = int(shared.sum())
+        shared = (u == u) & (v == v)  # known in both
+        n_shared = int(np.count_nonzero(shared))  # an np.int64 would not go to JSON
         if n_shared == 0:
             return _result(pair, metric, mode, None, 0, NO_SHARED_DATA)
         u = u[shared]
         v = v[shared]
-        nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+        nu, nv = math.sqrt(u.dot(u)), math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
         return _result(pair, metric, mode, None, 0, ZERO_VECTOR)
     if ia == ib:
@@ -244,34 +244,44 @@ def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> Distanc
 def _gram_cells(
     x: np.ndarray, rows: np.ndarray, metric: Metric
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(verdict, shared count, distance) of every pair of rows of x.
+    """(verdict, shared count, distance) of every pair of rows of x, as
+    symmetric n x n arrays: the verdict int8, the others float64.
 
     x holds NaN for missing values; rows[i] is the matrix row of x[i].
-    Angular distances are taken for i <= j only; below the diagonal they
-    are 0.
+    Each step writes into an array an earlier step is done with, as a
+    further n x n array costs page faults on every call. The Gram products
+    of x with itself, and a matrix times its transpose cell by cell, are
+    exactly symmetric, so only the angular distances, taken for i <= j,
+    are mirrored.
     """
     shared, squares, dots = _masked_gram(x)
-    # nu[i, j] is the norm of x[i] over the features it shares with x[j];
-    # in place, as a further n x n array costs page faults on every call
+    # nu[i, j] is the norm of x[i] over the features it shares with x[j]
     nu = np.sqrt(squares, out=squares)
-    zero = (nu == 0.0) | (nu.T == 0.0)
+    zero = nu == 0.0
+    zero |= zero.T
+    d = nu * nu.T  # the norm products, then the distances over them
     with np.errstate(divide="ignore", invalid="ignore"):
-        sim = np.clip(dots / (nu * nu.T), -1.0, 1.0)
+        sim = np.divide(dots, d, out=dots)
+    np.clip(sim, -1.0, 1.0, out=sim)
     same = rows[:, None] == rows[None, :]
+    verdict = np.zeros(sim.shape, np.int8)  # _COMPUTED; each later verdict outranks the ones before
     if metric is Metric.COSINE:
-        d = 1.0 - sim
-        ill = np.zeros_like(same)
+        np.subtract(1.0, sim, out=d)
     else:
         # math.acos per cell, as in language_distance: numpy's arccos may
         # differ from it in the last ulp
-        acos = np.zeros_like(sim)
         for i, row in enumerate(sim):
-            acos[i, i:] = np.fromiter(map(math.acos, row[i:].tolist()), float, len(row) - i)
-        d = (2.0 / math.pi) * acos
+            d[i, i:] = np.fromiter(map(math.acos, row[i:].tolist()), float, len(row) - i)
+            d[i:, i] = d[i, i:]
+        d *= 2.0 / math.pi
         # arccos near 1 turns last-ulp differences of the Gram sums into ~1e-8
-        ill = ~same & (1.0 - sim < _ILL_CONDITIONED_ACOS)
-    d = np.where(same, 0.0, np.clip(d, 0.0, 1.0))
-    verdict = np.select([shared == 0, zero, ill], [_NO_SHARED, _ZERO, _REMEASURE], _COMPUTED)
+        ill = np.subtract(1.0, sim, out=sim) < _ILL_CONDITIONED_ACOS
+        ill[same] = False
+        verdict[ill] = _REMEASURE
+    np.clip(d, 0.0, 1.0, out=d)
+    d[same] = 0.0
+    verdict[zero] = _ZERO
+    verdict[shared == 0] = _NO_SHARED
     return verdict, shared, d
 
 
@@ -349,14 +359,13 @@ def distance_matrix(
     view = _view(matrix, template.features)
     rows = np.array([matrix.language_index(lang) for lang in langs])
     x = view.values[rows][:, view.cols]
-    upper = np.triu(np.ones((len(langs), len(langs)), dtype=bool))
-    verdict, shared, d = (np.where(upper, a, a.T) for a in _gram_cells(x, rows, template.metric))
-
-    computed = verdict == _COMPUTED
-    distances = np.where(computed, d, np.nan)
-    reasons = verdict.astype(np.int8)  # the loop below rewrites every _REMEASURE
-    counts = np.where(computed, shared, 0).astype(np.int32)
-    for i, j in zip(*np.nonzero(upper & (verdict == _REMEASURE))):
+    # the three arrays are built in place; the loop below rewrites every _REMEASURE
+    reasons, shared, distances = _gram_cells(x, rows, template.metric)
+    failed = reasons != _COMPUTED
+    distances[failed] = np.nan
+    shared[failed] = 0
+    counts = shared.astype(np.int32)
+    for i, j in zip(*np.nonzero(np.triu(reasons == _REMEASURE))):
         res = language_distance(replace(template, lang_a=langs[i], lang_b=langs[j]), matrix)
         cell = (np.nan if res.distance is None else res.distance,
                 _REASONS.index(res.reason), res.shared_features)

@@ -383,7 +383,10 @@ def _aggregate_2d(snap, mode, provenance):
     return values
 
 
-def test_flat_index_aggregate_equals_the_index_pair_oracle_bit_for_bit():
+def _aggregate_fixtures():
+    """(tensor, source subsets): 25 seeded tensors of 1 to 4 sources with all,
+    reversed and one-source subsets, then one of 300 sources that share a few
+    cells, so a cell's source count needs more than 8 bits."""
     rng = np.random.default_rng(29)
     for _trial in range(25):
         langs = [f"l{i:03d}1234" for i in range(int(rng.integers(1, 60)))]
@@ -393,12 +396,44 @@ def test_flat_index_aggregate_equals_the_index_pair_oracle_bit_for_bit():
         cells = [(lang, f, s, float(rng.choice([0.0, 1.0, rng.random()])))
                  for lang in langs for f in feats for s in srcs if rng.random() < fill]
         tensor = make_tensor(langs, feats, cells, sources=srcs)
+        yield tensor, [tuple(srcs), tuple(reversed(srcs))] + [(s,) for s in srcs]
+    langs, feats = ["aaaa1234", "bbbb1234", "cccc1234"], ["S_F1", "S_F2", "S_F3"]
+    srcs = [f"SRC_{k:03d}" for k in range(300)]
+    # every source knows (aaaa, S_F1); the first 256 know (bbbb, S_F2), a
+    # count an 8-bit counter wraps to 0; a few know a cell of their own
+    cells = [("aaaa1234", "S_F1", s, float(rng.choice([0.0, 1.0, rng.random()]))) for s in srcs]
+    cells += [("bbbb1234", "S_F2", s, float(rng.random())) for s in srcs[:256]]
+    cells += [(str(rng.choice(langs)), str(rng.choice(feats)), s, 1.0) for s in srcs[::37]]
+    tensor = make_tensor(langs, feats, cells, sources=srcs)
+    yield tensor, [tuple(srcs), tuple(reversed(srcs)), tuple(srcs[::2]), (srcs[0],), (srcs[-1],)]
+
+
+def test_flat_index_aggregate_equals_the_index_pair_oracle_bit_for_bit():
+    for tensor, subsets in _aggregate_fixtures():
         snap = tensor.snapshot()
-        subsets = [tuple(srcs), (srcs[-1],), tuple(reversed(srcs))]
         for mode, provenance in itertools.product(AggregationMode, subsets):
             got = _aggregate(snap, mode, provenance).values
             want = _aggregate_2d(snap, mode, provenance)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (mode, provenance)
+
+
+def test_one_source_scopes_share_one_read_only_values_array():
+    tensor = _three_source_tensor()
+    union = aggregate(tensor, AggregationMode.UNION, "SRC_A")
+    average = aggregate(tensor, AggregationMode.AVERAGE, ["SRC_A", "SRC_A"])
+    assert union is not average and union.values is average.values
+    assert not union.values.flags.writeable
+    with pytest.raises(ValueError):
+        union.values[0, 0] = 0.5
+    both = aggregate(tensor, AggregationMode.UNION, ["SRC_A", "SRC_B"]).values
+    assert both is not aggregate(tensor, AggregationMode.AVERAGE, ["SRC_A", "SRC_B"]).values
+
+    tensor.extend_with(TensorBatch(cells=[("abcd1234", "S_F3", "SRC_A", 1.0)]))
+    # average first this time: it builds the union entry it shares
+    fresh = [aggregate(tensor, mode, "SRC_A").values
+             for mode in (AggregationMode.AVERAGE, AggregationMode.UNION)]
+    assert fresh[0] is fresh[1] and fresh[0] is not union.values
+    assert fresh[0][0, 2] == 1.0 and np.isnan(union.values[0, 2])
 
 
 def _gram_fixtures(n_fixtures=60):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import json
 import math
 import pickle
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 from typodist import distance as distance_module
 from typodist import storage
-from typodist.aggregate import AggregationMode, aggregate
+from typodist.aggregate import AggregationMode, _masked_gram, aggregate
 from typodist.confidence import confidence_report
 from typodist.distance import (
     NO_SHARED_DATA,
@@ -289,6 +290,22 @@ def test_result_json_shapes():
     }
 
 
+@pytest.mark.parametrize("mode", list(AggregationMode))
+def test_pair_results_hold_python_scalars_that_go_to_json(mode):
+    langs = ["aaaa1234", "bbbb1234", "cccc1234", "dddd1234"]
+    m = make_matrix(mode, langs, ["S_F1", "S_F2", "S_F3"],
+                    [[1, 0.5, np.nan], [0.5, 1, 1], [1, 0.25, 1], [np.nan, 1, 0.5]])
+    # with gaps, fully known, and the same row with gaps and fully known
+    pairs = [("aaaa1234", "bbbb1234"), ("aaaa1234", "dddd1234"), ("bbbb1234", "cccc1234"),
+             ("aaaa1234", "aaaa1234"), ("cccc1234", "cccc1234")]
+    for metric in Metric:
+        for a, b in pairs:
+            res = language_distance(_req(a, b, metric=metric, aggregation=mode), m)
+            assert res.computable, (a, b)
+            assert type(res.shared_features) is int and type(res.distance) is float, (a, b, res)
+            json.dumps(res.to_json())
+
+
 def test_matrix_for_aggregates_then_imputes_on_request(tiny_tensor):
     plain = _req("dial1234", "othe1234", sources="SRC_A")
     assert matrix_for(tiny_tensor, plain) is aggregate(
@@ -446,6 +463,60 @@ def test_external_imputation_is_read_on_every_call(tiny_tensor, tmp_path, monkey
 
 # distance_matrix against its per-pair oracle -----------------------------------
 
+def _gram_cells_oracle(x, rows, metric):
+    """distance._gram_cells with a fresh array per n x n step and np.select
+    verdicts: (verdict, shared count, distance), angular distances for
+    i <= j only and 0 below the diagonal."""
+    shared, squares, dots = _masked_gram(x)
+    nu = np.sqrt(squares, out=squares)
+    zero = (nu == 0.0) | (nu.T == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sim = np.clip(dots / (nu * nu.T), -1.0, 1.0)
+    same = rows[:, None] == rows[None, :]
+    if metric is Metric.COSINE:
+        d = 1.0 - sim
+        ill = np.zeros_like(same)
+    else:
+        acos = np.zeros_like(sim)
+        for i, row in enumerate(sim):
+            acos[i, i:] = np.fromiter(map(math.acos, row[i:].tolist()), float, len(row) - i)
+        d = (2.0 / math.pi) * acos
+        ill = ~same & (1.0 - sim < distance_module._ILL_CONDITIONED_ACOS)
+    d = np.where(same, 0.0, np.clip(d, 0.0, 1.0))
+    # the reason codes, 0 computed, 1 no shared data, 2 zero vector, and 3 to measure per pair
+    verdict = np.select([shared == 0, zero, ill], [1, 2, 3], 0)
+    return verdict, shared, d
+
+
+def _grid_arrays_oracle(langs, template, m):
+    """distance_matrix's (distances, reasons, shared) from _gram_cells_oracle,
+    each array's upper triangle mirrored by np.where, then each
+    ill-conditioned pair measured by language_distance."""
+    view = distance_module._view(m, template.features)
+    rows = np.array([m.language_index(lang) for lang in langs])
+    x = view.values[rows][:, view.cols]
+    upper = np.triu(np.ones((len(langs), len(langs)), dtype=bool))
+    verdict, shared, d = (np.where(upper, a, a.T) for a in _gram_cells_oracle(x, rows, template.metric))
+    computed = verdict == 0
+    distances = np.where(computed, d, np.nan)
+    reasons = verdict.astype(np.int8)
+    counts = np.where(computed, shared, 0).astype(np.int32)
+    for i, j in zip(*np.nonzero(upper & (verdict == 3))):
+        res = language_distance(replace(template, lang_a=langs[i], lang_b=langs[j]), m)
+        cell = (np.nan if res.distance is None else res.distance,
+                distance_module._REASONS.index(res.reason), res.shared_features)
+        distances[i, j], reasons[i, j], counts[i, j] = cell
+        distances[j, i], reasons[j, i], counts[j, i] = cell
+    return distances, reasons, counts
+
+
+def _assert_grid_equals_its_oracle(grid, langs, template, m):
+    """The grid's three arrays equal _grid_arrays_oracle's byte for byte."""
+    for got, want in zip((grid.distances, grid.reasons, grid.shared),
+                         _grid_arrays_oracle(langs, template, m)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _assert_matches_language_distance(grid, langs, template, m, exact=False):
     for i, a in enumerate(langs):
         for j, b in enumerate(langs):
@@ -482,6 +553,7 @@ def test_distance_matrix_edge_cases_match_language_distance(values, langs, featu
     grid = distance_matrix(langs, template, m)
     assert len(grid) == len(langs) and all(len(row) == len(langs) for row in grid)
     _assert_matches_language_distance(grid, langs, template, m)
+    _assert_grid_equals_its_oracle(grid, langs, template, m)
     if features is Category.MORPHOLOGICAL:
         assert all(cell.reason == NO_SHARED_DATA for row in grid for cell in row)
 
@@ -536,6 +608,7 @@ def test_distance_matrix_matches_language_distance_on_random_fixtures():
         template = _req("", "", metric=metric, aggregation=m.mode)
         grid = distance_matrix(langs, template, m)
         _assert_matches_language_distance(grid, langs, template, m, exact=binary)
+        _assert_grid_equals_its_oracle(grid, langs, template, m)
         reasons.update(cell.reason for row in grid for cell in row)
     assert reasons == {None, NO_SHARED_DATA, ZERO_VECTOR}
 
@@ -559,6 +632,8 @@ def test_distance_matrix_measures_only_ill_conditioned_angular_cells_per_pair(mo
         calls.clear()
         template = _req("", "", metric=metric, aggregation=AggregationMode.AVERAGE)
         grid = distance_matrix(list(m.languages), template, m)
+        # the oracle measures through this module's language_distance, not the counting one
+        _assert_grid_equals_its_oracle(grid, list(m.languages), template, m)
         if metric is Metric.COSINE:
             assert calls == []
             continue
