@@ -93,6 +93,12 @@ def _masked_gram(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k @ k.T, (x0 * x0) @ k.T, x0 @ x0.T
 
 
+def _binary(x: np.ndarray, axis=None):
+    """Whether every known value of x (NaN is missing) is 0 or 1, over axis:
+    the one rule by which kNN and distance grids take _masked_gram's sums as exact."""
+    return ((x == 0.0) | (x == 1.0) | np.isnan(x)).all(axis=axis)
+
+
 T = TypeVar("T")
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
@@ -21,6 +21,7 @@ from .aggregate import (
     AggregatedMatrix,
     AggregationMode,
     SourceSelector,
+    _binary,
     _get_or_build,
     _masked_gram,
     _provenance,
@@ -210,11 +211,13 @@ def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> Distanc
     metric, mode = req.metric, req.aggregation
     if matrix.mode is not mode:  # identity first: the call is made only to raise
         _check_mode(req, matrix)
-    pair = (req.lang_a, req.lang_b)
-    view = _view(matrix, req.features)
-    ia = matrix.language_index(req.lang_a)
-    ib = matrix.language_index(req.lang_b)
+    code, d, n_shared = _pair_cell(_view(matrix, req.features), matrix.language_index(req.lang_a),
+                                   matrix.language_index(req.lang_b), metric)
+    return _result((req.lang_a, req.lang_b), metric, mode, d, n_shared, _REASONS[code])
 
+
+def _pair_cell(view: _RowView, ia: int, ib: int, metric: Metric) -> tuple[int, Optional[float], int]:
+    """language_distance's (reason code, distance or None, shared count) of rows ia, ib."""
     u, full_a = view.row(ia)
     v, full_b = view.row(ib)
     if full_a and full_b:
@@ -224,21 +227,21 @@ def language_distance(req: DistanceRequest, matrix: AggregatedMatrix) -> Distanc
         shared = (u == u) & (v == v)  # known in both
         n_shared = int(np.count_nonzero(shared))  # an np.int64 would not go to JSON
         if n_shared == 0:
-            return _result(pair, metric, mode, None, 0, NO_SHARED_DATA)
+            return _NO_SHARED, None, 0
         u = u[shared]
         v = v[shared]
         nu, nv = math.sqrt(u.dot(u)), math.sqrt(v.dot(v))
     if nu == 0.0 or nv == 0.0:
-        return _result(pair, metric, mode, None, 0, ZERO_VECTOR)
+        return _ZERO, None, 0
     if ia == ib:
         # same row: zero distance by identity
-        return _result(pair, metric, mode, 0.0, n_shared, None)
+        return _COMPUTED, 0.0, n_shared
     sim = min(1.0, max(-1.0, float(u.dot(v)) / (nu * nv)))
     if metric is Metric.COSINE:
         d = 1.0 - sim
     else:
         d = (2.0 / math.pi) * math.acos(sim)
-    return _result(pair, metric, mode, min(1.0, max(0.0, d)), n_shared, None)
+    return _COMPUTED, min(1.0, max(0.0, d)), n_shared
 
 
 def _gram_cells(
@@ -252,7 +255,8 @@ def _gram_cells(
     further n x n array costs page faults on every call. The Gram products
     of x with itself, and a matrix times its transpose cell by cell, are
     exactly symmetric, so only the angular distances, taken for i <= j,
-    are mirrored.
+    are mirrored. Ill-conditioned angular cells are _REMEASURE only where
+    a row fails aggregate._binary, as the sums over 0/1 rows are exact.
     """
     shared, squares, dots = _masked_gram(x)
     # nu[i, j] is the norm of x[i] over the features it shares with x[j]
@@ -277,6 +281,8 @@ def _gram_cells(
         # arccos near 1 turns last-ulp differences of the Gram sums into ~1e-8
         ill = np.subtract(1.0, sim, out=sim) < _ILL_CONDITIONED_ACOS
         ill[same] = False
+        fractional = ~_binary(x, axis=1)
+        ill &= fractional[:, None] | fractional
         verdict[ill] = _REMEASURE
     np.clip(d, 0.0, 1.0, out=d)
     d[same] = 0.0
@@ -350,7 +356,8 @@ def distance_matrix(
     Gram products over the selected columns, and each cell (i, j) with
     i > j mirrors (j, i). Each cell equals language_distance for its
     pair: reasons and shared counts exactly, distances within 1e-12, and
-    bit for bit where every sum is an exact integer (binary data).
+    bit for bit on binary data, where every sum is an exact integer; an
+    ill-conditioned angular cell with a non-0/1 row is measured by _pair_cell.
     """
     langs = list(languages)
     if len(langs) < 2:
@@ -366,9 +373,8 @@ def distance_matrix(
     shared[failed] = 0
     counts = shared.astype(np.int32)
     for i, j in zip(*np.nonzero(np.triu(reasons == _REMEASURE))):
-        res = language_distance(replace(template, lang_a=langs[i], lang_b=langs[j]), matrix)
-        cell = (np.nan if res.distance is None else res.distance,
-                _REASONS.index(res.reason), res.shared_features)
+        code, d, count = _pair_cell(view, rows[i], rows[j], template.metric)
+        cell = (np.nan if d is None else d, code, count)
         distances[i, j], reasons[i, j], counts[i, j] = cell
         distances[j, i], reasons[j, i], counts[j, i] = cell
     for values in (distances, reasons, counts):

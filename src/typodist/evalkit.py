@@ -62,24 +62,17 @@ def _union_metrics(truth: np.ndarray, pred: np.ndarray) -> tuple[dict[str, float
     fp = int(np.sum(~pos_truth & pos_pred))
     fn = int(np.sum(pos_truth & ~pos_pred))
     guards = []
+
+    def ratio(name: str, num, den) -> float:
+        if den == 0:
+            guards.append(name)
+            return 0.0
+        return num / den
+
     accuracy = float(np.mean(pred_bin == truth)) if truth.size else 0.0
-    if tp + fp == 0:
-        precision, flag_p = 0.0, True
-    else:
-        precision, flag_p = tp / (tp + fp), False
-    if tp + fn == 0:
-        recall, flag_r = 0.0, True
-    else:
-        recall, flag_r = tp / (tp + fn), False
-    if flag_p:
-        guards.append("precision")
-    if flag_r:
-        guards.append("recall")
-    if precision + recall == 0.0:
-        f1 = 0.0
-        guards.append("f1")
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
+    precision = ratio("precision", tp, tp + fp)
+    recall = ratio("recall", tp, tp + fn)
+    f1 = ratio("f1", 2 * precision * recall, precision + recall)
     return (
         {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1},
         guards,

@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .aggregate import AggregatedMatrix, AggregationMode, _masked_gram
+from .aggregate import AggregatedMatrix, AggregationMode, _binary, _masked_gram
 from .errors import FormatError
 from .kb import FeatureTensor, LanguageRecord, ancestors
 from . import storage
@@ -193,13 +193,15 @@ def _masked_l1_distances(values: np.ndarray, known: np.ndarray) -> np.ndarray:
     |x - y| = x + y - 2xy, and each product sums small integers exactly,
     so the result equals _masked_l1_rows bit for bit.
     """
-    if not np.isin(values[known], (0.0, 1.0)).all():
+    if not _binary(values):
         return _masked_l1_rows(values, known)
-    # on 0 and 1, x² = x; a -0.0 in X0 X0ᵀ leaves each sum's bytes as they are
-    counts, one_known, both_one = _masked_gram(values)
-    sums = one_known + one_known.T - 2 * both_one
+    # on 0 and 1, x² = x; each sum is an exact integer, which neither its order nor a -0.0 moves
+    counts, one_known, dist = _masked_gram(values)
+    dist *= -2
+    dist += one_known
+    dist += one_known.T
     with np.errstate(invalid="ignore"):
-        dist = sums / counts
+        np.divide(dist, counts, out=dist)
     dist[counts == 0] = np.nan  # 0/0 may set the sign bit; np.nan does not
     np.fill_diagonal(dist, np.nan)
     return dist

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from typodist.aggregate import AggregationMode, _aggregate, _masked_gram, aggregate
+from typodist.aggregate import AggregationMode, _aggregate, _binary, _masked_gram, aggregate
 from typodist.errors import (
     EmptySourceSubset,
     UnknownFeature,
@@ -489,3 +489,24 @@ def test_masked_gram_equals_per_pair_sums_over_shared_features():
         }
         seen.update(case for case, hit in cases.items() if hit)
     assert seen == set(cases)
+
+
+@pytest.mark.parametrize("values, binary", [
+    ([0.0, 1.0, -0.0], True),
+    ([np.nan, 1.0, np.nan, 0.0], True),  # NaN is missing, not a value
+    ([np.nan, np.nan], True),
+    ([], True),
+    ([1.0, 1.0 + 2.0**-52], False),
+    ([0.0, 0.5], False),
+    ([np.inf, 0.0], False),
+])
+def test_binary_is_every_known_value_zero_or_one(values, binary):
+    x = np.array(values, dtype=float)
+    assert bool(_binary(x)) is binary
+    assert _binary(x.reshape(1, -1), axis=1).tolist() == [binary]
+
+
+def test_binary_per_row():
+    rows = np.array([[0.0, 1.0], [0.0, 0.5], [np.nan, -0.0], [np.nan, np.nan]])
+    assert _binary(rows, axis=1).tolist() == [True, False, True, True]
+    assert not _binary(rows)

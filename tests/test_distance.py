@@ -613,26 +613,37 @@ def test_distance_matrix_matches_language_distance_on_random_fixtures():
     assert reasons == {None, NO_SHARED_DATA, ZERO_VECTOR}
 
 
-def test_distance_matrix_measures_only_ill_conditioned_angular_cells_per_pair(monkeypatch):
+def _grid_and_pair_cells(monkeypatch, langs, template, m):
+    """distance_matrix's grid and the (row, row) pairs it sends to _pair_cell;
+    calls that language_distance makes, as the oracles' do, are not counted."""
+    calls, pair_cell = [], distance_module._pair_cell
+
+    def counting(view, ia, ib, metric):
+        calls.append((int(ia), int(ib)))
+        return pair_cell(view, ia, ib, metric)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(distance_module, "_pair_cell", counting)
+        grid = distance_matrix(langs, template, m)
+    return grid, calls
+
+
+def _ill_conditioned_average_fixture():
     rng = np.random.default_rng(47)
     values = rng.random((30, 20))
     values[5] = 0.5 * values[4]  # parallel: cos = 1 up to rounding
     values[7] = values[6] + 1e-7  # nearly parallel
     values[rng.random(values.shape) < 0.3] = np.nan
-    m = make_matrix(AggregationMode.AVERAGE, [f"l{i:03d}1234" for i in range(30)],
-                    [f"S_F{j:03d}" for j in range(20)], values)
-    calls = []
+    return make_matrix(AggregationMode.AVERAGE, [f"l{i:03d}1234" for i in range(30)],
+                       [f"S_F{j:03d}" for j in range(20)], values)
 
-    def counting(req, matrix):
-        calls.append((req.lang_a, req.lang_b))
-        return language_distance(req, matrix)
 
-    monkeypatch.setattr(distance_module, "language_distance", counting)
+def test_distance_matrix_measures_only_ill_conditioned_angular_cells_per_pair(monkeypatch):
+    m = _ill_conditioned_average_fixture()
     for metric in Metric:
-        calls.clear()
         template = _req("", "", metric=metric, aggregation=AggregationMode.AVERAGE)
-        grid = distance_matrix(list(m.languages), template, m)
-        # the oracle measures through this module's language_distance, not the counting one
+        grid, rows = _grid_and_pair_cells(monkeypatch, list(m.languages), template, m)
+        calls = [(m.languages[ia], m.languages[ib]) for ia, ib in rows]
         _assert_grid_equals_its_oracle(grid, list(m.languages), template, m)
         if metric is Metric.COSINE:
             assert calls == []
@@ -641,6 +652,75 @@ def test_distance_matrix_measures_only_ill_conditioned_angular_cells_per_pair(mo
         for a, b in calls:
             d = grid[m.language_index(a)][m.language_index(b)].distance
             assert a != b and 1.0 - math.cos(d * math.pi / 2) < 1e-5
+
+
+def _parallel_union_fixture():
+    """40 union rows copied from 8, with holes: dozens of pairs parallel
+    over their shared syntactic features, where arccos is ill-conditioned."""
+    rng = np.random.default_rng(83)
+    values = rng.integers(0, 2, (8, 24)).astype(float)[rng.integers(0, 8, 40)]
+    values[1] = values[0]
+    values[rng.random(values.shape) < 0.2] = np.nan
+    values[:2, 0] = 1.0, np.nan  # rows 0 and 1 stay parallel if row 0 turns fractional at 0
+    names = [f"{'SP'[j % 2]}_F{j:03d}" for j in range(24)]
+    return make_matrix(AggregationMode.UNION, [f"l{i:03d}1234" for i in range(40)], names, values)
+
+
+def _ill_conditioned_pairs(template, m):
+    """The (i, j), i < j, where arccos is ill-conditioned: the cells
+    _gram_cells_oracle marks to be measured per pair, whatever the values."""
+    view = distance_module._view(m, template.features)
+    rows = np.arange(len(m.languages))
+    verdict = _gram_cells_oracle(view.values[:, view.cols], rows, template.metric)[0]
+    return {(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(verdict == 3)))}
+
+
+def test_binary_grids_take_every_cell_from_the_gram_products(monkeypatch):
+    m = _parallel_union_fixture()
+    m.values.flags.writeable = False
+    langs = list(m.languages)
+    template = _req("", "", features=Category.SYNTACTIC)
+    assert len(_ill_conditioned_pairs(template, m)) >= 50
+    grid, calls = _grid_and_pair_cells(monkeypatch, langs, template, m)
+    assert calls == []
+    _assert_matches_language_distance(grid, langs, template, m, exact=True)
+    _assert_grid_equals_its_oracle(grid, langs, template, m)
+
+
+def test_a_fractional_row_has_its_ill_conditioned_cells_measured_per_pair(monkeypatch):
+    m = _parallel_union_fixture()
+    m.values[0, 0] = 0.5
+    langs = list(m.languages)
+    template = _req("", "", features=Category.SYNTACTIC)
+    ill = _ill_conditioned_pairs(template, m)
+    grid, calls = _grid_and_pair_cells(monkeypatch, langs, template, m)
+    assert (0, 1) in ill
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(i, j) for i, j in ill if i == 0}
+    _assert_matches_language_distance(grid, langs, template, m)
+    _assert_grid_equals_its_oracle(grid, langs, template, m)
+
+
+def test_listed_scopes_and_writable_matrices_build_one_view_per_grid(monkeypatch):
+    m = _ill_conditioned_average_fixture()
+    names = [f.name for f in m.features]
+    read_only = m.copy()
+    read_only.values.flags.writeable = False
+    built, row_view = [], distance_module._RowView
+
+    class CountingView(row_view):
+        def __init__(self, matrix, selector):
+            built.append(selector)
+            super().__init__(matrix, selector)
+
+    monkeypatch.setattr(distance_module, "_RowView", CountingView)
+    for matrix, features in ((m, None), (read_only, names[::-1])):
+        template = _req("", "", aggregation=AggregationMode.AVERAGE, features=features)
+        for _ in range(2):
+            built.clear()
+            grid, calls = _grid_and_pair_cells(monkeypatch, list(m.languages), template, matrix)
+            assert len(built) == 1 and (4, 5) in calls
+        _assert_grid_equals_its_oracle(grid, list(m.languages), template, matrix)
 
 
 # DistanceGrid: the arrays and the cells they yield ------------------------------

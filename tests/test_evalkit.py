@@ -82,6 +82,21 @@ def test_union_metrics_hand_counted_confusion():
     assert "precision" in guards  # no positive predictions at all
 
 
+@pytest.mark.parametrize("truth, pred, metrics, guards", [
+    ([0.0, 0.0], [0.0, 0.4], (1.0, 0.0, 0.0, 0.0), ["precision", "recall", "f1"]),
+    ([1.0, 0.0], [0.0, 0.5], (0.0, 0.0, 0.0, 0.0), ["f1"]),
+    ([0.0, 0.0], [1.0, 0.0], (0.5, 0.0, 0.0, 0.0), ["recall", "f1"]),
+    ([1.0, 1.0, 0.0], [1.0, 0.0, 1.0], (1 / 3, 0.5, 0.5, 0.5), []),
+    ([], [], (0.0, 0.0, 0.0, 0.0), ["precision", "recall", "f1"]),
+])
+def test_union_metrics_guard_each_zero_denominator_in_order(truth, pred, metrics, guards):
+    got, got_guards = _union_metrics(np.array(truth), np.array(pred))
+    assert tuple(got.values()) == metrics
+    assert list(got) == ["accuracy", "precision", "recall", "f1"]
+    assert all(type(v) is float for v in got.values())
+    assert got_guards == guards
+
+
 def test_quality_report_reproducible_and_seed_sensitive():
     rng = np.random.default_rng(9)
     m = random_matrix(rng, 10, 10, AggregationMode.UNION, missing_frac=0.2)
