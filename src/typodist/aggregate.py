@@ -11,6 +11,18 @@ subset), and a one-source average wraps the values of that source's union
 entry; `distance.matrix_for` and `confidence` use the same dict.
 `aggregate` reads the published state once and keys, builds and caches
 from that one snapshot, so a concurrent write is seen whole or not at all.
+
+A cold union of a state updates the last union built from the same or an
+earlier state on its `kb.WriteLog`, if that one is over the same sources:
+it is that union copied, with the cells written since folded in by fmax
+(incremental view maintenance). This is exact because a log spans no
+registry growth and no write that changed a stored cell, so a union cell
+can only rise, and the max of a set of floats (none NaN or -0.0) does not
+depend on the order it is taken in. Average mode, and a union with no
+such earlier union, build cold: recomputing each touched cell over every
+source measured no cheaper than a cold build. The log holds the last
+union matrix built (one matrix, 3.8 MB at 2000 x 240) until the next
+union replaces it or a write starts a new log.
 """
 
 from __future__ import annotations
@@ -136,14 +148,48 @@ def aggregate(
     snap = tensor.snapshot()  # keyed, built and cached from this one state
     provenance = _provenance(snap, sources)
     return _get_or_build(snap.derived, (mode, provenance),
-                         lambda: _aggregate(snap, mode, provenance))
+                         lambda: _built(snap, mode, provenance))
+
+
+def _built(snap: TensorSnapshot, mode: AggregationMode,
+           provenance: tuple[str, ...]) -> AggregatedMatrix:
+    """_aggregate's matrix, a union updated from the log's last union where
+    it can be; a union becomes the log's last one."""
+    if mode is not AggregationMode.UNION:
+        return _aggregate(snap, mode, provenance)
+    selected = frozenset(map(snap.source_index, provenance))
+    values = _updated_union(snap, selected)
+    matrix = (_aggregate(snap, mode, provenance) if values is None
+              else _matrix(snap, mode, values, provenance))
+    kept = snap.log.union
+    # a builder of an older state keeps the newer union; racing builders
+    # may keep either, and each is exact for the state it names
+    if kept is None or kept[0] <= snap.logged:
+        snap.log.union = (snap.logged, selected, matrix.values)
+    return matrix
+
+
+def _updated_union(snap: TensorSnapshot, selected: frozenset):
+    """The union of the selected sources: a copy of the log's last union of
+    them, built from this state or an earlier one, with the cells written
+    since folded in; None if the log holds none."""
+    kept = snap.log.union
+    if kept is None or kept[0] > snap.logged or kept[1] != selected:
+        return None
+    values = kept[2].copy()
+    flat = values.ravel()  # a view: cells are written through flat indices
+    for si in selected:
+        added = snap.log.added(kept[0], snap.logged, si)
+        at = added.flat_index(values.shape[1])
+        flat[at] = np.fmax(flat[at], added.value)
+    return values
 
 
 def _aggregate(snap: TensorSnapshot, mode: AggregationMode,
                provenance: tuple[str, ...]) -> AggregatedMatrix:
     """A cold aggregate of a snapshot."""
     # source order fixes the order in which average mode sums a cell's values
-    columns = [snap.columns[si] for si in sorted({snap.source_index(s) for s in provenance})]
+    columns = [snap.layers[si].merged for si in sorted({snap.source_index(s) for s in provenance})]
     shape = (len(snap.languages), len(snap.features))
     if mode is AggregationMode.AVERAGE and len(columns) == 1:
         # one source's mean is its union: stored values are never -0.0, so
@@ -169,8 +215,13 @@ def _aggregate(snap: TensorSnapshot, mode: AggregationMode,
         with np.errstate(invalid="ignore"):  # a divide with where= is several times slower
             np.divide(flat, count, out=flat)
         flat[count == 0] = np.nan  # 0 / 0 gave a NaN with its sign bit set
-    values.flags.writeable = False
+    return _matrix(snap, mode, values, provenance)
 
+
+def _matrix(snap: TensorSnapshot, mode: AggregationMode, values: np.ndarray,
+            provenance: tuple[str, ...]) -> AggregatedMatrix:
+    """values, made read-only, as snap's matrix."""
+    values.flags.writeable = False
     return AggregatedMatrix(
         mode=mode,
         languages=[rec.glottocode for rec in snap.languages],

@@ -40,8 +40,8 @@ def _source_agreement(snap: TensorSnapshot) -> tuple[np.ndarray, np.ndarray]:
         np.argsort(np.concatenate([col.key for col in columns]), kind="stable")]
     cell = np.concatenate([col.language * n + col.feature for col in columns])
     cell.sort(kind="stable")  # argsort's order, in place; stable merges the sorted runs
-    count = np.ones(len(cell), np.min_scalar_type(len(snap.columns)))  # at most S
-    for d in range(1, len(snap.columns)):
+    count = np.ones(len(cell), np.min_scalar_type(len(snap.layers)))  # at most S
+    for d in range(1, len(snap.layers)):
         count[d:] += (cell[d:] == cell[:-d]) & (value[d:] == value[:-d])
     del value
     start = np.flatnonzero(np.diff(cell, prepend=-1))  # where each cell's values begin

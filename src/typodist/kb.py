@@ -5,20 +5,33 @@ missing. Registries are append-only: once a language, feature, or source
 has an index, that index never changes, and known cells are never
 silently overwritten.
 
-Each source's cells are two numpy arrays, kept sorted by key: an int64
-key that holds the language index in its high 32 bits and the feature
-index in its low 32 bits, so keys sort as (language, feature) does, and a
-float64 value, 16 bytes per cell. A tensor publishes one read-only
-`TensorSnapshot`: registries, name -> index maps, cells, `derived`, `version`.
-A write searches each source it touches once, checks the whole batch against
-the state from that search, builds the next state (registries copied only if
-it adds entries, new arrays only for the sources whose cells it changes, an
-empty `derived`) and publishes it in one swap; a no-op write publishes
-nothing. `adopt_columns`, a load's one cell write, takes whole columns (from
-the cell cache, or `SourceColumn.of` over CSV rows), checks only the column
-invariants above and stores the arrays themselves. Writes are serialised
-under the tensor's lock, so concurrent writers never share an index. A
-reader takes one snapshot: it sees each write whole or not at all.
+A column of cells is two numpy arrays, kept sorted by key: an int64 key
+that holds the language index in its high 32 bits and the feature index in
+its low 32 bits, so keys sort as (language, feature) does, and a float64
+value, 16 bytes per cell. Each source keeps its cells as two such columns,
+the smallest log-structured merge-tree: a sorted base and a sorted delta,
+no cell in both. A write merges only into the delta, so a small batch
+costs O(batch + delta), not O(source); the delta folds into the base once
+it holds more than an eighth as many cells (_FOLD), and at once when a
+write overwrites a stored cell. Readers see one merged column per source
+(`TensorSnapshot.columns`), built on first read and kept on the source's
+unchanged (base, delta) pair, so an untouched source keeps its arrays;
+point lookups search the base and the delta instead.
+
+A tensor publishes one read-only `TensorSnapshot`: registries, name ->
+index maps, per-source layers, the cell count, `derived`, `version`, and a
+`WriteLog` of the cells that writes added since the registries last grew
+or a stored cell changed, which `aggregate` reads to update its last union.
+A write searches each base and each non-empty delta it touches once,
+checks the whole batch against the state from that search, builds the
+next state (registries copied only if it adds entries, new layers only for
+the sources whose cells it changes, an empty `derived`) and publishes it in
+one swap; a no-op write publishes nothing. `adopt_columns`, a load's one
+cell write, takes whole columns (from the cell cache, or `SourceColumn.of`
+over CSV rows) as bases, checks only the column invariants above and
+stores the arrays themselves. Writes are serialised under the tensor's
+lock, so concurrent writers never share an index. A reader takes one
+snapshot: it sees each write whole or not at all.
 """
 
 from __future__ import annotations
@@ -27,6 +40,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -288,6 +302,63 @@ class SourceColumn(NamedTuple):
 
 _NO_CELLS = SourceColumn(np.empty(0, np.int64), np.empty(0))
 
+#: a delta folds into its base once it holds more than 1/_FOLD as many cells
+_FOLD = 8
+
+
+class SourceLayers:
+    """One source's cells: a sorted base and a small sorted delta, no cell in both."""
+
+    __slots__ = ("base", "delta", "_merged")
+
+    def __init__(self, base: SourceColumn, delta: SourceColumn = _NO_CELLS):
+        self.base, self.delta, self._merged = base, delta, None
+
+    def __len__(self) -> int:
+        return len(self.base.key) + len(self.delta.key)
+
+    @property
+    def merged(self) -> SourceColumn:
+        """base and delta as one column, built on first read and kept; the base
+        itself while the delta is empty."""
+        merged = self._merged
+        if merged is None:  # concurrent first readers build equal columns
+            merged = self._merged = _folded(self.base, self.delta)
+        return merged
+
+
+_NO_LAYERS = SourceLayers(_NO_CELLS)
+
+
+class WriteLog:
+    """The cells that writes added since a state whose registries grew, or
+    in which a stored cell changed or columns were adopted; a state there
+    starts a new log, as does a write that would take the log past an
+    eighth of the stored cells. The states between share it, each knowing
+    how many of its writes it includes (`TensorSnapshot.logged`).
+
+    `union` is aggregate's: (logged, source indices, values) of the last
+    union built from one of those states, or None.
+    """
+
+    __slots__ = ("writes", "cells", "union")
+
+    def __init__(self):
+        self.writes = []  # per write, per source: (index, keys, values) in write order
+        self.cells = 0
+        self.union = None
+
+    def added(self, start: int, stop: int, source: int) -> SourceColumn:
+        """The cells that writes start to stop - 1 added to a source, as a
+        column; a cell written twice in a write keeps its last value."""
+        keys, values = [_NO_CELLS.key], [_NO_CELLS.value]
+        for write in self.writes[start:stop]:
+            for si, key, value in write:
+                if si == source:
+                    keys.append(key)
+                    values.append(value)
+        return SourceColumn(*_last_sorted(np.concatenate(keys), np.concatenate(values)))
+
 
 class TensorSnapshot(NamedTuple):
     """The tensor's published state, as one completed write left it; read-only."""
@@ -298,9 +369,17 @@ class TensorSnapshot(NamedTuple):
     lang_index: Mapping[str, int]  # glottocode -> index into languages
     feat_index: Mapping[str, int]  # feature name -> index into features
     src_index: Mapping[str, int]  # source name -> index into sources
-    columns: tuple[SourceColumn, ...]  # one per source, in source order
+    layers: tuple[SourceLayers, ...]  # one per source, in source order
+    cells: int  # stored cells over all sources
     derived: dict  # matrices built from this state, by key
     version: int  # bumped once per write that publishes a new state
+    log: WriteLog  # the cells added since the last registry growth, overwrite or load
+    logged: int  # how many of log's writes this state includes
+
+    @property
+    def columns(self) -> tuple[SourceColumn, ...]:
+        """Each source's merged column, in source order."""
+        return tuple(layers.merged for layers in self.layers)
 
     def language_index(self, glottocode: str) -> int:
         return _index_of(self.lang_index, glottocode, UnknownLanguage)
@@ -325,22 +404,37 @@ def _keys(language, feature) -> np.ndarray:
     return (np.asarray(language, np.int64) << 32) | feature
 
 
-def _lookup(columns, source, keys, found=None) -> np.ndarray:
+def _found(key: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of keys sits or would go in the sorted key, and whether it is there."""
+    pos = np.searchsorted(key, keys)
+    hit = pos < len(key)
+    hit[hit] = key[pos[hit]] == keys[hit]
+    return pos, hit
+
+
+def _lookup(columns, source, keys, found=None, stored=None) -> np.ndarray:
     """Each (source index, key) cell's stored value; NaN where it is missing or
-    its source is -1. One search of each touched column; found, a list if given,
-    gets per touched source its index, its cells' rows, where each sits or would
-    go and whether it is stored there (None, None for an empty column)."""
-    stored = np.full(len(keys), np.nan)
+    its source is -1, or stored's value if given (it is filled in place). One
+    search of each touched non-empty column; found, a list if given, gets per
+    touched source its index, its cells' rows, where each sits or would go and
+    whether it is stored there (None, None for an empty column)."""
+    if stored is None:
+        stored = np.full(len(keys), np.nan)
     for si in np.flatnonzero(np.bincount(source + 1)[1:]).tolist():  # cheaper than np.unique
         rows, column, pos, hit = np.flatnonzero(source == si), columns[si], None, None
         if len(column.key):
-            pos = np.searchsorted(column.key, keys[rows])
-            hit = pos < len(column.key)
-            hit[hit] = column.key[pos[hit]] == keys[rows[hit]]
+            pos, hit = _found(column.key, keys[rows])
             stored[rows[hit]] = column.value[pos[hit]]
         if found is not None:
             found.append((si, rows, pos, hit))
     return stored
+
+
+def _stored(layers, source, keys, found=None) -> np.ndarray:
+    """_lookup over the sources' layers: one search of each touched base, then
+    of each touched non-empty delta, which found, if given, gets."""
+    bases = _lookup([layer.base for layer in layers], source, keys)
+    return _lookup([layer.delta for layer in layers], source, keys, found, bases)
 
 
 def _last_sorted(keys, *arrays) -> tuple:
@@ -359,12 +453,28 @@ def _merged(column: SourceColumn, keys, value, pos, hit) -> SourceColumn:
     """A new column: column, which holds cells, with the cells given in write
     order, with their pos and hit from _lookup of column, written over it. A
     cell written more than once keeps its last value."""
-    keys, value, pos, hit = _last_sorted(keys, value, pos, hit)
-    kept = column.value.copy()
-    kept[pos[hit]] = value[hit]
+    return _inserted(column, *_last_sorted(keys, value, pos, hit))
+
+
+def _inserted(column: SourceColumn, keys, value, pos, hit) -> SourceColumn:
+    """A new column: column with cells of strictly increasing keys, with their
+    pos and hit in column, written over it."""
+    kept = column.value
+    if hit.any():
+        kept = kept.copy()
+        kept[pos[hit]] = value[hit]
     new = ~hit
     at = pos[new]
     return SourceColumn(np.insert(column.key, at, keys[new]), np.insert(kept, at, value[new]))
+
+
+def _folded(base: SourceColumn, delta: SourceColumn) -> SourceColumn:
+    """base with delta's cells written over it; either itself if the other is empty."""
+    if not len(delta.key):
+        return base
+    if not len(base.key):
+        return delta
+    return _inserted(base, *delta, *_found(base.key, delta.key))
 
 
 def _registered(kind: str, entries, registered: tuple, index: Mapping) -> tuple[tuple, Mapping]:
@@ -402,28 +512,41 @@ def _indices(cells: CellArrays, indices) -> list[np.ndarray]:
             for names, code, index in zip(cells.names, cells.codes, indices)]
 
 
-def _checked(cells, indices, columns, overwrite: bool) -> list[tuple]:
-    """Per source whose cells a batch changes: its index, its cells' keys and
-    clamped values in write order, and their pos and hit from _lookup.
+def _indexed(cells, indices) -> tuple:
+    """_indices of cells, CellArrays or tuples, their values, and a function
+    that gives cell i as a tuple. Tuples map straight to indices, one pass per
+    name column; one that is not three names and a number raises TypeError or
+    ValueError."""
+    if isinstance(cells, CellArrays):
+        return (*_indices(cells, indices), cells.value, cells.__getitem__)
+    rows = [(lang, feat, src, float(v)) for lang, feat, src, v in cells]
+    columns = list(zip(*rows)) or [()] * 4
+    return (*(np.fromiter(map(index.get, column, repeat(-1)), np.int64, len(rows))
+              for column, index in zip(columns, indices)),
+            np.array(columns[3], dtype=float), rows.__getitem__)
+
+
+def _checked(cells, indices, layers, overwrite: bool) -> list[tuple]:
+    """Per source whose cells a batch changes: its index, the keys and clamped
+    values in write order of the cells to merge into its delta, their pos and
+    hit from _lookup of the delta, and whether one of them is stored already.
+    Without overwrite only new cells are merged: a stored one can only have
+    its own value back.
 
     Raises for the first bad cell in batch order, as checking one cell at
     a time would: an unregistered name, a non-finite value, or a conflict.
-    Tuple cells are converted to CellArrays first, once; a tuple that is
-    not three names and a number raises there.
     """
-    cells = CellArrays.of(cells)
-    lang, feat, src = _indices(cells, indices)
-    raw = cells.value
+    lang, feat, src, raw, cell = _indexed(cells, indices)
     finite = np.isfinite(raw)
     values = np.clip(raw, 0.0, 1.0) + 0.0  # + 0.0 stores -0.0 as 0.0
     keys = _keys(lang, feat)
     ok = (lang >= 0) & (feat >= 0) & (src >= 0) & finite
     found = []
-    old = _lookup(columns, np.where(ok, src, -1), keys, found)
+    old = _stored(layers, np.where(ok, src, -1), keys, found)
     bad = ~ok if overwrite else ~ok | (~np.isnan(old) & (old != values))
     if bad.any():
         i = int(np.argmax(bad))
-        glottocode, name, source, _value = cells[i]
+        glottocode, name, source, _value = cell(i)
         for index, unknown, key in zip((lang, feat, src), _UNKNOWN, (glottocode, name, source)):
             if index[i] < 0:
                 raise unknown(key)
@@ -433,8 +556,15 @@ def _checked(cells, indices, columns, overwrite: bool) -> list[tuple]:
     changed = []
     while found:  # each source's rows are freed once its cells are taken
         si, rows, pos, hit = found.pop()
-        if np.any(old[rows] != values[rows]):  # NaN differs from any value
-            changed.append((si, keys[rows], values[rows], pos, hit))
+        stored = old[rows]
+        if not np.any(stored != values[rows]):  # NaN differs from any value
+            continue
+        if not overwrite:
+            new = np.isnan(stored)
+            rows, stored = rows[new], stored[new]
+            if pos is not None:
+                pos, hit = pos[new], hit[new]
+        changed.append((si, keys[rows], values[rows], pos, hit, not np.isnan(stored).all()))
     return changed
 
 
@@ -444,7 +574,8 @@ class FeatureTensor:
     def __init__(self):
         # replaced whole by each write that changes anything
         no_names = MappingProxyType({})
-        self._state = TensorSnapshot((), (), (), no_names, no_names, no_names, (), {}, 0)
+        self._state = TensorSnapshot((), (), (), no_names, no_names, no_names, (), 0, {}, 0,
+                                     WriteLog(), 0)
         self._write_lock = threading.Lock()
 
     # registries -----------------------------------------------------------
@@ -520,7 +651,7 @@ class FeatureTensor:
         """Stored value for the triple, or None if the cell is missing."""
         state = self._state
         li, fi, si = state.language_index(lang), state.feature_index(feat), state.source_index(src)
-        found = _lookup(state.columns, np.full(1, si), np.full(1, _keys(li, fi)))[0]
+        found = _stored(state.layers, np.full(1, si), np.full(1, _keys(li, fi)))[0]
         return None if np.isnan(found) else float(found)
 
     def stored_array(self, cells: CellArrays) -> np.ndarray:
@@ -529,7 +660,7 @@ class FeatureTensor:
         state = self._state
         lang, feat, src = _indices(cells, (state.lang_index, state.feat_index, state.src_index))
         known = (lang >= 0) & (feat >= 0)  # an unregistered source is -1 already
-        return _lookup(state.columns, np.where(known, src, -1), _keys(lang, feat))
+        return _stored(state.layers, np.where(known, src, -1), _keys(lang, feat))
 
     def extend_with(self, batch: TensorBatch, overwrite: bool = False) -> "FeatureTensor":
         """Apply a write batch; registries grow, known cells never regress.
@@ -558,18 +689,32 @@ class FeatureTensor:
                     ("source", sources, state.sources, state.src_index),
                 )
             ]
-            columns = state.columns + (_NO_CELLS,) * (len(sources) - len(state.columns))
-            changed = _checked(cells, (lang_index, feat_index, src_index), columns,
+            layers = state.layers + (_NO_LAYERS,) * (len(sources) - len(state.layers))
+            changed = _checked(cells, (lang_index, feat_index, src_index), layers,
                                overwrite) if cells else []
             # _registered returns the registry itself when it adds nothing
             grown = any(new is not old for new, old in zip((languages, features, sources), state))
             if changed or grown:
-                columns = list(columns)  # merged once the check's per-cell arrays are freed
-                for si, keys, values, pos, hit in changed:
-                    columns[si] = (SourceColumn(*_last_sorted(keys, values)) if pos is None
-                                   else _merged(columns[si], keys, values, pos, hit))
+                layers, count = list(layers), state.cells  # merged once the check's arrays are freed
+                for si, keys, values, pos, hit, replaces in changed:
+                    old = layers[si]
+                    delta = (SourceColumn(*_last_sorted(keys, values)) if pos is None
+                             else _merged(old.delta, keys, values, pos, hit))
+                    # a delta that replaces a stored cell may hold one of the base's
+                    fold = replaces or len(delta.key) * _FOLD > len(old.base.key)
+                    layers[si] = (SourceLayers(_folded(old.base, delta)) if fold
+                                  else SourceLayers(old.base, delta))
+                    count += len(layers[si]) - len(old)
+                log, added = state.log, sum(len(keys) for _si, keys, *_ in changed)
+                replaced = any(replaces for *_, replaces in changed)  # a union cell may fall
+                if grown or replaced or (log.cells + added) * _FOLD > count:
+                    log = WriteLog()
+                else:
+                    log.writes.append(tuple((si, keys, values) for si, keys, values, *_ in changed))
+                    log.cells += added
                 self._state = TensorSnapshot(languages, features, sources, lang_index, feat_index,
-                                             src_index, tuple(columns), {}, state.version + 1)
+                                             src_index, tuple(layers), count, {}, state.version + 1,
+                                             log, len(log.writes))
             return self._state
 
     def adopt_columns(self, columns: Mapping[str, SourceColumn]) -> "FeatureTensor":
@@ -586,25 +731,27 @@ class FeatureTensor:
         """
         with self._write_lock:
             state = self._state
-            stored, bumps = list(state.columns), 0
+            stored, bumps, count = list(state.layers), 0, state.cells
             for name, column in columns.items():
                 si = state.source_index(name)
-                if len(stored[si].key):
+                if len(stored[si]):
                     raise FormatError(f"source {name!r} already holds cells")
                 _check_column(column, len(state.languages), len(state.features), name)
-                stored[si] = column = SourceColumn(*column)
-                bumps += bool(len(column.key))
+                stored[si] = SourceLayers(SourceColumn(*column))
+                bumps += bool(len(stored[si]))
+                count += len(stored[si])
             if bumps:
-                self._state = state._replace(columns=tuple(stored), derived={},
-                                             version=state.version + bumps)
+                self._state = state._replace(layers=tuple(stored), cells=count, derived={},
+                                             version=state.version + bumps, log=WriteLog(),
+                                             logged=0)
         return self
 
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:
         """(number of sources with a known value, those values in source order)."""
         state = self._state
         key = _keys(state.language_index(lang), state.feature_index(feat))
-        columns = state.columns
-        found = _lookup(columns, np.arange(len(columns)), np.full(len(columns), key))
+        n = len(state.layers)
+        found = _stored(state.layers, np.arange(n), np.full(n, key))
         values = found[~np.isnan(found)].tolist()
         return len(values), values
 
@@ -619,7 +766,7 @@ class FeatureTensor:
                 yield snap.languages[li].glottocode, snap.features[fi].name, src, v
 
     def cell_count(self) -> int:
-        return sum(len(col.value) for col in self._state.columns)
+        return self._state.cells
 
     def ancestor_chain(self, glottocode: str) -> list[str]:
         """Parent, grandparent, ... for a language; empty if it has no parent."""

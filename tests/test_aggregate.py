@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import math
@@ -18,6 +19,8 @@ from typodist.errors import (
 from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch, feature_columns
 
 from conftest import make_tensor
+
+aggregate_module = sys.modules["typodist.aggregate"]  # the package binds the name to the function
 
 
 def _three_source_tensor():
@@ -510,3 +513,78 @@ def test_binary_per_row():
     rows = np.array([[0.0, 1.0], [0.0, 0.5], [np.nan, -0.0], [np.nan, np.nan]])
     assert _binary(rows, axis=1).tolist() == [True, False, True, True]
     assert not _binary(rows)
+
+
+# --- unions updated from the write log ---------------------------------------
+
+
+def _log_tensor():
+    """20 languages x 10 features, about 100 cells in each of SRC_A and SRC_B."""
+    rng = np.random.default_rng(5)
+    langs, feats = [f"l{i:02d}x1234" for i in range(20)], [f"S_F{j}" for j in range(10)]
+    cells = [(lang, feat, src, float(rng.choice([0.0, 0.5, 1.0]))) for lang in langs
+             for feat in feats for src in ("SRC_A", "SRC_B") if rng.random() < 0.5]
+    return make_tensor(langs, feats, cells)
+
+
+def _missing(tensor, src, n):
+    """n (glottocode, feature) cells that src does not hold."""
+    return [(lang.glottocode, feat.name) for lang in tensor.languages for feat in tensor.features
+            if tensor.get_cell(lang.glottocode, feat.name, src) is None][:n]
+
+
+def _union_builds(tensor, monkeypatch, sources=None):
+    """The union of sources and whether it was built cold, checked against a cold build."""
+    cold = []
+    build = aggregate_module._aggregate
+    monkeypatch.setattr(aggregate_module, "_aggregate", lambda *a: cold.append(a) or build(*a))
+    matrix = aggregate(tensor, AggregationMode.UNION, sources)
+    monkeypatch.undo()
+    snap = tensor.snapshot()
+    want = _aggregate(snap._replace(derived={}), AggregationMode.UNION, matrix.provenance)
+    assert matrix.values.tobytes() == want.values.tobytes()
+    return matrix, bool(cold)
+
+
+def test_a_union_after_writes_updates_the_last_union(monkeypatch):
+    tensor = _log_tensor()
+    first, cold = _union_builds(tensor, monkeypatch)
+    assert cold
+    kept = first.values.tobytes()
+    for lang, feat in _missing(tensor, "SRC_A", 3):
+        tensor.extend_with(TensorBatch(cells=[(lang, feat, "SRC_A", 1.0)]))
+    second, cold = _union_builds(tensor, monkeypatch)
+    # first's array is copied, never changed; the log keeps only the newer one
+    assert not cold and second.values is not first.values and first.values.tobytes() == kept
+    assert tensor.snapshot().log.union[2] is second.values and not second.values.flags.writeable
+    tensor.extend_with(TensorBatch(cells=[(*_missing(tensor, "SRC_B", 1)[0], "SRC_B", 0.0)]))
+    assert not _union_builds(tensor, monkeypatch)[1]
+
+
+def test_a_union_is_built_cold_where_a_cell_may_have_fallen_or_the_shape_changed(monkeypatch):
+    tensor = _log_tensor()
+    lang, feat = _missing(tensor, "SRC_A", 1)[0]
+    _union_builds(tensor, monkeypatch)
+    for write, kwargs in [
+        (TensorBatch(cells=[(lang, feat, "SRC_A", 1.0)]), {}),  # updated: the control
+        (TensorBatch(cells=[(lang, feat, "SRC_A", 0.0)]), {"overwrite": True}),
+        (TensorBatch(languages=[LanguageRecord("newl1234")]), {}),
+        (TensorBatch(features=[FeatureDescriptor("S_NEW", Category.SYNTACTIC)]), {}),
+        (TensorBatch(sources=["SRC_C"]), {}),
+        # past an eighth of the stored cells: the log starts again
+        (TensorBatch(cells=[(*c, "SRC_B", 1.0) for c in _missing(tensor, "SRC_B", 40)]), {}),
+    ]:
+        tensor.extend_with(write, **kwargs)
+        cold = bool(kwargs or write.languages or write.features or write.sources
+                    or len(write) == 40)
+        assert _union_builds(tensor, monkeypatch)[1] == cold, write
+
+
+def test_a_union_is_built_cold_for_another_scope_or_an_older_state(monkeypatch):
+    tensor = _log_tensor()
+    _union_builds(tensor, monkeypatch)
+    older = copy.copy(tensor)  # bound to this state
+    tensor.extend_with(TensorBatch(cells=[(*_missing(tensor, "SRC_A", 1)[0], "SRC_A", 1.0)]))
+    assert _union_builds(tensor, monkeypatch, ["SRC_A"])[1]  # the log held the union of both
+    assert not _union_builds(tensor, monkeypatch, ["SRC_A"])[1]  # a hit in the state's cache
+    assert _union_builds(older, monkeypatch, ["SRC_A"])[1]  # the log's union is of a newer state

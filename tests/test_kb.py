@@ -27,8 +27,11 @@ from typodist.kb import (
     _keys,
     feature_columns,
 )
+from typodist.storage import load_tensor, save_tensor
 
 from conftest import DictTensor, category_of, make_tensor
+
+aggregate_module = sys.modules["typodist.aggregate"]  # the package binds the name to the function
 
 
 @pytest.mark.parametrize("enum", [Category, AggregationMode])
@@ -444,9 +447,93 @@ def _outcome(call):
     return None
 
 
+def _assert_aggregates_are_cold(tensor, rng):
+    """Aggregates in both modes, first over the scope of the union the write
+    log holds (so a union is updated whenever the log allows), then over
+    random scopes and all sources: each byte-equal to a cold _aggregate of
+    the same snapshot."""
+    snap = tensor.snapshot()
+    kept = snap.log.union
+    scopes = [[snap.sources[si] for si in sorted(kept[1])]] if kept and kept[1] else []
+    scopes += [s for s in ([x for x in snap.sources if rng.random() < 0.5] for _ in range(2)) if s]
+    for scope in scopes + [None]:
+        provenance = snap.sources if scope is None else tuple(scope)
+        for mode in AggregationMode:
+            got = aggregate(tensor, mode, scope)
+            want = aggregate_module._aggregate(snap._replace(derived={}), mode, provenance)
+            assert got.languages == want.languages and got.provenance == want.provenance
+            assert got.values.tobytes() == want.values.tobytes(), (mode, scope)
+
+
+def _small_write(oracle, rng):
+    """A batch of 1 to 3 cells over registered names, with no registry entry,
+    a stored cell getting its own value back: a write a union is updated by."""
+    registries = (oracle.languages, oracle.features, oracle.sources)
+    if not all(registries):
+        return None
+    cells = []
+    for _ in range(int(rng.integers(1, 4))):
+        key = tuple(int(rng.integers(len(r))) for r in registries)
+        value = oracle._cells.get(key, ORACLE_VALUES[int(rng.integers(len(ORACLE_VALUES)))])
+        cells.append((oracle.languages[key[0]].glottocode, oracle.features[key[1]].name,
+                      oracle.sources[key[2]], value))
+    return TensorBatch(cells=cells)
+
+
+def _round_trip(tensor, oracle, directory, rng):
+    """tensor saved to directory and loaded back, which must hold the same
+    registries and cells; half the time the loaded tensor, to go on from."""
+    save_tensor(tensor, directory)
+    loaded = load_tensor(directory)
+    assert _state(loaded)[1:] == _state(tensor)[1:] and loaded.cell_count() == tensor.cell_count()
+    assert [(c.key.tobytes(), c.value.tobytes()) for c in loaded.snapshot().columns] == [
+        (c.key.tobytes(), c.value.tobytes()) for c in tensor.snapshot().columns]
+    if rng.random() < 0.5:
+        return tensor
+    oracle.version = loaded.version  # a load counts versions of its own
+    return loaded
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_small_writes_keep_every_union_equal_to_a_cold_one(seed, tmp_path, monkeypatch):
+    """Mostly small writes of new cells between reads, which a union is
+    updated by, among the random writes of the model test: registry growth,
+    overwrites, conflicts and repeated cells, each of which starts a new log."""
+    rng = np.random.default_rng([seed, 11])
+    tensor, oracle = FeatureTensor(), DictTensor()
+    counter = iter(range(10**6))
+    update, updated = aggregate_module._updated_union, []
+
+    def counting(*args):
+        values = update(*args)
+        updated.append(values is not None)
+        return values
+
+    monkeypatch.setattr(aggregate_module, "_updated_union", counting)
+    for step in range(200):
+        batch = _small_write(oracle, rng) if step % 5 else None
+        if batch is None:
+            method, args, kwargs = _random_write(rng, oracle, lambda: f"{next(counter):04d}")
+        else:
+            method, args, kwargs = "extend_with", (batch,), {}
+        want = _outcome(lambda: getattr(oracle, method)(*args, **kwargs))
+        got = _outcome(lambda: getattr(tensor, method)(*args, **kwargs))
+        assert type(got) is type(want) and str(got) == str(want), (method, args, kwargs)
+        assert _state(tensor) == _state(oracle)
+        _assert_aggregates_are_cold(tensor, rng)
+        if rng.random() < 0.1:
+            tensor = _round_trip(tensor, oracle, tmp_path / f"step{step}", rng)
+    _assert_same_store(tensor, oracle, rng)
+    # unions updated from the log's last one, and built cold
+    assert updated.count(True) > 40 and False in updated
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_random_writes_match_the_dict_store(seed):
-    rng = np.random.default_rng([seed, 7])
+def test_random_writes_match_the_dict_store(seed, tmp_path):
+    """The dict store is the model: every write raises exactly when it does and
+    leaves the same cells. Between writes, aggregates equal cold ones and the
+    tensor goes through save and load, often going on from the loaded copy."""
+    rng, side = np.random.default_rng([seed, 7]), np.random.default_rng([seed, 8])
     tensor, oracle = FeatureTensor(), DictTensor()
     counter = iter(range(10**6))
 
@@ -480,6 +567,9 @@ def test_random_writes_match_the_dict_store(seed):
                 given.add(key[2])
         assert all(tensor.snapshot().columns[si] is column for si, column in enumerate(held)
                    if si not in given)
+        _assert_aggregates_are_cold(tensor, side)
+        if side.random() < 0.15:
+            tensor = _round_trip(tensor, oracle, tmp_path / f"step{_step}", side)
     # the sequence exercises both outcomes, and every kind of cell
     assert 10 < rejected < 120
     assert tensor.cell_count() > 30
@@ -500,25 +590,158 @@ def test_a_touched_source_whose_cells_do_not_change_keeps_its_arrays(tiny_tensor
     assert tiny_tensor.get_cell("othe1234", "S_F1", "SRC_B") == 1.0
 
 
-def test_a_write_searches_each_touched_source_once(tiny_tensor, monkeypatch):
-    held, searched, searchsorted = tiny_tensor.snapshot().columns, [], np.searchsorted
+def _layered_tensor():
+    """8 languages x 8 features; SRC_A and SRC_B hold 32 cells each in their
+    bases, and SRC_A 2 more in its delta (2 x 8 = 16 does not pass 32: no fold)."""
+    langs, feats = [f"l{i}xx1234" for i in range(8)], [f"S_F{j}" for j in range(8)]
+    cells = [(langs[i], feats[j], "SRC_A" if (i + j) % 2 == 0 else "SRC_B", float(i % 2))
+             for i in range(8) for j in range(8)]
+    tensor = make_tensor(langs, feats, cells)
+    tensor.extend_with(TensorBatch(cells=[("l0xx1234", "S_F1", "SRC_A", 1.0),
+                                          ("l0xx1234", "S_F3", "SRC_A", 0.0)]))
+    return tensor
 
-    def counting(a, v, *args, **kwargs):
-        searched.append(a)
-        return searchsorted(a, v, *args, **kwargs)
+
+def test_a_write_searches_each_touched_source_once(monkeypatch):
+    """One search of each touched base and one of each non-empty touched
+    delta; an overwrite of a stored cell also folds, one more search of the base."""
+    tensor = _layered_tensor()
+    a, b = tensor.source_index("SRC_A"), tensor.source_index("SRC_B")
+    held = tensor.snapshot().layers
+    assert [(len(x.base.key), len(x.delta.key)) for x in held] == [(32, 2), (32, 0)]
+    searched, searchsorted = [], np.searchsorted
+
+    def counting(sorted_keys, v, *args, **kwargs):
+        searched.append(sorted_keys)
+        return searchsorted(sorted_keys, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", counting)
-    tiny_tensor.extend_with(TensorBatch(sources=["SRC_NEW"], cells=[
-        ("pare1234", "S_F1", "SRC_A", 1.0), ("dial1234", "S_F2", "SRC_NEW", 1.0),
-        ("othe1234", "S_F1", "SRC_B", 1.0), ("othe1234", "S_F2", "SRC_A", 0.0),
-        ("othe1234", "S_F1", "SRC_B", 0.0), ("dial1234", "S_F1", "SRC_NEW", 0.5),
-    ]), overwrite=True)
+    tensor.extend_with(TensorBatch(sources=["SRC_NEW"], cells=[
+        ("l0xx1234", "S_F5", "SRC_A", 1.0), ("l1xx1234", "S_F1", "SRC_B", 0.0),
+        ("l0xx1234", "S_F0", "SRC_A", 0.0),  # stored in the base, its own value back
+        ("l0xx1234", "S_F1", "SRC_A", 1.0),  # stored in the delta, its own value back
+        ("l2xx1234", "S_F0", "SRC_NEW", 0.5), ("l1xx1234", "S_F1", "SRC_B", 1.0),
+    ]))
+    # SRC_A's and SRC_B's bases in source order, then SRC_A's delta; the new
+    # source and SRC_B's empty delta hold nothing to find
+    assert [id(key) for key in searched] == [id(held[a].base.key), id(held[b].base.key),
+                                             id(held[a].delta.key)]
+    after = tensor.snapshot().layers
+    assert after[a].base is held[a].base and after[b].base is held[b].base  # no fold
+    assert [len(x.delta.key) for x in after] == [3, 1, 0]
+    assert len(after[2].base.key) == 1
+    assert tensor.get_cell("l1xx1234", "S_F1", "SRC_B") == 1.0  # the last write
+    assert tensor.cell_count() == 66 + 3
+    searched.clear()
+    tensor.extend_with(TensorBatch(cells=[("l0xx1234", "S_F0", "SRC_A", 1.0)]), overwrite=True)
     monkeypatch.undo()
-    # SRC_A and SRC_B once each, in source order; the new source holds nothing to find
-    assert [id(key) for key in searched] == [id(held[0].key), id(held[1].key)]
-    assert tiny_tensor.get_cell("othe1234", "S_F2", "SRC_A") == 0.0
-    assert tiny_tensor.get_cell("othe1234", "S_F1", "SRC_B") == 0.0  # the last write
-    assert tiny_tensor.source_stats("dial1234", "S_F1") == (2, [1.0, 0.5])
+    assert [id(key) for key in searched] == [id(after[a].base.key), id(after[a].delta.key),
+                                             id(after[a].base.key)]
+    folded = tensor.snapshot().layers[a]
+    assert len(folded.base.key) == 32 + 3 and not len(folded.delta.key)
+    assert tensor.get_cell("l0xx1234", "S_F0", "SRC_A") == 1.0 and tensor.cell_count() == 69
+    assert tensor.source_stats("l2xx1234", "S_F0") == (2, [0.0, 0.5])
+
+
+def test_a_delta_folds_once_it_holds_more_than_an_eighth_of_its_base():
+    tensor = _layered_tensor()
+    a = tensor.source_index("SRC_A")
+    base = tensor.snapshot().layers[a].base
+    free = [(f"l{i}xx1234", f"S_F{j}") for i in range(1, 8) for j in range(8) if (i + j) % 2]
+    for k, (lang, feat) in enumerate(free[:3]):
+        tensor.extend_with(TensorBatch(cells=[(lang, feat, "SRC_A", 1.0)]))
+        layers = tensor.snapshot().layers[a]
+        if k < 2:  # 3 and 4 cells: 4 * 8 = 32 does not pass 32
+            assert layers.base is base and len(layers.delta.key) == 3 + k
+        else:
+            assert len(layers.base.key) == 37 and not len(layers.delta.key)
+            assert layers.merged is layers.base  # an empty delta reads as the base itself
+    assert tensor.cell_count() == 32 + 32 + 5
+
+
+def _frozen_reads(tensor, directory):
+    """What a tensor answers: merged columns, every cell by get_cell, both
+    aggregates of each scope, and the bytes it saves."""
+    snap = tensor.snapshot()
+    cells = [(lang.glottocode, feat.name, src) for lang in snap.languages
+             for feat in snap.features for src in snap.sources]
+    scopes = [None, *([s] for s in snap.sources)]
+    save_tensor(tensor, directory)
+    return ([(c.key.tobytes(), c.value.tobytes()) for c in snap.columns],
+            [tensor.get_cell(*cell) for cell in cells],
+            [aggregate(tensor, mode, scope).values.tobytes()
+             for mode in AggregationMode for scope in scopes],
+            {path.name: path.read_bytes() for path in sorted(directory.iterdir())})
+
+
+def test_a_snapshot_is_isolated_across_a_fold(tmp_path):
+    """A tensor copied before a write that folds a delta keeps its state:
+    it reads as before, though its union is in the log the write extends."""
+    tensor = _layered_tensor()
+    a = tensor.source_index("SRC_A")
+    frozen = copy.copy(tensor)  # bound to the state published so far
+    before = _frozen_reads(frozen, tmp_path / "before")
+    layers = tensor.snapshot().layers[a]
+    free = [(f"l{i}xx1234", f"S_F{j}") for i in range(1, 8) for j in range(8) if (i + j) % 2]
+    tensor.extend_with(TensorBatch(cells=[(lang, feat, "SRC_A", 0.5) for lang, feat in free[:3]]))
+    folded = tensor.snapshot().layers[a]
+    assert folded.base is not layers.base and not len(folded.delta.key)
+    assert tensor.snapshot().log is frozen.snapshot().log  # one log: the union is updated
+    after = _frozen_reads(tensor, tmp_path / "after")
+    assert _frozen_reads(frozen, tmp_path / "again") == before != after
+    assert frozen.snapshot().layers[a] is layers and frozen.cell_count() == 66
+
+
+def test_a_reader_never_sees_a_half_written_source():
+    """A reader takes snapshots and unions while 1000 small writes go in,
+    with delta merges, folds and log restarts; each holds whole writes only."""
+    tensor = _layered_tensor()
+    a, start, version = tensor.source_index("SRC_A"), tensor.cell_count(), tensor.version
+    langs = [f"w{i:03d}1234" for i in range(625)]  # 8 features each: 5000 cells
+    tensor.extend_with(TensorBatch(languages=[LanguageRecord(code) for code in langs]))
+    errors, done, read, reads = [], threading.Event(), threading.Event(), []
+
+    def value(key):  # the value every write gives a cell, from its key
+        return (key % 7) / 6.0
+
+    def reader():
+        try:
+            while not done.is_set():
+                snap = tensor.snapshot()
+                writes = snap.version - version - 1
+                assert snap.cells == sum(len(layers) for layers in snap.layers) == start + 5 * writes
+                column = snap.layers[a].merged
+                assert len(column.key) == len(snap.layers[a]) and np.all(np.diff(column.key) > 0)
+                new = column.key >> 32 >= 8  # the cells the writes add
+                assert column.value[new].tobytes() == value(column.key[new]).tobytes()
+                # from a snapshot of its own: SRC_A holds 34 cells plus 5 per write
+                union = aggregate(tensor, AggregationMode.UNION, ["SRC_A"]).values
+                assert np.count_nonzero(~np.isnan(union)) % 5 == 34 % 5
+                reads.append(snap.version)
+                read.set()
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=reader)
+    try:
+        thread.start()
+        for k in range(1000):
+            if k % 50 == 0:  # a read of every stretch of 50 writes at least
+                read.clear()
+                read.wait(timeout=0 if errors else 10)
+            cell = np.arange(5 * k, 5 * k + 5)
+            keys = _keys(8 + cell // 8, cell % 8)  # the 8 languages of _layered_tensor first
+            tensor.extend_with(TensorBatch(cells=[
+                (langs[c // 8], f"S_F{c % 8}", "SRC_A", value(key))
+                for c, key in zip(cell.tolist(), keys.tolist())]))
+    finally:
+        done.set()
+        thread.join(timeout=60)
+        sys.setswitchinterval(old_interval)
+    assert not thread.is_alive() and errors == []
+    assert tensor.cell_count() == start + 5000 and len(set(reads)) >= 20
 
 
 def test_rejected_batch_registers_nothing(tiny_tensor):
