@@ -15,10 +15,10 @@ from that one snapshot, so a concurrent write is seen whole or not at all.
 A cold union of a state updates the last union built from the same or an
 earlier state on its `kb.WriteLog`, if that one is over the same sources:
 it is that union copied, with the cells written since folded in by fmax
-(incremental view maintenance). This is exact because a log spans no
-registry growth and no write that changed a stored cell, so a union cell
-can only rise, and the max of a set of floats (none NaN or -0.0) does not
-depend on the order it is taken in. Average mode, and a union with no
+(incremental view maintenance). This is exact because cells are written
+once, so a write only adds cells and a union cell can only rise; a log
+spans no registry growth, so the shape holds; and the max of a set of
+floats (none NaN or -0.0) does not depend on the order it is taken in. Average mode, and a union with no
 such earlier union, build cold: recomputing each touched cell over every
 source measured no cheaper than a cold build. The log holds the last
 union matrix built (one matrix, 3.8 MB at 2000 x 240) until the next

@@ -48,12 +48,12 @@ class UnknownSource(QueryError):
 # store mutation
 
 class ConflictingWrite(FormatError):
-    """A batch tried to overwrite an existing known cell with a different value."""
+    """A batch gave a known cell a value other than the one it holds."""
 
     def __init__(self, lang, feat, src, old, new):
         super().__init__(
             f"conflicting write at ({lang}, {feat}, {src}): "
-            f"existing {old} vs incoming {new} (overwrite not requested)"
+            f"existing {old} vs incoming {new} (the cell is known and written once)"
         )
         self.cell = (lang, feat, src)
         self.old = old

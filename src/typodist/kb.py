@@ -2,8 +2,8 @@
 
 Cells hold real values in [0, 1]; a cell that was never written is
 missing. Registries are append-only: once a language, feature, or source
-has an index, that index never changes, and known cells are never
-silently overwritten.
+has an index, that index never changes, and a known cell is written
+once: writing its own value back is a no-op, any other value raises.
 
 A column of cells is two numpy arrays, kept sorted by key: an int64 key
 that holds the language index in its high 32 bits and the feature index in
@@ -12,20 +12,19 @@ value, 16 bytes per cell. Each source keeps its cells as two such columns,
 the smallest log-structured merge-tree: a sorted base and a sorted delta,
 no cell in both. A write merges only into the delta, so a small batch
 costs O(batch + delta), not O(source); the delta folds into the base once
-it holds more than an eighth as many cells (_FOLD), and at once when a
-write overwrites a stored cell. Readers see one merged column per source
-(`TensorSnapshot.columns`), built on first read and kept on the source's
-unchanged (base, delta) pair, so an untouched source keeps its arrays;
-point lookups search the base and the delta instead.
+it holds more than an eighth as many cells (_FOLD). Readers see one merged
+column per source (`TensorSnapshot.columns`), built on first read and kept
+on the source's unchanged (base, delta) pair, so an untouched source keeps
+its arrays; point lookups search the base and the delta instead.
 
 A tensor publishes one read-only `TensorSnapshot`: registries, name ->
 index maps, per-source layers, the cell count, `derived`, `version`, and a
 `WriteLog` of the cells that writes added since the registries last grew
-or a stored cell changed, which `aggregate` reads to update its last union.
+or columns were adopted, which `aggregate` reads to update its last union.
 A write searches each base and each non-empty delta it touches once,
 checks the whole batch against the state from that search, builds the
 next state (registries copied only if it adds entries, new layers only for
-the sources whose cells it changes, an empty `derived`) and publishes it in
+the sources it adds cells to, an empty `derived`) and publishes it in
 one swap; a no-op write publishes nothing. `adopt_columns`, a load's one
 cell write, takes whole columns (from the cell cache, or `SourceColumn.of`
 over CSV rows) as bases, checks only the column invariants above and
@@ -332,10 +331,10 @@ _NO_LAYERS = SourceLayers(_NO_CELLS)
 
 class WriteLog:
     """The cells that writes added since a state whose registries grew, or
-    in which a stored cell changed or columns were adopted; a state there
-    starts a new log, as does a write that would take the log past an
-    eighth of the stored cells. The states between share it, each knowing
-    how many of its writes it includes (`TensorSnapshot.logged`).
+    in which columns were adopted; a state there starts a new log, as does
+    a write that would take the log past an eighth of the stored cells.
+    The states between share it, each knowing how many of its writes it
+    includes (`TensorSnapshot.logged`).
 
     `union` is aggregate's: (logged, source indices, values) of the last
     union built from one of those states, or None.
@@ -373,7 +372,7 @@ class TensorSnapshot(NamedTuple):
     cells: int  # stored cells over all sources
     derived: dict  # matrices built from this state, by key
     version: int  # bumped once per write that publishes a new state
-    log: WriteLog  # the cells added since the last registry growth, overwrite or load
+    log: WriteLog  # the cells added since the last registry growth or load
     logged: int  # how many of log's writes this state includes
 
     @property
@@ -404,29 +403,23 @@ def _keys(language, feature) -> np.ndarray:
     return (np.asarray(language, np.int64) << 32) | feature
 
 
-def _found(key: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of keys sits or would go in the sorted key, and whether it is there."""
-    pos = np.searchsorted(key, keys)
-    hit = pos < len(key)
-    hit[hit] = key[pos[hit]] == keys[hit]
-    return pos, hit
-
-
 def _lookup(columns, source, keys, found=None, stored=None) -> np.ndarray:
     """Each (source index, key) cell's stored value; NaN where it is missing or
     its source is -1, or stored's value if given (it is filled in place). One
     search of each touched non-empty column; found, a list if given, gets per
-    touched source its index, its cells' rows, where each sits or would go and
-    whether it is stored there (None, None for an empty column)."""
+    touched source its index, its cells' rows and where each sits or would go
+    (None for an empty column)."""
     if stored is None:
         stored = np.full(len(keys), np.nan)
     for si in np.flatnonzero(np.bincount(source + 1)[1:]).tolist():  # cheaper than np.unique
-        rows, column, pos, hit = np.flatnonzero(source == si), columns[si], None, None
+        rows, column, pos = np.flatnonzero(source == si), columns[si], None
         if len(column.key):
-            pos, hit = _found(column.key, keys[rows])
+            pos = np.searchsorted(column.key, keys[rows])
+            hit = pos < len(column.key)
+            hit[hit] = column.key[pos[hit]] == keys[rows[hit]]
             stored[rows[hit]] = column.value[pos[hit]]
         if found is not None:
-            found.append((si, rows, pos, hit))
+            found.append((si, rows, pos))
     return stored
 
 
@@ -449,32 +442,20 @@ def _last_sorted(keys, *arrays) -> tuple:
     return keys, *(array[order] for array in arrays)
 
 
-def _merged(column: SourceColumn, keys, value, pos, hit) -> SourceColumn:
-    """A new column: column, which holds cells, with the cells given in write
-    order, with their pos and hit from _lookup of column, written over it. A
-    cell written more than once keeps its last value."""
-    return _inserted(column, *_last_sorted(keys, value, pos, hit))
-
-
-def _inserted(column: SourceColumn, keys, value, pos, hit) -> SourceColumn:
-    """A new column: column with cells of strictly increasing keys, with their
-    pos and hit in column, written over it."""
-    kept = column.value
-    if hit.any():
-        kept = kept.copy()
-        kept[pos[hit]] = value[hit]
-    new = ~hit
-    at = pos[new]
-    return SourceColumn(np.insert(column.key, at, keys[new]), np.insert(kept, at, value[new]))
+def _inserted(column: SourceColumn, keys, value, pos) -> SourceColumn:
+    """A new column: column with cells of strictly increasing keys, none of
+    them in column, inserted at their pos in it."""
+    return SourceColumn(np.insert(column.key, pos, keys), np.insert(column.value, pos, value))
 
 
 def _folded(base: SourceColumn, delta: SourceColumn) -> SourceColumn:
-    """base with delta's cells written over it; either itself if the other is empty."""
+    """base and delta, which share no key, as one column; either itself if the
+    other is empty."""
     if not len(delta.key):
         return base
     if not len(base.key):
         return delta
-    return _inserted(base, *delta, *_found(base.key, delta.key))
+    return _inserted(base, *delta, np.searchsorted(base.key, delta.key))
 
 
 def _registered(kind: str, entries, registered: tuple, index: Mapping) -> tuple[tuple, Mapping]:
@@ -526,12 +507,11 @@ def _indexed(cells, indices) -> tuple:
             np.array(columns[3], dtype=float), rows.__getitem__)
 
 
-def _checked(cells, indices, layers, overwrite: bool) -> list[tuple]:
-    """Per source whose cells a batch changes: its index, the keys and clamped
-    values in write order of the cells to merge into its delta, their pos and
-    hit from _lookup of the delta, and whether one of them is stored already.
-    Without overwrite only new cells are merged: a stored one can only have
-    its own value back.
+def _checked(cells, indices, layers) -> list[tuple]:
+    """Per source to which a batch adds cells: its index, and the keys and
+    clamped values in write order of the cells it does not hold, with their
+    pos from _lookup of its delta (None for an empty delta). A stored cell
+    can only have its own value back.
 
     Raises for the first bad cell in batch order, as checking one cell at
     a time would: an unregistered name, a non-finite value, or a conflict.
@@ -543,7 +523,7 @@ def _checked(cells, indices, layers, overwrite: bool) -> list[tuple]:
     ok = (lang >= 0) & (feat >= 0) & (src >= 0) & finite
     found = []
     old = _stored(layers, np.where(ok, src, -1), keys, found)
-    bad = ~ok if overwrite else ~ok | (~np.isnan(old) & (old != values))
+    bad = ~ok | (~np.isnan(old) & (old != values))
     if bad.any():
         i = int(np.argmax(bad))
         glottocode, name, source, _value = cell(i)
@@ -555,16 +535,11 @@ def _checked(cells, indices, layers, overwrite: bool) -> list[tuple]:
         raise ConflictingWrite(glottocode, name, source, float(old[i]), float(values[i]))
     changed = []
     while found:  # each source's rows are freed once its cells are taken
-        si, rows, pos, hit = found.pop()
-        stored = old[rows]
-        if not np.any(stored != values[rows]):  # NaN differs from any value
-            continue
-        if not overwrite:
-            new = np.isnan(stored)
-            rows, stored = rows[new], stored[new]
-            if pos is not None:
-                pos, hit = pos[new], hit[new]
-        changed.append((si, keys[rows], values[rows], pos, hit, not np.isnan(stored).all()))
+        si, rows, pos = found.pop()
+        new = np.isnan(old[rows])
+        if new.any():
+            rows = rows[new]
+            changed.append((si, keys[rows], values[rows], None if pos is None else pos[new]))
     return changed
 
 
@@ -662,21 +637,19 @@ class FeatureTensor:
         known = (lang >= 0) & (feat >= 0)  # an unregistered source is -1 already
         return _stored(state.layers, np.where(known, src, -1), _keys(lang, feat))
 
-    def extend_with(self, batch: TensorBatch, overwrite: bool = False) -> "FeatureTensor":
-        """Apply a write batch; registries grow, known cells never regress.
+    def extend_with(self, batch: TensorBatch) -> "FeatureTensor":
+        """Apply a write batch; registries grow, a known cell is written once.
 
         Writing the value a cell already holds is a no-op; writing a
-        different value raises ConflictingWrite unless overwrite is set
-        (the replace-missing-only update path keeps it off). A cell written
-        twice in one batch keeps its last value. The whole batch is checked
+        different value raises ConflictingWrite. A cell written twice in
+        one batch keeps its last value. The whole batch is checked
         before anything is written, so a rejected batch changes nothing. A
         batch that changes anything bumps the version once.
         """
-        self._write(batch.languages, batch.features, batch.sources, batch.cells, overwrite)
+        self._write(batch.languages, batch.features, batch.sources, batch.cells)
         return self
 
-    def _write(self, languages=(), features=(), sources=(), cells=(), overwrite=False
-               ) -> TensorSnapshot:
+    def _write(self, languages=(), features=(), sources=(), cells=()) -> TensorSnapshot:
         """Check a whole write against the published state, then publish the
         next state; the published state after the write."""
         with self._write_lock:
@@ -690,27 +663,24 @@ class FeatureTensor:
                 )
             ]
             layers = state.layers + (_NO_LAYERS,) * (len(sources) - len(state.layers))
-            changed = _checked(cells, (lang_index, feat_index, src_index), layers,
-                               overwrite) if cells else []
+            changed = _checked(cells, (lang_index, feat_index, src_index), layers) if cells else []
             # _registered returns the registry itself when it adds nothing
             grown = any(new is not old for new, old in zip((languages, features, sources), state))
             if changed or grown:
                 layers, count = list(layers), state.cells  # merged once the check's arrays are freed
-                for si, keys, values, pos, hit, replaces in changed:
+                for si, keys, values, pos in changed:
                     old = layers[si]
                     delta = (SourceColumn(*_last_sorted(keys, values)) if pos is None
-                             else _merged(old.delta, keys, values, pos, hit))
-                    # a delta that replaces a stored cell may hold one of the base's
-                    fold = replaces or len(delta.key) * _FOLD > len(old.base.key)
-                    layers[si] = (SourceLayers(_folded(old.base, delta)) if fold
+                             else _inserted(old.delta, *_last_sorted(keys, values, pos)))
+                    layers[si] = (SourceLayers(_folded(old.base, delta))
+                                  if len(delta.key) * _FOLD > len(old.base.key)
                                   else SourceLayers(old.base, delta))
                     count += len(layers[si]) - len(old)
                 log, added = state.log, sum(len(keys) for _si, keys, *_ in changed)
-                replaced = any(replaces for *_, replaces in changed)  # a union cell may fall
-                if grown or replaced or (log.cells + added) * _FOLD > count:
+                if grown or (log.cells + added) * _FOLD > count:
                     log = WriteLog()
                 else:
-                    log.writes.append(tuple((si, keys, values) for si, keys, values, *_ in changed))
+                    log.writes.append(tuple((si, keys, values) for si, keys, values, _ in changed))
                     log.cells += added
                 self._state = TensorSnapshot(languages, features, sources, lang_index, feat_index,
                                              src_index, tuple(layers), count, {}, state.version + 1,

@@ -194,19 +194,19 @@ class DictTensor:
     def get_cell(self, lang, feat, src):
         return self._cells.get(self._key(lang, feat, src))
 
-    def extend_with(self, batch, overwrite=False):
+    def extend_with(self, batch):
         saved = ([list(r) for r in (self.languages, self.features, self.sources)],
                  [dict(i) for i in (self._lang_index, self._feat_index, self._src_index)],
                  self.version)
         try:
-            self._extend_with(batch, overwrite)
+            self._extend_with(batch)
         except Exception:
             (self.languages, self.features, self.sources), \
                 (self._lang_index, self._feat_index, self._src_index), self.version = saved
             raise
         return self
 
-    def _extend_with(self, batch, overwrite):
+    def _extend_with(self, batch):
         version = self.version
         for rec in batch.languages:
             self.add_language(rec)
@@ -222,7 +222,7 @@ class DictTensor:
                 raise FormatError(f"cell values must be finite, got {value!r}")
             value = min(1.0, max(0.0, value))
             old = self._cells.get(key)
-            if old is not None and old != value and not overwrite:
+            if old is not None and old != value:
                 raise ConflictingWrite(lang, feat, src, old, value)
             resolved.append((key, value))
         changed = False

@@ -137,14 +137,19 @@ def test_a_write_frees_the_stale_matrix_at_once():
 
 
 def test_concurrent_cold_builders_share_one_matrix():
-    """Each round one thread writes (the barrier action), then 8 threads
-    ask for the same cold key at once; all must get the one object kept."""
+    """Each round one thread writes (the barrier action: a new source with
+    one cell), then 8 threads ask for the same cold key at once; all must
+    get the one object kept."""
     tensor = _three_source_tensor()
     n_threads, rounds = 8, 50
     step = itertools.count()
-    barrier = threading.Barrier(n_threads, timeout=30, action=lambda: tensor.extend_with(
-        TensorBatch(cells=[("abcd1234", "S_F3", "SRC_A", float(next(step) % 2))]),
-        overwrite=True))
+
+    def extend():
+        i = next(step)
+        tensor.extend_with(TensorBatch(sources=[f"SRC_N{i}"],
+                                       cells=[("abcd1234", "S_F3", f"SRC_N{i}", float(i % 2))]))
+
+    barrier = threading.Barrier(n_threads, timeout=30, action=extend)
     got = [[None] * n_threads for _ in range(rounds)]
     errors = []
 
@@ -207,9 +212,10 @@ def test_single_source_name_equals_one_element_list():
 def test_concurrent_eviction_after_extend_never_raises():
     """8 threads alternate a write and a burst of concurrent aggregates.
 
-    Each round one thread extends the tensor (the barrier action, so no
-    write overlaps a read), then all 8 threads aggregate the new state at
-    the same time, each key cold; none of them may raise.
+    Each round one thread extends the tensor by a new source with one cell
+    (the barrier action, so no write overlaps a read), then all 8 threads
+    aggregate the new state at the same time, each key cold; none of them
+    may raise.
     """
     tensor = _three_source_tensor()
     n_threads, rounds = 8, 200
@@ -218,8 +224,8 @@ def test_concurrent_eviction_after_extend_never_raises():
 
     def extend():
         i = next(step)
-        tensor.extend_with(
-            TensorBatch(cells=[("abcd1234", "S_F3", "SRC_A", float(i % 2))]), overwrite=True)
+        tensor.extend_with(TensorBatch(sources=[f"SRC_N{i}"],
+                                       cells=[("abcd1234", "S_F3", f"SRC_N{i}", float(i % 2))]))
 
     barrier = threading.Barrier(n_threads, action=extend, timeout=30)
     errors = []
@@ -261,6 +267,7 @@ def test_aggregate_while_writing_sees_only_whole_writes():
     feats = [f"S_F{j}" for j in range(5)]
     sources = ["SRC_A", "SRC_B", "SRC_C"]
     start = [(l, f, s, 1.0) for l in langs for f in feats for s in sources if rng.random() < 0.3]
+    known = {cell[:3]: cell[3] for cell in start}  # a cell drawn again gets its first value back
     batches = []
     for k in range(300):
         new_lang = [LanguageRecord(f"n{k:03d}1234")] if k % 3 == 0 else []
@@ -271,6 +278,7 @@ def test_aggregate_while_writing_sees_only_whole_writes():
         cells = [(names[int(rng.integers(len(names)))], fnames[int(rng.integers(len(fnames)))],
                   sources[int(rng.integers(3))], float(rng.choice([0.0, 0.5, 1.0])))
                  for _ in range(8)]
+        cells = [(*cell[:3], known.setdefault(cell[:3], cell[3])) for cell in cells]
         batches.append(TensorBatch(languages=new_lang, features=new_feat, cells=cells))
 
     def fresh():
@@ -283,7 +291,7 @@ def test_aggregate_while_writing_sees_only_whole_writes():
     def writer():
         try:
             for batch in batches:
-                tensor.extend_with(batch, overwrite=True)
+                tensor.extend_with(batch)
         except Exception as exc:
             errors.append(exc)
         finally:
@@ -325,7 +333,7 @@ def test_aggregate_while_writing_sees_only_whole_writes():
                 states.add((mode, m.provenance, tuple(m.languages),
                             tuple(f.name for f in m.features), m.values.tobytes()))
         if step < len(batches):
-            replay.extend_with(batches[step], overwrite=True)
+            replay.extend_with(batches[step])
     assert len(set(seen)) > 10  # the readers overlapped many writes
     assert all(matrix in states for matrix in seen)
 
@@ -561,22 +569,20 @@ def test_a_union_after_writes_updates_the_last_union(monkeypatch):
     assert not _union_builds(tensor, monkeypatch)[1]
 
 
-def test_a_union_is_built_cold_where_a_cell_may_have_fallen_or_the_shape_changed(monkeypatch):
+def test_a_union_is_built_cold_where_the_shape_changed_or_the_log_restarted(monkeypatch):
     tensor = _log_tensor()
     lang, feat = _missing(tensor, "SRC_A", 1)[0]
     _union_builds(tensor, monkeypatch)
-    for write, kwargs in [
-        (TensorBatch(cells=[(lang, feat, "SRC_A", 1.0)]), {}),  # updated: the control
-        (TensorBatch(cells=[(lang, feat, "SRC_A", 0.0)]), {"overwrite": True}),
-        (TensorBatch(languages=[LanguageRecord("newl1234")]), {}),
-        (TensorBatch(features=[FeatureDescriptor("S_NEW", Category.SYNTACTIC)]), {}),
-        (TensorBatch(sources=["SRC_C"]), {}),
+    for write in [
+        TensorBatch(cells=[(lang, feat, "SRC_A", 1.0)]),  # updated: the control
+        TensorBatch(languages=[LanguageRecord("newl1234")]),
+        TensorBatch(features=[FeatureDescriptor("S_NEW", Category.SYNTACTIC)]),
+        TensorBatch(sources=["SRC_C"]),
         # past an eighth of the stored cells: the log starts again
-        (TensorBatch(cells=[(*c, "SRC_B", 1.0) for c in _missing(tensor, "SRC_B", 40)]), {}),
+        TensorBatch(cells=[(*c, "SRC_B", 1.0) for c in _missing(tensor, "SRC_B", 40)]),
     ]:
-        tensor.extend_with(write, **kwargs)
-        cold = bool(kwargs or write.languages or write.features or write.sources
-                    or len(write) == 40)
+        tensor.extend_with(write)
+        cold = bool(write.languages or write.features or write.sources or len(write) == 40)
         assert _union_builds(tensor, monkeypatch)[1] == cold, write
 
 

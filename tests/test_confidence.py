@@ -344,7 +344,7 @@ def test_components_match_the_per_call_oracle():
             _same_outcome(confidence_report, _report_oracle, a, b, tensor, scope)
         # a write makes a new version, and the statistics follow it
         l, f, s, v = cells[0]
-        tensor.extend_with(TensorBatch(cells=[(l, f, s, 1.0 - v)]), overwrite=True)
+        tensor.extend_with(TensorBatch(sources=["NEW"], cells=[(l, f, "NEW", 1.0 - v)]))
         _same_outcome(consistency, _consistency_oracle, l, langs[-1], tensor, None)
         _same_outcome(completeness, _completeness_oracle, l, langs[-1], tensor, None)
     # agreement ratios 1/3, 3/4 and 1 add up left to right to one ulp below

@@ -89,10 +89,9 @@ def test_conflicting_write_raises(tiny_tensor):
     batch = TensorBatch(cells=[("pare1234", "S_F1", "SRC_A", 0.0)])
     with pytest.raises(ConflictingWrite):
         tiny_tensor.extend_with(batch)
-    # same value is a no-op, overwrite replaces
+    # same value is a no-op
     tiny_tensor.extend_with(TensorBatch(cells=[("pare1234", "S_F1", "SRC_A", 1.0)]))
-    tiny_tensor.extend_with(batch, overwrite=True)
-    assert tiny_tensor.get_cell("pare1234", "S_F1", "SRC_A") == 0.0
+    assert tiny_tensor.get_cell("pare1234", "S_F1", "SRC_A") == 1.0
 
 
 def test_monotonic_extension_property():
@@ -393,7 +392,12 @@ def _random_write(rng, oracle, fresh):
         # a stored cell mostly gets its own value back; otherwise a conflict
         value = stored if stored is not None and rng.random() < 0.8 else _random_value(rng)
         batch.cells.append((*cell, value))
-    return "extend_with", (batch,), {"overwrite": bool(rng.random() < 0.2)}
+    if rng.random() < 0.2 and oracle._cells:  # a stored cell given another value, anywhere
+        (li, fi, si), v = list(oracle._cells.items())[int(rng.integers(len(oracle._cells)))]
+        batch.cells.insert(int(rng.integers(len(batch.cells) + 1)), (
+            oracle.languages[li].glottocode, oracle.features[fi].name, oracle.sources[si],
+            float(v < 0.5)))
+    return "extend_with", (batch,), {}
 
 
 def _state(tensor):
@@ -498,7 +502,7 @@ def _round_trip(tensor, oracle, directory, rng):
 def test_random_small_writes_keep_every_union_equal_to_a_cold_one(seed, tmp_path, monkeypatch):
     """Mostly small writes of new cells between reads, which a union is
     updated by, among the random writes of the model test: registry growth,
-    overwrites, conflicts and repeated cells, each of which starts a new log."""
+    which starts a new log, conflicts and repeated cells."""
     rng = np.random.default_rng([seed, 11])
     tensor, oracle = FeatureTensor(), DictTensor()
     counter = iter(range(10**6))
@@ -544,10 +548,11 @@ def test_random_writes_match_the_dict_store(seed, tmp_path):
     for _step in range(150):
         method, args, kwargs = _random_write(rng, oracle, fresh)
         before, held, stored = _state(tensor), tensor.snapshot().columns, dict(oracle._cells)
+        layers = tensor.snapshot().layers
         want = _outcome(lambda: getattr(oracle, method)(*args, **kwargs))
         got = _outcome(lambda: getattr(tensor, method)(*args, **kwargs))
         assert type(got) is type(want) and str(got) == str(want), (method, args, kwargs)
-        seen.add(type(got).__name__ + ("/overwrite" if kwargs.get("overwrite") else ""))
+        seen.add(type(got).__name__)
         cells = args[0].cells if method == "extend_with" else []
         if any(v == 0 and np.signbit(v) for *_, v in cells):
             seen.add("-0.0")
@@ -558,6 +563,7 @@ def test_random_writes_match_the_dict_store(seed, tmp_path):
         if got is not None:
             rejected += 1
             assert _state(tensor) == before
+            assert all(a is b for a, b in zip(tensor.snapshot().layers, layers, strict=True))
         _assert_same_store(tensor, oracle, rng)
         # a source that the write gives no value other than the one it holds keeps its arrays
         index, given = (oracle._lang_index, oracle._feat_index, oracle._src_index), set()
@@ -573,8 +579,8 @@ def test_random_writes_match_the_dict_store(seed, tmp_path):
     # the sequence exercises both outcomes, and every kind of cell
     assert 10 < rejected < 120
     assert tensor.cell_count() > 30
-    assert {"NoneType", "NoneType/overwrite", "ConflictingWrite", "FormatError", "UnknownLanguage",
-            "UnknownFeature", "UnknownSource", "-0.0", "out of range", "repeated"} <= seen
+    assert {"NoneType", "ConflictingWrite", "FormatError", "UnknownLanguage", "UnknownFeature",
+            "UnknownSource", "-0.0", "out of range", "repeated"} <= seen
 
 
 def test_a_touched_source_whose_cells_do_not_change_keeps_its_arrays(tiny_tensor):
@@ -604,7 +610,8 @@ def _layered_tensor():
 
 def test_a_write_searches_each_touched_source_once(monkeypatch):
     """One search of each touched base and one of each non-empty touched
-    delta; an overwrite of a stored cell also folds, one more search of the base."""
+    delta; a delta that grows past an eighth of its base also folds, one
+    search of the delta's keys in the base."""
     tensor = _layered_tensor()
     a, b = tensor.source_index("SRC_A"), tensor.source_index("SRC_B")
     held = tensor.snapshot().layers
@@ -633,13 +640,16 @@ def test_a_write_searches_each_touched_source_once(monkeypatch):
     assert tensor.get_cell("l1xx1234", "S_F1", "SRC_B") == 1.0  # the last write
     assert tensor.cell_count() == 66 + 3
     searched.clear()
-    tensor.extend_with(TensorBatch(cells=[("l0xx1234", "S_F0", "SRC_A", 1.0)]), overwrite=True)
+    # 3 + 2 = 5 delta cells, and 5 * 8 = 40 passes 32: SRC_A folds
+    tensor.extend_with(TensorBatch(cells=[("l0xx1234", "S_F7", "SRC_A", 1.0),
+                                          ("l1xx1234", "S_F0", "SRC_A", 0.0)]))
     monkeypatch.undo()
     assert [id(key) for key in searched] == [id(after[a].base.key), id(after[a].delta.key),
                                              id(after[a].base.key)]
     folded = tensor.snapshot().layers[a]
-    assert len(folded.base.key) == 32 + 3 and not len(folded.delta.key)
-    assert tensor.get_cell("l0xx1234", "S_F0", "SRC_A") == 1.0 and tensor.cell_count() == 69
+    assert len(folded.base.key) == 32 + 5 and not len(folded.delta.key)
+    assert tensor.get_cell("l0xx1234", "S_F7", "SRC_A") == 1.0 and tensor.cell_count() == 71
+    assert tensor.source_stats("l1xx1234", "S_F0") == (2, [0.0, 1.0])
     assert tensor.source_stats("l2xx1234", "S_F0") == (2, [0.0, 0.5])
 
 
@@ -823,14 +833,16 @@ def _merged_oracle(column, keys, value):
 
 def _merge(column, keys, value):
     """The column a write of keys and value into column stores, as a write
-    builds it: _merged with the positions that _lookup finds, or the keys
-    sorted once for an empty column."""
+    builds it: the keys sorted once for an empty column; else the keys that
+    _lookup finds dropped, as the write's check drops them, and the rest
+    inserted at the positions it finds."""
     found = []
-    kb_module._lookup([column], np.zeros(len(keys), np.int64), keys, found)
-    [(_, _, pos, hit)] = found
+    stored = kb_module._lookup([column], np.zeros(len(keys), np.int64), keys, found)
+    [(_, _, pos)] = found
     if pos is None:
         return SourceColumn(*kb_module._last_sorted(keys, value))
-    return kb_module._merged(column, keys, value, pos, hit)
+    new = np.isnan(stored)
+    return kb_module._inserted(column, *kb_module._last_sorted(keys[new], value[new], pos[new]))
 
 
 def test_a_write_into_an_empty_column_equals_the_merge_oracle():
@@ -844,6 +856,9 @@ def test_a_write_into_an_empty_column_equals_the_merge_oracle():
         stored = rng.random() < 0.3
         column = (_merge(kb_module._NO_CELLS, keys[::2].copy(), value[::2].copy())
                   if stored else kb_module._NO_CELLS)
+        # a write gives each stored cell its own value back
+        held = dict(zip(column.key.tolist(), column.value.tolist()))
+        value = np.array([held.get(k, v) for k, v in zip(keys.tolist(), value.tolist())])
         got = _merge(column, keys.copy(), value.copy())
         want = _merged_oracle(column, keys.copy(), value.copy())
         for a, b in zip(got, want, strict=True):

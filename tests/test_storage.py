@@ -583,16 +583,16 @@ def _write_cells_as_before(tensor, directory):
 
 
 def _random_tensor(rng):
-    """Cells written in shuffled order, then partly overwritten."""
+    """Cells written in shuffled order, every third one by a second write."""
     langs = [f"l{i:03d}1234" for i in rng.permutation(int(rng.integers(1, 15)))]
     feats = [f"{p}F{j}" for j in range(int(rng.integers(1, 9))) for p in ("S_", "P_")]
     srcs = ["SRC_B", "SRC_A", "SRC.c", "src-d"][: int(rng.integers(1, 5))]
     cells = [(l, f, s, float(rng.choice([0.0, 1.0, 0.5, rng.random()])))
              for l in langs for f in feats for s in srcs if rng.random() < 0.4]
-    cells = [cells[i] for i in rng.permutation(len(cells))]
-    tensor = make_tensor(langs, feats, cells or [(langs[0], feats[0], srcs[0], 1.0)])
-    tensor.extend_with(TensorBatch(cells=[(l, f, s, 1.0 - v) for l, f, s, v in cells[::3]]),
-                       overwrite=True)
+    cells = [cells[i] for i in rng.permutation(len(cells))] or [(langs[0], feats[0], srcs[0], 1.0)]
+    tensor = make_tensor(langs, feats, [c for i, c in enumerate(cells) if i % 3],
+                         sources=sorted({c[2] for c in cells}))
+    tensor.extend_with(TensorBatch(cells=cells[::3]))
     return tensor
 
 
@@ -909,16 +909,16 @@ def _load_from_csv(directory, scratch):
 
 
 def _next_writes(tensor, rng):
-    """A batch that conflicts with a stored cell, and one to write with
-    overwrite=True that changes that cell, adds cells to the empty source
-    and adds a source."""
+    """A batch that conflicts with a stored cell, and one that adds cells to
+    that cell's source, to the empty source and to a new source."""
     lang, feat, src, v = sorted(tensor.iter_cells())[int(rng.integers(tensor.cell_count()))]
     other = 0.25 if v != 0.25 else 0.75
     glottocodes = [r.glottocode for r in tensor.languages]
     new_cells = [(g, feat, s, float(rng.random())) for g in glottocodes for s in ("EMPTY", "SRC_NEW")
                  if rng.random() < 0.5]
+    missing = [(g, feat, src, other) for g in glottocodes if tensor.get_cell(g, feat, src) is None]
     return (TensorBatch(cells=[(lang, feat, src, other)]),
-            TensorBatch(sources=["SRC_NEW"], cells=[(lang, feat, src, other), *new_cells]))
+            TensorBatch(sources=["SRC_NEW"], cells=[*missing, *new_cells]))
 
 
 def test_a_load_through_the_cell_cache_equals_a_load_from_the_csvs(tmp_path, monkeypatch):
@@ -936,13 +936,13 @@ def test_a_load_through_the_cell_cache_equals_a_load_from_the_csvs(tmp_path, mon
         assert sorted(cached.iter_cells()) == sorted(tensor.iter_cells())
         assert cached.languages == tensor.languages and cached.sources[0] == "EMPTY"
         # later writes meet both loads alike, and each saves the same bytes
-        conflicting, overwriting = _next_writes(cached, rng)
+        conflicting, adding = _next_writes(cached, rng)
         errors = []
         for loaded in (cached, from_csv):
             with pytest.raises(ConflictingWrite) as error:
                 loaded.extend_with(conflicting)
             errors.append(str(error.value))
-            loaded.extend_with(overwriting, overwrite=True)
+            loaded.extend_with(adding)
         assert errors[0] == errors[1]
         _assert_same_tensor(cached, from_csv)
         storage.save_tensor(cached, tmp_path / f"next{k}")
@@ -1190,10 +1190,10 @@ def test_no_load_writes_a_cell_through_extend_with(tmp_path, monkeypatch):
     refused = dict(_tampered_caches(cache, len(tensor.sources), len(tensor.languages)))["value 1.5"]
     extend_with, batches = FeatureTensor.extend_with, []
 
-    def registries_only(self, batch, overwrite=False):
+    def registries_only(self, batch):
         assert not len(batch.cells), f"{len(batch.cells)} cells reached extend_with"
         batches.append(batch)
-        return extend_with(self, batch, overwrite)
+        return extend_with(self, batch)
 
     monkeypatch.setattr(FeatureTensor, "extend_with", registries_only)
     reads = _csv_reads(monkeypatch)
