@@ -12,21 +12,25 @@ entry; `distance.matrix_for` and `confidence` use the same dict.
 `aggregate` reads the published state once and keys, builds and caches
 from that one snapshot, so a concurrent write is seen whole or not at all.
 
-A cold union of a state updates the last union built from the same or an
-earlier state on its `kb.WriteLog`, if that one is over the same sources:
-it is that union copied, with the cells written since folded in by fmax
-(incremental view maintenance). This is exact because cells are written
-once, so a write only adds cells and a union cell can only rise; a log
-spans no registry growth, so the shape holds; and the max of a set of
-floats (none NaN or -0.0) does not depend on the order it is taken in. Average mode, and a union with no
+A cold union of a state updates the last union built from the same tensor,
+if that one is over the same sources, of the same registry shape and of
+the same or an earlier state: it is that union copied, with each selected
+source folded in by fmax, its delta alone if its base is the one the
+last union saw, its base and delta otherwise (incremental view
+maintenance). This is exact because cells are written once, so a write
+only adds cells and a union cell can only rise; a base changes only by a
+fold or an adopted column, and until then its delta only grows; and the
+max of a set of floats (none NaN or -0.0) does not depend on the order it
+is taken in, nor on a value taken twice. Average mode, and a union with no
 such earlier union, build cold: recomputing each touched cell over every
-source measured no cheaper than a cold build. The log holds the last
-union matrix built (one matrix, 3.8 MB at 2000 x 240) until the next
-union replaces it or a write starts a new log.
+source measured no cheaper than a cold build. Each tensor keeps its last
+union matrix (3.8 MB at 2000 x 240) until its next union replaces it or
+the tensor is dropped, and only weak references to the bases it saw.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Hashable, Sequence, TypeVar, Union
@@ -148,40 +152,54 @@ def aggregate(
     snap = tensor.snapshot()  # keyed, built and cached from this one state
     provenance = _provenance(snap, sources)
     return _get_or_build(snap.derived, (mode, provenance),
-                         lambda: _built(snap, mode, provenance))
+                         lambda: _built(tensor, snap, mode, provenance))
 
 
-def _built(snap: TensorSnapshot, mode: AggregationMode,
+#: per tensor, its last union: (version, selected source indices, a weak
+#: reference to each one's base key array, values)
+_last_union = weakref.WeakKeyDictionary()
+
+
+def _built(tensor: FeatureTensor, snap: TensorSnapshot, mode: AggregationMode,
            provenance: tuple[str, ...]) -> AggregatedMatrix:
-    """_aggregate's matrix, a union updated from the log's last union where
-    it can be; a union becomes the log's last one."""
+    """_aggregate's matrix, a union updated from the tensor's last union
+    where it can be; a union becomes the tensor's last one."""
     if mode is not AggregationMode.UNION:
         return _aggregate(snap, mode, provenance)
-    selected = frozenset(map(snap.source_index, provenance))
-    values = _updated_union(snap, selected)
+    selected = tuple(sorted({snap.source_index(s) for s in provenance}))
+    values = _updated_union(tensor, snap, selected)
     matrix = (_aggregate(snap, mode, provenance) if values is None
               else _matrix(snap, mode, values, provenance))
-    kept = snap.log.union
+    kept = _last_union.get(tensor)
     # a builder of an older state keeps the newer union; racing builders
     # may keep either, and each is exact for the state it names
-    if kept is None or kept[0] <= snap.logged:
-        snap.log.union = (snap.logged, selected, matrix.values)
+    if kept is None or kept[0] <= snap.version:
+        bases = [weakref.ref(snap.layers[si].base.key) for si in selected]
+        _last_union[tensor] = (snap.version, selected, bases, matrix.values)
     return matrix
 
 
-def _updated_union(snap: TensorSnapshot, selected: frozenset):
-    """The union of the selected sources: a copy of the log's last union of
-    them, built from this state or an earlier one, with the cells written
-    since folded in; None if the log holds none."""
-    kept = snap.log.union
-    if kept is None or kept[0] > snap.logged or kept[1] != selected:
+def _updated_union(tensor: FeatureTensor, snap: TensorSnapshot, selected: tuple[int, ...]):
+    """The union of the selected sources: a copy of the tensor's last union
+    of them, of this shape and from this state or an earlier one, with each
+    source's delta folded in, or its base and delta if its base changed;
+    None if the tensor keeps no such union."""
+    kept = _last_union.get(tensor)
+    if (kept is None or kept[0] > snap.version or kept[1] != selected
+            or kept[3].shape != (len(snap.languages), len(snap.features))):
         return None
-    values = kept[2].copy()
+    layers = [snap.layers[si] for si in selected]
+    return _union_into(kept[3].copy(), [
+        col for layer, base in zip(layers, kept[2])
+        for col in ((layer.delta,) if base() is layer.base.key else (layer.base, layer.delta))])
+
+
+def _union_into(values: np.ndarray, columns) -> np.ndarray:
+    """values, with each column's cells taken in by fmax, in place."""
     flat = values.ravel()  # a view: cells are written through flat indices
-    for si in selected:
-        added = snap.log.added(kept[0], snap.logged, si)
-        at = added.flat_index(values.shape[1])
-        flat[at] = np.fmax(flat[at], added.value)
+    for col in columns:
+        at = col.flat_index(values.shape[1])
+        flat[at] = np.fmax(flat[at], col.value)
     return values
 
 
@@ -197,11 +215,7 @@ def _aggregate(snap: TensorSnapshot, mode: AggregationMode,
         union = (AggregationMode.UNION, provenance)
         values = _get_or_build(snap.derived, union, lambda: _aggregate(snap, *union)).values
     elif mode is AggregationMode.UNION:
-        values = np.full(shape, np.nan)
-        flat = values.ravel()  # a view: cells are written through flat indices
-        for col in columns:
-            at = col.flat_index(shape[1])
-            flat[at] = np.fmax(flat[at], col.value)
+        values = _union_into(np.full(shape, np.nan), columns)
     else:
         values = np.zeros(shape)
         flat = values.ravel()

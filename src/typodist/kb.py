@@ -18,14 +18,12 @@ on the source's unchanged (base, delta) pair, so an untouched source keeps
 its arrays; point lookups search the base and the delta instead.
 
 A tensor publishes one read-only `TensorSnapshot`: registries, name ->
-index maps, per-source layers, the cell count, `derived`, `version`, and a
-`WriteLog` of the cells that writes added since the registries last grew
-or columns were adopted, which `aggregate` reads to update its last union.
-A write searches each base and each non-empty delta it touches once,
-checks the whole batch against the state from that search, builds the
-next state (registries copied only if it adds entries, new layers only for
-the sources it adds cells to, an empty `derived`) and publishes it in
-one swap; a no-op write publishes nothing. `adopt_columns`, a load's one
+index maps, per-source layers, `derived` and `version`. A write searches
+each base and each non-empty delta it touches once, checks the whole
+batch against the state from that search, builds the next state
+(registries copied only if it adds entries, new layers only for the
+sources it adds cells to, an empty `derived`) and publishes it in one
+swap; a no-op write publishes nothing. `adopt_columns`, a load's one
 cell write, takes whole columns (from the cell cache, or `SourceColumn.of`
 over CSV rows) as bases, checks only the column invariants above and
 stores the arrays themselves. Writes are serialised under the tensor's
@@ -329,36 +327,6 @@ class SourceLayers:
 _NO_LAYERS = SourceLayers(_NO_CELLS)
 
 
-class WriteLog:
-    """The cells that writes added since a state whose registries grew, or
-    in which columns were adopted; a state there starts a new log, as does
-    a write that would take the log past an eighth of the stored cells.
-    The states between share it, each knowing how many of its writes it
-    includes (`TensorSnapshot.logged`).
-
-    `union` is aggregate's: (logged, source indices, values) of the last
-    union built from one of those states, or None.
-    """
-
-    __slots__ = ("writes", "cells", "union")
-
-    def __init__(self):
-        self.writes = []  # per write, per source: (index, keys, values) in write order
-        self.cells = 0
-        self.union = None
-
-    def added(self, start: int, stop: int, source: int) -> SourceColumn:
-        """The cells that writes start to stop - 1 added to a source, as a
-        column; a cell written twice in a write keeps its last value."""
-        keys, values = [_NO_CELLS.key], [_NO_CELLS.value]
-        for write in self.writes[start:stop]:
-            for si, key, value in write:
-                if si == source:
-                    keys.append(key)
-                    values.append(value)
-        return SourceColumn(*_last_sorted(np.concatenate(keys), np.concatenate(values)))
-
-
 class TensorSnapshot(NamedTuple):
     """The tensor's published state, as one completed write left it; read-only."""
 
@@ -369,11 +337,8 @@ class TensorSnapshot(NamedTuple):
     feat_index: Mapping[str, int]  # feature name -> index into features
     src_index: Mapping[str, int]  # source name -> index into sources
     layers: tuple[SourceLayers, ...]  # one per source, in source order
-    cells: int  # stored cells over all sources
     derived: dict  # matrices built from this state, by key
     version: int  # bumped once per write that publishes a new state
-    log: WriteLog  # the cells added since the last registry growth or load
-    logged: int  # how many of log's writes this state includes
 
     @property
     def columns(self) -> tuple[SourceColumn, ...]:
@@ -549,8 +514,7 @@ class FeatureTensor:
     def __init__(self):
         # replaced whole by each write that changes anything
         no_names = MappingProxyType({})
-        self._state = TensorSnapshot((), (), (), no_names, no_names, no_names, (), 0, {}, 0,
-                                     WriteLog(), 0)
+        self._state = TensorSnapshot((), (), (), no_names, no_names, no_names, (), {}, 0)
         self._write_lock = threading.Lock()
 
     # registries -----------------------------------------------------------
@@ -667,7 +631,7 @@ class FeatureTensor:
             # _registered returns the registry itself when it adds nothing
             grown = any(new is not old for new, old in zip((languages, features, sources), state))
             if changed or grown:
-                layers, count = list(layers), state.cells  # merged once the check's arrays are freed
+                layers = list(layers)  # merged once the check's arrays are freed
                 for si, keys, values, pos in changed:
                     old = layers[si]
                     delta = (SourceColumn(*_last_sorted(keys, values)) if pos is None
@@ -675,16 +639,8 @@ class FeatureTensor:
                     layers[si] = (SourceLayers(_folded(old.base, delta))
                                   if len(delta.key) * _FOLD > len(old.base.key)
                                   else SourceLayers(old.base, delta))
-                    count += len(layers[si]) - len(old)
-                log, added = state.log, sum(len(keys) for _si, keys, *_ in changed)
-                if grown or (log.cells + added) * _FOLD > count:
-                    log = WriteLog()
-                else:
-                    log.writes.append(tuple((si, keys, values) for si, keys, values, _ in changed))
-                    log.cells += added
                 self._state = TensorSnapshot(languages, features, sources, lang_index, feat_index,
-                                             src_index, tuple(layers), count, {}, state.version + 1,
-                                             log, len(log.writes))
+                                             src_index, tuple(layers), {}, state.version + 1)
             return self._state
 
     def adopt_columns(self, columns: Mapping[str, SourceColumn]) -> "FeatureTensor":
@@ -701,7 +657,7 @@ class FeatureTensor:
         """
         with self._write_lock:
             state = self._state
-            stored, bumps, count = list(state.layers), 0, state.cells
+            stored, bumps = list(state.layers), 0
             for name, column in columns.items():
                 si = state.source_index(name)
                 if len(stored[si]):
@@ -709,11 +665,9 @@ class FeatureTensor:
                 _check_column(column, len(state.languages), len(state.features), name)
                 stored[si] = SourceLayers(SourceColumn(*column))
                 bumps += bool(len(stored[si]))
-                count += len(stored[si])
             if bumps:
-                self._state = state._replace(layers=tuple(stored), cells=count, derived={},
-                                             version=state.version + bumps, log=WriteLog(),
-                                             logged=0)
+                self._state = state._replace(layers=tuple(stored), derived={},
+                                             version=state.version + bumps)
         return self
 
     def source_stats(self, lang: str, feat: str) -> tuple[int, list[float]]:
@@ -736,7 +690,7 @@ class FeatureTensor:
                 yield snap.languages[li].glottocode, snap.features[fi].name, src, v
 
     def cell_count(self) -> int:
-        return self._state.cells
+        return sum(map(len, self._state.layers))
 
     def ancestor_chain(self, glottocode: str) -> list[str]:
         """Parent, grandparent, ... for a language; empty if it has no parent."""

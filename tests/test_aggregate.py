@@ -16,7 +16,8 @@ from typodist.errors import (
     UnknownLanguage,
     UnknownSource,
 )
-from typodist.kb import Category, FeatureDescriptor, LanguageRecord, TensorBatch, feature_columns
+from typodist.kb import (Category, FeatureDescriptor, LanguageRecord, SourceColumn, TensorBatch,
+                         feature_columns)
 
 from conftest import make_tensor
 
@@ -523,7 +524,7 @@ def test_binary_per_row():
     assert not _binary(rows)
 
 
-# --- unions updated from the write log ---------------------------------------
+# --- unions updated from the tensor's last union ----------------------------
 
 
 def _log_tensor():
@@ -562,14 +563,15 @@ def test_a_union_after_writes_updates_the_last_union(monkeypatch):
     for lang, feat in _missing(tensor, "SRC_A", 3):
         tensor.extend_with(TensorBatch(cells=[(lang, feat, "SRC_A", 1.0)]))
     second, cold = _union_builds(tensor, monkeypatch)
-    # first's array is copied, never changed; the log keeps only the newer one
+    # first's array is copied, never changed; the tensor keeps only the newer one
     assert not cold and second.values is not first.values and first.values.tobytes() == kept
-    assert tensor.snapshot().log.union[2] is second.values and not second.values.flags.writeable
+    assert aggregate_module._last_union[tensor][3] is second.values
+    assert not second.values.flags.writeable
     tensor.extend_with(TensorBatch(cells=[(*_missing(tensor, "SRC_B", 1)[0], "SRC_B", 0.0)]))
     assert not _union_builds(tensor, monkeypatch)[1]
 
 
-def test_a_union_is_built_cold_where_the_shape_changed_or_the_log_restarted(monkeypatch):
+def test_a_union_is_built_cold_only_where_the_shape_or_the_sources_changed(monkeypatch):
     tensor = _log_tensor()
     lang, feat = _missing(tensor, "SRC_A", 1)[0]
     _union_builds(tensor, monkeypatch)
@@ -577,12 +579,12 @@ def test_a_union_is_built_cold_where_the_shape_changed_or_the_log_restarted(monk
         TensorBatch(cells=[(lang, feat, "SRC_A", 1.0)]),  # updated: the control
         TensorBatch(languages=[LanguageRecord("newl1234")]),
         TensorBatch(features=[FeatureDescriptor("S_NEW", Category.SYNTACTIC)]),
-        TensorBatch(sources=["SRC_C"]),
-        # past an eighth of the stored cells: the log starts again
+        TensorBatch(sources=["SRC_C"]),  # cold: the all-source scope gained a source
+        # updated: a write of many cells, which folds SRC_B's delta
         TensorBatch(cells=[(*c, "SRC_B", 1.0) for c in _missing(tensor, "SRC_B", 40)]),
     ]:
         tensor.extend_with(write)
-        cold = bool(write.languages or write.features or write.sources or len(write) == 40)
+        cold = bool(write.languages or write.features or write.sources)
         assert _union_builds(tensor, monkeypatch)[1] == cold, write
 
 
@@ -591,6 +593,92 @@ def test_a_union_is_built_cold_for_another_scope_or_an_older_state(monkeypatch):
     _union_builds(tensor, monkeypatch)
     older = copy.copy(tensor)  # bound to this state
     tensor.extend_with(TensorBatch(cells=[(*_missing(tensor, "SRC_A", 1)[0], "SRC_A", 1.0)]))
-    assert _union_builds(tensor, monkeypatch, ["SRC_A"])[1]  # the log held the union of both
+    assert _union_builds(tensor, monkeypatch, ["SRC_A"])[1]  # the last union was of both
     assert not _union_builds(tensor, monkeypatch, ["SRC_A"])[1]  # a hit in the state's cache
-    assert _union_builds(older, monkeypatch, ["SRC_A"])[1]  # the log's union is of a newer state
+    assert _union_builds(older, monkeypatch, ["SRC_A"])[1]  # a copy keeps no union of its own
+    # a builder that read the state before the write, as a racing one may,
+    # builds cold and leaves the newer union kept
+    kept, cold, build = aggregate_module._last_union[tensor], [], aggregate_module._aggregate
+    monkeypatch.setattr(aggregate_module, "_aggregate", lambda *a: cold.append(a) or build(*a))
+    stale = aggregate_module._built(tensor, older.snapshot(), AggregationMode.UNION, ("SRC_A",))
+    monkeypatch.undo()
+    want = _aggregate(older.snapshot()._replace(derived={}), AggregationMode.UNION, ("SRC_A",))
+    assert cold and stale.values.tobytes() == want.values.tobytes()
+    assert aggregate_module._last_union[tensor] is kept
+
+
+def test_a_union_is_updated_across_a_fold(monkeypatch):
+    tensor = _log_tensor()
+    a = tensor.source_index("SRC_A")
+    free = _missing(tensor, "SRC_A", 23)
+    tensor.extend_with(TensorBatch(cells=[(*c, "SRC_A", 0.5) for c in free[:3]]))
+    _union_builds(tensor, monkeypatch)  # of a state with cells in SRC_A's delta
+    before = tensor.snapshot().layers[a]
+    assert len(before.delta.key) == 3
+    # 3 + 20 delta cells pass an eighth of the base's: the delta folds
+    tensor.extend_with(TensorBatch(cells=[(*c, "SRC_A", 1.0) for c in free[3:]]))
+    after = tensor.snapshot().layers[a]
+    assert after.base is not before.base and not len(after.delta.key)
+    assert not _union_builds(tensor, monkeypatch)[1]
+
+
+def test_a_union_is_updated_across_an_adopted_column(monkeypatch):
+    tensor = _log_tensor()
+    tensor.add_source("SRC_C")
+    _union_builds(tensor, monkeypatch)
+    column = tensor.snapshot().layers[tensor.source_index("SRC_A")].merged
+    tensor.adopt_columns({"SRC_C": SourceColumn(column.key.copy(), 1.0 - column.value)})
+    assert not _union_builds(tensor, monkeypatch)[1]
+
+
+def test_a_union_of_named_sources_is_updated_across_a_source_registration(monkeypatch):
+    tensor = _log_tensor()
+    _union_builds(tensor, monkeypatch)  # all sources: SRC_A and SRC_B
+    lang, feat = _missing(tensor, "SRC_A", 1)[0]
+    tensor.extend_with(TensorBatch(sources=["SRC_C"], cells=[(lang, feat, "SRC_A", 1.0),
+                                                             (lang, feat, "SRC_C", 0.0)]))
+    assert not _union_builds(tensor, monkeypatch, ["SRC_B", "SRC_A"])[1]
+    assert _union_builds(tensor, monkeypatch)[1]  # all sources now name SRC_C too
+
+
+def _checkered_tensor():
+    """20 x 20, SRC_A holding the cells whose language and feature numbers
+    have an odd sum: 200 cells, and 200 missing."""
+    langs, feats = [f"l{i:03d}" for i in range(20)], [f"S_F{j}" for j in range(20)]
+    return make_tensor(langs, feats, [(lang, feat, "SRC_A", float(i % 3) / 2)
+                                      for i, lang in enumerate(langs)
+                                      for j, feat in enumerate(feats) if (i + j) % 2])
+
+
+def test_one_union_is_cold_over_many_small_writes(monkeypatch):
+    rng = np.random.default_rng(3)
+    tensor = _checkered_tensor()
+    free = _missing(tensor, "SRC_A", 200)
+    cold = []
+    for k in rng.permutation(len(free)).tolist():
+        tensor.extend_with(TensorBatch(cells=[(*free[k], "SRC_A", float(rng.choice([0, 0.5, 1])))]))
+        cold.append(_union_builds(tensor, monkeypatch)[1])
+    assert len(cold) == 200 and cold[0] and cold.count(True) == 1
+
+
+def test_a_union_keeps_no_base_alive(monkeypatch):
+    tensor = _log_tensor()
+    a = tensor.source_index("SRC_A")
+    _union_builds(tensor, monkeypatch)
+    base = weakref.ref(tensor.snapshot().layers[a].base.key)
+    tensor.extend_with(TensorBatch(cells=[(*c, "SRC_A", 1.0) for c in _missing(tensor, "SRC_A", 20)]))
+    gc.collect()
+    assert base() is None  # the fold freed it
+    assert not _union_builds(tensor, monkeypatch)[1]
+
+
+def test_copies_that_write_different_cells_keep_unions_of_their_own(monkeypatch):
+    tensor = _checkered_tensor()
+    tensor.extend_with(TensorBatch(cells=[("l000", "S_F0", "SRC_A", 0.5)]))
+    _union_builds(tensor, monkeypatch)
+    other = copy.copy(tensor)
+    other.extend_with(TensorBatch(cells=[("l001", "S_F1", "SRC_A", 1.0)]))
+    tensor.extend_with(TensorBatch(cells=[("l002", "S_F2", "SRC_A", 1.0)]))
+    assert _union_builds(other, monkeypatch)[0].values[1, 1] == 1.0
+    union = _union_builds(tensor, monkeypatch)[0]  # byte-equal to a cold one
+    assert math.isnan(union.values[1, 1]) and union.values[2, 2] == 1.0

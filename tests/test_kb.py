@@ -452,13 +452,13 @@ def _outcome(call):
 
 
 def _assert_aggregates_are_cold(tensor, rng):
-    """Aggregates in both modes, first over the scope of the union the write
-    log holds (so a union is updated whenever the log allows), then over
+    """Aggregates in both modes, first over the scope of the tensor's last
+    union (so a union is updated whenever the rule allows), then over
     random scopes and all sources: each byte-equal to a cold _aggregate of
     the same snapshot."""
     snap = tensor.snapshot()
-    kept = snap.log.union
-    scopes = [[snap.sources[si] for si in sorted(kept[1])]] if kept and kept[1] else []
+    kept = aggregate_module._last_union.get(tensor)
+    scopes = [[snap.sources[si] for si in kept[1]]] if kept and kept[1] else []
     scopes += [s for s in ([x for x in snap.sources if rng.random() < 0.5] for _ in range(2)) if s]
     for scope in scopes + [None]:
         provenance = snap.sources if scope is None else tuple(scope)
@@ -502,7 +502,7 @@ def _round_trip(tensor, oracle, directory, rng):
 def test_random_small_writes_keep_every_union_equal_to_a_cold_one(seed, tmp_path, monkeypatch):
     """Mostly small writes of new cells between reads, which a union is
     updated by, among the random writes of the model test: registry growth,
-    which starts a new log, conflicts and repeated cells."""
+    which changes a union's shape or sources, conflicts and repeated cells."""
     rng = np.random.default_rng([seed, 11])
     tensor, oracle = FeatureTensor(), DictTensor()
     counter = iter(range(10**6))
@@ -528,7 +528,7 @@ def test_random_small_writes_keep_every_union_equal_to_a_cold_one(seed, tmp_path
         if rng.random() < 0.1:
             tensor = _round_trip(tensor, oracle, tmp_path / f"step{step}", rng)
     _assert_same_store(tensor, oracle, rng)
-    # unions updated from the log's last one, and built cold
+    # unions updated from the tensor's last one, and built cold
     assert updated.count(True) > 40 and False in updated
 
 
@@ -684,11 +684,13 @@ def _frozen_reads(tensor, directory):
             {path.name: path.read_bytes() for path in sorted(directory.iterdir())})
 
 
-def test_a_snapshot_is_isolated_across_a_fold(tmp_path):
+def test_a_snapshot_is_isolated_across_a_fold(tmp_path, monkeypatch):
     """A tensor copied before a write that folds a delta keeps its state:
-    it reads as before, though its union is in the log the write extends."""
+    it reads as before, while the live tensor's union after the write is
+    updated from its last one."""
     tensor = _layered_tensor()
     a = tensor.source_index("SRC_A")
+    aggregate(tensor, AggregationMode.UNION)  # the live tensor's last union
     frozen = copy.copy(tensor)  # bound to the state published so far
     before = _frozen_reads(frozen, tmp_path / "before")
     layers = tensor.snapshot().layers[a]
@@ -696,7 +698,14 @@ def test_a_snapshot_is_isolated_across_a_fold(tmp_path):
     tensor.extend_with(TensorBatch(cells=[(lang, feat, "SRC_A", 0.5) for lang, feat in free[:3]]))
     folded = tensor.snapshot().layers[a]
     assert folded.base is not layers.base and not len(folded.delta.key)
-    assert tensor.snapshot().log is frozen.snapshot().log  # one log: the union is updated
+    cold, build = [], aggregate_module._aggregate
+    monkeypatch.setattr(aggregate_module, "_aggregate",
+                        lambda *args: cold.append(args) or build(*args))
+    union = aggregate(tensor, AggregationMode.UNION)
+    monkeypatch.undo()
+    snap = tensor.snapshot()
+    want = build(snap._replace(derived={}), AggregationMode.UNION, snap.sources)
+    assert not cold and union.values.tobytes() == want.values.tobytes()
     after = _frozen_reads(tensor, tmp_path / "after")
     assert _frozen_reads(frozen, tmp_path / "again") == before != after
     assert frozen.snapshot().layers[a] is layers and frozen.cell_count() == 66
@@ -704,7 +713,7 @@ def test_a_snapshot_is_isolated_across_a_fold(tmp_path):
 
 def test_a_reader_never_sees_a_half_written_source():
     """A reader takes snapshots and unions while 1000 small writes go in,
-    with delta merges, folds and log restarts; each holds whole writes only."""
+    with delta merges and folds; each holds whole writes only."""
     tensor = _layered_tensor()
     a, start, version = tensor.source_index("SRC_A"), tensor.cell_count(), tensor.version
     langs = [f"w{i:03d}1234" for i in range(625)]  # 8 features each: 5000 cells
@@ -719,7 +728,7 @@ def test_a_reader_never_sees_a_half_written_source():
             while not done.is_set():
                 snap = tensor.snapshot()
                 writes = snap.version - version - 1
-                assert snap.cells == sum(len(layers) for layers in snap.layers) == start + 5 * writes
+                assert sum(len(layers) for layers in snap.layers) == start + 5 * writes
                 column = snap.layers[a].merged
                 assert len(column.key) == len(snap.layers[a]) and np.all(np.diff(column.key) > 0)
                 new = column.key >> 32 >= 8  # the cells the writes add
